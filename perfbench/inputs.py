@@ -10,8 +10,8 @@ built once per checkout and cached under ``.perfbench_cache/``:
 
 Frames are seeded crops of the bank.  Drawing every seed's frames from one
 fixed bank keeps content statistics (and so ``bpp``/``psnr_db``) comparable
-from seed to seed, while masks, crops, sizes, erase levels and qualities
-still change with the seed.
+from seed to seed, while masks, crops and the order of frame sizes, erase
+levels and qualities still change with the seed.
 """
 
 from __future__ import annotations
@@ -119,11 +119,6 @@ def mix(rng, count, *factors):
     """
     items = [tuple(factor[i % len(factor)] for factor in factors) for i in range(count)]
     return [items[i] for i in rng.permutation(count)]
-
-
-def ragged_size(rng, low, high):
-    """A seeded odd frame size in ``[2*low+1, 2*high-1]``, never block-aligned."""
-    return tuple(2 * int(rng.integers(low, high)) + 1 for _ in range(2))
 
 
 def kept_pixels(mask, config, shape):

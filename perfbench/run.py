@@ -31,7 +31,7 @@ from inputs import OUT_DIR, load_model, scene_bank  # noqa: E402
 from workloads import PER_LAYER, WORKLOADS, ShardedDecode  # noqa: E402
 
 #: Cold set-ups measured per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 #: Operations needed beyond a percentile before it is reported as measured.
 TAIL_SAMPLES = 10
 #: Largest share of the sequential encode composition its layer spans may miss.

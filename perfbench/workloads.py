@@ -35,7 +35,7 @@ from repro.serve import CompressionServer, ShardedCompressionServer
 
 from harness import Meter, mean, percentile
 from inputs import (SCENES, bench_config, bits_per_pixel, crop_frame, kept_pixels, mix,
-                    psnr_db, ragged_size)
+                    psnr_db)
 
 #: Every per-layer metric and its unit; a workload reports 0 for layers it
 #: never reaches.
@@ -90,6 +90,8 @@ class Outcome:
     #: Input index behind each latency sample (same order).
     keys: list = field(default_factory=list)
     lateness_s: list = field(default_factory=list)
+    #: Mask bytes of every request a traced loop submitted.
+    masks: list = field(default_factory=list)
 
     @property
     def succeeded(self):
@@ -121,7 +123,7 @@ def compose_encode(tracer, parent, request, frame, level, quality, seed):
     package = EaszCompressed(compressed, mask_bytes, grid_shape, image.shape, squeezed_shape,
                              encoder._config_summary())
     with tracer.span("transport.pack", parent, request):
-        return mask_bytes, pack_package(package)
+        return pack_package(package)
 
 
 def compose_decode(tracer, parent, request, package, codec, config):
@@ -160,13 +162,9 @@ def overhead_ratio(baseline, traced):
     return sum(mean(groups[1][key]) for key in shared) / untraced - 1.0 if untraced else 0.0
 
 
-def _repeat_share(keys):
-    seen = set()
-    repeats = 0
-    for key in keys:
-        repeats += key in seen
-        seen.add(key)
-    return repeats / max(len(keys), 1)
+def _repeat_share(masks):
+    """Share of requests whose mask an earlier request already carried."""
+    return 1.0 - len(set(masks)) / len(masks) if masks else 0.0
 
 
 class Workload:
@@ -302,7 +300,7 @@ class ServeReconstruct(Workload):
     def _client(self, index, seconds_left, result, tracer):
         rng = np.random.default_rng(self.client_seeds[index])
         order = rng.permutation(len(self.containers))
-        latencies, keys, submit_us, failed, count = [], [], [], 0, 0
+        latencies, keys, masks, submit_us, failed, count = [], [], [], [], 0, 0
         deadline = time.perf_counter() + seconds_left
         while time.perf_counter() < deadline:
             which = int(order[count % len(order)])
@@ -318,6 +316,7 @@ class ServeReconstruct(Workload):
                     start = time.perf_counter_ns()
                     with tracer.span("transport.unpack", root, request):
                         package = unpack_package(self.containers[which])
+                    masks.append(package.mask_bytes)
                     submitted = time.perf_counter_ns()
                     pending = self.server.submit(package)
                     submit_us.append((time.perf_counter_ns() - submitted) / 1e3)
@@ -330,12 +329,15 @@ class ServeReconstruct(Workload):
             except Exception:  # noqa: BLE001 - a failed request is counted, not fatal
                 failed += 1
                 continue
-            latencies.append(time.perf_counter() - begin)
-            keys.append(which)
+            elapsed = time.perf_counter() - begin
+            # a wrong image is a failed operation: it adds no latency sample
             if float(np.max(np.abs(image - self.references[which]))) > RECON_TOL:
                 failed += 1
-        result.update(latencies=latencies, keys=keys, submit_us=submit_us, failed=failed,
-                      sent=count, finished=time.perf_counter())
+                continue
+            latencies.append(elapsed)
+            keys.append(which)
+        result.update(latencies=latencies, keys=keys, masks=masks, submit_us=submit_us,
+                      failed=failed, sent=count, finished=time.perf_counter())
 
     def _closed_loop(self, seconds, tracer=None):
         """All clients for ``seconds``; returns the pooled outcome and submit times."""
@@ -356,7 +358,7 @@ class ServeReconstruct(Workload):
 
         outcome = Outcome(pooled("latencies"), sum(r["sent"] for r in results),
                           sum(r["failed"] for r in results), elapsed, meter.cpu_seconds(),
-                          meter.peak_rss_mb(), pooled("keys"))
+                          meter.peak_rss_mb(), pooled("keys"), masks=pooled("masks"))
         return outcome, pooled("submit_us")
 
     def run(self, seconds):
@@ -377,6 +379,7 @@ class ServeReconstruct(Workload):
         layers.update({
             "transport.unpack_ms_mean": unpack,
             "admission.rejected_ratio": delta["rejected"] / max(outcome.sent, 1),
+            "squeeze.repeat_mask_share": _repeat_share(outcome.masks),
             "trace.e2e_ms_mean": e2e,
             "trace.layer_sum_ms_mean": layer_sum,
             "trace.unaccounted_ms_mean": e2e - layer_sum,
@@ -427,12 +430,18 @@ class ServeReconstruct(Workload):
 
 class ShardedDecode(Workload):
     name = "sharded-decode"
-    #: Open-loop arrival rate (requests/s), well below the pool's capacity.
-    RATE = 3.2
-    slo_ms = 200.0
+    #: Open-loop arrival rate (requests/s), about a sixth of the pool's
+    #: closed-loop capacity (see NOTES.md).
+    RATE = 6.0
+    #: Near the top of the recorded latency distribution, so attainment sits
+    #: just below 1 and falls as the slow tail grows (see NOTES.md).
+    slo_ms = 100.0
     #: A run whose generator p90 lateness exceeds this is invalid, not slow.
     LATENESS_LIMIT_MS = 20.0
     SHARDS = 2
+    #: The ragged class's frame size: odd, so never block-aligned, and fixed,
+    #: so the work per request does not change with the seed.
+    RAGGED = (295, 311)
     PER_CLASS = 12
     LEVELS = (1, 2, 3)
     QUALITIES = (60, 90)
@@ -442,7 +451,7 @@ class ShardedDecode(Workload):
         self.containers, self.references, self.sources = [], [], []
         psnr, bpp = [], []
         for (height, width), color in (((256, 256), False), ((256, 256), True),
-                                       (ragged_size(rng, 144, 160), True)):
+                                       (self.RAGGED, True)):
             for level, quality, scene in mix(rng, self.PER_CLASS, self.LEVELS,
                                              self.QUALITIES, range(len(SCENES))):
                 frame = crop_frame(self.bank, rng, scene, height, width, color)
@@ -492,7 +501,7 @@ class ShardedDecode(Workload):
         count = len(due)
         done = [None] * count
         bad = [False] * count
-        lateness, submit_us = [], []
+        lateness, submit_us, masks = [], [], []
         outstanding = threading.Semaphore(0)
 
         def on_done(i, which, root):
@@ -529,6 +538,7 @@ class ShardedDecode(Workload):
                 else:
                     with tracer.span("transport.unpack", root, i):
                         package = unpack_package(self.containers[which])
+                    masks.append(package.mask_bytes)
                     begin = time.perf_counter_ns()
                     pending = self.server.submit(package, kind="decode")
                     submit_us.append((time.perf_counter_ns() - begin) / 1e3)
@@ -547,7 +557,7 @@ class ShardedDecode(Workload):
         served = [i for i in range(count) if done[i] is not None and not bad[i]]
         return Outcome([done[i] - due_at[i] for i in served], count, count - len(served),
                        elapsed, meter.cpu_seconds(), meter.peak_rss_mb(),
-                       [int(order[i]) for i in served], lateness), submit_us
+                       [int(order[i]) for i in served], lateness, masks), submit_us
 
     def run(self, seconds):
         return self._open_loop(seconds, 0)[0]
@@ -564,15 +574,13 @@ class ShardedDecode(Workload):
         # container and the shard-side decode that serves it
         config = bench_config()
         codecs = {quality: JpegCodec(quality=quality) for quality in self.QUALITIES}
-        mask_keys = []
         for index, (frame, level, quality, seed) in enumerate(self.sources):
             request = ("compose", index)
             root = tracer.new_id()
             start = time.perf_counter_ns()
-            mask_bytes, blob = compose_encode(tracer, root, request, frame, level, quality, seed)
+            blob = compose_encode(tracer, root, request, frame, level, quality, seed)
             tracer.record("encode", start, time.perf_counter_ns(), None, request, span_id=root)
             failed += blob != self.containers[index]
-            mask_keys.append(mask_bytes)
             _, image = compose_decode(tracer, None, request, unpack_package(blob),
                                       codecs[quality], config)
             failed += not np.array_equal(image, self.references[index])
@@ -583,7 +591,7 @@ class ShardedDecode(Workload):
         layers.update({
             "transport.unpack_ms_mean": unpack,
             "mask.sample_ms_mean": mean(tracer.durations_ms("mask.sample")),
-            "squeeze.repeat_mask_share": _repeat_share(mask_keys),
+            "squeeze.repeat_mask_share": _repeat_share(outcome.masks),
             "jpeg.encode_ms_mean": mean(tracer.durations_ms("jpeg.encode")),
             "transport.pack_ms_mean": mean(tracer.durations_ms("transport.pack")),
             "jpeg.decode_ms_mean": mean(tracer.durations_ms("jpeg.decode")),
