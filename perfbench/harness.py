@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import platform
+import signal
 import time
 from contextlib import contextmanager
 
@@ -66,6 +67,64 @@ class Meter:
         """Sum of each process's peak resident set (``VmHWM``) since :meth:`start`, in MiB."""
         pids = [os.getpid()] + self.child_pids
         return sum(_peak_rss_kb(pid) for pid in pids) / 1024.0
+
+
+#: ``prctl`` option that makes a process adopt its orphaned descendants.
+_PR_SET_CHILD_SUBREAPER = 36
+
+
+def adopt_orphans():
+    """Become the reaper of every descendant whose own parent exits first.
+
+    A set-up probe's helper processes (such as multiprocessing's resource
+    tracker) outlive the probe by a moment; adopted, they stay this
+    process's children, so :func:`end_child_processes` can wait for them.
+    """
+    ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+
+
+def _child_pids():
+    me = str(os.getpid())
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[1] == me:
+            pids.append(int(entry))
+    return pids
+
+
+def end_child_processes(timeout=20.0):
+    """Stop multiprocessing's resource tracker, then wait for every child.
+
+    The tracker only exits once every holder of its pipe has closed it, and
+    a tracker that outlives this process is left to whatever adopts it.
+    Children still running at ``timeout`` are killed; all are reaped.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid:
+            continue
+        if time.monotonic() > deadline:
+            for child in _child_pids():
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            deadline = float("inf")
+        time.sleep(0.01)
 
 
 def percentile(values, q):

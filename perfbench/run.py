@@ -26,7 +26,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
-from harness import Tracer, host_fingerprint, percentile  # noqa: E402
+from harness import (Tracer, adopt_orphans, end_child_processes,  # noqa: E402
+                     host_fingerprint, percentile)
 from inputs import OUT_DIR, load_model, scene_bank  # noqa: E402
 from workloads import PER_LAYER, WORKLOADS, ShardedDecode  # noqa: E402
 
@@ -47,9 +48,12 @@ def cold_setup_seconds(name):
         line = probe.stdout.readline()
         ready = time.perf_counter() - started
         probe.stdout.read()
-    finally:
-        probe.stdout.close()
         code = probe.wait(timeout=120)
+    finally:
+        if probe.poll() is None:
+            probe.kill()
+            probe.wait()
+        probe.stdout.close()
     if line.strip() != "ready" or code != 0:
         raise RuntimeError(f"set-up probe for {name} failed (exit {code})")
     return ready
@@ -73,6 +77,14 @@ def end_to_end(workload, outcome, setup_s):
 
 
 def main(argv=None):
+    adopt_orphans()
+    try:
+        return measure(argv)
+    finally:
+        end_child_processes()
+
+
+def measure(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
@@ -88,9 +100,9 @@ def main(argv=None):
         setup_s = statistics.median(cold_setup_seconds(cls.name)
                                     for _ in range(SETUP_REPEATS))
     workload = cls(args.seed, model, bank)
-    workload.start()
     notes = []
     try:
+        workload.start()
         if args.trace:
             tracer = Tracer()
             attempted, failed, layers = workload.trace(args.seconds, tracer)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -62,3 +63,33 @@ def test_benchmark_json_names_what_the_code_reports():
     reported = run.end_to_end(workload, Outcome([0.5e-3], 1, 0, 1.0, 0.1, 100.0), 0.5)
     assert {metric["name"]: metric["unit"] for metric in bench["end_to_end"]} == {
         name: unit for name, (_, unit) in reported.items()}
+
+
+def test_run_waits_for_every_process_it_started():
+    """The resource tracker and an orphaned grandchild end before the run does."""
+    script = f"""
+import os, subprocess, sys
+sys.path.insert(0, {HERE!r})
+from multiprocessing import resource_tracker, shared_memory
+from harness import adopt_orphans, end_child_processes
+adopt_orphans()
+segment = shared_memory.SharedMemory(create=True, size=4096)
+segment.close()
+segment.unlink()
+tracker = resource_tracker._resource_tracker._pid
+orphan = subprocess.run(["sh", "-c", "sleep 1 >/dev/null & echo $!"],
+                        capture_output=True, text=True)
+end_child_processes()
+for pid in (tracker, int(orphan.stdout)):
+    try:
+        os.kill(pid, 0)
+        print("alive", pid)
+    except ProcessLookupError:
+        pass
+"""
+    # well inside end_child_processes' 20-s kill fallback: a tracker that
+    # only ends when killed fails the check
+    completed = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, timeout=15)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == ""

@@ -180,6 +180,7 @@ class Workload:
         self.bank = bank
         self.psnr_db = 0.0
         self.bpp = 0.0
+        self.server = None
         self.prepare()
 
     def prepare(self):
@@ -195,7 +196,8 @@ class Workload:
         raise NotImplementedError
 
     def stop(self):
-        self.server.stop()
+        if self.server is not None:
+            self.server.stop()
 
     def run(self, seconds):
         raise NotImplementedError
@@ -435,7 +437,7 @@ class ShardedDecode(Workload):
     RATE = 6.0
     #: Near the top of the recorded latency distribution, so attainment sits
     #: just below 1 and falls as the slow tail grows (see NOTES.md).
-    slo_ms = 100.0
+    slo_ms = 60.0
     #: A run whose generator p90 lateness exceeds this is invalid, not slow.
     LATENESS_LIMIT_MS = 20.0
     SHARDS = 2
