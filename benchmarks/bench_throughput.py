@@ -23,8 +23,10 @@ marker there like the sharded/shm bars).
 The ``serving`` section measures the batched serving path: images/sec of
 ``reconstruct_batch`` (the fused multi-image engine) against sequential
 per-image ``reconstruct_image`` calls on 256² RGB, across batch sizes, plus
-the batched ``decode_batch`` roundtrip — the acceptance bar is ≥1.5x
-images/sec for batched reconstruction at batch ≥ 4.
+the batched ``decode_batch`` roundtrip.  ``reconstruct_image`` is a batch of
+one through the same engine, so these numbers record what micro-batching
+alone buys; they carry no guarded bar.  Reconstructions are checked against
+the float64 seed path (``seed_reference.seed_reconstruct_image``) to 1e-5.
 
 The ``serving.sharded`` subsection drives the full 256² RGB reconstruct
 workload through a live 2-shard :class:`ShardedCompressionServer` and the
@@ -306,15 +308,17 @@ def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
     for batched_pkg, sequential_pkg in zip(packages, sequential_packages):
         assert batched_pkg.codec_payload.payload == sequential_pkg.codec_payload.payload, \
             "encode_batch payloads are no longer bit-exact"
-    sequential_out = [reconstruct_image(model, image, mask) for image in filled]
+    # the float64 seed reconstruction is independent of the fused engine
+    # that both reconstruct_image and reconstruct_batch run through
+    reference_out = [seed.seed_reconstruct_image(model, image, mask) for image in filled]
     batched_out = reconstruct_batch(model, filled, mask)
     max_diff = max(float(np.abs(a - b).max())
-                   for a, b in zip(sequential_out, batched_out))
+                   for a, b in zip(reference_out, batched_out))
     assert max_diff < 1e-5, f"batched reconstruction diverged: {max_diff}"
 
     section = {
         "image": f"{size}x{size}_rgb",
-        "max_abs_diff_batched_vs_sequential": max_diff,
+        "max_abs_diff_batched_vs_seed": max_diff,
         "payload_bit_exact": True,
         "batches": {},
     }

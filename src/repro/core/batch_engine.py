@@ -1,16 +1,18 @@
-"""Fused float32 inference engine for multi-image batched reconstruction.
+"""Fused float32 inference engine: the one inference path of the reconstructor.
 
-:meth:`EaszReconstructor._forward_fast` already removes autograd and runs the
-per-image hot path in float32; profiling the serving workload shows the next
-bottleneck is *reduction* traffic: ``axis=-1`` softmax max/sum and layer-norm
-mean/variance reductions cost more than the GEMMs themselves at the model's
-small ``d_model``.  This module compiles a reconstructor into a
-:class:`FusedBatchEngine` that the batched serving path shares across images:
+:meth:`EaszReconstructor.forward` is the float64 autograd graph used for
+training.  Every inference call — :func:`repro.core.reconstruct_image`,
+:func:`repro.core.reconstruct_batch`, ``reconstruct_tokens`` and both
+servers — runs through a :class:`FusedBatchEngine` compiled from the model
+instead.  Besides dropping autograd and computing in single precision, the
+engine attacks *reduction* traffic: at the model's small ``d_model``,
+``axis=-1`` softmax max/sum and layer-norm mean/variance reductions cost
+more than the GEMMs themselves.
 
 * all weights are pre-cast to float32 **once** (transposed for row-major
   GEMMs, the attention scale folded into the query projection, the Q/K/V
-  projections concatenated) and invalidated by the same cheap parameter
-  fingerprint `_forward_fast` uses;
+  projections concatenated) and invalidated by a cheap parameter
+  fingerprint;
 * layer-norm mean and variance are computed as matmuls against a constant
   ``1/d`` vector, turning the slow strided reductions into BLAS calls;
 * softmax skips the per-row max subtraction (a guarded fast path: scores of a
@@ -21,10 +23,10 @@ small ``d_model``.  This module compiles a reconstructor into a
   kept) instead of the full grid.
 
 The engine processes stacked tokens from any number of images in
-cache-friendly chunks, so one engine call serves a whole micro-batch.
-Numerics differ from `_forward_fast` only by float32 rounding (different but
-equally valid summation orders); reconstructions agree to ~1e-6, far below a
-pixel quantisation step.
+cache-friendly chunks of :data:`DEFAULT_CHUNK` patches, so one engine call
+serves a whole micro-batch.  Numerics differ from the float64 autograd
+forward only by float32 rounding; reconstructions agree to ~1e-6, far below
+a pixel quantisation step.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ _SOFTMAX_GUARD = 60.0
 
 
 def _fingerprint(model):
-    """Cheap parameter identity+content token (see ``_forward_fast``)."""
+    """Cheap parameter identity+content token.
+
+    The identity of every ``p.data`` array changes when the optimizer or
+    ``load_state_dict`` rebinds it; its element sum catches in-place
+    mutation such as ``p.data *= 0.5``.
+    """
     return tuple((id(p.data), float(p.data.sum())) for p in model.parameters())
 
 
@@ -219,7 +226,7 @@ class FusedBatchEngine:
         np.reciprocal(out, out)
         return out.reshape(count, len(out_indices), cfg.token_dim)
 
-    def predict(self, kept_tokens, kept_indices, out_indices, chunk=DEFAULT_CHUNK):
+    def predict(self, kept_tokens, kept_indices, out_indices):
         """Predict token pixels for a stacked multi-image patch batch.
 
         Parameters
@@ -231,8 +238,6 @@ class FusedBatchEngine:
         kept_indices / out_indices:
             Flat grid positions of the kept tokens and of the positions to
             predict (typically the erased ones).
-        chunk:
-            Patches per forward chunk (:data:`DEFAULT_CHUNK`).
 
         Returns a float32 ``(total_patches, len(out_indices), token_dim)``
         array of sigmoid pixel predictions.
@@ -241,9 +246,10 @@ class FusedBatchEngine:
         total = kept_tokens.shape[0]
         if len(out_indices) == 0:
             return np.zeros((total, 0, self._config.token_dim), dtype=_F32)
-        if total <= chunk:
+        if total <= DEFAULT_CHUNK:
             return self._predict_chunk(kept_tokens, kept_indices, out_indices)
         return np.concatenate([
-            self._predict_chunk(kept_tokens[start:start + chunk], kept_indices, out_indices)
-            for start in range(0, total, chunk)
+            self._predict_chunk(kept_tokens[start:start + DEFAULT_CHUNK], kept_indices,
+                                out_indices)
+            for start in range(0, total, DEFAULT_CHUNK)
         ])

@@ -23,7 +23,7 @@ over patches or rows ever runs on the hot path.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 
 import numpy as np
 
@@ -354,27 +354,21 @@ class BlockGatherPlan:
 # ---------------------------------------------------------------------- #
 # plan cache
 # ---------------------------------------------------------------------- #
-_PLAN_CACHE = OrderedDict()
-_PLAN_CACHE_MAX = 128
-
-
 def get_squeeze_plan(mask, subpatch_size, direction="horizontal"):
     """Return the (cached) :class:`SqueezePlan` for a mask and geometry.
 
     Plans are keyed on the mask bytes, mask shape, sub-patch size and
-    direction; the cache holds the most recent ``128`` plans.
+    direction; the cache holds the most recent ``128`` plans and is safe to
+    share between threads.
     """
     mask = np.asarray(mask, dtype=bool)
-    key = (mask.tobytes(), mask.shape, int(subpatch_size), direction)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = SqueezePlan(mask, subpatch_size, direction)
-        _PLAN_CACHE[key] = plan
-        if len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-    else:
-        _PLAN_CACHE.move_to_end(key)
-    return plan
+    return _cached_squeeze_plan(mask.tobytes(), mask.shape, int(subpatch_size), direction)
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_squeeze_plan(mask_bytes, shape, subpatch_size, direction):
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
+    return SqueezePlan(mask, subpatch_size, direction)
 
 
 # ---------------------------------------------------------------------- #

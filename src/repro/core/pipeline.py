@@ -24,7 +24,6 @@ import numpy as np
 from ..codecs.base import Codec, ComplexityProfile, CompressedImage
 from ..codecs.jpeg import JpegCodec
 from ..image import image_num_pixels, to_float
-from .batch_engine import DEFAULT_CHUNK
 from .config import EaszConfig
 from .erase_squeeze import get_squeeze_plan
 from .masks import deserialize_mask, proposed_mask, random_mask, serialize_mask
@@ -301,17 +300,18 @@ class EaszDecoder:
             return filled
         return reconstruct_image(self.model, filled, mask)
 
-    def decode_batch(self, packages, reconstruct=True, chunk=DEFAULT_CHUNK,
-                     plan_getter=None):
+    def decode_batch(self, packages, reconstruct=True):
         """Decode N packages, fusing the reconstruction of shared-mask groups.
 
-        Base-codec decoding and unsqueezing run per package (entropy streams
-        are sequential by nature); the transformer reconstruction — the
-        dominant server-side cost — is batched through
+        Base-codec entropy decoding runs per package (entropy streams are
+        sequential by nature); the transformer reconstruction — the dominant
+        server-side cost — is batched through
         :func:`repro.core.reconstruction.reconstruct_batch` for every group
-        of packages sharing one erase mask.  Results keep submission order
-        and match per-package :meth:`decode` calls (kept pixels exactly,
-        predicted pixels to float32 tolerance).
+        of packages sharing one erase mask.  Results keep submission order.
+        :meth:`decode` is a batch of one through the same engine, so
+        ``decode_batch([p])[0]`` equals ``decode(p)`` bit for bit; in larger
+        batches predicted pixels agree with per-package calls to float32
+        tolerance.
         """
         packages = list(packages)
         masks = [deserialize_mask(package.mask_bytes) for package in packages]
@@ -328,9 +328,7 @@ class EaszDecoder:
         results = [None] * len(packages)
         for mask, positions in groups.values():
             reconstructed = reconstruct_batch(
-                self.model, [filled_images[p] for p in positions], mask,
-                chunk=chunk, plan_getter=plan_getter,
-            )
+                self.model, [filled_images[p] for p in positions], mask)
             for position, image in zip(positions, reconstructed):
                 results[position] = image
         return results
@@ -403,10 +401,10 @@ class EaszCodec(Codec):
             for package in packages
         ]
 
-    def decompress_batch(self, compressed_list, chunk=DEFAULT_CHUNK):
+    def decompress_batch(self, compressed_list):
         """Batched :meth:`decompress` with fused shared-mask reconstruction."""
         packages = [compressed.metadata["easz_package"] for compressed in compressed_list]
-        return self.decoder.decode_batch(packages, chunk=chunk)
+        return self.decoder.decode_batch(packages)
 
     def encode_complexity(self, shape):
         """Edge cost = erase-and-squeeze + base-codec encode of the squeezed image."""

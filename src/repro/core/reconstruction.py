@@ -12,24 +12,23 @@ The reconstructor is a masked auto-encoder over sub-patch tokens:
 
 Because attention is confined to one patch, the same (small) model serves any
 erase ratio and any image size — the "agility" of Easz.
+
+:meth:`EaszReconstructor.forward` is the float64 autograd path used for
+training.  All inference — :func:`reconstruct_image`,
+:func:`reconstruct_batch` and :meth:`EaszReconstructor.reconstruct_tokens` —
+runs through the model's float32 :class:`FusedBatchEngine`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 
 import numpy as np
 
 from .. import nn
 from ..image import is_color, pad_to_multiple, to_float
-from .batch_engine import DEFAULT_CHUNK, FusedBatchEngine
+from .batch_engine import FusedBatchEngine
 from .config import EaszConfig
-from .patchify import (
-    image_to_patches,
-    patches_to_image,
-    patches_to_tokens,
-    tokens_to_patches,
-)
 
 __all__ = [
     "EaszReconstructor",
@@ -118,191 +117,35 @@ class EaszReconstructor(nn.Module):
         return self.output_projection(decoded).sigmoid()
 
     # ------------------------------------------------------------------ #
-    def _forward_fast(self, tokens, kept_indices):
-        """Inference-only forward pass: float32, fused in-place elementwise.
-
-        Mirrors :meth:`forward` op for op (pre-norm blocks, tanh-GELU,
-        max-subtracted softmax) but skips the autograd graph, halves the
-        memory traffic by computing in single precision, and reuses buffers
-        for the elementwise chains.  Only valid when dropout is inactive;
-        :meth:`reconstruct_tokens` falls back to the autograd path otherwise.
-
-        The float32 weight casts (and the fused QKV concatenations) are
-        cached across calls and invalidated by a cheap parameter
-        fingerprint: the identity of every ``p.data`` array (the optimizer
-        and ``load_state_dict`` rebind it) *and* its element sum (which
-        catches in-place mutation such as ``p.data *= 0.5``).  Computing
-        the sums costs microseconds next to a forward pass.
-        """
-        f32 = np.float32
-        token = tuple((id(p.data), float(p.data.sum())) for p in self.parameters())
-        cache = self.__dict__.get("_f32_weight_cache")
-        if cache is None or cache["token"] != token:
-            cache = {"token": token}
-            self._f32_weight_cache = cache
-
-        def lin_params(layer):
-            entry = cache.get(id(layer))
-            if entry is None:
-                entry = (layer.weight.data.astype(f32), layer.bias.data.astype(f32))
-                cache[id(layer)] = entry
-            return entry
-
-        def norm_params(norm):
-            entry = cache.get(id(norm))
-            if entry is None:
-                entry = (norm.weight.data.astype(f32), norm.bias.data.astype(f32))
-                cache[id(norm)] = entry
-            return entry
-
-        def linear(x, layer):
-            weight, bias = lin_params(layer)
-            out = x.reshape(-1, x.shape[-1]) @ weight.T
-            out += bias
-            return out.reshape(x.shape[:-1] + (weight.shape[0],))
-
-        def layer_norm(x, norm):
-            weight, bias = norm_params(norm)
-            centred = x - x.mean(axis=-1, keepdims=True)
-            scale = np.mean(centred * centred, axis=-1, keepdims=True)
-            scale += f32(norm.eps)
-            np.sqrt(scale, out=scale)
-            centred /= scale
-            centred *= weight
-            centred += bias
-            return centred
-
-        def gelu(x):
-            t = x * x
-            t *= x
-            t *= f32(0.044715)
-            t += x
-            t *= f32(np.sqrt(2.0 / np.pi))
-            np.tanh(t, out=t)
-            t += f32(1.0)
-            t *= f32(0.5)
-            t *= x
-            return t
-
-        def qkv_params(attn):
-            entry = cache.get(("qkv", id(attn)))
-            if entry is None:
-                entry = (
-                    np.concatenate([
-                        attn.query.weight.data, attn.key.weight.data,
-                        attn.value.weight.data,
-                    ]).astype(f32),
-                    np.concatenate([
-                        attn.query.bias.data, attn.key.bias.data, attn.value.bias.data,
-                    ]).astype(f32),
-                )
-                cache[("qkv", id(attn))] = entry
-            return entry
-
-        def attention(x, attn):
-            batch, seq, d_model = x.shape
-            heads, head_dim = attn.num_heads, attn.head_dim
-            # one fused GEMM for the three input projections
-            qkv_weight, qkv_bias = qkv_params(attn)
-            qkv = x.reshape(-1, d_model) @ qkv_weight.T
-            qkv += qkv_bias
-            qkv = qkv.reshape(batch, seq, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
-            query, key, value = qkv[0], qkv[1], qkv[2]
-            scores = query @ key.transpose(0, 1, 3, 2)
-            scores *= f32(1.0 / np.sqrt(head_dim))
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            merged = (scores @ value).transpose(0, 2, 1, 3).reshape(batch, seq, d_model)
-            return linear(merged, attn.out)
-
-        def block_forward(x, block):
-            # residuals accumulate in place: the attention/FFN outputs are
-            # fresh buffers and x is not aliased elsewhere
-            attended = attention(layer_norm(x, block.norm_attn), block.attention)
-            attended += x
-            hidden = linear(layer_norm(attended, block.norm_ff), block.feed_forward.net[0])
-            out = linear(gelu(hidden), block.feed_forward.net[2])
-            out += attended
-            return layer_norm(out, block.norm_out)
-
-        cfg = self.config
-        positional = cache.get("positional")
-        if positional is None:
-            positional = self.positional_embedding.data.astype(f32)
-            cache["positional"] = positional
-        encoded = linear(tokens[:, kept_indices, :].astype(f32), self.input_projection)
-        encoded += positional[kept_indices]
-        for block in self.encoder.blocks():
-            encoded = block_forward(encoded, block)
-        full = np.zeros((tokens.shape[0], cfg.tokens_per_patch, cfg.d_model), dtype=f32)
-        full[:, kept_indices, :] = encoded
-        full += positional
-        for block in self.decoder.blocks():
-            full = block_forward(full, block)
-        out = linear(full, self.output_projection)
-        np.negative(out, out)
-        np.exp(out, out)
-        out += f32(1.0)
-        np.reciprocal(out, out)
-        return out.astype(np.float64)
-
-    # ------------------------------------------------------------------ #
     def reconstruct_tokens(self, tokens, mask, keep_original=True):
-        """Numpy convenience wrapper around :meth:`forward` (no gradients).
+        """Numpy inference over token batches (no gradients).
 
+        Runs every grid position of ``tokens`` through :meth:`batch_engine`.
         When ``keep_original`` is true the returned array keeps the original
         values at kept positions and only substitutes predictions at erased
         positions (this is how the server-side pipeline uses the model).
-
-        Inference runs through the fused float32 fast path whenever dropout
-        is inactive (always, with the default configuration); gradients are
-        never tracked either way.
         """
         tokens = np.asarray(tokens)
         kept_indices, _ = self._mask_plan(mask)
-        if self.config.dropout == 0.0 or not self.training:
-            # process the batch in cache-friendly chunks: the float32
-            # working set of a full image batch spills L2/L3 and the
-            # elementwise chains become memory-bound
-            chunk = 512
-            if tokens.shape[0] <= chunk:
-                predicted = self._forward_fast(tokens, kept_indices)
-            else:
-                predicted = np.concatenate([
-                    self._forward_fast(tokens[start:start + chunk], kept_indices)
-                    for start in range(0, tokens.shape[0], chunk)
-                ])
-        else:
-            with nn.no_grad():
-                predicted = np.array(self.forward(tokens, mask).data)
+        predicted = self.batch_engine().predict(
+            tokens[:, kept_indices, :], kept_indices,
+            np.arange(self.config.tokens_per_patch)).astype(np.float64)
         if keep_original:
-            flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
-            predicted[:, flat_mask, :] = tokens[:, flat_mask, :]  # lint: allow RP001 - one overwrite in the reference path
+            predicted[:, kept_indices, :] = tokens[:, kept_indices, :]
         return predicted
 
-    # ------------------------------------------------------------------ #
     def batch_engine(self):
         """The (cached) :class:`FusedBatchEngine` compiled from this model.
 
-        Rebuilt automatically when the parameter fingerprint changes — the
-        same invalidation rule `_forward_fast` uses for its float32 weight
-        cache.
+        Every inference path runs through it.  Rebuilt automatically when
+        the parameter fingerprint changes (optimizer step,
+        ``load_state_dict``, in-place mutation).
         """
         engine = self.__dict__.get("_batch_engine_cache")
         if engine is None or not engine.is_current():
             engine = FusedBatchEngine(self)
             self.__dict__["_batch_engine_cache"] = engine
         return engine
-
-    def reconstruct_batch(self, filled_images, mask, keep_original=True,
-                          chunk=DEFAULT_CHUNK, plan_getter=None):
-        """Reconstruct several images sharing one mask in fused batches.
-
-        See :func:`reconstruct_batch` (module function) for semantics.
-        """
-        return reconstruct_batch(self, filled_images, mask, keep_original=keep_original,
-                                 chunk=chunk, plan_getter=plan_getter)
 
     # ------------------------------------------------------------------ #
     def model_size_bytes(self, bytes_per_param=4):
@@ -326,11 +169,11 @@ class EaszReconstructor(nn.Module):
 class PixelIndexPlan:
     """Pixel-level gather/scatter indices for one ``(mask, padded shape)``.
 
-    The batched serving path skips the patchify→tokenize→reassemble copy
-    chain entirely: kept sub-patch tokens are gathered straight from the
-    (padded) image with one fancy index, and predictions are scattered
-    straight back into a copy of it.  The index arrays are the "scatter
-    indices" the serving workers cache per worker.
+    Reconstruction skips the patchify→tokenize→reassemble copy chain
+    entirely: kept sub-patch tokens are gathered straight from the (padded)
+    image with one fancy index, and predictions are scattered straight back
+    into a copy of it.  Plans are cached process-wide by
+    :func:`get_pixel_plan`.
 
     Index array shapes are ``(num_patches, positions, subpatch_pixels)``;
     ``kept_*`` cover the kept grid positions (model input), ``erased_*`` the
@@ -364,23 +207,17 @@ class PixelIndexPlan:
         self.num_patches = num_patches
 
 
-_PIXEL_PLAN_CACHE = OrderedDict()
-_PIXEL_PLAN_CACHE_MAX = 16
-
-
 def get_pixel_plan(mask, padded_shape, patch_size, subpatch_size):
     """Cached :class:`PixelIndexPlan` for a mask and padded image geometry."""
     flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
-    key = (flat_mask.tobytes(), tuple(padded_shape), int(patch_size), int(subpatch_size))
-    plan = _PIXEL_PLAN_CACHE.get(key)
-    if plan is None:
-        plan = PixelIndexPlan(flat_mask, padded_shape, patch_size, subpatch_size)
-        _PIXEL_PLAN_CACHE[key] = plan
-        if len(_PIXEL_PLAN_CACHE) > _PIXEL_PLAN_CACHE_MAX:
-            _PIXEL_PLAN_CACHE.popitem(last=False)
-    else:
-        _PIXEL_PLAN_CACHE.move_to_end(key)
-    return plan
+    return _cached_pixel_plan(flat_mask.tobytes(), tuple(padded_shape),
+                              int(patch_size), int(subpatch_size))
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_pixel_plan(mask_bytes, padded_shape, patch_size, subpatch_size):
+    flat_mask = np.frombuffer(mask_bytes, dtype=bool)
+    return PixelIndexPlan(flat_mask, padded_shape, patch_size, subpatch_size)
 
 
 def reconstruct_image(model, filled_image, mask, keep_original=True):
@@ -396,44 +233,23 @@ def reconstruct_image(model, filled_image, mask, keep_original=True):
     mask:
         The shared sub-patch mask used on the edge side (1 = kept).
 
-    RGB images are processed with the channels folded into the batch
-    dimension when the model was built with ``channels=1`` (the default) —
-    one model call covers all three channels — otherwise jointly as RGB
-    tokens.  Patch tokenization and reassembly are single batched
-    reshape/transpose operations; there is no per-patch or per-channel
-    Python loop.
+    A batch of one through :func:`reconstruct_batch`, so the library path
+    and the serving path run the same engine and return the same pixels.
     """
-    cfg = model.config
-    filled_image = to_float(filled_image)
-    color = is_color(filled_image)
-    if not color and cfg.channels == 3:
-        raise ValueError("model expects RGB tokens but received a grayscale image")
-
-    patches, grid_shape, original_shape = image_to_patches(filled_image, cfg.patch_size)
-    if color and cfg.channels == 1:
-        # fold the 3 channels into the batch: (P, n, n, 3) -> (3·P, n, n)
-        num_patches = patches.shape[0]
-        patches = patches.transpose(3, 0, 1, 2).reshape(-1, cfg.patch_size, cfg.patch_size)
-    tokens = patches_to_tokens(patches, cfg.subpatch_size)
-    reconstructed = model.reconstruct_tokens(tokens, mask, keep_original)
-    rebuilt = tokens_to_patches(reconstructed, cfg.grid_size, cfg.subpatch_size, cfg.channels)
-    if color and cfg.channels == 1:
-        rebuilt = rebuilt.reshape(3, num_patches, cfg.patch_size, cfg.patch_size)
-        rebuilt = rebuilt.transpose(1, 2, 3, 0)
-    image = patches_to_image(rebuilt, grid_shape, original_shape)
-    return np.clip(image, 0.0, 1.0)
+    return reconstruct_batch(model, [filled_image], mask, keep_original)[0]
 
 
-def reconstruct_batch(model, filled_images, mask, keep_original=True,
-                      chunk=DEFAULT_CHUNK, plan_getter=None):
+def reconstruct_batch(model, filled_images, mask, keep_original=True):
     """Reconstruct N images sharing one erase mask in fused transformer calls.
 
-    This is the server-side batched counterpart of :func:`reconstruct_image`:
-    tokens from every image are stacked into one patch batch and run through
-    the model's :class:`FusedBatchEngine`, so fixed per-call costs and the
-    tokenize/reassemble copy chains are amortised across the whole
-    micro-batch.  Images may mix shapes and gray/RGB — they are grouped
-    internally and each group is processed in one stacked call.
+    Tokens from every image are gathered straight from the padded images
+    (one fancy index per shape group, see :class:`PixelIndexPlan`), stacked
+    into one patch batch and run through the model's
+    :class:`FusedBatchEngine`, so fixed per-call costs are amortised across
+    the whole micro-batch.  Images may mix shapes and gray/RGB — they are
+    grouped internally and each group is processed in one stacked call.
+    RGB images are folded channel-major into the batch when the model was
+    built with ``channels=1`` (the default), otherwise tokenised jointly.
 
     Parameters
     ----------
@@ -447,33 +263,24 @@ def reconstruct_batch(model, filled_images, mask, keep_original=True,
     keep_original:
         Keep the transmitted pixels and substitute predictions only at
         erased positions (the serving default).
-    chunk:
-        Patches per engine chunk (see :data:`repro.core.batch_engine.DEFAULT_CHUNK`).
-    plan_getter:
-        Optional ``(mask, padded_shape, patch_size, subpatch_size) -> plan``
-        callable; serving workers pass their per-worker LRU here.  Defaults
-        to the module-level :func:`get_pixel_plan` cache.
 
-    Returns the reconstructions as a list in input order.  Kept pixels are
-    bit-identical to :func:`reconstruct_image`; predicted pixels agree to
-    float32 tolerance (~1e-6, far below one 8-bit quantisation step).
+    Returns the reconstructions as a list in input order, clipped to
+    ``[0, 1]``.  Kept pixels are the input pixels bit for bit; predicted
+    pixels agree with the float64 autograd :meth:`EaszReconstructor.forward`
+    to float32 tolerance (~1e-6, far below one 8-bit quantisation step).
     """
     cfg = model.config
     images = [to_float(image) for image in filled_images]
     if not images:
         return []
-    if model.training and cfg.dropout > 0.0:
-        # the engine has no dropout; fall back to the exact per-image path
-        return [reconstruct_image(model, image, mask, keep_original) for image in images]
     flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
     if flat_mask.size != cfg.tokens_per_patch:
         raise ValueError(
             f"mask has {flat_mask.size} entries, expected {cfg.tokens_per_patch}"
         )
     engine = model.batch_engine()
-    plan_getter = plan_getter or get_pixel_plan
     results = [None] * len(images)
-    groups = OrderedDict()
+    groups = {}
     for position, image in enumerate(images):
         color = is_color(image)
         if not color and cfg.channels == 3:
@@ -484,7 +291,7 @@ def reconstruct_batch(model, filled_images, mask, keep_original=True,
     for (shape, color), members in groups.items():
         padded_images = [pad_to_multiple(images[i], cfg.patch_size)[0] for i in members]
         padded_shape = padded_images[0].shape[:2]
-        plan = plan_getter(flat_mask, padded_shape, cfg.patch_size, cfg.subpatch_size)
+        plan = get_pixel_plan(flat_mask, padded_shape, cfg.patch_size, cfg.subpatch_size)
         stack = np.stack(padded_images)
         count = len(members)
         patches = plan.num_patches
@@ -504,8 +311,8 @@ def reconstruct_batch(model, filled_images, mask, keep_original=True,
         out_indices = plan.erased_indices if keep_original else plan.all_indices
         out_y = plan.erased_y if keep_original else plan.all_y
         out_x = plan.erased_x if keep_original else plan.all_x
-        predictions = engine.predict(kept_tokens, plan.kept_indices, out_indices,
-                                     chunk=chunk).astype(np.float64)
+        predictions = engine.predict(kept_tokens, plan.kept_indices,
+                                     out_indices).astype(np.float64)
         num_out = out_indices.size
         rows_per_image = (3 if fold else 1) * patches
         for offset, position in enumerate(members):

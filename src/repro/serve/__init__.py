@@ -15,8 +15,7 @@ fast by amortising fixed costs across requests:
 * :class:`ServeWorker` — worker threads running batches through the fused
   batched APIs (``EaszDecoder.decode_batch`` /
   ``reconstruct_batch``) with per-worker LRU caches
-  (:class:`LRUCache`) for squeeze plans, pixel scatter indices and
-  base-codec entropy tables;
+  (:class:`LRUCache`) for squeeze plans and base-codec entropy tables;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching the queue;

@@ -1,12 +1,11 @@
 """Per-worker LRU caches with hit/miss accounting, plus the result cache.
 
 Serving workers keep their own caches for the mask-derived artefacts the
-decode path needs — :class:`repro.core.SqueezePlan` gather/scatter indices,
-pixel-index scatter plans for batched reconstruction, and base-codec
-instances (whose constructors bake the quality-scaled quantisation and
-Huffman tables).  Worker-local caches avoid cross-thread contention on the
-module-level caches and give the telemetry layer per-worker hit rates, which
-is how cache sizing problems show up in production.
+decode path needs — :class:`repro.core.SqueezePlan` gather/scatter indices
+and base-codec instances (whose constructors bake the quality-scaled
+quantisation and Huffman tables).  Worker-local caches give the telemetry
+layer per-worker hit rates, which is how cache sizing problems show up in
+production.
 
 :class:`ResultCache` is different in kind: it is a *cross-request* cache
 keyed on the digest of the request payload itself.  Static scenes (a parked

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from ..codecs.jpeg import JpegCodec
 from ..codecs.registry import create_codec
-from ..core.batch_engine import DEFAULT_CHUNK
 from ..core.config import EaszConfig
 from ..core.pipeline import EaszCompressed, EaszDecoder
 from ..core.reconstruction import EaszReconstructor
@@ -230,12 +229,11 @@ class CompressionServer:
 
     def __init__(self, model=None, config=None, base_codec=None, num_workers=2,
                  queue_depth=64, admission_policy="reject", batch_policy=None,
-                 fill="zero", chunk=DEFAULT_CHUNK, result_cache_size=0):
+                 fill="zero", result_cache_size=0):
         self.config = config or (model.config if model is not None else EaszConfig())
         self.model = model or EaszReconstructor(self.config)
         self.base_codec = base_codec if base_codec is not None else JpegCodec(quality=75)
         self.fill = fill
-        self.chunk = chunk
         self.decoder = EaszDecoder(model=self.model, config=self.config,
                                    base_codec=self.base_codec, fill=fill)
         self.stats = ServerStats()

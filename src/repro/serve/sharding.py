@@ -5,7 +5,7 @@ one core: the elementwise stages of decode/reconstruct (dequantise, IDCT,
 unsqueeze scatter, GELU) hold the GIL, so adding worker threads only
 overlaps waiting, not compute.  :class:`ShardedCompressionServer` scales past
 that by running *shards* — independent worker processes, each hosting its own
-model weights, codec tables, squeeze/pixel-plan caches and a full threaded
+model weights, codec tables, plan caches and a full threaded
 ``CompressionServer`` — behind the same ``submit()``/``PendingResult`` API.
 
 Design points:
@@ -61,7 +61,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ..core.batch_engine import DEFAULT_CHUNK
 from ..core.config import EaszConfig
 from ..core.reconstruction import EaszReconstructor
 from ..core.transport import pack_package, pixels_from_buffer, unpack_package
@@ -383,7 +382,7 @@ class ShardedCompressionServer:
     def __init__(self, model=None, config=None, num_shards=2, workers_per_shard=1,
                  base_codec=None, queue_depth=64, admission_policy="reject",
                  put_timeout=1.0, batch_policy=None, fill="zero",
-                 chunk=DEFAULT_CHUNK, result_cache_size=0, start_method=None,
+                 result_cache_size=0, start_method=None,
                  startup_timeout=120.0, spill_threshold=None, use_shm=True,
                  shm_slots=None, shm_slot_bytes=None, watchdog_interval_s=None,
                  watchdog_backoff_s=0.5, watchdog_backoff_cap_s=30.0,
@@ -429,7 +428,6 @@ class ShardedCompressionServer:
             "admission_policy": "reject",
             "batch_policy": self.batch_policy,
             "fill": fill,
-            "chunk": chunk,
             "result_cache_size": 0,  # the parent owns the one result cache
         }
         self._context = multiprocessing.get_context(start_method)

@@ -1,19 +1,18 @@
 """Serving workers: batch execution with per-worker artefact caches.
 
-Each worker thread owns three LRU caches so the batch hot path never touches
-shared mutable state:
+Each worker thread owns two LRU caches with per-worker hit-rate telemetry:
 
 * ``plans`` — :class:`repro.core.SqueezePlan` gather/scatter indices keyed on
   the package's mask bytes (the unsqueeze step);
-* ``pixel_plans`` — :class:`repro.core.PixelIndexPlan` scatter indices for the
-  fused batched reconstruction (passed into ``reconstruct_batch`` as its
-  ``plan_getter``);
 * ``codecs`` — base-codec instances keyed by codec name (a codec constructor
   bakes the quality-scaled quantisation tables and Huffman LUT views, so this
   is the per-worker entropy-table cache).
 
-The reconstruction model itself is shared read-only across workers (inference
-only touches immutable weights plus per-call buffers).
+Reconstruction goes through :func:`repro.core.reconstruct_batch`, the same
+engine the library path uses; its pixel-index plans come from the
+process-wide :func:`repro.core.get_pixel_plan` cache.  The reconstruction
+model itself is shared read-only across workers (inference only touches
+immutable weights plus per-call buffers).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import time
 
 from ..core.erase_squeeze import SqueezePlan
 from ..core.masks import deserialize_mask
-from ..core.reconstruction import PixelIndexPlan, reconstruct_batch
+from ..core.reconstruction import reconstruct_batch
 from .cache import LRUCache
 
 __all__ = ["ServeWorker"]
@@ -37,7 +36,6 @@ class ServeWorker(threading.Thread):
         self._server = server
         self.index = index
         self.plans = LRUCache(plan_cache_size, name="squeeze_plans")
-        self.pixel_plans = LRUCache(plan_cache_size, name="pixel_plans")
         self.codecs = LRUCache(codec_cache_size, name="codecs")
         self.batches_processed = 0
         self.images_processed = 0
@@ -51,17 +49,6 @@ class ServeWorker(threading.Thread):
             lambda: SqueezePlan(mask, subpatch_size),
         )
         return plan.require_patch_size(patch_size)
-
-    def _pixel_plan_getter(self):
-        """``plan_getter`` hook for :func:`reconstruct_batch` using this worker's LRU."""
-        def getter(flat_mask, padded_shape, patch_size, subpatch_size):
-            key = (flat_mask.tobytes(), tuple(padded_shape),
-                   int(patch_size), int(subpatch_size))
-            return self.pixel_plans.get(
-                key,
-                lambda: PixelIndexPlan(flat_mask, padded_shape, patch_size, subpatch_size),
-            )
-        return getter
 
     def _codec(self, codec_name):
         return self.codecs.get(codec_name, lambda: self._server.codec_for(codec_name))
@@ -109,10 +96,7 @@ class ServeWorker(threading.Thread):
         if not survivors:
             return
         if survivors[0].kind == "reconstruct":
-            outputs = reconstruct_batch(
-                server.model, filled, mask,
-                chunk=server.chunk, plan_getter=self._pixel_plan_getter(),
-            )
+            outputs = reconstruct_batch(server.model, filled, mask)
         else:
             outputs = filled
         finished = time.perf_counter()
@@ -128,7 +112,7 @@ class ServeWorker(threading.Thread):
         self.batches_processed += 1
         self.images_processed += len(survivors)
         server.stats.update_cache_stats(
-            self.name, [self.plans.stats(), self.pixel_plans.stats(), self.codecs.stats()])
+            self.name, [self.plans.stats(), self.codecs.stats()])
 
     # ------------------------------------------------------------------ #
     def run(self):

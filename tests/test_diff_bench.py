@@ -25,7 +25,6 @@ def report(**sections):
         "entropy": {"speedup": 5.0},
         "dct": {"speedup": 2.0},
         "serving": {
-            "batches": {"4": {"speedup_vs_sequential": 2.0}},
             "sharded": {"speedup_vs_threaded": 1.6},
             "shm": {"speedup_vs_queue": 1.3},
         },
