@@ -20,6 +20,13 @@ pool) against the per-channel squeeze→pad→block→dct2 pipeline (bar:
 core both paths are memory-bound, so the section carries a ``skipped``
 marker there like the sharded/shm bars).
 
+The ``reconstruct_layers`` section profiles one 256² RGB
+``reconstruct_batch`` call layer by layer: the engine's primitives (norm,
+QKV GEMM, attention, out-projection, feed-forward, output head) and its
+token gather and float64 cast + scatter + clip, each timed inside the real
+call.  It prints their sum next to the measured call and the gap
+between the two; it carries no guarded bar.
+
 The ``serving`` section measures the batched serving path: images/sec of
 ``reconstruct_batch`` (the fused multi-image engine) against sequential
 per-image ``reconstruct_image`` calls on 256² RGB, across batch sizes, plus
@@ -65,10 +72,12 @@ The JSON lands in the repository root as ``BENCH_throughput.json``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -88,6 +97,8 @@ from repro.core import (  # noqa: E402
     reconstruct_batch,
     reconstruct_image,
 )
+from repro.core import reconstruction as reconstruction_module  # noqa: E402
+from repro.core.batch_engine import CHUNK_ROWS  # noqa: E402
 from repro.image import pad_to_multiple  # noqa: E402
 from repro.metrics import psnr  # noqa: E402
 
@@ -354,6 +365,90 @@ def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
     return section
 
 
+#: ``reconstruct_layers`` keys: :class:`FusedBatchEngine` primitive methods
+#: timed inside a real ``reconstruct_batch`` call, by layer name.
+_ENGINE_LAYERS = {
+    "norm": "_norm",
+    "qkv_gemm": "_qkv",
+    "attention": "_attention",
+    "out_projection": "_out_projection",
+    "feed_forward": "_feed_forward",
+    "output_head": "_head",
+}
+
+#: ``reconstruct_layers`` keys: ``reconstruct_batch``'s own array helpers in
+#: :mod:`repro.core.reconstruction`, by layer name.
+_BATCH_LAYERS = {
+    "gather": "_gather_tokens",
+    "cast_scatter_clip": "_scatter_frame",
+}
+
+
+def reconstruct_layers_section(config, model, mask, size=256, repeats=7):
+    """Per-layer time of one ``size``² RGB ``reconstruct_batch`` call.
+
+    Every layer is timed inside a real ``reconstruct_batch`` call by
+    wrapping the function that runs it: the engine's primitives (unit/affine
+    norm, QKV GEMM, attention, out-projection, ff1+GELU+ff2, output head) on
+    the model's cached engine, so they run with its compiled weights at the
+    shapes and chunk sizes real calls use, and ``reconstruct_batch``'s token
+    gather and float64 cast + scatter + crop + clip helpers in
+    :mod:`repro.core.reconstruction`.  The layers' sum is printed next to
+    the measured (unwrapped) call, timed in alternation with the wrapped
+    one; the gap is padding, stacking, embedding, chunk concatenation and
+    Python overhead.  Each figure is a median over ``repeats`` frames, in ms.
+    """
+    image = synthetic_image(size, color=True, seed_value=7)
+    engine = model.batch_engine()
+    targets = [(engine, _ENGINE_LAYERS), (reconstruction_module, _BATCH_LAYERS)]
+    frame = {}
+
+    def timed(layer, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            result = function(*args, **kwargs)
+            frame[layer] += time.perf_counter() - start
+            return result
+        return wrapper
+
+    def call():
+        start = time.perf_counter()
+        reconstruct_batch(model, [image], mask)
+        return time.perf_counter() - start
+
+    call()  # warm plans, the engine and BLAS
+    samples = {layer: [] for _, layers in targets for layer in layers}
+    measured = []
+    for _ in range(repeats):
+        measured.append(call())
+        frame.update(dict.fromkeys(samples, 0.0))
+        with contextlib.ExitStack() as patches:
+            for owner, layers in targets:
+                for layer, name in layers.items():
+                    patches.enter_context(mock.patch.object(
+                        owner, name, timed(layer, getattr(owner, name))))
+            call()
+        for layer in samples:
+            samples[layer].append(frame[layer])
+
+    layers_ms = {layer: 1e3 * float(np.median(values)) for layer, values in samples.items()}
+    sum_ms = sum(layers_ms.values())
+    measured_ms = 1e3 * float(np.median(measured))
+    section = {
+        "image": f"{size}x{size}_rgb",
+        "patches_per_chunk": max(1, CHUNK_ROWS // config.tokens_per_patch),
+        "layers_ms": layers_ms,
+        "sum_ms": sum_ms,
+        "reconstruct_batch_ms": measured_ms,
+        "gap_ms": measured_ms - sum_ms,
+    }
+    print("reconstruct layers (ms): " + "  ".join(
+        f"{layer}={ms:.2f}" for layer, ms in layers_ms.items()))
+    print(f"reconstruct layers sum {sum_ms:.1f} ms vs reconstruct_batch "
+          f"{measured_ms:.1f} ms (gap {section['gap_ms']:.1f} ms)")
+    return section
+
+
 def _drive_server(server, packages, rounds=3, kind="reconstruct"):
     """Push every package through a live server ``rounds`` times; images/sec."""
     # warm: plan/codec caches, fused engine, (for shards) child process state
@@ -579,6 +674,7 @@ def main():
         "roundtrip_512_rgb": {},
         "entropy": {},
         "dct": {},
+        "reconstruct_layers": {},
         "serving": {},
     }
 
@@ -620,6 +716,9 @@ def main():
     print(f"roundtrip 512x512 rgb: fast {fast_s:.3f}s seed {seed_s:.3f}s "
           f"speedup {rt['speedup']:.2f}x  psnr {rt['psnr_fast']:.3f} vs {rt['psnr_seed']:.3f}  "
           f"bpp {rt['bpp_fast']:.4f} vs {rt['bpp_seed']:.4f}")
+
+    # --- reconstruction engine, layer by layer (one 256² RGB frame) ------ #
+    report["reconstruct_layers"] = reconstruct_layers_section(config, model, mask)
 
     # --- serving: batched reconstruction vs per-image calls -------------- #
     report["serving"] = serving_section(config, model, codec, mask)

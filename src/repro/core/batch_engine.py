@@ -14,33 +14,64 @@ more than the GEMMs themselves.
   projections concatenated) and invalidated by a cheap parameter
   fingerprint;
 * layer-norm mean and variance are computed as matmuls against a constant
-  ``1/d`` vector, turning the slow strided reductions into BLAS calls;
+  ``1/d`` vector, turning the slow strided reductions into BLAS calls, and
+  the centred rows are scaled by the reciprocal standard deviation (one
+  multiply) instead of divided by it;
+* attention runs on strided views of the fused QKV output: each head's
+  ``(seq, head_dim)`` query/key/value matrix is already BLAS-ready with
+  leading dimension ``3·d_model``, and the per-head results are written
+  straight into a ``(count, seq, heads, head_dim)`` buffer, so neither the
+  Q/K/V split nor the head merge copies anything;
 * softmax skips the per-row max subtraction (a guarded fast path: scores of a
   trained reconstructor stay tiny; one cheap whole-array max falls back to
   the safe path if they ever exceed ``_SOFTMAX_GUARD``);
-* the output projection and sigmoid run only over the token positions the
-  caller actually needs (the erased sub-patches when the original pixels are
-  kept) instead of the full grid.
+* GELU's ½ is folded into the second feed-forward weight and its two
+  constants into two scalars, leaving seven elementwise passes;
+* only the token positions the caller needs (the erased sub-patches when the
+  original pixels are kept) are carried through the last decoder block:
+  keys and values still span the whole patch, but queries, out-projection,
+  residual, feed-forward, the final norm, the output head and the sigmoid
+  run on those rows alone.
 
-The engine processes stacked tokens from any number of images in
-cache-friendly chunks of :data:`DEFAULT_CHUNK` patches, so one engine call
-serves a whole micro-batch.  Numerics differ from the float64 autograd
-forward only by float32 rounding; reconstructions agree to ~1e-6, far below
-a pixel quantisation step.
+The engine processes stacked tokens from any number of images in chunks of
+about :data:`CHUNK_ROWS` token rows, so one engine call serves a whole
+micro-batch in chunks whose working set stays cache-sized (the sweep behind
+the row count covers 16- and 64-token patches).  Numerics differ from the
+float64 autograd forward only by float32 rounding; reconstructions agree to
+~1e-6, far below a pixel quantisation step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FusedBatchEngine", "DEFAULT_CHUNK"]
+__all__ = ["FusedBatchEngine", "CHUNK_ROWS"]
 
 _F32 = np.float32
 
-#: Rows (patches) per engine chunk: the float32 working set of a chunk this
-#: size stays inside L2 for the benchmark geometry, which measures faster
-#: than both smaller (per-op overhead) and larger (cache-spill) chunks.
-DEFAULT_CHUNK = 128
+#: Token rows per engine chunk (64 patches of 16 tokens, 16 of 64).  Chunks
+#: are sized in rows because the best patch count falls as patches grow.
+#: Medians of interleaved sweeps (four runs for the first row, five for the
+#: others), in ms per 256² RGB frame on a 2-vCPU Xeon (OpenBLAS 0.3.31):
+#:
+#: ========================  ===  ===  ===  ===  ===  ===
+#: patches per chunk           8   16   32   64  128  256
+#: ========================  ===  ===  ===  ===  ===  ===
+#: 16 tokens, d_model 48       -   52   48   45   45   63
+#: 64 tokens, d_model 64      83   86   81  104  117    -
+#: 64 tokens, d_model 192    341  322  316  381  408    -
+#: ========================  ===  ===  ===  ===  ===  ===
+#:
+#: Smaller chunks pay per-op overhead, larger ones spill the cache; 1024 to
+#: 2048 rows is the flat optimum for both patch sizes.  The 16-token row is
+#: the benchmark geometry; the 64-token rows are ``EaszConfig()`` and
+#: ``EaszConfig.paper()``, where 1024 rows ran 0.74–0.94x the time of
+#: 64-patch chunks in each of the five runs.
+CHUNK_ROWS = 1024
+
+#: tanh-approximation GELU constants: ``gelu(x) = ½·x·(1 + tanh(x·(L + C·x²)))``.
+_GELU_LINEAR = _F32(np.sqrt(2.0 / np.pi))
+_GELU_CUBIC = _F32(np.sqrt(2.0 / np.pi) * 0.044715)
 
 #: Attention scores above this trigger the numerically-safe max-subtracted
 #: softmax.  float32 ``exp`` is exact to overflow up to ~88; 60 leaves two
@@ -53,9 +84,10 @@ def _fingerprint(model):
 
     The identity of every ``p.data`` array changes when the optimizer or
     ``load_state_dict`` rebinds it; its element sum catches in-place
-    mutation such as ``p.data *= 0.5``.
+    mutation such as ``p.data *= 0.5``.  The sum is compared by its bit
+    pattern, so a NaN weight (NaN != NaN) still matches itself.
     """
-    return tuple((id(p.data), float(p.data.sum())) for p in model.parameters())
+    return tuple((id(p.data), p.data.sum().tobytes()) for p in model.parameters())
 
 
 class _CompiledBlock:
@@ -92,7 +124,8 @@ class _CompiledBlock:
         self.ff1_weight = np.ascontiguousarray(
             (norm_w[:, None] * ff1_weight).astype(_F32))
         self.ff1_bias = (ff1.bias.data + norm_b @ ff1_weight).astype(_F32)
-        self.ff2_weight = np.ascontiguousarray(ff2.weight.data.T.astype(_F32))
+        # GELU's ½ is folded here; the engine computes 2·gelu(hidden)
+        self.ff2_weight = np.ascontiguousarray((0.5 * ff2.weight.data.T).astype(_F32))
         self.ff2_bias = ff2.bias.data.astype(_F32)
         self.norm_out = (block.norm_out.weight.data.astype(_F32),
                          block.norm_out.bias.data.astype(_F32))
@@ -139,64 +172,99 @@ class FusedBatchEngine:
             self._ones[seq] = ones
         return ones
 
-    def _unit_norm(self, x, eps):
-        """Layer norm without the affine part (folded into the next GEMM)."""
+    # One method per primitive, so ``bench_throughput.py`` can time each at
+    # the shapes real calls run it with.
+    def _norm(self, x, eps, affine=None):
+        """Layer norm; without ``affine`` it is folded into the next GEMM."""
         mean = x @ self._mean_vector
         centred = x - mean
-        variance = (centred * centred) @ self._mean_vector
-        variance += eps
-        np.sqrt(variance, out=variance)
-        centred /= variance
-        return centred
-
-    def _layer_norm(self, x, weight_bias, eps):
-        weight, bias = weight_bias
-        centred = self._unit_norm(x, eps)
-        centred *= weight
-        centred += bias
+        inv_std = (centred * centred) @ self._mean_vector
+        inv_std += eps
+        np.sqrt(inv_std, out=inv_std)
+        np.reciprocal(inv_std, out=inv_std)
+        centred *= inv_std
+        if affine is not None:
+            centred *= affine[0]
+            centred += affine[1]
         return centred
 
     @staticmethod
-    def _gelu(x):
-        t = x * x
-        t *= x
-        t *= _F32(0.044715)
-        t += x
-        t *= _F32(np.sqrt(2.0 / np.pi))
-        np.tanh(t, out=t)
-        t += _F32(1.0)
-        t *= _F32(0.5)
-        t *= x
-        return t
-
-    def _block_forward(self, x, count, seq, block):
-        d_model = x.shape[1]
-        heads, head_dim = block.num_heads, block.head_dim
-        normed = self._unit_norm(x, block.eps)
+    def _qkv(normed, block):
         qkv = normed @ block.qkv_weight
         qkv += block.qkv_bias
-        qkv = qkv.reshape(count, seq, 3, heads, head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4).reshape(3, count * heads, seq, head_dim).copy()
-        query, key, value = qkv[0], qkv[1], qkv[2]
-        scores = query @ key.transpose(0, 2, 1)
+        return qkv
+
+    def _attention(self, qkv, count, seq, block, rows):
+        """Per-head attention on strided views; merged heads, ``(rows, d)``.
+
+        ``rows`` selects the query positions (all when None); keys and
+        values always span the whole sequence.
+        """
+        heads, head_dim = block.num_heads, block.head_dim
+        # (count, heads, seq, head_dim) views with leading dimension 3·d_model:
+        # BLAS-ready as they are, so the Q/K/V split copies nothing
+        query, key, value = qkv.reshape(count, seq, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
+        if rows is not None:
+            query = query[:, :, rows]
+        scores = query @ key.swapaxes(-1, -2)
         if float(scores.max()) > _SOFTMAX_GUARD:  # pragma: no cover - guard path
             scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         row_sums = scores @ self._ones_column(seq)
         np.reciprocal(row_sums, out=row_sums)
         scores *= row_sums
-        merged = (scores @ value).reshape(count, heads, seq, head_dim)
-        merged = merged.transpose(0, 2, 1, 3).reshape(-1, d_model)
+        # heads written in place into their (count, rows, heads, head_dim)
+        # slots: the merge copies nothing either
+        merged = np.empty((count, query.shape[2], heads, head_dim), dtype=_F32)
+        np.matmul(scores, value, out=merged.transpose(0, 2, 1, 3))
+        return merged.reshape(-1, heads * head_dim)
+
+    @staticmethod
+    def _out_projection(merged, residual, block):
         attended = merged @ block.out_weight
         attended += block.out_bias
-        attended += x
-        normed = self._unit_norm(attended, block.eps)
+        attended += residual
+        return attended
+
+    @staticmethod
+    def _feed_forward(normed, residual, block):
+        """``ff2(gelu(ff1(normed))) + residual``; GELU's ½ lives in ``ff2_weight``."""
         hidden = normed @ block.ff1_weight
         hidden += block.ff1_bias
-        out = self._gelu(hidden) @ block.ff2_weight
+        gelu = hidden * hidden
+        gelu *= _GELU_CUBIC
+        gelu += _GELU_LINEAR
+        gelu *= hidden
+        np.tanh(gelu, out=gelu)
+        gelu += _F32(1.0)
+        gelu *= hidden
+        out = gelu @ block.ff2_weight
         out += block.ff2_bias
-        out += attended
-        return self._layer_norm(out, block.norm_out, block.eps)
+        out += residual
+        return out
+
+    def _head(self, features):
+        """Output projection + sigmoid."""
+        out = features @ self.output_weight
+        out += self.output_bias
+        np.negative(out, out)
+        np.exp(out, out)
+        out += _F32(1.0)
+        np.reciprocal(out, out)
+        return out
+
+    def _block_forward(self, x, count, seq, block, rows=None):
+        """One transformer block over ``count`` sequences of ``seq`` tokens.
+
+        With ``rows`` (grid positions) only those tokens leave the block.
+        """
+        qkv = self._qkv(self._norm(x, block.eps), block)
+        merged = self._attention(qkv, count, seq, block, rows)
+        if rows is not None:
+            x = x.reshape(count, seq, -1)[:, rows].reshape(merged.shape)
+        attended = self._out_projection(merged, x, block)
+        out = self._feed_forward(self._norm(attended, block.eps), attended, block)
+        return self._norm(out, block.eps, block.norm_out)
 
     # ------------------------------------------------------------------ #
     def _predict_chunk(self, kept_tokens, kept_indices, out_indices):
@@ -213,18 +281,15 @@ class FusedBatchEngine:
         full = np.zeros((count, cfg.tokens_per_patch, cfg.d_model), dtype=_F32)
         full[:, kept_indices, :] = x.reshape(count, num_kept, cfg.d_model)
         full += self.positional
-        x = full.reshape(-1, cfg.d_model)
-        for block in self.decoder_blocks:
-            x = self._block_forward(x, count, cfg.tokens_per_patch, block)
-        features = x.reshape(count, cfg.tokens_per_patch, cfg.d_model)
-        selected = features[:, out_indices, :].reshape(-1, cfg.d_model)
-        out = selected @ self.output_weight
-        out += self.output_bias
-        np.negative(out, out)
-        np.exp(out, out)
-        out += _F32(1.0)
-        np.reciprocal(out, out)
-        return out.reshape(count, len(out_indices), cfg.token_dim)
+        if self.decoder_blocks:
+            x = full.reshape(-1, cfg.d_model)
+            for block in self.decoder_blocks[:-1]:
+                x = self._block_forward(x, count, cfg.tokens_per_patch, block)
+            selected = self._block_forward(x, count, cfg.tokens_per_patch,
+                                           self.decoder_blocks[-1], rows=out_indices)
+        else:
+            selected = full[:, out_indices, :].reshape(-1, cfg.d_model)
+        return self._head(selected).reshape(count, len(out_indices), cfg.token_dim)
 
     def predict(self, kept_tokens, kept_indices, out_indices):
         """Predict token pixels for a stacked multi-image patch batch.
@@ -246,10 +311,10 @@ class FusedBatchEngine:
         total = kept_tokens.shape[0]
         if len(out_indices) == 0:
             return np.zeros((total, 0, self._config.token_dim), dtype=_F32)
-        if total <= DEFAULT_CHUNK:
+        chunk = max(1, CHUNK_ROWS // self._config.tokens_per_patch)
+        if total <= chunk:
             return self._predict_chunk(kept_tokens, kept_indices, out_indices)
         return np.concatenate([
-            self._predict_chunk(kept_tokens[start:start + DEFAULT_CHUNK], kept_indices,
-                                out_indices)
-            for start in range(0, total, DEFAULT_CHUNK)
+            self._predict_chunk(kept_tokens[start:start + chunk], kept_indices, out_indices)
+            for start in range(0, total, chunk)
         ])

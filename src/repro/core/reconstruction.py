@@ -287,47 +287,55 @@ def reconstruct_batch(model, filled_images, mask, keep_original=True):
             raise ValueError("model expects RGB tokens but received a grayscale image")
         groups.setdefault((image.shape, color), []).append(position)
 
-    subpixels = cfg.subpatch_size ** 2
     for (shape, color), members in groups.items():
         padded_images = [pad_to_multiple(images[i], cfg.patch_size)[0] for i in members]
-        padded_shape = padded_images[0].shape[:2]
-        plan = get_pixel_plan(flat_mask, padded_shape, cfg.patch_size, cfg.subpatch_size)
-        stack = np.stack(padded_images)
-        count = len(members)
-        patches = plan.num_patches
-        num_kept = plan.kept_indices.size
+        plan = get_pixel_plan(flat_mask, padded_images[0].shape[:2], cfg.patch_size,
+                              cfg.subpatch_size)
         fold = color and cfg.channels == 1
-        if fold:
-            # channels folded into the batch, channel-major per image
-            gathered = stack[:, plan.kept_y, plan.kept_x, :]  # (N, P, kept, b², 3)
-            kept_tokens = gathered.transpose(0, 4, 1, 2, 3).reshape(-1, num_kept, subpixels)
-        elif color:
-            gathered = stack[:, plan.kept_y, plan.kept_x, :]
-            kept_tokens = gathered.reshape(count * patches, num_kept, subpixels * 3)
-        else:
-            kept_tokens = stack[:, plan.kept_y, plan.kept_x].reshape(
-                count * patches, num_kept, subpixels)
-
+        kept_tokens = _gather_tokens(np.stack(padded_images), plan, color, fold)
         out_indices = plan.erased_indices if keep_original else plan.all_indices
-        out_y = plan.erased_y if keep_original else plan.all_y
-        out_x = plan.erased_x if keep_original else plan.all_x
-        predictions = engine.predict(kept_tokens, plan.kept_indices,
-                                     out_indices).astype(np.float64)
-        num_out = out_indices.size
-        rows_per_image = (3 if fold else 1) * patches
+        predictions = engine.predict(kept_tokens, plan.kept_indices, out_indices)
+        rows_per_image = predictions.shape[0] // len(members)
         for offset, position in enumerate(members):
             block = predictions[offset * rows_per_image:(offset + 1) * rows_per_image]
-            output = padded_images[offset].copy() if keep_original \
-                else np.zeros_like(padded_images[offset])
-            if fold:
-                pixels = block.reshape(3, patches, num_out, subpixels).transpose(1, 2, 3, 0)
-                output[out_y, out_x, :] = pixels
-            elif color:
-                pixels = block.reshape(patches, num_out, subpixels, 3)
-                output[out_y, out_x, :] = pixels
-            else:
-                output[out_y, out_x] = block.reshape(patches, num_out, subpixels)
-            output = output[: shape[0], : shape[1], ...]
-            np.clip(output, 0.0, 1.0, out=output)
-            results[position] = output
+            results[position] = _scatter_frame(block, padded_images[offset], shape, plan,
+                                               color, fold, keep_original)
     return results
+
+
+def _gather_tokens(stack, plan, color, fold):
+    """Kept-position tokens of a stacked shape group, ``(rows, kept, token_dim)``.
+
+    One row per patch, or per patch and channel when ``fold`` folds RGB
+    channels into the batch (channel-major per image).
+    """
+    gathered = stack[:, plan.kept_y, plan.kept_x]  # (N, P, kept, b²[, 3])
+    num_kept = plan.kept_indices.size
+    if fold:
+        return gathered.transpose(0, 4, 1, 2, 3).reshape(-1, num_kept, gathered.shape[3])
+    if color:
+        return gathered.reshape(-1, num_kept, gathered.shape[3] * 3)
+    return gathered.reshape(-1, num_kept, gathered.shape[3])
+
+
+def _scatter_frame(block, padded, shape, plan, color, fold, keep_original):
+    """One output frame from its rows of float32 predictions.
+
+    The predictions are cast to float64 as they are scattered into a copy of
+    ``padded`` (kept pixels stay bit for bit) or into zeros, then the frame
+    is cropped to ``shape`` and clipped to ``[0, 1]``.
+    """
+    out_y = plan.erased_y if keep_original else plan.all_y
+    out_x = plan.erased_x if keep_original else plan.all_x
+    patches, num_out, subpixels = out_y.shape
+    output = padded.copy() if keep_original else np.zeros_like(padded)
+    if fold:
+        output[out_y, out_x, :] = block.reshape(3, patches, num_out, subpixels).transpose(
+            1, 2, 3, 0)
+    elif color:
+        output[out_y, out_x, :] = block.reshape(patches, num_out, subpixels, 3)
+    else:
+        output[out_y, out_x] = block.reshape(patches, num_out, subpixels)
+    output = output[: shape[0], : shape[1], ...]
+    np.clip(output, 0.0, 1.0, out=output)
+    return output

@@ -231,6 +231,109 @@ class TestReconstructBatch:
         assert np.abs(after - want).max() < _TOL
         assert not np.array_equal(before, after)
 
+    def test_engine_stays_cached_with_nan_weight(self, config):
+        model = EaszReconstructor(config)
+        model.eval()
+        next(iter(model.parameters())).data[0] = np.nan
+        engine = model.batch_engine()
+        assert model.batch_engine() is engine
+        for parameter in model.parameters():
+            parameter.data *= 0.5
+        assert model.batch_engine() is not engine
+
+
+def engine_model(decoder_blocks=2, patch_size=16):
+    config = EaszConfig(patch_size=patch_size, subpatch_size=4, erase_per_row=1,
+                        d_model=32, num_heads=4, encoder_blocks=2,
+                        decoder_blocks=decoder_blocks, ffn_mult=2, loss_lambda=0.0)
+    model = EaszReconstructor(config)
+    model.eval()
+    return model
+
+
+class TestEnginePaths:
+    """Edge cases of the engine's token-row chunks and last-block pruning.
+
+    The last decoder block carries only the predicted rows, and with no
+    decoder block the rows are selected before the head; chunks hold
+    ``CHUNK_ROWS`` token rows, so the patch count per chunk depends on the
+    grid.  Every case is checked against the float64 autograd reference.
+    """
+
+    #: frame shapes on a 16-pixel patch: one patch, a ragged frame smaller
+    #: than a patch, and 3·69 = 207 folded RGB patches (3 full 64-patch
+    #: chunks and a 15-patch tail)
+    FRAMES = {
+        "gray": (48, 48),
+        "rgb": (64, 96, 3),
+        "rgb-ragged": (50, 70, 3),
+        "one-patch": (16, 16),
+        "sub-patch-ragged": (10, 13),
+        "uneven-chunks": (48, 368, 3),
+    }
+
+    @staticmethod
+    def check(model, image, mask, keep_original):
+        got = reconstruct_batch(model, [image], mask, keep_original)[0]
+        want = reference_reconstruct(model, image, mask, keep_original)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < _TOL
+        if keep_original:
+            cfg = model.config
+            kept = np.kron(np.asarray(mask, dtype=bool).reshape(cfg.grid_size, cfg.grid_size),
+                           np.ones((cfg.subpatch_size, cfg.subpatch_size), dtype=bool))
+            kept = np.tile(kept, (-(-image.shape[0] // cfg.patch_size),
+                                  -(-image.shape[1] // cfg.patch_size)))
+            kept = kept[:image.shape[0], :image.shape[1]]
+            assert np.array_equal(got[kept], image[kept])
+
+    @pytest.mark.parametrize("keep_original", [True, False], ids=["keep", "full"])
+    @pytest.mark.parametrize("decoder_blocks", [0, 1, 2])
+    @pytest.mark.parametrize("frame", list(FRAMES))
+    def test_matches_reference(self, frame, decoder_blocks, keep_original):
+        model = engine_model(decoder_blocks)
+        cfg = model.config
+        mask = proposed_mask(cfg.grid_size, 1, 1, seed=3)
+        image = np.random.default_rng(len(frame)).random(self.FRAMES[frame])
+        self.check(model, image, mask, keep_original)
+
+    @pytest.mark.parametrize("keep_original", [True, False], ids=["keep", "full"])
+    @pytest.mark.parametrize("decoder_blocks", [0, 1, 2])
+    def test_nothing_erased(self, decoder_blocks, keep_original):
+        model = engine_model(decoder_blocks)
+        cfg = model.config
+        mask = proposed_mask(cfg.grid_size, 0, 1, seed=3)  # erase_per_row=0
+        assert mask.all()
+        image = np.random.default_rng(5).random((50, 70, 3))
+        if keep_original:
+            assert np.array_equal(reconstruct_batch(model, [image], mask)[0], image)
+        self.check(model, image, mask, keep_original)
+
+    @pytest.mark.parametrize("keep_original", [True, False], ids=["keep", "full"])
+    @pytest.mark.parametrize("decoder_blocks", [0, 2])
+    def test_64_token_grid(self, decoder_blocks, keep_original):
+        # patch 32 / sub-patch 4: 64 tokens, so CHUNK_ROWS gives 16 patches
+        # per chunk; 3·9 = 27 folded patches span a full chunk and a tail
+        model = engine_model(decoder_blocks, patch_size=32)
+        cfg = model.config
+        mask = proposed_mask(cfg.grid_size, 2, 1, seed=4)
+        image = np.random.default_rng(6).random((96, 90, 3))
+        self.check(model, image, mask, keep_original)
+
+    @pytest.mark.parametrize("patch_size", [16, 32])
+    @pytest.mark.parametrize("decoder_blocks", [0, 1, 2])
+    def test_predict_erased_is_full_grid_then_select(self, decoder_blocks, patch_size):
+        model = engine_model(decoder_blocks, patch_size)
+        cfg = model.config
+        flat_mask = proposed_mask(cfg.grid_size, 1, 1, seed=3).reshape(-1).astype(bool)
+        kept, erased = np.flatnonzero(flat_mask), np.flatnonzero(~flat_mask)
+        tokens = np.random.default_rng(7).random((150, kept.size, cfg.token_dim))
+        engine = model.batch_engine()
+        subset = engine.predict(tokens, kept, erased)
+        full = engine.predict(tokens, kept, np.arange(cfg.tokens_per_patch))
+        assert subset.shape == (150, erased.size, cfg.token_dim)
+        assert np.abs(subset - full[:, erased]).max() < 1e-6
+
 
 class TestSingleInferencePath:
     """The library entry points are a batch of one through the engine.

@@ -9,9 +9,11 @@ of 2.5 CPU-seconds leaves ~5x headroom for slower hardware while still
 failing loudly if a hot path regresses to O(n) Python loops.
 
 The serving guard plays the same role for the batched path: reconstructing
-four 256² RGB images through ``reconstruct_batch`` takes ~0.27 CPU-seconds
-with the fused engine; a 1.2 CPU-second budget fails loudly if a batched
-stage regresses to Python loops.  Single-image reconstruction runs through
+four 256² RGB images through ``reconstruct_batch`` takes ~0.35 CPU-seconds
+with the fused engine (2-vCPU Xeon, OpenBLAS 0.3.31, both BLAS threads
+counted; 0.45–0.5 before the engine's strided attention and last-block
+pruning); a 1.2 CPU-second budget fails loudly if a batched stage regresses
+to Python loops.  Single-image reconstruction runs through
 the same engine (``reconstruct_image`` is a batch of one), so the roundtrip
 guard above covers it too; batching itself has no speedup floor any more.
 
