@@ -10,7 +10,7 @@ reconstructions equal to float32 tolerance (same PSNR), so the speedup is a
 pure wall-clock comparison.
 
 The ``entropy`` section times the byte-oriented range coder against the
-legacy bit-at-a-time arithmetic coder on the bpg/neural-shaped symbol
+seed's bit-at-a-time arithmetic coder on the bpg/neural-shaped symbol
 workload (bar: >=3x combined encode+decode, guarded by
 ``tests/test_perf_smoke.py``).  The ``dct`` section times the fused
 squeeze-aware block gather + batched multi-image DCT entry point (one
@@ -170,14 +170,16 @@ def stage_timings(image, mask, config, codec, model):
 
 
 def entropy_section(num_symbols=256, count=120_000, repeats=3):
-    """Range coder vs the legacy arithmetic coder on the bpg/neural workload.
+    """Range coder vs the seed arithmetic coder on the bpg/neural workload.
 
     The symbol stream mirrors what the block codecs feed the coder: a
     256-symbol magnitude alphabet with the exponential skew of quantised
     DCT/latent coefficients, encoded under one fresh adaptive model (the
-    ``encode_symbols`` shape; the codecs drive the same backends through
-    their streaming/array APIs).  The bar — guarded by
-    ``test_perf_smoke.py`` — is >=3x combined encode+decode throughput.
+    ``encode_symbols`` shape; the codecs drive the same backend through its
+    streaming/array APIs).  The baseline is the seed's bit-at-a-time coder
+    frozen in ``seed_reference.py``; its keys keep the ``legacy_*`` names of
+    earlier recordings.  The bar — guarded by ``test_perf_smoke.py`` — is
+    >=3x combined encode+decode throughput.
     """
     rng = np.random.default_rng(0)
     probabilities = np.exp(-0.08 * np.arange(num_symbols))
@@ -185,34 +187,34 @@ def entropy_section(num_symbols=256, count=120_000, repeats=3):
     symbols = rng.choice(num_symbols, size=count, p=probabilities).tolist()
 
     payload_range = encode_symbols(symbols, num_symbols)
-    payload_legacy = encode_symbols(symbols, num_symbols, legacy=True)
+    payload_seed = seed.seed_encode_symbols(symbols, num_symbols)
     assert decode_symbols(payload_range, count, num_symbols) == symbols
-    assert decode_symbols(payload_legacy, count, num_symbols) == symbols
+    assert seed.seed_decode_symbols(payload_seed, count, num_symbols) == symbols
 
     range_enc_s = timeit(lambda: encode_symbols(symbols, num_symbols), repeats)
     range_dec_s = timeit(lambda: decode_symbols(payload_range, count, num_symbols),
                          repeats)
-    legacy_enc_s = timeit(lambda: encode_symbols(symbols, num_symbols, legacy=True),
-                          max(repeats - 1, 2))
-    legacy_dec_s = timeit(lambda: decode_symbols(payload_legacy, count, num_symbols),
-                          max(repeats - 1, 2))
+    seed_enc_s = timeit(lambda: seed.seed_encode_symbols(symbols, num_symbols),
+                        max(repeats - 1, 2))
+    seed_dec_s = timeit(lambda: seed.seed_decode_symbols(payload_seed, count, num_symbols),
+                        max(repeats - 1, 2))
     range_s = range_enc_s + range_dec_s
-    legacy_s = legacy_enc_s + legacy_dec_s
+    seed_s = seed_enc_s + seed_dec_s
     section = {
         "workload": f"{count}_skewed_symbols_alphabet{num_symbols}",
         "range_encode_s": range_enc_s,
         "range_decode_s": range_dec_s,
-        "legacy_encode_s": legacy_enc_s,
-        "legacy_decode_s": legacy_dec_s,
+        "legacy_encode_s": seed_enc_s,
+        "legacy_decode_s": seed_dec_s,
         "range_symbols_per_s": 2 * count / range_s,
-        "legacy_symbols_per_s": 2 * count / legacy_s,
-        "speedup": legacy_s / range_s,
+        "legacy_symbols_per_s": 2 * count / seed_s,
+        "speedup": seed_s / range_s,
         "payload_bytes_range": len(payload_range),
-        "payload_bytes_legacy": len(payload_legacy),
+        "payload_bytes_legacy": len(payload_seed),
     }
-    print(f"entropy: range {2 * count / range_s / 1e6:.2f} Msym/s vs legacy "
-          f"{2 * count / legacy_s / 1e6:.2f} Msym/s ({section['speedup']:.2f}x, "
-          f"bytes {len(payload_range)} vs {len(payload_legacy)})")
+    print(f"entropy: range {2 * count / range_s / 1e6:.2f} Msym/s vs seed "
+          f"{2 * count / seed_s / 1e6:.2f} Msym/s ({section['speedup']:.2f}x, "
+          f"bytes {len(payload_range)} vs {len(payload_seed)})")
     return section
 
 
@@ -465,8 +467,7 @@ def _drive_server(server, packages, rounds=3, kind="reconstruct"):
 
 def sharded_serving_section(config, model, mask, size=256, num_images=8, shards=2):
     """Sharded vs threaded images/sec on the 256² RGB reconstruct workload."""
-    from repro.serve import (BatchPolicy, CompressionServer,
-                             ShardedCompressionServer, available_cpus)
+    from repro.serve import CompressionServer, ShardedCompressionServer, available_cpus
 
     cpus = available_cpus()
     if cpus < 2:
@@ -480,13 +481,12 @@ def sharded_serving_section(config, model, mask, size=256, num_images=8, shards=
     decoder = EaszDecoder(model=model, config=config, base_codec=codec)
     packages = encoder.encode_batch(images, mask=mask)
     references = [decoder.decode(package) for package in packages]
-    policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, mode="adaptive")
 
     with CompressionServer(model=model, config=config, num_workers=2,
-                           queue_depth=256, batch_policy=policy) as server:
+                           queue_depth=256, max_batch_size=4) as server:
         threaded_ips, _ = _drive_server(server, packages)
     with ShardedCompressionServer(model=model, config=config, num_shards=shards,
-                                  queue_depth=256, batch_policy=policy) as server:
+                                  queue_depth=256, max_batch_size=4) as server:
         sharded_ips, responses = _drive_server(server, packages)
 
     max_diff = max(float(np.abs(response.image - references[index % num_images]).max())
@@ -517,8 +517,7 @@ def shm_serving_section(config, model, mask, size=256, num_images=8, shards=2,
     removes.  The reconstruct path enjoys the same absolute savings
     (~2 ms/image measured) but hides them behind ~10x more model compute.
     """
-    from repro.serve import (BatchPolicy, ShardedCompressionServer,
-                             available_cpus, shm_available)
+    from repro.serve import ShardedCompressionServer, available_cpus, shm_available
 
     cpus = available_cpus()
     if cpus < 2:
@@ -536,13 +535,12 @@ def shm_serving_section(config, model, mask, size=256, num_images=8, shards=2,
     packages = encoder.encode_batch(images, mask=mask)
     references = [decoder.decode(package, reconstruct=False)
                   for package in packages]
-    policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, mode="adaptive")
 
     results = {}
     for label, use_shm in (("queue", False), ("shm", True)):
         with ShardedCompressionServer(model=model, config=config,
                                       num_shards=shards, queue_depth=256,
-                                      batch_policy=policy,
+                                      max_batch_size=4,
                                       use_shm=use_shm) as server:
             ips, responses = _drive_server(server, packages, rounds=rounds,
                                            kind="decode")
@@ -678,7 +676,7 @@ def main():
         "serving": {},
     }
 
-    # --- entropy: range coder vs legacy arithmetic coder ----------------- #
+    # --- entropy: range coder vs seed arithmetic coder ------------------- #
     report["entropy"] = entropy_section()
 
     # --- dct: batched multi-channel GEMM vs per-channel calls ------------ #

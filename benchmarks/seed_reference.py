@@ -38,12 +38,16 @@ from repro.core.patchify import (
 from repro.image import is_color, to_float
 
 __all__ = [
+    "ArithmeticDecoder",
+    "ArithmeticEncoder",
     "SeedBitWriter",
     "SeedBitReader",
     "SeedJpegCodec",
     "seed_erase_and_squeeze_image",
     "seed_unsqueeze_image",
     "seed_reconstruct_image",
+    "seed_decode_symbols",
+    "seed_encode_symbols",
     "seed_two_stage_patchify",
 ]
 
@@ -445,3 +449,122 @@ def seed_reconstruct_image(model, filled_image, mask, keep_original=True):
         rebuilt_patches.append(subpatches_to_patch(subpatches))
     image = patches_to_image(np.stack(rebuilt_patches), grid_shape, original_shape)
     return np.clip(image, 0.0, 1.0)
+
+
+# --------------------------------------------------------------------- #
+# seed adaptive arithmetic coder: bit-at-a-time renormalisation per symbol
+# --------------------------------------------------------------------- #
+# The entropy honesty baseline for the range coder in
+# ``repro.entropy.range_coder``.  It shares the production ``AdaptiveModel``
+# and bit I/O, so the ``entropy`` bench section times the coder alone.
+from repro.entropy import AdaptiveModel as _AdaptiveModel
+from repro.entropy.bitio import BitReader as _BitReader
+from repro.entropy.bitio import BitWriter as _BitWriter
+
+_PRECISION = 32
+_MAX = (1 << _PRECISION) - 1
+_QUARTER = 1 << (_PRECISION - 2)
+_HALF = 2 * _QUARTER
+_THREE_QUARTERS = 3 * _QUARTER
+
+
+class ArithmeticEncoder:
+    """Streaming 32-bit Witten–Neal–Cleary encoder with pending-bit carries."""
+
+    def __init__(self):
+        self._writer = _BitWriter()
+        self._low = 0
+        self._high = _MAX
+        self._pending = 0
+
+    def _emit(self, bit):
+        self._writer.write_bit(bit)
+        while self._pending:
+            self._writer.write_bit(1 - bit)
+            self._pending -= 1
+
+    def encode(self, model, symbol):
+        """Encode ``symbol`` under ``model`` and update the model."""
+        low_count, high_count, total = model.interval(symbol)
+        span = self._high - self._low + 1
+        self._high = self._low + span * high_count // total - 1
+        self._low = self._low + span * low_count // total
+        while True:
+            if self._high < _HALF:
+                self._emit(0)
+            elif self._low >= _HALF:
+                self._emit(1)
+                self._low -= _HALF
+                self._high -= _HALF
+            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
+                self._pending += 1
+                self._low -= _QUARTER
+                self._high -= _QUARTER
+            else:
+                break
+            self._low *= 2
+            self._high = self._high * 2 + 1
+        model.update(symbol)
+
+    def finish(self):
+        """Flush the coder state and return the encoded bytes."""
+        self._pending += 1
+        if self._low < _QUARTER:
+            self._emit(0)
+        else:
+            self._emit(1)
+        return self._writer.getvalue()
+
+
+class ArithmeticDecoder:
+    """Streaming decoder mirroring :class:`ArithmeticEncoder`."""
+
+    def __init__(self, payload):
+        self._reader = _BitReader(payload)
+        self._low = 0
+        self._high = _MAX
+        self._value = self._reader.read_bits(_PRECISION)
+
+    def decode(self, model):
+        """Decode the next symbol under ``model`` and update the model."""
+        span = self._high - self._low + 1
+        total = model.total
+        scaled = ((self._value - self._low + 1) * total - 1) // span
+        symbol = model.symbol_from_count(scaled)
+        low_count, high_count, _ = model.interval(symbol)
+        self._high = self._low + span * high_count // total - 1
+        self._low = self._low + span * low_count // total
+        while True:
+            if self._high < _HALF:
+                pass
+            elif self._low >= _HALF:
+                self._low -= _HALF
+                self._high -= _HALF
+                self._value -= _HALF
+            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
+                self._low -= _QUARTER
+                self._high -= _QUARTER
+                self._value -= _QUARTER
+            else:
+                break
+            self._low *= 2
+            self._high = self._high * 2 + 1
+            self._value = self._value * 2 + self._reader.read_bit()
+        model.update(symbol)
+        return symbol
+
+
+def seed_encode_symbols(symbols, num_symbols):
+    """Encode a symbol sequence under a fresh adaptive model (untagged bytes)."""
+    model = _AdaptiveModel(num_symbols)
+    encoder = ArithmeticEncoder()
+    for symbol in symbols:
+        encoder.encode(model, int(symbol))
+    return encoder.finish()
+
+
+def seed_decode_symbols(payload, count, num_symbols):
+    """Decode ``count`` symbols written by :func:`seed_encode_symbols`."""
+    model = _AdaptiveModel(num_symbols)
+    decoder = ArithmeticDecoder(payload)
+    return [decoder.decode(model) for _ in range(count)]

@@ -6,12 +6,13 @@ reconstruction gateway.  This example wires the pieces end to end:
 1. **fleet → wire** — every camera frame is encoded with a shared erase mask
    and flattened into the ``EASZ`` container it would store-and-forward;
 2. **gateway** — a :class:`repro.serve.CompressionServer` receives the raw
-   container bytes, micro-batches requests that share a mask and geometry,
-   and reconstructs them on a small worker pool with per-worker caches;
+   container bytes, micro-batches queued requests that share a mask and
+   geometry, and reconstructs them on a small worker pool;
 3. **congestion check** — the same fleet's Poisson arrival process is
-   replayed against the live server and the observed queueing delay is
-   printed next to the M/D/1 prediction that :mod:`repro.edge.fleet`
-   computes analytically;
+   replayed against the live server through the scenario harness
+   (:func:`repro.serve.scenarios.poisson_scenario`) and the observed
+   latency is printed next to the M/D/1 prediction that
+   :mod:`repro.edge.fleet` computes analytically;
 4. **backpressure** — the queue bound is then shrunk until admission control
    starts rejecting, showing overload as an explicit signal instead of
    unbounded latency.
@@ -19,19 +20,12 @@ reconstruction gateway.  This example wires the pieces end to end:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import EaszEncoder, pack_package
 from repro.datasets import KodakDataset
-from repro.edge import CameraNode, FleetSimulation, WIFI_TCP
 from repro.experiments import default_benchmark_config, format_table, pretrained_model
 from repro.metrics import psnr
-from repro.serve import (
-    BatchPolicy,
-    CompressionServer,
-    PoissonLoadGenerator,
-    ServerOverloadedError,
-)
+from repro.serve import CompressionServer, ServerOverloadedError
+from repro.serve.scenarios import Workload, poisson_scenario, run_scenario
 
 
 def fleet_containers(config, num_cameras=3, height=96, width=144):
@@ -62,23 +56,27 @@ def gateway_roundtrip(server, frames, containers):
         rows, title="Gateway round-trip (submitted as raw EASZ containers)"))
 
 
-def congestion_replay(server, packages):
-    fleet = FleetSimulation(WIFI_TCP, [
-        CameraNode(f"camera-{index}", images_per_hour=360.0)
-        for index in range(len(packages))
-    ])
-    generator = PoissonLoadGenerator(server, rng=np.random.default_rng(7))
-    # 360 frames/h/camera is one frame every 10 s (0.3 rps fleet-wide);
+def congestion_replay(server, packages, images_per_hour=360.0, speedup=80.0):
+    # 360 frames/h/camera is one frame every 10 s (0.3 rps fleet-wide; the
+    # merged arrivals of Poisson cameras are Poisson at the summed rate);
     # replay 80x faster (~24 rps) so the example finishes in about a second
     # while keeping the server below saturation
-    report = generator.replay_fleet(fleet, packages, num_requests=20, speedup=80.0)
+    rate_rps = len(packages) * images_per_hour / 3600.0 * speedup
+    scenario = poisson_scenario(rate_rps, requests=20, num_images=len(packages), seed=7)
+    report = run_scenario(scenario, server,
+                          workload=Workload.of_packages(scenario, packages))
+    tenant = report.tenants[0]
     print("\nPoisson replay of the fleet against the live server:")
-    print("  " + report.headline())
+    print(f"  {report.headline()}")
+    print(f"  p50 {tenant.latency_p50_ms:.1f} ms, p99 {tenant.latency_p99_ms:.1f} ms; "
+          f"M/D/{report.servers} admission predicted a {tenant.predicted_wait_ms_mean:.1f} ms "
+          f"mean response; measured service {report.service_time_per_image_ms:.1f} "
+          "ms/image")
 
 
 def backpressure_demo(model, config, packages):
     tiny = CompressionServer(model=model, config=config, num_workers=1, queue_depth=2,
-                             batch_policy=BatchPolicy(max_batch_size=2, max_wait_ms=1.0))
+                             max_batch_size=2)
     rejected = 0
     with tiny:
         pendings = []
@@ -101,7 +99,7 @@ def main():
     frames, packages, containers = fleet_containers(config)
     print("Serving-gateway example\n")
     server = CompressionServer(model=model, config=config, num_workers=2,
-                               batch_policy=BatchPolicy(max_batch_size=4, max_wait_ms=4.0))
+                               max_batch_size=4)
     with server:
         gateway_roundtrip(server, frames, containers)
         congestion_replay(server, packages)

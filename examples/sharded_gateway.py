@@ -8,16 +8,17 @@ the same story out to a *pool* — the deployment shape the ROADMAP's
    worker processes (each with its own model weights, codec tables and plan
    caches) behind the exact ``submit_bytes``/``PendingResult`` API the
    threaded server exposes;
-2. **adaptive batch-wait** — the batch policy runs in ``"adaptive"`` mode,
-   so idle shards serve singles instantly while loaded shards converge to
-   full batches without hand-tuning ``max_wait_ms``;
+2. **queued-only batching** — each shard batches the same-key requests
+   already waiting in its queue and never holds a batch open, so idle
+   shards serve singles instantly while loaded shards batch their backlog;
 3. **static-scene result cache** — the fleet re-sends one unchanged frame
    (a parked camera at night) and the digest-keyed cross-request cache
    resolves the repeats without touching any shard;
-4. **M/D/c congestion check** — the fleet's Poisson arrivals are replayed
-   against the live pool and the observed queueing delay is printed next to
-   the M/D/c prediction (Erlang-C with the Cosmetatos deterministic-service
-   correction) that :mod:`repro.edge.fleet` computes analytically;
+4. **congestion check** — the fleet's Poisson arrivals are replayed
+   against the live pool through the scenario harness
+   (:func:`repro.serve.scenarios.poisson_scenario`) and the observed
+   latency is printed next to the response time admission predicted from
+   the routed shard's queue depth;
 5. **zero-copy responses** — the pool runs with the shared-memory response
    ring (the default), so reconstructed pixels come back without the
    per-response ``tobytes``/queue-pickle copies; the transport split is
@@ -29,14 +30,12 @@ the same story out to a *pool* — the deployment shape the ROADMAP's
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import EaszEncoder, pack_package
 from repro.datasets import KodakDataset
-from repro.edge import CameraNode, FleetSimulation, WIFI_TCP
 from repro.experiments import default_benchmark_config, format_table, pretrained_model
 from repro.metrics import psnr
-from repro.serve import BatchPolicy, PoissonLoadGenerator, ShardedCompressionServer
+from repro.serve import ShardedCompressionServer
+from repro.serve.scenarios import Workload, poisson_scenario, run_scenario
 
 
 def fleet_containers(config, num_cameras=3, height=96, width=144):
@@ -84,15 +83,18 @@ def static_scene_cache(model, config, containers):
           f"{stats['misses']}); only the first send touched a shard.")
 
 
-def congestion_replay(server, packages):
-    fleet = FleetSimulation(WIFI_TCP, [
-        CameraNode(f"camera-{index}", images_per_hour=360.0)
-        for index in range(len(packages))
-    ])
-    generator = PoissonLoadGenerator(server, rng=np.random.default_rng(7))
-    report = generator.replay_fleet(fleet, packages, num_requests=20, speedup=80.0)
+def congestion_replay(server, packages, images_per_hour=360.0, speedup=80.0):
+    rate_rps = len(packages) * images_per_hour / 3600.0 * speedup
+    scenario = poisson_scenario(rate_rps, requests=20, num_images=len(packages), seed=7)
+    report = run_scenario(scenario, server,
+                          workload=Workload.of_packages(scenario, packages))
+    tenant = report.tenants[0]
     print(f"\nPoisson replay of the fleet against the live {report.servers}-shard pool:")
-    print("  " + report.headline())
+    print(f"  {report.headline()}")
+    print(f"  p50 {tenant.latency_p50_ms:.1f} ms, p99 {tenant.latency_p99_ms:.1f} ms; "
+          f"admission predicted a {tenant.predicted_wait_ms_mean:.1f} ms mean response "
+          "from the routed shard's depth; measured service "
+          f"{report.service_time_per_image_ms:.1f} ms/image")
 
 
 def restart_demo(server, containers):
@@ -129,7 +131,7 @@ def main():
     print("Sharded-gateway example\n")
     server = ShardedCompressionServer(
         model=model, config=config, num_shards=2,
-        batch_policy=BatchPolicy(max_batch_size=4, max_wait_ms=4.0, mode="adaptive"),
+        max_batch_size=4,
         watchdog_interval_s=0.25,
     )
     with server:
@@ -151,8 +153,8 @@ def main():
           "camera's mask/geometry on the same warm shard (mask affinity keeps "
           "multi-geometry fleets together), responses come back through the "
           "zero-copy shared-memory ring, the watchdog replaces crashed shards "
-          "with no lost responses, and the M/D/c line shows the queueing model "
-          "tracking a c-server pool.")
+          "with no lost responses, and the replay line shows admission's "
+          "response-time prediction next to what the pool delivered.")
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ Top-level package layout:
   transformer reconstruction, end-to-end pipeline);
 * :mod:`repro.nn` — numpy autograd / neural-network substrate;
 * :mod:`repro.codecs` — JPEG, BPG-proxy, MBT/Cheng learned-codec proxies, PNG;
-* :mod:`repro.entropy` — Huffman / arithmetic coding / RLE;
+* :mod:`repro.entropy` — Huffman / range coding / RLE;
 * :mod:`repro.metrics` — PSNR, SSIM, MS-SSIM, LPIPS-proxy, BRISQUE/NIQE/PI/TReS;
 * :mod:`repro.datasets` — synthetic Kodak / CLIC / CIFAR stand-ins;
 * :mod:`repro.sr` — super-resolution baselines (Table I);
 * :mod:`repro.edge` — Jetson-TX2-class edge/server testbed simulation;
 * :mod:`repro.serve` — micro-batching compression service layer (bounded
-  request queue, dynamic batcher, worker pool, caches, telemetry, load
-  generator);
+  request queue, micro-batcher, worker pool, caches, telemetry, scenario
+  load harness);
 * :mod:`repro.experiments` — experiment harness shared by the benchmarks.
 """
 

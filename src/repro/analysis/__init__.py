@@ -18,10 +18,9 @@ RP001 mask-index-rederivation     No ``np.nonzero``/``flatnonzero``/``argwhere``
                                   mask, outside ``core/erase_squeeze.py`` — use a
                                   cached ``SqueezePlan``.  Plan builders suppress
                                   with ``# lint: allow RP001 - <why>``.
-RP002 entropy-format-tag          Constructing a range/arithmetic coder outside
-                                  ``repro/entropy/`` requires the one-byte
-                                  ``FORMAT_*`` header dispatch and a
-                                  ``legacy_entropy`` escape hatch in the module.
+RP002 entropy-format-tag          Constructing a range coder outside
+                                  ``repro/entropy/`` requires a one-byte
+                                  ``FORMAT_*`` header tag in the module.
 RP003 hot-path-pixel-loop         No nested for-range loops in declared hot-path
                                   modules (``invariants.HOT_PATH_MODULES``).
 RP004 hot-path-slow-idiom         No ``.tolist()`` or integer ``** n`` (n >= 3)

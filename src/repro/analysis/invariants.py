@@ -3,8 +3,8 @@
 Each rule here encodes a convention that previously lived only in review
 memory (see ``ROADMAP.md`` "Standing conventions"): mask work goes through
 cached :class:`~repro.core.erase_squeeze.SqueezePlan`\\ s, entropy containers
-are format-tagged with a legacy escape hatch, hot-path modules stay free of
-known-slow scalar idioms, and broad exception handlers justify themselves.
+are format-tagged, hot-path modules stay free of known-slow scalar idioms,
+and broad exception handlers justify themselves.
 """
 
 from __future__ import annotations
@@ -124,22 +124,20 @@ class MaskRederivationRule(Rule):
 
 @register
 class EntropyFormatTagRule(Rule):
-    """RP002: entropy containers must carry the format tag + legacy hatch.
+    """RP002: entropy containers must carry the format tag.
 
-    A module outside ``repro/entropy/`` that constructs a range or arithmetic
-    coder is building an entropy container; its payload header must dispatch
-    on ``FORMAT_RANGE`` / ``FORMAT_LEGACY`` and the owning codec must expose
-    a ``legacy_entropy`` escape hatch, or old payloads become unreadable the
-    day the default backend changes.
+    A module outside ``repro/entropy/`` that constructs a range coder is
+    building an entropy container; its payload header must write and check a
+    ``FORMAT_*`` tag, so a payload from a different backend is rejected
+    instead of decoded into garbage.
     """
 
-    _CODERS = {"RangeEncoder", "RangeDecoder", "ArithmeticEncoder",
-               "ArithmeticDecoder"}
+    _CODERS = {"RangeEncoder", "RangeDecoder"}
 
     def __init__(self):
         super().__init__(rule_id="RP002", name="entropy-format-tag",
                         summary="coder construction outside repro/entropy/ requires "
-                                "FORMAT_* tag dispatch and a legacy_entropy hatch")
+                                "a FORMAT_* header tag")
 
     def check(self, source):
         if source.in_directory("entropy"):
@@ -149,35 +147,13 @@ class EntropyFormatTagRule(Rule):
                        and _call_name(node) in self._CODERS]
         if not coder_calls:
             return []
-        has_tag = False
-        has_hatch = False
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Name) and node.id.startswith("FORMAT_"):
-                has_tag = True
-            identifier = None
-            if isinstance(node, ast.Name):
-                identifier = node.id
-            elif isinstance(node, ast.Attribute):
-                identifier = node.attr
-            elif isinstance(node, ast.arg):
-                identifier = node.arg
-            elif isinstance(node, ast.keyword):
-                identifier = node.arg
-            if identifier == "legacy_entropy":
-                has_hatch = True
-        violations = []
-        for call in coder_calls:
-            missing = []
-            if not has_tag:
-                missing.append("a FORMAT_RANGE/FORMAT_LEGACY header tag")
-            if not has_hatch:
-                missing.append("a legacy_entropy escape hatch")
-            if missing:
-                violations.append(self.violation(
-                    source, call,
-                    f"{_call_name(call)}() without {' or '.join(missing)} "
-                    "in this module"))
-        return violations
+        if any(isinstance(node, ast.Name) and node.id.startswith("FORMAT_")
+               for node in ast.walk(source.tree)):
+            return []
+        return [self.violation(source, call,
+                               f"{_call_name(call)}() without a FORMAT_RANGE "
+                               "header tag in this module")
+                for call in coder_calls]
 
 
 def _is_range_for(node):

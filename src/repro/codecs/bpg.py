@@ -1,4 +1,4 @@
-"""BPG-proxy codec: block intra-prediction + DCT + adaptive arithmetic coding.
+"""BPG-proxy codec: block intra-prediction + DCT + adaptive range coding.
 
 BPG (Bellard, 2014) wraps HEVC intra coding.  The real reference encoder is
 not available offline, so this module implements the three ingredients that
@@ -9,21 +9,15 @@ the paper relies on (BPG better than JPEG at equal BPP):
   chosen by minimum residual energy) so only residuals are transformed;
 * 8×8 residual DCT with a flat quantisation step controlled by a ``qp``
   parameter (as in HEVC, step grows exponentially with qp);
-* context-adaptive arithmetic coding of the quantised coefficients instead
-  of static Huffman tables.
+* context-adaptive range coding of the quantised coefficients instead of
+  static Huffman tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..entropy.arithmetic import (
-    FORMAT_LEGACY,
-    FORMAT_RANGE,
-    AdaptiveModel,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-)
+from ..entropy.arithmetic import FORMAT_RANGE, AdaptiveModel
 from ..entropy.range_coder import RangeDecoder, RangeEncoder
 from ..image import (
     image_num_pixels,
@@ -44,7 +38,7 @@ _MAGIC = b"RBPG"
 _BLOCK = 8
 _MODES = ("dc", "horizontal", "vertical", "planar")
 # Coefficient magnitudes are clamped into [-_COEF_CLAMP, _COEF_CLAMP] for the
-# arithmetic coder alphabet; an escape symbol codes the rare overflow values.
+# range coder alphabet; an escape symbol codes the rare overflow values.
 _COEF_CLAMP = 255
 
 
@@ -101,25 +95,21 @@ class BpgCodec(Codec):
         coarser quantisation and fewer bits.
     subsample_chroma:
         Apply 4:2:0 chroma subsampling for RGB inputs.
-    legacy_entropy:
-        Entropy-code with the seed bit-at-a-time arithmetic coder instead of
-        the byte-oriented range coder.  The container header tags which
-        backend wrote the stream, so decoding picks the right one per
-        payload regardless of this flag.
+
+    The container header carries the entropy format tag
+    (:data:`~repro.entropy.FORMAT_RANGE`); any other tag is rejected.
     """
 
     is_neural = False
 
-    def __init__(self, qp=32, subsample_chroma=True, legacy_entropy=False):
+    def __init__(self, qp=32, subsample_chroma=True):
         self.qp = int(qp)
         self.subsample_chroma = bool(subsample_chroma)
-        self.legacy_entropy = bool(legacy_entropy)
         self.name = f"bpg-qp{self.qp}"
         self._step = _quant_step(self.qp)
 
     # ------------------------------------------------------------------ #
-    def _encode_channel(self, channel, encoder, mode_model, coef_model, sign_model,
-                        legacy=False):
+    def _encode_channel(self, channel, encoder, mode_model, coef_model, sign_model):
         padded, original_shape = pad_to_multiple(channel, _BLOCK)
         height, width = padded.shape
         reconstructed = np.zeros_like(padded)
@@ -143,22 +133,13 @@ class BpgCodec(Codec):
                 quantised = np.round(coefficients / self._step).astype(np.int64)
                 flat = quantised.reshape(-1)[ZIGZAG_ORDER]
                 clamped = np.clip(flat, -_COEF_CLAMP, _COEF_CLAMP)
-                if legacy:
-                    # seed symbol order: magnitude, then its sign, per coefficient
-                    for value in flat:
-                        magnitude = min(abs(int(value)), _COEF_CLAMP)
-                        encoder.encode(coef_model, magnitude)
-                        if magnitude:
-                            encoder.encode(sign_model, 0 if value > 0 else 1)
-                else:
-                    # range format: the whole 64-coefficient magnitude scan as
-                    # one array call, then the signs of the nonzeros
-                    magnitudes = np.abs(clamped)
-                    encoder.encode_array(coef_model, magnitudes)
-                    nonzero = clamped[magnitudes > 0]
-                    if nonzero.size:
-                        encoder.encode_array(sign_model,
-                                             (nonzero < 0).astype(np.int64))
+                # the whole 64-coefficient magnitude scan as one array call,
+                # then the signs of the nonzeros
+                magnitudes = np.abs(clamped)
+                encoder.encode_array(coef_model, magnitudes)
+                nonzero = clamped[magnitudes > 0]
+                if nonzero.size:
+                    encoder.encode_array(sign_model, (nonzero < 0).astype(np.int64))
                 dequantised = np.zeros(64)
                 dequantised[ZIGZAG_ORDER] = clamped
                 rec_block = idct2(dequantised.reshape(_BLOCK, _BLOCK) * self._step) / 255.0
@@ -171,30 +152,19 @@ class BpgCodec(Codec):
         }
         return meta
 
-    def _decode_channel(self, decoder, meta, mode_model, coef_model, sign_model,
-                        legacy=False):
+    def _decode_channel(self, decoder, meta, mode_model, coef_model, sign_model):
         height, width = meta["padded_shape"]
         reconstructed = np.zeros((height, width))
         for row in range(0, height, _BLOCK):
             for col in range(0, width, _BLOCK):
                 mode_index = decoder.decode(mode_model)
                 prediction = _predict_block(reconstructed, row, col, _MODES[mode_index])
-                if legacy:
-                    flat = np.zeros(64, dtype=np.int64)
-                    for i in range(64):
-                        magnitude = decoder.decode(coef_model)
-                        if magnitude:
-                            sign = decoder.decode(sign_model)
-                            flat[i] = -magnitude if sign else magnitude
-                else:
-                    flat = np.asarray(decoder.decode_array(coef_model, 64),
-                                      dtype=np.int64)
-                    nonzero = np.flatnonzero(flat)
-                    if nonzero.size:
-                        signs = np.asarray(
-                            decoder.decode_array(sign_model, nonzero.size),
-                            dtype=np.int64)
-                        flat[nonzero[signs == 1]] *= -1
+                flat = np.asarray(decoder.decode_array(coef_model, 64), dtype=np.int64)
+                nonzero = np.flatnonzero(flat)
+                if nonzero.size:
+                    signs = np.asarray(decoder.decode_array(sign_model, nonzero.size),
+                                       dtype=np.int64)
+                    flat[nonzero[signs == 1]] *= -1
                 dequantised = np.zeros(64)
                 dequantised[ZIGZAG_ORDER] = flat
                 rec_block = idct2(dequantised.reshape(_BLOCK, _BLOCK) * self._step) / 255.0
@@ -214,8 +184,7 @@ class BpgCodec(Codec):
             channels = [ycbcr[..., 0], ycbcr[..., 1], ycbcr[..., 2]]
         else:
             channels = [image]
-        legacy = self.legacy_entropy
-        encoder = ArithmeticEncoder() if legacy else RangeEncoder()
+        encoder = RangeEncoder()
         mode_model = AdaptiveModel(len(_MODES))
         coef_model = AdaptiveModel(_COEF_CLAMP + 1)
         sign_model = AdaptiveModel(2)
@@ -225,15 +194,14 @@ class BpgCodec(Codec):
                 channel = resize_bilinear(channel, max(1, channel.shape[0] // 2),
                                           max(1, channel.shape[1] // 2))
             channel_meta.append(self._encode_channel(channel, encoder, mode_model,
-                                                     coef_model, sign_model,
-                                                     legacy=legacy))
+                                                     coef_model, sign_model))
         header = bytearray()
         header += _MAGIC
         header += int(image.shape[0]).to_bytes(2, "big")
         header += int(image.shape[1]).to_bytes(2, "big")
         header.append(3 if color else 1)
         header.append(self.qp)
-        header.append(FORMAT_LEGACY if legacy else FORMAT_RANGE)
+        header.append(FORMAT_RANGE)
         payload = bytes(header) + encoder.finish()
         return CompressedImage(
             payload=payload,
@@ -251,21 +219,16 @@ class BpgCodec(Codec):
         width = int.from_bytes(payload[6:8], "big")
         num_channels = payload[8]
         entropy_format = payload[10]
-        if entropy_format == FORMAT_LEGACY:
-            legacy = True
-            decoder = ArithmeticDecoder(payload[11:])
-        elif entropy_format == FORMAT_RANGE:
-            legacy = False
-            decoder = RangeDecoder(payload[11:])
-        else:
+        if entropy_format != FORMAT_RANGE:
             raise ValueError(f"unknown BPG entropy format tag {entropy_format}")
+        decoder = RangeDecoder(payload[11:])
         mode_model = AdaptiveModel(len(_MODES))
         coef_model = AdaptiveModel(_COEF_CLAMP + 1)
         sign_model = AdaptiveModel(2)
         channels = []
         for meta in compressed.metadata["channels"]:
             channel = self._decode_channel(decoder, meta, mode_model, coef_model,
-                                           sign_model, legacy=legacy)
+                                           sign_model)
             if channel.shape != (height, width):
                 channel = resize_bilinear(channel, height, width)
             channels.append(channel)

@@ -29,13 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..entropy.arithmetic import (
-    FORMAT_LEGACY,
-    FORMAT_RANGE,
-    AdaptiveModel,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-)
+from ..entropy.arithmetic import FORMAT_RANGE, AdaptiveModel
 from ..entropy.range_coder import RangeDecoder, RangeEncoder
 from ..image import (
     image_num_pixels,
@@ -95,12 +89,11 @@ class LearnedTransformCodec(Codec):
 
     def __init__(self, quality=4, entropy_model="hyperprior", base_step=96.0,
                  macs_per_pixel=300_000.0, model_bytes=100 * 2 ** 20,
-                 name="learned", deblock=True, rng=None, legacy_entropy=False):
+                 name="learned", deblock=True, rng=None):
         if entropy_model not in ("factorized", "hyperprior", "context"):
             raise ValueError(f"unknown entropy model {entropy_model!r}")
         self.quality = int(np.clip(quality, 1, 8))
         self.entropy_model = entropy_model
-        self.legacy_entropy = bool(legacy_entropy)
         self.deblock = bool(deblock)
         self.base_step = float(base_step)
         self.macs_per_pixel = float(macs_per_pixel)
@@ -262,7 +255,7 @@ class LearnedTransformCodec(Codec):
         else:
             channels = [image]
         steps = self._steps()
-        encoder = ArithmeticEncoder() if self.legacy_entropy else RangeEncoder()
+        encoder = RangeEncoder()
         models = self._make_models()
         channel_meta = []
         for channel in channels:
@@ -280,7 +273,7 @@ class LearnedTransformCodec(Codec):
         header += int(image.shape[1]).to_bytes(2, "big")
         header.append(3 if color else 1)
         header.append(self.quality)
-        header.append(FORMAT_LEGACY if self.legacy_entropy else FORMAT_RANGE)
+        header.append(FORMAT_RANGE)
         payload = bytes(header) + encoder.finish()
         return CompressedImage(
             payload=payload,
@@ -298,12 +291,9 @@ class LearnedTransformCodec(Codec):
         width = int.from_bytes(payload[6:8], "big")
         num_channels = payload[8]
         entropy_format = payload[10]
-        if entropy_format == FORMAT_LEGACY:
-            decoder = ArithmeticDecoder(payload[11:])
-        elif entropy_format == FORMAT_RANGE:
-            decoder = RangeDecoder(payload[11:])
-        else:
+        if entropy_format != FORMAT_RANGE:
             raise ValueError(f"unknown learned-codec entropy format tag {entropy_format}")
+        decoder = RangeDecoder(payload[11:])
         steps = self._steps()
         models = self._make_models()
         channels = []

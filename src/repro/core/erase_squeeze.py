@@ -371,6 +371,11 @@ def _cached_squeeze_plan(mask_bytes, shape, subpatch_size, direction):
     return SqueezePlan(mask, subpatch_size, direction)
 
 
+#: Hit/miss counters of the plan cache (``functools`` ``CacheInfo``); the
+#: servers publish them in their telemetry snapshot.
+get_squeeze_plan.cache_info = _cached_squeeze_plan.cache_info
+
+
 # ---------------------------------------------------------------------- #
 # functional API (thin wrappers over cached plans)
 # ---------------------------------------------------------------------- #

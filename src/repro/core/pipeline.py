@@ -181,9 +181,7 @@ class EaszDecoder:
         self.base_codec = base_codec
         self.fill = fill
 
-    def _resolve_plan(self, mask, plan):
-        if plan is not None:
-            return plan
+    def _plan(self, mask):
         cfg = self.config
         return get_squeeze_plan(mask, cfg.subpatch_size).require_patch_size(cfg.patch_size)
 
@@ -219,24 +217,17 @@ class EaszDecoder:
         )
         return filled[: original_spatial[0], : original_spatial[1], ...]
 
-    def _unsqueeze_package(self, compressed, mask, codec=None, plan=None):
-        """Base-codec decode + unsqueeze one package (no reconstruction).
-
-        ``codec`` and ``plan`` default to the decoder's own base codec and
-        the module-level plan cache; serving workers inject their per-worker
-        cached instances so this single implementation is the only decode
-        path.
-        """
-        codec = codec if codec is not None else self.base_codec
-        plan = self._resolve_plan(mask, plan)
+    def _unsqueeze_package(self, compressed, mask):
+        """Base-codec decode + unsqueeze one package (no reconstruction)."""
+        codec = self.base_codec
+        plan = self._plan(mask)
         filled = self._fused_unsqueeze(compressed, codec, plan)
         if filled is not None:
             return filled
         squeezed = codec.decompress(compressed.codec_payload)
         return self._finish_unsqueeze(compressed, squeezed, plan)
 
-    def _unsqueeze_many(self, packages, masks, codec=None, plans=None,
-                        collect_errors=False):
+    def _unsqueeze_many(self, packages, masks, codec=None, collect_errors=False):
         """Decode + unsqueeze N packages with one fused IDCT across the batch.
 
         The sequential entropy decode runs per package (with
@@ -244,13 +235,13 @@ class EaszDecoder:
         the result list and its batch-mates keep going — the serving
         contract); the inverse DCT of every surviving payload runs as a
         single batched call when the codec exposes ``decompress_many``.
-        ``plans`` optionally injects per-package cached squeeze plans
-        (aligned with ``packages``).
+        ``codec`` defaults to the decoder's base codec; servers pass the
+        codec a package names.  Squeeze plans come from the process-wide
+        :func:`~repro.core.erase_squeeze.get_squeeze_plan` cache.
         """
         codec = codec if codec is not None else self.base_codec
         packages = list(packages)
-        resolved = [self._resolve_plan(mask, plans[index] if plans else None)
-                    for index, mask in enumerate(masks)]
+        resolved = [self._plan(mask) for mask in masks]
         results = [None] * len(packages)
         pending = []
         for index, package in enumerate(packages):

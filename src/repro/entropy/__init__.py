@@ -1,53 +1,26 @@
 """``repro.entropy`` — entropy-coding substrate shared by the codecs.
 
-Contains bit-level I/O, canonical Huffman coding, run-length helpers and two
-adaptive multi-symbol coder backends.
+Contains bit-level I/O, canonical Huffman coding, run-length helpers and the
+adaptive multi-symbol range coder.
 
-Entropy backends — which coder to use
--------------------------------------
+The range coder (``RangeEncoder`` / ``RangeDecoder``) codes symbols under an
+:class:`AdaptiveModel`: Laplace-smoothed counts, +32 per coded symbol,
+halving once the total passes 2^16.  It renormalises a byte at a time
+(LZMA-style carry counting) and keeps a Fenwick-tree shadow of each model,
+so the block codecs feed whole symbol arrays per call (``encode_array`` /
+``decode_array``).  The ``entropy`` section of ``BENCH_throughput.json``
+times it against the seed's bit-at-a-time arithmetic coder, which survives
+only as the baseline in ``benchmarks/seed_reference.py`` (the guarded bar
+is >= 3x).
 
-==========================  ==========================  =========================
-concern                     range coder (default)       legacy arithmetic coder
-==========================  ==========================  =========================
-classes                     ``RangeEncoder`` /          ``ArithmeticEncoder`` /
-                            ``RangeDecoder``            ``ArithmeticDecoder``
-renormalisation             byte-at-a-time (LZMA-style  bit-at-a-time with
-                            carry counting)             pending-bit tracking
-model lookups               Fenwick-tree shadow state,  numpy cumulative table
-                            whole symbol arrays per     per symbol
-                            call (``encode_array`` /
-                            ``decode_array``)
-throughput                  several times faster (the   the seed implementation;
-                            ``entropy`` section of      kept as the equivalence
-                            ``BENCH_throughput.json``   reference and for old
-                            guards >= 3x)               payloads
-compression ratio           identical model semantics,  baseline
-                            payload within a few bytes
-byte format                 tag ``FORMAT_RANGE`` (1)    tag ``FORMAT_LEGACY`` (0)
-use when                    everything new (the bpg /   `legacy=True` escape
-                            learned codecs default to   hatch, equivalence
-                            it)                         reference in tests
-==========================  ==========================  =========================
-
-Payloads from :func:`encode_symbols` are self-describing (one leading format
-byte); the codec containers (``RBPG`` / ``RNNC``) carry the same tag in
-their headers, so either backend can be selected per payload — pass
-``legacy_entropy=True`` to the codecs (or ``legacy=True`` to
-:func:`encode_symbols`) to force the old coder.  Tagging was introduced
-together with the range coder: payloads written *before* it (no tag byte)
-are not readable by either backend — nothing in this repo persists
-payloads across versions, so there is no migration path to carry.
+Payloads from :func:`encode_symbols` are self-describing: one leading format
+byte, :data:`FORMAT_RANGE`.  The codec containers (``RBPG`` / ``RNNC``)
+carry the same tag in their headers.  Any other tag, including the retired
+coder's 0, raises ``ValueError``.  Nothing in this repo persists payloads
+across versions, so there is no migration path to carry.
 """
 
-from .arithmetic import (
-    FORMAT_LEGACY,
-    FORMAT_RANGE,
-    AdaptiveModel,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-    decode_symbols,
-    encode_symbols,
-)
+from .arithmetic import FORMAT_RANGE, AdaptiveModel, decode_symbols, encode_symbols
 from .bitio import BitReader, BitWriter
 from .huffman import HuffmanCode, huffman_decode, huffman_encode
 from .range_coder import RangeDecoder, RangeEncoder
@@ -69,11 +42,8 @@ __all__ = [
     "encode_binary_mask",
     "decode_binary_mask",
     "AdaptiveModel",
-    "ArithmeticEncoder",
-    "ArithmeticDecoder",
     "RangeEncoder",
     "RangeDecoder",
-    "FORMAT_LEGACY",
     "FORMAT_RANGE",
     "encode_symbols",
     "decode_symbols",

@@ -1,44 +1,27 @@
-"""Adaptive multi-symbol entropy coding: legacy arithmetic + range backend.
+"""Adaptive multi-symbol entropy coding: the shared frequency model and
+the tagged symbol-stream wrappers.
 
 Used by the BPG-proxy codec (:mod:`repro.codecs.bpg`) and by the learned
-codec baselines for entropy-coding quantised latents.  Two coder backends
-share one adaptive frequency model:
-
-* the **legacy** coder (:class:`ArithmeticEncoder` / :class:`ArithmeticDecoder`)
-  is a classic 32-bit integer arithmetic coder with bit-at-a-time carry-less
-  renormalisation (Witten–Neal–Cleary style), kept for old payloads and as
-  the reference in equivalence tests;
-* the **range** coder (:class:`repro.entropy.range_coder.RangeEncoder` /
-  ``RangeDecoder``) renormalises a byte at a time and consumes whole symbol
-  arrays — the default backend, several times faster at identical
-  compression (see the ``entropy`` section of ``BENCH_throughput.json``).
-
-:func:`encode_symbols` / :func:`decode_symbols` wrap both behind a one-byte
-format tag so payloads are self-describing; pass ``legacy=True`` to force
-the old backend.
+codec baselines for entropy-coding quantised latents.  :class:`AdaptiveModel`
+is the frequency model; :class:`repro.entropy.range_coder.RangeEncoder` /
+``RangeDecoder`` code symbols under it.  :func:`encode_symbols` /
+:func:`decode_symbols` wrap the range coder behind a one-byte format tag so
+payloads are self-describing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter
+from .range_coder import RangeDecoder, RangeEncoder
 
-__all__ = ["AdaptiveModel", "ArithmeticEncoder", "ArithmeticDecoder",
-           "encode_symbols", "decode_symbols",
-           "FORMAT_LEGACY", "FORMAT_RANGE"]
+__all__ = ["AdaptiveModel", "encode_symbols", "decode_symbols", "FORMAT_RANGE"]
 
-#: Payload format tags written by :func:`encode_symbols` (and the codec
-#: containers): 0 = legacy bit-at-a-time arithmetic coder, 1 = byte-oriented
-#: range coder.
-FORMAT_LEGACY = 0
+#: Payload format tag written by :func:`encode_symbols` (and the codec
+#: containers) for the byte-oriented range coder.  Tag 0 belonged to a
+#: retired bit-at-a-time coder and is rejected like any unknown tag.
 FORMAT_RANGE = 1
 
-_PRECISION = 32
-_MAX = (1 << _PRECISION) - 1
-_QUARTER = 1 << (_PRECISION - 2)
-_HALF = 2 * _QUARTER
-_THREE_QUARTERS = 3 * _QUARTER
 _MAX_TOTAL = 1 << 16
 
 
@@ -96,109 +79,14 @@ class AdaptiveModel:
         self._rebuild()
 
 
-class ArithmeticEncoder:
-    """Streaming arithmetic encoder writing to an internal :class:`BitWriter`."""
-
-    def __init__(self):
-        self._writer = BitWriter()
-        self._low = 0
-        self._high = _MAX
-        self._pending = 0
-
-    def _emit(self, bit):
-        self._writer.write_bit(bit)
-        while self._pending:
-            self._writer.write_bit(1 - bit)
-            self._pending -= 1
-
-    def encode(self, model, symbol):
-        """Encode ``symbol`` under ``model`` and update the model."""
-        low_count, high_count, total = model.interval(symbol)
-        span = self._high - self._low + 1
-        self._high = self._low + span * high_count // total - 1
-        self._low = self._low + span * low_count // total
-        while True:
-            if self._high < _HALF:
-                self._emit(0)
-            elif self._low >= _HALF:
-                self._emit(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-            else:
-                break
-            self._low *= 2
-            self._high = self._high * 2 + 1
-        model.update(symbol)
-
-    def finish(self):
-        """Flush the coder state and return the encoded bytes."""
-        self._pending += 1
-        if self._low < _QUARTER:
-            self._emit(0)
-        else:
-            self._emit(1)
-        return self._writer.getvalue()
-
-
-class ArithmeticDecoder:
-    """Streaming arithmetic decoder mirroring :class:`ArithmeticEncoder`."""
-
-    def __init__(self, payload):
-        self._reader = BitReader(payload)
-        self._low = 0
-        self._high = _MAX
-        self._value = self._reader.read_bits(_PRECISION)
-
-    def decode(self, model):
-        """Decode the next symbol under ``model`` and update the model."""
-        span = self._high - self._low + 1
-        total = model.total
-        scaled = ((self._value - self._low + 1) * total - 1) // span
-        symbol = model.symbol_from_count(scaled)
-        low_count, high_count, _ = model.interval(symbol)
-        self._high = self._low + span * high_count // total - 1
-        self._low = self._low + span * low_count // total
-        while True:
-            if self._high < _HALF:
-                pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._value -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._value -= _QUARTER
-            else:
-                break
-            self._low *= 2
-            self._high = self._high * 2 + 1
-            self._value = self._value * 2 + self._reader.read_bit()
-        model.update(symbol)
-        return symbol
-
-
-def encode_symbols(symbols, num_symbols, legacy=False):
+def encode_symbols(symbols, num_symbols):
     """Encode an integer symbol sequence with a fresh adaptive model.
 
-    The payload starts with a one-byte format tag (:data:`FORMAT_RANGE` by
-    default, :data:`FORMAT_LEGACY` with ``legacy=True``) so
-    :func:`decode_symbols` picks the matching backend automatically.
+    The payload starts with the one-byte format tag :data:`FORMAT_RANGE`,
+    which :func:`decode_symbols` checks.
     """
-    model = AdaptiveModel(num_symbols)
-    if legacy:
-        encoder = ArithmeticEncoder()
-        for symbol in symbols:
-            encoder.encode(model, int(symbol))
-        return bytes([FORMAT_LEGACY]) + encoder.finish()
-    from .range_coder import RangeEncoder
-
     encoder = RangeEncoder()
-    encoder.encode_array(model, symbols)
+    encoder.encode_array(AdaptiveModel(num_symbols), symbols)
     return bytes([FORMAT_RANGE]) + encoder.finish()
 
 
@@ -208,15 +96,9 @@ def decode_symbols(payload, count, num_symbols):
     if not payload:
         raise ValueError("empty entropy payload (missing format tag)")
     tag, body = payload[0], payload[1:]
-    model = AdaptiveModel(num_symbols)
-    if tag == FORMAT_LEGACY:
-        decoder = ArithmeticDecoder(body)
-        return [decoder.decode(model) for _ in range(count)]
-    if tag == FORMAT_RANGE:
-        from .range_coder import RangeDecoder
-
-        decoder = RangeDecoder(body)
-        symbols = decoder.decode_array(model, count)
-        decoder.sync_models()
-        return symbols
-    raise ValueError(f"unknown entropy payload format tag {tag}")
+    if tag != FORMAT_RANGE:
+        raise ValueError(f"unknown entropy payload format tag {tag}")
+    decoder = RangeDecoder(body)
+    symbols = decoder.decode_array(AdaptiveModel(num_symbols), count)
+    decoder.sync_models()
+    return symbols

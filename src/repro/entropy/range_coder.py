@@ -1,8 +1,9 @@
-"""Byte-oriented adaptive range coder (the default entropy backend).
+"""Byte-oriented adaptive range coder (the entropy backend).
 
-Replaces the bit-at-a-time Witten–Neal–Cleary coder in
-:mod:`repro.entropy.arithmetic` on the hot paths of the BPG-proxy and
-learned codecs.  The coder is an LZMA-style carry-counting range coder:
+Entropy-codes the symbols of the BPG-proxy and learned codecs.  It replaced
+the seed's bit-at-a-time Witten–Neal–Cleary coder, which now lives only in
+``benchmarks/seed_reference.py`` as the measurement baseline.  The coder is
+an LZMA-style carry-counting range coder:
 renormalisation moves whole *bytes* between the 32-bit ``range`` register
 and the output stream (the classic ``cache``/``cache_size`` pending-0xFF
 technique resolves carries exactly), so coding a symbol costs a handful of
@@ -11,10 +12,9 @@ integer operations instead of one Python-level loop iteration per output
 
 Adaptive-model semantics are identical to :class:`~repro.entropy.arithmetic.
 AdaptiveModel` (Laplace-smoothed counts, +32 per coded symbol, halving when
-the total saturates 2^16), so compression ratios match the legacy coder to
-within a few bytes.  The byte *format* is different and versioned — see
-:func:`repro.entropy.arithmetic.encode_symbols` for the container tag and the
-``legacy=True`` escape hatch.
+the total saturates 2^16), so compression ratios match the seed coder to
+within a few bytes.  Payloads carry a format tag — see
+:func:`repro.entropy.arithmetic.encode_symbols`.
 
 Two performance layers sit on top of the streaming API:
 
@@ -24,7 +24,7 @@ Two performance layers sit on top of the streaming API:
   O(log K) list operations in the inner loop instead of numpy slice
   arithmetic; :meth:`RangeEncoder.finish` / :meth:`RangeDecoder.sync_models`
   write the final counts back so model state stays observable and matches
-  the legacy coder symbol-for-symbol.
+  the seed coder symbol-for-symbol.
 * **symbol-array entry points** — :meth:`RangeEncoder.encode_array` and
   :meth:`RangeDecoder.decode_array` consume/produce whole numpy symbol
   arrays with the model and coder state bound to local variables, which is
@@ -39,7 +39,7 @@ __all__ = ["RangeEncoder", "RangeDecoder"]
 
 _TOP = 1 << 24          # renormalise while range < 2^24 (byte at a time)
 _MASK32 = 0xFFFFFFFF
-_MAX_TOTAL = 1 << 16    # shared with the legacy coder's model semantics
+_MAX_TOTAL = 1 << 16    # AdaptiveModel's saturation bound
 _INCREMENT = 32
 
 
@@ -72,7 +72,7 @@ class _ModelState:
         self.tree = tree
 
     def rescale(self):
-        """Halve all counts (the legacy saturation rule) and rebuild."""
+        """Halve all counts (AdaptiveModel's saturation rule) and rebuild."""
         self.counts = [c // 2 if c > 1 else 1 for c in self.counts]
         self.total = sum(self.counts)
         self._build_tree()
@@ -83,8 +83,8 @@ class _ModelState:
 
 
 class RangeEncoder:
-    """Streaming range encoder with the same ``encode(model, symbol)`` API
-    as :class:`~repro.entropy.arithmetic.ArithmeticEncoder`."""
+    """Streaming range encoder: ``encode(model, symbol)`` codes one symbol
+    under an :class:`~repro.entropy.arithmetic.AdaptiveModel`."""
 
     def __init__(self):
         self._out = bytearray()
@@ -157,7 +157,7 @@ class RangeEncoder:
                 cache_size += 1
                 rng <<= 8
                 low = (low & 0xFFFFFF) << 8
-            # adaptive update (legacy semantics: +32, halve past 2^16)
+            # adaptive update (AdaptiveModel semantics: +32, halve past 2^16)
             counts[s] += _INCREMENT
             j = s + 1
             while j <= n:

@@ -15,13 +15,13 @@ writing a script:
 * ``train`` — pre-train (and cache) the Easz reconstruction model;
 * ``experiment`` — regenerate a quick, reduced-size version of one of the
   paper's experiments (fig1, fig6, fig8d, table2) directly in the terminal;
-* ``serve-bench`` — replay Poisson load against a live server and compare
-  the observed queueing with the M/D/c prediction; with ``--scenario NAME``
-  (or ``--scenario-file PATH`` for a custom ScenarioSpec JSON) it instead
-  replays a multi-tenant chaos scenario
-  (:mod:`repro.serve.scenarios`) and exits 4 on invariant violations
-  (lost/duplicated futures, decoder crashes) or 3 on a saturated run, so
-  the nightly chaos CI can gate on the exit code alone.
+* ``serve-bench`` — replay load against a live server through the scenario
+  harness (:mod:`repro.serve.scenarios`): by default one Poisson tenant
+  built from ``--rate``/``--requests``/``--images``; with ``--scenario
+  NAME`` (or ``--scenario-file PATH`` for a custom ScenarioSpec JSON) a
+  multi-tenant chaos scenario.  Either way it exits 4 on invariant
+  violations (lost/duplicated futures, decoder crashes) or 3 on a saturated
+  run, so the nightly chaos CI can gate on the exit code alone.
 
 The full-fidelity versions of the experiments live in ``benchmarks/``; the
 CLI drivers use smaller images and fewer operating points so they finish in
@@ -31,7 +31,6 @@ seconds.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -115,9 +114,11 @@ def build_parser():
 
     serve_bench = subparsers.add_parser(
         "serve-bench",
-        help="drive the micro-batching compression server with Poisson load")
+        help="drive the micro-batching compression server with Poisson load "
+             "or a chaos scenario")
     serve_bench.add_argument("--requests", type=int, default=48,
-                             help="number of requests to replay")
+                             help="expected requests of the Poisson replay (it "
+                                  "lasts requests / rate seconds)")
     serve_bench.add_argument("--rate", type=float, default=60.0,
                              help="Poisson arrival rate (requests/s)")
     serve_bench.add_argument("--workers", type=int, default=2, help="worker threads")
@@ -136,20 +137,13 @@ def build_parser():
                              help="watchdog probe interval in seconds (must be > 0)")
     serve_bench.add_argument("--result-cache", type=int, default=0,
                              help="cross-request result cache capacity (0 = off)")
-    serve_bench.add_argument("--adaptive-wait", action="store_true",
-                             help="tune the micro-batch wait online from the "
-                                  "observed arrival rate instead of a fixed budget")
     serve_bench.add_argument("--max-batch", type=int, default=8,
                              help="micro-batcher batch-size cap")
-    serve_bench.add_argument("--batch-wait-ms", type=float, default=4.0,
-                             help="micro-batcher wait budget per batch")
     serve_bench.add_argument("--queue-depth", type=int, default=64,
                              help="admission queue bound")
     serve_bench.add_argument("--dct-threads", type=int, default=1,
                              help="opt-in thread pool for >1MP batched DCT "
                                   "calls (1 = single-threaded GEMM)")
-    serve_bench.add_argument("--height", type=int, default=96)
-    serve_bench.add_argument("--width", type=int, default=144)
     serve_bench.add_argument("--images", type=int, default=4,
                              help="distinct frames cycled through the replay")
     serve_bench.add_argument("--train-steps", type=int, default=300,
@@ -491,8 +485,9 @@ def _load_scenario_file(path):
         raise ValueError(f"scenario file {path!r}: {error}") from error
 
 
-def _run_scenario_bench(args, scenario, config, model, batch_policy):
-    """serve-bench --scenario: replay one chaos scenario, report per tenant."""
+def _run_scenario_bench(args, scenario, config, model):
+    """Replay one scenario, print its report; exit 4 on broken invariants,
+    3 on a saturated run."""
     from pathlib import Path
 
     from ..serve import CompressionServer, ShardedCompressionServer
@@ -505,7 +500,7 @@ def _run_scenario_bench(args, scenario, config, model, batch_policy):
             "num_shards": args.shards,
             "workers_per_shard": max(1, args.workers // args.shards),
             "queue_depth": args.queue_depth,
-            "batch_policy": batch_policy,
+            "max_batch_size": args.max_batch,
             "result_cache_size": args.result_cache,
             "use_shm": args.shm,
             "watchdog_interval_s": args.watchdog_interval if args.watchdog else 0.25,
@@ -520,7 +515,7 @@ def _run_scenario_bench(args, scenario, config, model, batch_policy):
         kwargs = {
             "num_workers": args.workers,
             "queue_depth": args.queue_depth,
-            "batch_policy": batch_policy,
+            "max_batch_size": args.max_batch,
             "result_cache_size": args.result_cache,
         }
         # scenario hints still override here, minus the process/ring knobs a
@@ -530,8 +525,9 @@ def _run_scenario_bench(args, scenario, config, model, batch_policy):
         server = CompressionServer(model=model, config=config, **kwargs)
     with server:
         report = run_scenario(scenario, server, config=config, model=model)
+        snapshot = server.stats.snapshot()
 
-    print(format_kv_block(f"scenario {scenario.name}", {
+    block = {
         "description": scenario.description or "(none)",
         "duration (s)": report.duration_s,
         "servers (c)": report.servers,
@@ -545,8 +541,16 @@ def _run_scenario_bench(args, scenario, config, model, batch_policy):
             f"{report.retries} / {report.hedges} / {report.deadline_shed}",
         "utilisation": report.utilisation,
         "service time / image (ms)": report.service_time_per_image_ms,
+        "queue wait mean (ms)": snapshot["queue_wait_mean_ms"],
+        "mean batch size": snapshot["mean_batch_size"],
+        "result-cache hits": snapshot["result_cache"]["hits"],
         "chaos events": len(report.chaos_events),
-    }))
+    }
+    if args.shards > 0:
+        block["response transport"] = (", ".join(
+            f"{name}={count}" for name, count in snapshot["response_transport"].items())
+            or "(none)")
+    print(format_kv_block(f"scenario {scenario.name}", block))
     print()
     rows = [[t.name, t.qos, t.arrival, f"{t.deadline_ms:.0f}",
              t.offered, t.completed, t.degraded, t.shed,
@@ -560,6 +564,15 @@ def _run_scenario_bench(args, scenario, config, model, batch_policy):
          "shed", "retry", "hedge", "dl-shed", "p50 ms", "p99 ms",
          "M/D/c pred ms", "SLO miss"],
         rows, title="per-tenant service levels"))
+    print()
+    rows = [[size, count] for size, count in snapshot["batch_size_histogram"].items()]
+    print(format_table(["batch size", "batches"], rows, title="micro-batch histogram"))
+    cache_rows = [[owner, cache["name"], cache["hits"], cache["misses"]]
+                  for owner, caches in snapshot["caches"].items() for cache in caches]
+    if cache_rows:
+        print()
+        print(format_table(["server", "cache", "hits", "misses"], cache_rows,
+                           title="plan and codec caches"))
     for event in report.chaos_events:
         print(f"chaos @ {event['at_s']:7.3f}s  {event['kind']}: {event['detail']}")
     print(report.headline())
@@ -573,16 +586,16 @@ def _run_scenario_bench(args, scenario, config, model, batch_policy):
               f"decoder_crashes={report.decoder_crashes}", file=sys.stderr)
         return 4
     if report.saturated:
-        print("error: scenario run saturated the pool; per-tenant SLO numbers "
-              "are not meaningful at utilisation >= 1", file=sys.stderr)
+        print("error: the run saturated the pool (utilisation >= 1 or every "
+              "request refused); lower --rate or raise --workers/--shards for "
+              "meaningful latency numbers", file=sys.stderr)
         return 3
     return 0
 
 
 def _command_serve_bench(args):
-    """Replay Poisson load against a live micro-batching server."""
-    from ..serve import (BatchPolicy, CompressionServer, PoissonLoadGenerator,
-                         ShardedCompressionServer, available_cpus)
+    """Replay Poisson load or a chaos scenario against a live server."""
+    from ..serve import available_cpus
 
     if args.list_scenarios:
         return _command_list_scenarios()
@@ -591,11 +604,15 @@ def _command_serve_bench(args):
     # not after pretraining
     if args.scenario and args.scenario_file:
         raise ValueError("--scenario and --scenario-file are mutually exclusive")
-    scenario = _resolve_scenario(args.scenario) if args.scenario else None
-    if args.scenario_file:
+    if args.scenario:
+        scenario = _resolve_scenario(args.scenario)
+    elif args.scenario_file:
         scenario = _load_scenario_file(args.scenario_file)
+    else:
+        from ..serve.scenarios import poisson_scenario
+
+        scenario = poisson_scenario(args.rate, args.requests, num_images=args.images)
     if args.shards > 0 and not args.watchdog_interval > 0:
-        # fail before the model is built, like BatchPolicy's poll_interval_ms
         raise ValueError("--watchdog-interval must be positive")
     if args.shards > 0 and available_cpus() < 2:
         # not silent: sharding cannot beat the threaded server here, and the
@@ -611,91 +628,7 @@ def _command_serve_bench(args):
 
     config = default_benchmark_config()
     model = pretrained_model(config, steps=args.train_steps)
-    batch_policy = BatchPolicy(max_batch_size=args.max_batch,
-                               max_wait_ms=args.batch_wait_ms,
-                               mode="adaptive" if args.adaptive_wait else "fixed")
-    if scenario is not None:
-        return _run_scenario_bench(args, scenario, config, model, batch_policy)
-
-    dataset = KodakDataset(num_images=args.images, height=args.height, width=args.width)
-    encoder = EaszEncoder(config, seed=0)
-    mask = encoder.generate_mask()
-    packages = encoder.encode_batch([dataset[i] for i in range(args.images)], mask=mask)
-
-    if args.shards > 0:
-        server = ShardedCompressionServer(
-            model=model, config=config, num_shards=args.shards,
-            workers_per_shard=max(1, args.workers // args.shards),
-            queue_depth=args.queue_depth, batch_policy=batch_policy,
-            result_cache_size=args.result_cache, use_shm=args.shm,
-            watchdog_interval_s=args.watchdog_interval if args.watchdog else None,
-        )
-    else:
-        server = CompressionServer(
-            model=model, config=config, num_workers=args.workers,
-            queue_depth=args.queue_depth, batch_policy=batch_policy,
-            result_cache_size=args.result_cache,
-        )
-    with server:
-        generator = PoissonLoadGenerator(server)
-        report = generator.run(packages, arrival_rate_rps=args.rate,
-                               num_requests=args.requests)
-        snapshot = server.stats.snapshot()
-
-    mode = (f"{args.shards} process shards" if args.shards > 0
-            else f"{args.workers} worker threads")
-    block = {
-        "requests": f"{report.completed}/{report.num_requests} "
-                    f"(rejected {report.rejected}, failed {report.failed})",
-        "offered rate (rps)": report.offered_rps,
-        "achieved rate (rps)": report.achieved_rps,
-        "latency p50 (ms)": report.latency_p50_ms,
-        "latency p99 (ms)": report.latency_p99_ms,
-        "queue wait mean (ms)": report.observed_wait_mean_ms,
-        f"M/D/{report.servers} predicted wait (ms)": report.predicted_wait_mdc_ms,
-        "utilisation": report.utilisation,
-        "service time / image (ms)": report.service_time_per_image_ms,
-        "mean batch size": report.mean_batch_size,
-        "result-cache hits": snapshot["result_cache"]["hits"],
-    }
-    if args.shards > 0:
-        transports = snapshot.get("response_transport", {})
-        block["response transport"] = (", ".join(
-            f"{name}={count}" for name, count in sorted(transports.items()))
-            or "(none)")
-        shm_stats = snapshot.get("shm", {})
-        block["shm ring"] = (
-            f"{shm_stats.get('num_slots', 0)} x {shm_stats.get('slot_bytes', 0)} B"
-            if shm_stats.get("enabled") else "off (queue path)")
-        watchdog = snapshot.get("watchdog", {})
-        if watchdog.get("enabled"):
-            block["watchdog restarts"] = watchdog.get("restarts_total", 0)
-    print(format_kv_block(f"serve-bench (observed, {mode})", block))
-    print()
-    rows = [[size, count] for size, count in snapshot["batch_size_histogram"].items()]
-    print(format_table(["batch size", "batches"], rows, title="micro-batch histogram"))
-    cache_rows = []
-    for worker, caches in snapshot["caches"].items():
-        for cache in caches:
-            cache_rows.append([worker, cache["name"], cache["hits"], cache["misses"],
-                               f"{cache['hit_rate'] * 100:.0f}%"])
-    if cache_rows:
-        print()
-        print(format_table(["worker", "cache", "hits", "misses", "hit rate"], cache_rows,
-                           title="per-worker caches"))
-
-    # a saturated or NaN run is not a benchmark, it is a misconfiguration —
-    # exit non-zero so CI (and scripts) cannot mistake it for a result
-    if report.utilisation >= 1.0:
-        print(f"error: offered load saturated the pool (utilisation "
-              f"{report.utilisation:.2f} >= 1); lower --rate or raise "
-              "--workers/--shards for meaningful latency numbers", file=sys.stderr)
-        return 3
-    if math.isnan(report.latency_p50_ms) or math.isnan(report.latency_p99_ms):
-        print("error: no successful responses (latency is NaN); the run was all "
-              "rejections/failures — check server sizing and --rate", file=sys.stderr)
-        return 3
-    return 0
+    return _run_scenario_bench(args, scenario, config, model)
 
 
 _COMMANDS = {

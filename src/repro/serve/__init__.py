@@ -8,14 +8,12 @@ fast by amortising fixed costs across requests:
 * :class:`AdmissionQueue` — a bounded request queue: overload becomes an
   explicit :class:`ServerOverloadedError` (or bounded blocking), not
   unbounded latency;
-* :class:`MicroBatcher` — coalesces queued requests that share an erase mask
-  and image geometry, under a configurable latency budget
-  (:class:`BatchPolicy`; ``mode="adaptive"`` tunes the wait online from the
-  observed inter-arrival rate);
+* :class:`MicroBatcher` — coalesces the already-queued requests that share
+  an erase mask and image geometry, up to ``max_batch_size``; it never
+  waits for later arrivals;
 * :class:`ServeWorker` — worker threads running batches through the fused
-  batched APIs (``EaszDecoder.decode_batch`` /
-  ``reconstruct_batch``) with per-worker LRU caches
-  (:class:`LRUCache`) for squeeze plans and base-codec entropy tables;
+  batched APIs (``EaszDecoder.decode_batch`` / ``reconstruct_batch``) over
+  the process-wide squeeze-plan cache and the server's codec cache;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching the queue;
@@ -24,16 +22,15 @@ fast by amortising fixed costs across requests:
   across shards);
 * :class:`ShardedCompressionServer` — the same submission API executed on N
   worker *processes* (see the decision matrix below);
-* :class:`PoissonLoadGenerator` — replays :mod:`repro.edge.fleet` Poisson
-  arrivals against a live server and reports the observed queueing next to
-  the M/D/c prediction;
-* :mod:`repro.serve.scenarios` — the multi-tenant chaos harness:
-  :class:`ScenarioSpec` traces (per-tenant Poisson/diurnal/bursty arrivals,
+* :mod:`repro.serve.scenarios` — the one load harness.  A
+  :class:`ScenarioSpec` trace (per-tenant Poisson/diurnal/bursty arrivals,
   QoS deadline budgets, deadline-aware admission that degrades to a cheaper
   codec quality or sheds when the M/D/c predicted wait exceeds a tenant's
-  budget) replayed while a :class:`~repro.serve.scenarios.ChaosDriver`
-  SIGKILLs/SIGSTOPs shards, corrupts payloads through
-  :mod:`repro.edge.faults` and exhausts the shm ring;
+  budget) is replayed, optionally while a
+  :class:`~repro.serve.scenarios.ChaosDriver` SIGKILLs/SIGSTOPs shards,
+  corrupts payloads through :mod:`repro.edge.faults` and exhausts the shm
+  ring.  ``serve-bench`` without ``--scenario`` replays one healthy Poisson
+  tenant, the capacity check against the M/D/c prediction;
 * :mod:`repro.serve.resilience` — the client side of the robustness story:
   :class:`RetryPolicy` (backoff + jitter, token-bucket :class:`RetryBudget`),
   per-shard :class:`CircuitBreaker` consulted by the sharded router,
@@ -63,7 +60,7 @@ failure isolation            a worker exception fails   a crashed shard is
                              its batch only, but a      restartable in place
                              hard crash takes the       (:meth:`~repro.serve.
                              process down               sharding.ShardedCompressionServer.restart_shard`)
-queueing model (loadgen)     M/D/1 (``parallelism=1``)  M/D/c with c = num_shards
+queueing model (scenarios)   M/D/1 (``parallelism=1``)  M/D/c with c = num_shards
 use when                     interactive latency,       throughput-bound fleets on
                              single-core hosts, tests   multi-core hosts
 ===========================  =========================  ==========================
@@ -101,34 +98,6 @@ crash safety                 queue messages die with    leases are reclaimed by
 use when                     tiny responses (thumbnail  responses are the full
                              decode), /dev/shm-starved  reconstructed frames —
                              containers                 the common serving case
-===========================  =========================  ==========================
-
-Scenario vs loadgen — which harness to drive a server with
-----------------------------------------------------------
-
-===========================  =========================  ==========================
-concern                      ``PoissonLoadGenerator``   ``scenarios`` harness
-===========================  =========================  ==========================
-traffic                      one homogeneous Poisson    many tenants, each
-                             stream                     Poisson / diurnal / bursty
-admission                    server-side only (queue    client-side deadline-aware
-                             backpressure)              on top: degrade to a
-                                                        cheaper quality, shed, or
-                                                        accept per tenant policy
-faults                       none (healthy pool)        SIGKILL/SIGSTOP shard
-                                                        chaos, payload corruption,
-                                                        shm-ring exhaustion
-verdict                      ``LoadReport`` (observed   ``ScenarioReport``:
-                             wait vs M/D/c prediction)  per-tenant p50/p99 +
-                                                        SLO-miss next to the
-                                                        prediction, plus the
-                                                        exactly-once invariants
-                                                        (lost/duplicated futures,
-                                                        decoder crashes)
-use when                     calibrating capacity /     proving robustness claims;
-                             validating the queueing    the nightly chaos CI
-                             model                      (``serve-bench
-                                                        --scenario``)
 ===========================  =========================  ==========================
 
 Retry vs hedge vs degrade vs shed — which resilience lever to pull
@@ -207,9 +176,8 @@ Scaling out is the same API::
         response = server.submit_bytes(container).result(timeout=10.0)
 """
 
-from .batcher import BatchPolicy, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import LRUCache, ResultCache
-from .loadgen import LoadReport, PoissonLoadGenerator
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, deadline_after_ms)
 from .resilience import (CircuitBreaker, ClosedLoopClient, ResilientClient,
@@ -227,7 +195,6 @@ from .worker import ServeWorker
 
 __all__ = [
     "AdmissionQueue",
-    "BatchPolicy",
     "ChaosDriver",
     "ChaosSpec",
     "CircuitBreaker",
@@ -235,11 +202,9 @@ __all__ = [
     "CompressionServer",
     "DeadlineExceededError",
     "LatencyWindow",
-    "LoadReport",
     "LRUCache",
     "MicroBatcher",
     "PendingResult",
-    "PoissonLoadGenerator",
     "QueueClosedError",
     "ResilienceSpec",
     "ResilientClient",

@@ -1,133 +1,37 @@
-"""Dynamic micro-batcher: coalesce compatible requests under a latency bound.
+"""Micro-batcher: coalesce the compatible requests that are already queued.
 
-The transformer reconstruction gets cheaper per image as the batch grows
-(fixed per-call costs amortise and the fused engine's chunks stay full), but
-holding requests back adds latency.  The batcher resolves the tension the
-standard way: take the oldest request, then wait at most ``max_wait_ms`` for
-more requests with the *same batch key* (mask bytes + image geometry + kind)
-to arrive, capped at ``max_batch_size``.  An idle server therefore serves
-singles at minimum latency, and a busy one converges to full batches — the
-behaviour the batch-size histogram in telemetry makes visible.
-
-``BatchPolicy(mode="adaptive")`` goes one step further and tunes the wait
-online: the batcher keeps an EWMA of the observed request inter-arrival gap
-and waits only as long as the *expected* time for the batch to fill.  When
-arrivals are sparser than the wait budget the expected yield of waiting is
-zero, so singles go out instantly; under load the expected fill time shrinks
-below the budget and batches converge to ``max_batch_size`` without anyone
-re-tuning ``max_wait_ms`` per deployment.
+The batcher takes the oldest request, then takes at most
+``max_batch_size - 1`` more requests with the *same batch key* (mask bytes
++ image geometry + codec + kind) that are already waiting, in FIFO order,
+and returns.  It never holds a batch open for later arrivals: a measured
+wait window bought nothing end to end (batched reconstruction runs at
+0.96–1.06x the per-image cost), so an idle server serves singles at once
+and a busy one still forms batches from its backlog.  Requests with other
+keys stay queued in their original order.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
 
-__all__ = ["BatchPolicy", "MicroBatcher"]
-
-
-@dataclass
-class BatchPolicy:
-    """Tunables for the dynamic micro-batcher.
-
-    ``max_wait_ms`` is the wait budget in ``"fixed"`` mode and the ceiling in
-    ``"adaptive"`` mode; ``min_wait_ms`` is the adaptive floor (0 = serve
-    singles instantly when idle); ``ewma_alpha`` is the weight of the newest
-    inter-arrival observation.
-    """
-
-    max_batch_size: int = 8
-    max_wait_ms: float = 2.0
-    poll_interval_ms: float = 0.5
-    mode: str = "fixed"
-    min_wait_ms: float = 0.0
-    ewma_alpha: float = 0.2
-
-    def __post_init__(self):
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
-        if self.poll_interval_ms <= 0:
-            raise ValueError("poll_interval_ms must be positive")
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError("mode must be 'fixed' or 'adaptive'")
-        if not 0.0 <= self.min_wait_ms <= self.max_wait_ms:
-            raise ValueError("min_wait_ms must be in [0, max_wait_ms]")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+__all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
     """Forms batches of compatible requests from an :class:`AdmissionQueue`."""
 
-    def __init__(self, queue, policy=None, key_fn=None, on_expired=None):
+    def __init__(self, queue, max_batch_size=8, key_fn=None, on_expired=None):
+        if max_batch_size < 1:
+            raise ValueError("max_batch_size must be at least 1")
         self.queue = queue
-        self.policy = policy or BatchPolicy()
+        self.max_batch_size = int(max_batch_size)
         self.key_fn = key_fn or (lambda request: request.batch_key)
         # deadline shedding: when set, requests whose absolute monotonic
         # deadline has passed are handed to ``on_expired(request)`` instead of
         # being batched (the server rejects their futures and counts the
         # shed).  ``None`` keeps the bare batcher deadline-oblivious.
         self.on_expired = on_expired
-        # adaptive state: EWMA of the gap between consecutive submissions.
-        # One batcher is shared by every worker thread, so the read-modify-
-        # write is locked (it is far off the hot path: a few float ops per
-        # request)
-        self._ewma_lock = threading.Lock()
-        self._ewma_gap_s = None  # guarded-by: _ewma_lock
-        self._last_arrival_s = None  # guarded-by: _ewma_lock
 
-    # ------------------------------------------------------------------ #
-    # adaptive wait
-    # ------------------------------------------------------------------ #
-    def observe_arrival(self, request):
-        """Fold one request's submission time into the inter-arrival EWMA."""
-        submitted = getattr(request, "submitted_at", None)
-        if submitted is None:
-            return
-        with self._ewma_lock:
-            if self._last_arrival_s is not None and submitted > self._last_arrival_s:
-                gap = submitted - self._last_arrival_s
-                alpha = self.policy.ewma_alpha
-                if self._ewma_gap_s is None:
-                    self._ewma_gap_s = gap
-                else:
-                    self._ewma_gap_s = alpha * gap + (1.0 - alpha) * self._ewma_gap_s
-            if self._last_arrival_s is None or submitted > self._last_arrival_s:
-                self._last_arrival_s = submitted
-
-    @property
-    def ewma_gap_s(self):
-        """Current inter-arrival gap estimate (``None`` until two arrivals seen)."""
-        with self._ewma_lock:
-            return self._ewma_gap_s
-
-    def effective_wait_s(self, have):
-        """Wait budget (seconds) for a batch currently holding ``have`` requests.
-
-        Fixed mode always returns ``max_wait_ms``.  Adaptive mode returns the
-        expected time for the remaining ``max_batch_size - have`` compatible
-        requests to arrive (``gap * want``), clamped to
-        ``[min_wait_ms, max_wait_ms]`` — except that when even *one* more
-        arrival is unlikely inside the budget (``gap > max_wait_ms``) waiting
-        is pure latency, so the floor ``min_wait_ms`` is returned instead.
-        """
-        policy = self.policy
-        ceiling = policy.max_wait_ms * 1e-3
-        gap = self.ewma_gap_s
-        if policy.mode != "adaptive" or gap is None:
-            return ceiling
-        floor = policy.min_wait_ms * 1e-3
-        want = max(policy.max_batch_size - have, 0)
-        if want == 0:
-            return 0.0
-        if gap > ceiling:
-            return floor
-        return min(max(gap * want, floor), ceiling)
-
-    # ------------------------------------------------------------------ #
     def _expired(self, request):
         """Whether a request's absolute deadline passed (only when shedding)."""
         if self.on_expired is None:
@@ -135,30 +39,13 @@ class MicroBatcher:
         deadline_s = getattr(request, "deadline_s", None)
         return deadline_s is not None and time.monotonic() >= deadline_s
 
-    def _shed_expired(self, requests):
-        """Hand expired requests to ``on_expired``; return the live remainder."""
-        live = []
-        for request in requests:
-            if self._expired(request):
-                self.on_expired(request)
-            else:
-                live.append(request)
-        return live
-
     def next_batch(self, timeout=0.1):
         """Return the next batch (list of requests) or ``None`` if idle.
 
-        The first request anchors both the batch key and the wait deadline;
-        compatible requests already queued are taken immediately, and if the
-        batch is still short the batcher keeps polling until the wait budget
-        has passed since the anchor was taken.  Every in-loop wait (the
-        ``wait_nonempty`` block and the incompatible-traffic sleep) is clamped
-        to the anchor deadline, so a batch is never held past its budget.
-        Incompatible requests are left untouched in their original order.
-
-        When the batcher was built with ``on_expired``, requests whose own
-        absolute deadline already passed are shed here — before a worker
-        spends any decode time on them — and never join a batch.
+        Blocks up to ``timeout`` for the first request only.  When the
+        batcher was built with ``on_expired``, requests whose own absolute
+        deadline already passed are shed here — before a worker spends any
+        decode time on them — and never join a batch.
         """
         first = self.queue.pop(timeout=timeout)
         while first is not None and self._expired(first):
@@ -166,41 +53,14 @@ class MicroBatcher:
             first = self.queue.pop(timeout=0.0)
         if first is None:
             return None
-        anchor_s = time.perf_counter()
-        policy = self.policy
-        key = self.key_fn(first)
         batch = [first]
-        self.observe_arrival(first)
-        want = policy.max_batch_size - 1
-        if want <= 0:
-            return batch
-        taken = self._shed_expired(self.queue.take_matching(
-            lambda request: self.key_fn(request) == key, want))
-        batch.extend(taken)
-        for request in taken:
-            self.observe_arrival(request)
-        poll_s = policy.poll_interval_ms * 1e-3
-        deadline = anchor_s + self.effective_wait_s(len(batch))
-        while len(batch) < policy.max_batch_size:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            if self.queue.depth == 0:
-                self.queue.wait_nonempty(min(remaining, poll_s))
-            taken = self._shed_expired(self.queue.take_matching(
-                lambda request: self.key_fn(request) == key,
-                policy.max_batch_size - len(batch)))
-            batch.extend(taken)
-            for request in taken:
-                self.observe_arrival(request)
-            if not taken:
-                # only incompatible requests queued: sleep a poll interval so
-                # the wait window does not degenerate into a lock-churning
-                # spin — recomputed against the deadline so the sleep cannot
-                # overshoot the budget (wait_nonempty above already consumed
-                # part of it)
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                time.sleep(min(remaining, poll_s))
+        if self.max_batch_size > 1:
+            key = self.key_fn(first)
+            for request in self.queue.take_matching(
+                    lambda request: self.key_fn(request) == key,
+                    self.max_batch_size - 1):
+                if self._expired(request):
+                    self.on_expired(request)
+                else:
+                    batch.append(request)
         return batch

@@ -1,19 +1,14 @@
-"""Per-worker LRU caches with hit/miss accounting, plus the result cache.
+"""Serving caches: a small LRU with hit/miss accounting, plus the result cache.
 
-Serving workers keep their own caches for the mask-derived artefacts the
-decode path needs — :class:`repro.core.SqueezePlan` gather/scatter indices
-and base-codec instances (whose constructors bake the quality-scaled
-quantisation and Huffman tables).  Worker-local caches give the telemetry
-layer per-worker hit rates, which is how cache sizing problems show up in
-production.
+:class:`LRUCache` is a plain, unlocked least-recently-used map with hit,
+miss and eviction counters for single-owner use.
 
-:class:`ResultCache` is different in kind: it is a *cross-request* cache
-keyed on the digest of the request payload itself.  Static scenes (a parked
-wildlife camera at night, an idle assembly line) ship byte-identical frames
-for minutes at a time; decoding the same payload again is pure waste, so a
-digest hit returns the finished pixels without touching the queue or the
-workers at all.  It is shared by every submitter, hence locked, unlike the
-worker-local :class:`LRUCache`.
+:class:`ResultCache` is a *cross-request* cache keyed on the digest of the
+request payload itself.  Static scenes (a parked wildlife camera at night,
+an idle assembly line) ship byte-identical frames for minutes at a time;
+decoding the same payload again is pure waste, so a digest hit returns the
+finished pixels without touching the queue or the workers at all.  It is
+shared by every submitter, hence locked, unlike :class:`LRUCache`.
 """
 
 from __future__ import annotations
@@ -28,8 +23,7 @@ __all__ = ["LRUCache", "ResultCache"]
 class LRUCache:
     """A small least-recently-used cache with hit/miss statistics.
 
-    Not thread-safe by design: every serving worker owns its caches outright,
-    which is the whole point (no shared-state contention on the hot path).
+    Not thread-safe by design: the owner must not share it between threads.
     """
 
     def __init__(self, capacity=32, name="cache"):

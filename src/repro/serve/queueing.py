@@ -175,10 +175,3 @@ class AdmissionQueue:
             if taken:
                 self._not_full.notify_all()
         return taken
-
-    def wait_nonempty(self, timeout):
-        """Block until the queue has an item (or timeout/close); returns depth."""
-        with self._lock:
-            if not self._items and not self._closed:
-                self._not_empty.wait(timeout=timeout)
-            return len(self._items)

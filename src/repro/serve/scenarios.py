@@ -1,10 +1,10 @@
 """Multi-tenant scenario harness: realistic traffic + chaos against a live pool.
 
-:mod:`repro.serve.loadgen` validates the M/D/c queueing model with a single
-healthy-pool Poisson stream.  This module grows that into the workload the
-ROADMAP's "traffic realism + chaos" item asks for — the load shape under
-which the serving stack's robustness claims (watchdog auto-restart,
-dead-shard re-routing, shm-lease reclamation, graceful decode failures) are
+The one load harness of the serving layer.  A single healthy-pool Poisson
+tenant validates the M/D/c queueing model (``serve-bench`` without
+``--scenario``); many tenants plus chaos give the load shape under which the
+serving stack's robustness claims (watchdog auto-restart, dead-shard
+re-routing, shm-lease reclamation, graceful decode failures) are
 *continuously exercised* instead of asserted:
 
 * **Tenants** (:class:`TenantSpec`) — each with its own arrival shape
@@ -81,6 +81,7 @@ __all__ = [
     "Workload",
     "build_workload",
     "run_scenario",
+    "poisson_scenario",
     "builtin_scenarios",
     "scenario_image",
 ]
@@ -404,6 +405,14 @@ class Workload:
     model: object
     primary: dict          # tenant name -> list of EaszCompressed
     degraded: dict         # tenant name -> list of EaszCompressed
+
+    @classmethod
+    def of_packages(cls, scenario, packages):
+        """Every tenant cycles through ``packages`` (already encoded; the
+        degraded pool is the same list)."""
+        pools = {tenant.name: list(packages) for tenant in scenario.tenants}
+        return cls(scenario=scenario, config=None, model=None, primary=pools,
+                   degraded=pools)
 
     def package_for(self, tenant, index, degraded=False):
         pool = self.degraded if degraded else self.primary
@@ -732,6 +741,7 @@ class ScenarioRunner:
         self._resolutions = {}  # guarded-by: _lock — submission id -> callback count
         self._recent_arrivals = deque()  # guarded-by: _lock — monotonic stamps
         self._service_time_ms = float("nan")  # guarded-by: _lock
+        self._cache_hits = 0  # guarded-by: _lock — responses from the result cache
         self._sampler = None
         self._sampler_stop = threading.Event()
         self._last_totals = None  # sampler-thread private
@@ -839,6 +849,8 @@ class ScenarioRunner:
                 return
             with self._lock:
                 self._resolutions[submission_id] += 1
+                if response.cached:
+                    self._cache_hits += 1
                 state = self._tenants[tenant_name]
                 state.completed += 1
                 state.latencies_s.append(response.latency_s)
@@ -1047,6 +1059,7 @@ class ScenarioRunner:
             lost = sum(1 for count in self._resolutions.values() if count == 0)
             duplicated = sum(1 for count in self._resolutions.values() if count > 1)
             service_ms = self._service_time_ms
+            cache_hits = self._cache_hits
             tenants = []
             for tenant in self.scenario.tenants:
                 state = self._tenants[tenant.name]
@@ -1092,8 +1105,10 @@ class ScenarioRunner:
         if np.isfinite(service_ms) and elapsed > 0:
             # submission-based by design: work the pool had to *refuse* still
             # counts toward pressure, so a retry storm that floods admission
-            # reads as >1 (saturated) even though completions stayed flat
-            utilisation = (submitted / elapsed) * (service_ms / 1e3) / self.servers
+            # reads as >1 (saturated) even though completions stayed flat.
+            # Result-cache hits never reach a worker, so they are no demand.
+            utilisation = (((submitted - cache_hits) / elapsed)
+                           * (service_ms / 1e3) / self.servers)
         # utilisation >= 1 only condemns *open-loop* traffic: an open-loop
         # tenant keeps offering at its configured rate regardless of service,
         # so >= 1 means the backlog (and every latency number) is unbounded.
@@ -1127,6 +1142,25 @@ class ScenarioRunner:
             hedges=sum(report.hedges for report in tenants),
             deadline_shed=sum(report.deadline_shed for report in tenants),
         )
+
+
+def poisson_scenario(rate_rps, requests, num_images=4, seed=0):
+    """One healthy Poisson tenant that accepts every request.
+
+    ``requests`` is the expected arrival count: the trace lasts
+    ``requests / rate_rps`` seconds.  This is the capacity check that
+    ``serve-bench`` runs without ``--scenario``.
+    """
+    if requests < 1:
+        raise ValueError("requests must be at least 1")
+    if not rate_rps > 0:
+        raise ValueError("rate_rps must be positive")
+    tenant = TenantSpec(name="poisson", rate_rps=rate_rps, on_breach="accept",
+                        num_images=num_images, seed=seed)
+    return ScenarioSpec(
+        name="poisson", tenants=(tenant,), duration_s=requests / rate_rps,
+        seed=seed, description=f"one Poisson tenant, ~{requests} requests at "
+                               f"{rate_rps:g} rps over {num_images} frame(s)")
 
 
 def run_scenario(scenario, server, config=None, model=None, workload=None,

@@ -7,12 +7,12 @@ as the hardware allows.  The server composes the pieces of this package —
 
 * an :class:`~repro.serve.queueing.AdmissionQueue` bounds memory and turns
   overload into explicit backpressure;
-* a :class:`~repro.serve.batcher.MicroBatcher` coalesces requests that share
-  an erase mask and geometry;
+* a :class:`~repro.serve.batcher.MicroBatcher` coalesces queued requests
+  that share an erase mask and geometry;
 * :class:`~repro.serve.worker.ServeWorker` threads execute batches through
-  the fused batched decode/reconstruct APIs with per-worker caches;
+  the fused batched decode/reconstruct APIs;
 * :class:`~repro.serve.telemetry.ServerStats` records throughput, latency
-  percentiles, batch sizes, queue depth and cache hit rates.
+  percentiles, batch sizes, queue depth and the plan/codec cache hit rates.
 
 ``submit`` is thread-safe and returns a :class:`PendingResult` future; the
 caller blocks (or polls) only when it needs the pixels.
@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from ..codecs.jpeg import JpegCodec
 from ..codecs.registry import create_codec
 from ..core.config import EaszConfig
+from ..core.erase_squeeze import get_squeeze_plan
 from ..core.pipeline import EaszCompressed, EaszDecoder
 from ..core.reconstruction import EaszReconstructor
 from ..core.transport import unpack_package
-from .batcher import BatchPolicy, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import ResultCache
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        deadline_expired)
@@ -211,8 +212,9 @@ class CompressionServer:
         busy while another worker waits in the batcher.
     queue_depth / admission_policy:
         Bounds for the :class:`AdmissionQueue` (``"reject"`` or ``"block"``).
-    batch_policy:
-        :class:`BatchPolicy` controlling micro-batch size and wait budget.
+    max_batch_size:
+        Most requests one batch may hold; a batch only takes requests that
+        are already queued (see :class:`MicroBatcher`).
     fill:
         Unsqueeze fill mode (as :class:`repro.core.EaszDecoder`).
     result_cache_size:
@@ -228,7 +230,7 @@ class CompressionServer:
     parallelism = 1
 
     def __init__(self, model=None, config=None, base_codec=None, num_workers=2,
-                 queue_depth=64, admission_policy="reject", batch_policy=None,
+                 queue_depth=64, admission_policy="reject", max_batch_size=8,
                  fill="zero", result_cache_size=0):
         self.config = config or (model.config if model is not None else EaszConfig())
         self.model = model or EaszReconstructor(self.config)
@@ -236,10 +238,10 @@ class CompressionServer:
         self.fill = fill
         self.decoder = EaszDecoder(model=self.model, config=self.config,
                                    base_codec=self.base_codec, fill=fill)
-        self.stats = ServerStats()
+        self.stats = ServerStats(cache_source=self._cache_stats)
         self.result_cache = ResultCache(result_cache_size)
         self.queue = AdmissionQueue(max_depth=queue_depth, policy=admission_policy)
-        self.batcher = MicroBatcher(self.queue, policy=batch_policy or BatchPolicy(),
+        self.batcher = MicroBatcher(self.queue, max_batch_size=max_batch_size,
                                     on_expired=self._shed_expired)
         self.workers = [ServeWorker(self, index) for index in range(max(1, num_workers))]
         self.stopping = False
@@ -250,6 +252,8 @@ class CompressionServer:
         # must not be able to grow this without limit
         self._codec_prototypes = OrderedDict({self.base_codec.name: self.base_codec})  # guarded-by: _codec_lock
         self._codec_prototypes_max = 32
+        self._codec_hits = 0  # guarded-by: _codec_lock
+        self._codec_misses = 0  # guarded-by: _codec_lock
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -386,8 +390,10 @@ class CompressionServer:
         with self._codec_lock:
             prototype = self._codec_prototypes.get(codec_name)
             if prototype is not None:
+                self._codec_hits += 1
                 self._codec_prototypes.move_to_end(codec_name)
                 return prototype
+            self._codec_misses += 1
             codec = None
             try:  # quality-less registry names ("png")
                 codec = create_codec(codec_name)
@@ -411,3 +417,13 @@ class CompressionServer:
                         del self._codec_prototypes[key]
                         break
             return codec
+
+    def _cache_stats(self):
+        """Plan- and codec-cache counters for ``stats.snapshot()["caches"]``."""
+        plans = get_squeeze_plan.cache_info()
+        with self._codec_lock:
+            codecs = {"name": "codecs", "hits": self._codec_hits,
+                      "misses": self._codec_misses,
+                      "size": len(self._codec_prototypes)}
+        return [{"name": "squeeze_plans", "hits": plans.hits,
+                 "misses": plans.misses, "size": plans.currsize}, codecs]

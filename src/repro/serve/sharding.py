@@ -64,7 +64,6 @@ import numpy as np
 from ..core.config import EaszConfig
 from ..core.reconstruction import EaszReconstructor
 from ..core.transport import pack_package, pixels_from_buffer, unpack_package
-from .batcher import BatchPolicy
 from .cache import ResultCache
 from .queueing import (DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, deadline_expired)
@@ -381,7 +380,7 @@ class ShardedCompressionServer:
 
     def __init__(self, model=None, config=None, num_shards=2, workers_per_shard=1,
                  base_codec=None, queue_depth=64, admission_policy="reject",
-                 put_timeout=1.0, batch_policy=None, fill="zero",
+                 put_timeout=1.0, max_batch_size=8, fill="zero",
                  result_cache_size=0, start_method=None,
                  startup_timeout=120.0, spill_threshold=None, use_shm=True,
                  shm_slots=None, shm_slot_bytes=None, watchdog_interval_s=None,
@@ -415,9 +414,9 @@ class ShardedCompressionServer:
         self.queue_depth = int(queue_depth)
         self.admission_policy = admission_policy
         self.put_timeout = float(put_timeout)
-        self.batch_policy = batch_policy or BatchPolicy()
+        self.max_batch_size = int(max_batch_size)
         self.spill_threshold = (int(spill_threshold) if spill_threshold is not None
-                                else self.batch_policy.max_batch_size)
+                                else self.max_batch_size)
         self.result_cache = ResultCache(result_cache_size)
         self.local_stats = ServerStats()
         self.stats = _AggregateStatsView(self)
@@ -426,7 +425,7 @@ class ShardedCompressionServer:
             "num_workers": max(1, int(workers_per_shard)),
             "queue_depth": self.queue_depth,
             "admission_policy": "reject",
-            "batch_policy": self.batch_policy,
+            "max_batch_size": self.max_batch_size,
             "fill": fill,
             "result_cache_size": 0,  # the parent owns the one result cache
         }

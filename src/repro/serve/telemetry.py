@@ -23,8 +23,8 @@ def summarise_latency_ms(samples_s):
     """p50/p99/mean (milliseconds) of latency samples given in seconds.
 
     The one place the "no completions → NaN, never a fake 0.0 ms" convention
-    is implemented; the load generator and the scenario harness both report
-    through it so their numbers stay comparable.
+    is implemented; the scenario harness and the CLI both report through it
+    so their numbers stay comparable.
     """
     samples = np.asarray(list(samples_s), dtype=float)
     if samples.size == 0:
@@ -67,10 +67,14 @@ class ServerStats:
     Tracks everything the ISSUE's serving story needs to be observable:
     request throughput, end-to-end latency percentiles (p50/p99), the
     batch-size histogram the micro-batcher actually achieved, queue depth
-    high-water mark, admission rejections, and per-worker cache hit rates.
+    high-water mark, admission rejections, and cache hit rates.
+
+    ``cache_source`` is a callable returning a list of cache-stat dicts
+    (``name``/``hits``/``misses``); :meth:`snapshot` publishes it under
+    ``caches["server"]``.
     """
 
-    def __init__(self, latency_window=4096):
+    def __init__(self, latency_window=4096, cache_source=None):
         self._lock = threading.Lock()
         self._started = time.perf_counter()
         self.submitted = 0  # guarded-by: _lock
@@ -90,7 +94,7 @@ class ServerStats:
         self.result_cache_hits = 0  # guarded-by: _lock
         self.result_cache_misses = 0  # guarded-by: _lock
         self.response_transport = Counter()  # guarded-by: _lock
-        self._cache_stats = {}  # guarded-by: _lock
+        self._cache_source = cache_source
 
     # ------------------------------------------------------------------ #
     def record_submitted(self):
@@ -139,9 +143,9 @@ class ServerStats:
         """One cross-request result-cache lookup.
 
         Hits are tallied in ``completed_cached``, deliberately *not* in
-        ``completed``: the latter counts worker-served requests only, and the
-        load generator's service-time estimate divides by it, so zero-cost
-        cache hits must stay out.
+        ``completed``: the latter counts worker-served requests only, and
+        service-time estimates divide by it, so zero-cost cache hits must
+        stay out.
         """
         with self._lock:
             if hit:
@@ -160,14 +164,11 @@ class ServerStats:
         with self._lock:
             self.response_transport[str(transport)] += 1
 
-    def update_cache_stats(self, worker_name, stats_list):
-        """Publish a worker's cache statistics (list of ``LRUCache.stats()``)."""
-        with self._lock:
-            self._cache_stats[worker_name] = list(stats_list)
-
     # ------------------------------------------------------------------ #
     def snapshot(self):
         """Plain-dict view of every metric (safe to JSON-serialise)."""
+        caches = ({} if self._cache_source is None
+                  else {"server": list(self._cache_source())})
         with self._lock:
             elapsed = max(time.perf_counter() - self._started, 1e-9)
             mean_batch = (
@@ -202,7 +203,7 @@ class ServerStats:
                     "hit_rate": (self.result_cache_hits
                                  / max(self.result_cache_hits + self.result_cache_misses, 1)),
                 },
-                "caches": {name: list(stats) for name, stats in self._cache_stats.items()},
+                "caches": caches,
             }
 
 

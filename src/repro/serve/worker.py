@@ -1,18 +1,14 @@
-"""Serving workers: batch execution with per-worker artefact caches.
+"""Serving workers: batch execution over the process-wide caches.
 
-Each worker thread owns two LRU caches with per-worker hit-rate telemetry:
-
-* ``plans`` — :class:`repro.core.SqueezePlan` gather/scatter indices keyed on
-  the package's mask bytes (the unsqueeze step);
-* ``codecs`` — base-codec instances keyed by codec name (a codec constructor
-  bakes the quality-scaled quantisation tables and Huffman LUT views, so this
-  is the per-worker entropy-table cache).
-
-Reconstruction goes through :func:`repro.core.reconstruct_batch`, the same
-engine the library path uses; its pixel-index plans come from the
-process-wide :func:`repro.core.get_pixel_plan` cache.  The reconstruction
-model itself is shared read-only across workers (inference only touches
-immutable weights plus per-call buffers).
+A worker pulls a batch from the batcher, entropy-decodes and unsqueezes it
+through :meth:`repro.core.EaszDecoder._unsqueeze_many` and reconstructs it
+through :func:`repro.core.reconstruct_batch`, the same engine the library
+path uses.  Squeeze plans come from the process-wide
+:func:`repro.core.erase_squeeze.get_squeeze_plan` cache and base codecs from
+the server's bounded :meth:`CompressionServer.codec_for` cache, so workers
+keep no caches of their own.  The reconstruction model is shared read-only
+across workers (inference only touches immutable weights plus per-call
+buffers).
 """
 
 from __future__ import annotations
@@ -20,10 +16,8 @@ from __future__ import annotations
 import threading
 import time
 
-from ..core.erase_squeeze import SqueezePlan
 from ..core.masks import deserialize_mask
 from ..core.reconstruction import reconstruct_batch
-from .cache import LRUCache
 
 __all__ = ["ServeWorker"]
 
@@ -31,59 +25,29 @@ __all__ = ["ServeWorker"]
 class ServeWorker(threading.Thread):
     """One serving thread: pulls batches from the batcher, resolves futures."""
 
-    def __init__(self, server, index, plan_cache_size=32, codec_cache_size=8):
+    def __init__(self, server, index):
         super().__init__(name=f"serve-worker-{index}", daemon=True)
         self._server = server
         self.index = index
-        self.plans = LRUCache(plan_cache_size, name="squeeze_plans")
-        self.codecs = LRUCache(codec_cache_size, name="codecs")
         self.batches_processed = 0
         self.images_processed = 0
 
-    # ------------------------------------------------------------------ #
-    # cached artefact lookups
-    # ------------------------------------------------------------------ #
-    def _squeeze_plan(self, mask_bytes, mask, subpatch_size, patch_size):
-        plan = self.plans.get(
-            (mask_bytes, int(subpatch_size)),
-            lambda: SqueezePlan(mask, subpatch_size),
-        )
-        return plan.require_patch_size(patch_size)
-
-    def _codec(self, codec_name):
-        return self.codecs.get(codec_name, lambda: self._server.codec_for(codec_name))
-
-    # ------------------------------------------------------------------ #
-    def _unsqueeze(self, package, mask):
-        """Per-package decode + unsqueeze, injecting worker-local caches
-        into the decoder's single implementation."""
-        cfg = self._server.config
-        return self._server.decoder._unsqueeze_package(
-            package, mask,
-            codec=self._codec(package.codec_payload.codec_name),
-            plan=self._squeeze_plan(package.mask_bytes, mask,
-                                    cfg.subpatch_size, cfg.patch_size),
-        )
-
     def _process_batch(self, batch):
         server = self._server
-        # last-chance deadline shed: the batch may have waited in the batcher
-        # window; drop anything already expired before paying for the decode
+        # last-chance deadline shed: drop anything already expired before
+        # paying for the decode
         batch = [request for request in batch if not server.shed_if_expired(request)]
         if not batch:
             return
         started = time.perf_counter()
-        cfg = server.config
         mask = deserialize_mask(batch[0].package.mask_bytes)
-        plan = self._squeeze_plan(batch[0].package.mask_bytes, mask,
-                                  cfg.subpatch_size, cfg.patch_size)
-        codec = self._codec(batch[0].package.codec_payload.codec_name)
+        codec = server.codec_for(batch[0].package.codec_payload.codec_name)
         # the batched unsqueeze entropy-decodes per request (one corrupt
         # payload fails only its own future; healthy batch-mates keep going)
         # but runs a single fused IDCT across the whole micro-batch
         decoded = server.decoder._unsqueeze_many(
             [request.package for request in batch], [mask] * len(batch),
-            codec=codec, plans=[plan] * len(batch), collect_errors=True)
+            codec=codec, collect_errors=True)
         survivors = []
         filled = []
         for request, result in zip(batch, decoded):
@@ -111,8 +75,6 @@ class ServeWorker(threading.Thread):
                                   finished - started)
         self.batches_processed += 1
         self.images_processed += len(survivors)
-        server.stats.update_cache_stats(
-            self.name, [self.plans.stats(), self.codecs.stats()])
 
     # ------------------------------------------------------------------ #
     def run(self):

@@ -37,6 +37,26 @@ def lock_order_guard(request):
 
 
 @pytest.fixture(scope="session")
+def poisson_run():
+    """Replay a one-tenant Poisson scenario of given packages on a server.
+
+    ``poisson_run(server, packages, rate_rps, requests, seed=0, warmup=True)``
+    cycles ``packages`` round-robin over ``requests`` expected arrivals and
+    returns ``(ScenarioReport, TenantReport)``.
+    """
+    from repro.serve.scenarios import Workload, poisson_scenario, run_scenario
+
+    def run(server, packages, rate_rps, requests, seed=0, warmup=True):
+        spec = poisson_scenario(rate_rps, requests, num_images=len(packages),
+                                seed=seed)
+        report = run_scenario(spec, server, warmup=warmup, drain_timeout_s=120.0,
+                              workload=Workload.of_packages(spec, packages))
+        return report, report.tenants[0]
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def rng():
     """Session-wide deterministic random generator."""
     return np.random.default_rng(1234)

@@ -130,7 +130,7 @@ class TestMaskRederivation:
 
 
 # --------------------------------------------------------------------------- #
-# RP002 — entropy format tag + legacy hatch
+# RP002 — entropy format tag
 # --------------------------------------------------------------------------- #
 class TestEntropyFormatTag:
     RULES = [EntropyFormatTagRule()]
@@ -145,10 +145,7 @@ class TestEntropyFormatTag:
     GOOD = """
         from repro.entropy import RangeEncoder
         FORMAT_RANGE = 1
-        FORMAT_LEGACY = 0
-        def encode(data, legacy_entropy=False):
-            if legacy_entropy:
-                return bytes([FORMAT_LEGACY]) + data
+        def encode(data):
             encoder = RangeEncoder()
             return bytes([FORMAT_RANGE]) + encoder.encode(data)
     """
@@ -158,7 +155,6 @@ class TestEntropyFormatTag:
                                   rules=self.RULES)
         assert rule_ids(violations) == ["RP002"]
         assert "FORMAT_RANGE" in violations[0].message
-        assert "legacy_entropy" in violations[0].message
 
     def test_tagged_coder_passes(self, tmp_path):
         violations = lint_snippet(tmp_path, "repro/codecs/good.py", self.GOOD,
@@ -170,15 +166,13 @@ class TestEntropyFormatTag:
                                   rules=self.RULES)
         assert violations == []
 
-    def test_tag_without_hatch_still_flagged(self, tmp_path):
+    def test_untagged_decoder_flagged(self, tmp_path):
         violations = lint_snippet(tmp_path, "repro/codecs/half.py", """
-            from repro.entropy import ArithmeticDecoder
-            FORMAT_RANGE = 1
+            from repro.entropy import RangeDecoder
             def decode(blob):
-                return ArithmeticDecoder(blob)
+                return RangeDecoder(blob)
         """, rules=self.RULES)
         assert rule_ids(violations) == ["RP002"]
-        assert "legacy_entropy" in violations[0].message
 
 
 # --------------------------------------------------------------------------- #

@@ -53,6 +53,27 @@ class TestServeBenchScenarios:
         assert "unknown scenario" in err
         assert "kill-shards" in err  # the message names the valid choices
 
+    def test_plain_poisson_run_exits_zero_within_five_seconds(
+            self, tmp_path, monkeypatch, capsys):
+        # the CI smoke command: one Poisson tenant through the scenario path
+        import time
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        started = time.perf_counter()
+        code = main(["serve-bench", "--requests", "6", "--rate", "10",
+                     "--train-steps", "5"])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed <= 5.0, f"serve-bench smoke took {elapsed:.1f} s"
+        output = capsys.readouterr().out
+        assert "scenario poisson" in output and "micro-batch histogram" in output
+
+    def test_removed_wait_and_size_flags_are_gone(self):
+        for flags in (["--adaptive-wait"], ["--batch-wait-ms", "1"],
+                      ["--height", "96"], ["--width", "96"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve-bench"] + flags)
+
     def test_serve_bench_shm_and_watchdog_flags(self):
         args = build_parser().parse_args(["serve-bench", "--shards", "2"])
         assert args.shm and not args.watchdog
@@ -64,8 +85,7 @@ class TestServeBenchScenarios:
         assert args.watchdog_interval == pytest.approx(0.5)
 
     def test_serve_bench_rejects_nonpositive_watchdog_interval(self):
-        # mirrors BatchPolicy's poll_interval_ms validation: a zero interval
-        # would spin the watchdog loop
+        # a zero interval would spin the watchdog loop
         assert main(["serve-bench", "--shards", "1", "--watchdog",
                      "--watchdog-interval", "0"]) == 2
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.entropy import (
     AdaptiveModel,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
     BitReader,
     BitWriter,
     HuffmanCode,
+    RangeDecoder,
+    RangeEncoder,
     decode_binary_mask,
     decode_symbols,
     encode_binary_mask,
@@ -255,13 +255,13 @@ class TestArithmeticCoding:
         assert 0 <= low < high <= total
 
     def test_streaming_encoder_decoder_interoperate(self):
-        encoder = ArithmeticEncoder()
+        encoder = RangeEncoder()
         enc_model = AdaptiveModel(4)
         symbols = [0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 0, 3]
         for symbol in symbols:
             encoder.encode(enc_model, symbol)
         payload = encoder.finish()
-        decoder = ArithmeticDecoder(payload)
+        decoder = RangeDecoder(payload)
         dec_model = AdaptiveModel(4)
         assert [decoder.decode(dec_model) for _ in range(len(symbols))] == symbols
 

@@ -110,8 +110,9 @@ def test_batched_reconstruction_within_budget():
 
 def test_entropy_range_coder_bar_recorded_in_bench_json():
     """The range coder must have recorded >=3x combined encode+decode
-    throughput over the legacy arithmetic coder on the bpg/neural symbol
-    workload, at near-identical compression (see ``entropy_section`` in
+    throughput over the seed arithmetic coder (``benchmarks/seed_reference.py``;
+    its JSON keys are named ``legacy_*``) on the bpg/neural symbol workload,
+    at near-identical compression (see ``entropy_section`` in
     ``benchmarks/bench_throughput.py``)."""
     report = json.loads(_BENCH_JSON.read_text())
     section = report.get("entropy") or {}
@@ -119,7 +120,7 @@ def test_entropy_range_coder_bar_recorded_in_bench_json():
         "BENCH_throughput.json has no entropy section; re-run "
         "benchmarks/bench_throughput.py")
     assert section["speedup"] >= _ENTROPY_SPEEDUP_BAR, (
-        f"range coder recorded only {section['speedup']:.2f}x over the legacy "
+        f"range coder recorded only {section['speedup']:.2f}x over the seed "
         f"arithmetic coder (bar {_ENTROPY_SPEEDUP_BAR}x); the byte-oriented "
         "hot loop has regressed")
     assert section["payload_bytes_range"] <= section["payload_bytes_legacy"] + 64, (

@@ -1,13 +1,18 @@
-"""Equivalence suite: byte-oriented range coder vs the legacy arithmetic coder.
+"""Equivalence suite: byte-oriented range coder vs the seed arithmetic coder.
 
-The range coder is a different byte *format* (tagged in payloads and codec
-containers) but must preserve the legacy coder's adaptive-model semantics
+The seed's bit-at-a-time arithmetic coder lives in
+``benchmarks/seed_reference.py`` as the measurement baseline.  The range
+coder writes a different byte format (tagged in payloads and codec
+containers) but must preserve the seed coder's adaptive-model semantics
 exactly: same counts after the same symbol stream, same compression to
-within a few bytes, and byte-exact round-trips in both directions for every
-alphabet shape the codecs use.
+within a few bytes, and byte-exact round-trips for every alphabet shape the
+codecs use.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +22,21 @@ from hypothesis import strategies as st
 from repro.codecs.bpg import BpgCodec
 from repro.codecs.neural import LearnedTransformCodec
 from repro.entropy import (
-    FORMAT_LEGACY,
     FORMAT_RANGE,
     AdaptiveModel,
-    ArithmeticEncoder,
     RangeDecoder,
     RangeEncoder,
     decode_symbols,
     encode_symbols,
 )
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "seed_reference.py"
+_spec = importlib.util.spec_from_file_location("seed_reference", _SCRIPT)
+seed = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(seed)
+
+#: The tag byte the seed coder's payloads carried before it left ``src``.
+RETIRED_TAG = 0
 
 
 class TestRoundTrip:
@@ -35,18 +46,18 @@ class TestRoundTrip:
         payload = encode_symbols(symbols, 8)
         assert decode_symbols(payload, len(symbols), 8) == symbols
 
-    @given(st.lists(st.integers(0, 255), min_size=1, max_size=300),
-           st.booleans())
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
-    def test_both_backends_roundtrip_byte_alphabet(self, symbols, legacy):
-        payload = encode_symbols(symbols, 256, legacy=legacy)
-        assert payload[0] == (FORMAT_LEGACY if legacy else FORMAT_RANGE)
+    def test_both_backends_roundtrip_byte_alphabet(self, symbols):
+        payload = encode_symbols(symbols, 256)
+        assert payload[0] == FORMAT_RANGE
         assert decode_symbols(payload, len(symbols), 256) == symbols
+        seed_payload = seed.seed_encode_symbols(symbols, 256)
+        assert seed.seed_decode_symbols(seed_payload, len(symbols), 256) == symbols
 
     def test_empty_stream(self):
-        for legacy in (False, True):
-            payload = encode_symbols([], 4, legacy=legacy)
-            assert decode_symbols(payload, 0, 4) == []
+        assert decode_symbols(encode_symbols([], 4), 0, 4) == []
+        assert seed.seed_decode_symbols(seed.seed_encode_symbols([], 4), 0, 4) == []
 
     def test_single_symbol_alphabet(self):
         payload = encode_symbols([0] * 100, 1)
@@ -67,9 +78,9 @@ class TestRoundTrip:
         """Enough symbols to trip the 2^16 halving several times."""
         rng = np.random.default_rng(1)
         symbols = rng.integers(0, 4, size=12000).tolist()
-        for legacy in (False, True):
-            payload = encode_symbols(symbols, 4, legacy=legacy)
-            assert decode_symbols(payload, len(symbols), 4) == symbols
+        assert decode_symbols(encode_symbols(symbols, 4), len(symbols), 4) == symbols
+        payload = seed.seed_encode_symbols(symbols, 4)
+        assert seed.seed_decode_symbols(payload, len(symbols), 4) == symbols
 
     def test_unknown_format_tag_rejected(self):
         with pytest.raises(ValueError, match="format tag"):
@@ -77,26 +88,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="format tag"):
             decode_symbols(b"", 0, 4)
 
+    def test_retired_tag_zero_rejected(self):
+        body = seed.seed_encode_symbols([1, 2, 3], 4)
+        with pytest.raises(ValueError, match="format tag 0"):
+            decode_symbols(bytes([RETIRED_TAG]) + body, 3, 4)
+
 
 class TestModelStateParity:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=500),
            st.integers(64, 200))
     @settings(max_examples=25, deadline=None)
     def test_encoder_state_matches_legacy(self, symbols, num_symbols):
-        legacy_model = AdaptiveModel(num_symbols)
-        legacy = ArithmeticEncoder()
+        seed_model = AdaptiveModel(num_symbols)
+        seed_encoder = seed.ArithmeticEncoder()
         for symbol in symbols:
-            legacy.encode(legacy_model, symbol)
-        legacy.finish()
+            seed_encoder.encode(seed_model, symbol)
+        seed_encoder.finish()
 
         range_model = AdaptiveModel(num_symbols)
         encoder = RangeEncoder()
         encoder.encode_array(range_model, symbols)
         encoder.finish()
 
-        assert np.array_equal(legacy_model.counts, range_model.counts)
-        assert legacy_model.total == range_model.total
-        assert np.array_equal(legacy_model.cumulative, range_model.cumulative)
+        assert np.array_equal(seed_model.counts, range_model.counts)
+        assert seed_model.total == range_model.total
+        assert np.array_equal(seed_model.cumulative, range_model.cumulative)
 
     @given(st.lists(st.integers(0, 31), min_size=1, max_size=400))
     @settings(max_examples=25, deadline=None)
@@ -138,8 +154,8 @@ class TestModelStateParity:
         probabilities /= probabilities.sum()
         symbols = rng.choice(256, size=30000, p=probabilities).tolist()
         range_bytes = len(encode_symbols(symbols, 256))
-        legacy_bytes = len(encode_symbols(symbols, 256, legacy=True))
-        assert abs(range_bytes - legacy_bytes) <= 16
+        seed_bytes = len(seed.seed_encode_symbols(symbols, 256))
+        assert abs(range_bytes - seed_bytes) <= 16
 
 
 class TestAdaptiveModelIncrementalUpdates:
@@ -188,39 +204,32 @@ class TestAdaptiveModelIncrementalUpdates:
 
 class TestCodecIntegration:
     @pytest.mark.parametrize("color", [False, True])
-    def test_bpg_range_and_legacy_agree(self, color):
+    def test_bpg_rejects_retired_format_tag(self, color):
         rng = np.random.default_rng(4)
         image = rng.random((48, 56, 3) if color else (48, 56))
-        fast = BpgCodec(qp=30)
-        legacy = BpgCodec(qp=30, legacy_entropy=True)
-        fast_payload = fast.compress(image)
-        legacy_payload = legacy.compress(image)
-        assert fast_payload.payload[10] == FORMAT_RANGE
-        assert legacy_payload.payload[10] == FORMAT_LEGACY
-        decoded_fast = np.asarray(fast.decompress(fast_payload))
-        decoded_legacy = np.asarray(legacy.decompress(legacy_payload))
-        assert np.allclose(decoded_fast, decoded_legacy, atol=1e-12)
-        # either codec instance decodes either container (format byte wins)
-        assert np.allclose(np.asarray(legacy.decompress(fast_payload)), decoded_fast)
-        assert np.allclose(np.asarray(fast.decompress(legacy_payload)), decoded_legacy)
-        assert abs(len(fast_payload.payload) - len(legacy_payload.payload)) < 64
+        codec = BpgCodec(qp=30)
+        compressed = codec.compress(image)
+        assert compressed.payload[10] == FORMAT_RANGE
+        decoded = np.asarray(codec.decompress(compressed))
+        assert np.allclose(np.asarray(BpgCodec(qp=30).decompress(compressed)), decoded)
+        compressed.payload = (compressed.payload[:10] + bytes([RETIRED_TAG])
+                              + compressed.payload[11:])
+        with pytest.raises(ValueError, match="entropy format tag 0"):
+            codec.decompress(compressed)
 
     @pytest.mark.parametrize("entropy_model", ["factorized", "hyperprior", "context"])
-    def test_learned_codec_range_and_legacy_agree(self, entropy_model):
+    def test_learned_codec_rejects_retired_format_tag(self, entropy_model):
         rng = np.random.default_rng(5)
         image = rng.random((40, 48))
-        fast = LearnedTransformCodec(entropy_model=entropy_model)
-        legacy = LearnedTransformCodec(entropy_model=entropy_model,
-                                       legacy_entropy=True)
-        fast_payload = fast.compress(image)
-        legacy_payload = legacy.compress(image)
-        assert fast_payload.payload[10] == FORMAT_RANGE
-        assert legacy_payload.payload[10] == FORMAT_LEGACY
-        decoded_fast = np.asarray(fast.decompress(fast_payload))
-        assert np.allclose(decoded_fast, np.asarray(legacy.decompress(legacy_payload)),
-                           atol=1e-12)
-        assert np.allclose(np.asarray(legacy.decompress(fast_payload)), decoded_fast)
-        assert abs(len(fast_payload.payload) - len(legacy_payload.payload)) < 64
+        codec = LearnedTransformCodec(entropy_model=entropy_model)
+        compressed = codec.compress(image)
+        assert compressed.payload[10] == FORMAT_RANGE
+        decoded = np.asarray(codec.decompress(compressed))
+        assert decoded.shape == image.shape
+        compressed.payload = (compressed.payload[:10] + bytes([RETIRED_TAG])
+                              + compressed.payload[11:])
+        with pytest.raises(ValueError, match="entropy format tag 0"):
+            codec.decompress(compressed)
 
     def test_corrupt_bpg_format_tag_rejected(self):
         rng = np.random.default_rng(6)

@@ -12,15 +12,15 @@ from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
 from repro.serve import (
     AdmissionQueue,
-    BatchPolicy,
     CompressionServer,
     LRUCache,
     MicroBatcher,
-    PoissonLoadGenerator,
     QueueClosedError,
     ServerOverloadedError,
     ServerStats,
 )
+from repro.edge import md_c_wait_s
+from repro.experiments.cli import main as cli_main
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class _FakeRequest:
 class TestMicroBatcher:
     def test_groups_by_key_and_respects_cap(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = MicroBatcher(queue, BatchPolicy(max_batch_size=3, max_wait_ms=0.0))
+        batcher = MicroBatcher(queue, max_batch_size=3)
         for index in range(4):
             queue.put(_FakeRequest("k1", index))
         queue.put(_FakeRequest("k2", 99))
@@ -150,17 +150,47 @@ class TestMicroBatcher:
 
     def test_idle_returns_none(self):
         queue = AdmissionQueue(max_depth=4)
-        batcher = MicroBatcher(queue, BatchPolicy(max_batch_size=4, max_wait_ms=1.0))
+        batcher = MicroBatcher(queue, max_batch_size=4)
         assert batcher.next_batch(timeout=0.01) is None
 
-    def test_waits_for_late_compatible_requests(self):
-        queue = AdmissionQueue(max_depth=8)
-        batcher = MicroBatcher(queue, BatchPolicy(max_batch_size=2, max_wait_ms=200.0,
-                                                  poll_interval_ms=1.0))
-        queue.put(_FakeRequest("k", "first"))
-        threading.Timer(0.02, lambda: queue.put(_FakeRequest("k", "late"))).start()
-        batch = batcher.next_batch(timeout=0.01)
-        assert [request.tag for request in batch] == ["first", "late"]
+    def test_rejects_empty_batch_cap(self):
+        with pytest.raises(ValueError, match="max_batch_size"):
+            MicroBatcher(AdmissionQueue(max_depth=4), max_batch_size=0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 8])
+    def test_never_waits_after_the_first_pop(self, monkeypatch, cap):
+        """A batch is the queued same-key requests only: once the first
+        request is popped, nothing may sleep or block for later arrivals."""
+        queue = AdmissionQueue(max_depth=16)
+        tags = [("a", 0), ("b", 1), ("a", 2), ("c", 3), ("a", 4), ("b", 5), ("a", 6)]
+        for key, tag in tags:
+            queue.put(_FakeRequest(key, tag))
+        pop = queue.pop
+        popped = []
+
+        def pop_once(timeout=None):
+            popped.append(True)
+            return pop(timeout=timeout)
+
+        real_sleep = time.sleep
+        batcher_thread = threading.current_thread()
+
+        def forbidden(*args, **kwargs):
+            if popped and threading.current_thread() is batcher_thread:
+                raise AssertionError("the batcher waited after its first pop")
+            if args and isinstance(args[0], (int, float)):
+                real_sleep(args[0])
+
+        monkeypatch.setattr(queue, "pop", pop_once)
+        monkeypatch.setattr(time, "sleep", forbidden)
+        # raising=False: the queue no longer offers a blocking wait to patch
+        monkeypatch.setattr(AdmissionQueue, "wait_nonempty", forbidden, raising=False)
+        batch = MicroBatcher(queue, max_batch_size=cap).next_batch(timeout=0.01)
+        same_key = [tag for key, tag in tags if key == "a"][:cap]
+        assert [request.tag for request in batch] == same_key
+        assert len(popped) == 1
+        remaining = [pop(timeout=0.0).tag for _ in range(queue.depth)]
+        assert remaining == [tag for _key, tag in tags if tag not in same_key]
 
 
 # --------------------------------------------------------------------------- #
@@ -192,7 +222,7 @@ class TestCompressionServer:
             self, serve_config, serve_model, packages):
         server = CompressionServer(
             model=serve_model, config=serve_config, num_workers=2, queue_depth=256,
-            batch_policy=BatchPolicy(max_batch_size=4, max_wait_ms=5.0))
+            max_batch_size=4)
         decoder = EaszDecoder(model=serve_model, config=serve_config,
                               base_codec=JpegCodec(quality=75))
         results = {}
@@ -231,7 +261,12 @@ class TestCompressionServer:
         assert snapshot["failed"] == 0
         assert sum(size * count for size, count
                    in snapshot["batch_size_histogram"].items()) == len(results)
-        assert snapshot["caches"]  # per-worker cache stats published
+        # one entry per server, not per worker: the process-wide plan cache
+        # and the server's codec cache
+        caches = {cache["name"]: cache for cache in snapshot["caches"]["server"]}
+        assert set(caches) == {"squeeze_plans", "codecs"}
+        assert caches["codecs"]["hits"] > 0
+        assert caches["squeeze_plans"]["hits"] > 0
 
     def test_decode_kind_matches_decoder_exactly(self, serve_config, serve_model, packages):
         decoder = EaszDecoder(model=serve_model, config=serve_config,
@@ -253,8 +288,7 @@ class TestCompressionServer:
     def test_admission_control_rejects_burst(self, serve_config, serve_model, packages):
         server = CompressionServer(model=serve_model, config=serve_config,
                                    num_workers=1, queue_depth=1,
-                                   batch_policy=BatchPolicy(max_batch_size=1,
-                                                            max_wait_ms=0.0))
+                                   max_batch_size=1)
         admitted, rejected = [], 0
         with server:
             for _ in range(30):
@@ -277,17 +311,34 @@ class TestCompressionServer:
             healthy.codec_payload,
             payload=healthy.codec_payload.payload[:12] + b"\xff" * 6)
         corrupt = dataclasses.replace(healthy, codec_payload=corrupt_payload)
-        # same mask/shape/codec -> both requests coalesce into one batch
-        with CompressionServer(model=serve_model, config=serve_config, num_workers=1,
-                               batch_policy=BatchPolicy(max_batch_size=4,
-                                                        max_wait_ms=50.0)) as server:
+        # same mask/shape/codec -> both requests coalesce into one batch; the
+        # worker is held back until both are queued, since the batcher only
+        # takes what is already waiting
+        server = CompressionServer(model=serve_model, config=serve_config,
+                                   num_workers=1, max_batch_size=4)
+        both_queued = threading.Event()
+        next_batch = server.batcher.next_batch
+        formed = []
+
+        def gated_next_batch(timeout=0.1):
+            both_queued.wait()
+            batch = next_batch(timeout=timeout)
+            if batch:
+                formed.append(len(batch))
+            return batch
+
+        server.batcher.next_batch = gated_next_batch
+        with server:
             pending_corrupt = server.submit(corrupt)
             pending_healthy = server.submit(healthy)
+            both_queued.set()
             good = pending_healthy.result(timeout=120.0)
             with pytest.raises(ValueError):
                 pending_corrupt.result(timeout=120.0)
             snapshot = server.stats.snapshot()
+        assert formed[0] == 2
         assert good.image.shape == healthy.original_shape
+        assert good.batch_size == 1  # the corrupt batch-mate dropped out alone
         assert snapshot["failed"] == 1
 
     def test_stop_rejects_stranded_requests(self, serve_config, serve_model, packages):
@@ -339,51 +390,47 @@ class TestCompressionServer:
 
 
 # --------------------------------------------------------------------------- #
-# load generator + M/D/1 validation
+# Poisson replay + M/D/1 validation (one-tenant scenarios)
 # --------------------------------------------------------------------------- #
 class TestPoissonLoadGenerator:
+    """The checks of the retired Poisson load generator, run through
+    :func:`run_scenario` with a one-tenant Poisson spec."""
+
     def test_replay_serves_everything_and_reports(self, serve_config, serve_model,
-                                                  packages):
-        from repro.edge import CameraNode, FleetSimulation, WIFI_TCP
-        fleet = FleetSimulation(WIFI_TCP, [
-            CameraNode("cam-a", images_per_hour=720.0),
-            CameraNode("cam-b", images_per_hour=720.0),
-        ])
+                                                  packages, poisson_run):
         with CompressionServer(model=serve_model, config=serve_config,
                                num_workers=1, queue_depth=256,
-                               batch_policy=BatchPolicy(max_batch_size=4,
-                                                        max_wait_ms=2.0)) as server:
-            generator = PoissonLoadGenerator(server, rng=np.random.default_rng(3))
-            report = generator.replay_fleet(fleet, packages[:4], num_requests=12,
-                                            speedup=50.0, timeout=120.0)
-        assert report.completed == 12
-        assert report.rejected == 0
-        assert report.offered_rps == pytest.approx(0.4 * 50.0)
-        assert report.latency_p99_ms >= report.latency_p50_ms > 0
+                               max_batch_size=4) as server:
+            report, tenant = poisson_run(server, packages[:4], rate_rps=20.0,
+                                         requests=12, seed=3)
+        assert report.offered > 0
+        assert report.completed == report.submitted == report.offered
+        assert tenant.admission_rejected == 0
+        assert tenant.latency_p99_ms >= tenant.latency_p50_ms > 0
         assert report.service_time_per_image_ms > 0
         assert 0 <= report.utilisation
-        assert report.headline()
+        assert report.ok() and report.headline()
 
     def test_md1_prediction_brackets_light_load(self, serve_config, serve_model,
-                                                packages):
+                                                packages, poisson_run):
         # at very light load both the observed wait and the M/D/1 prediction
         # must be far below the service time (sanity of the congestion bridge)
+        rate_rps = 4.0
         with CompressionServer(model=serve_model, config=serve_config,
                                num_workers=1, queue_depth=64) as server:
-            generator = PoissonLoadGenerator(server, rng=np.random.default_rng(4))
-            report = generator.run(packages[:2], arrival_rate_rps=2.0,
-                                   num_requests=6, timeout=120.0)
+            report, tenant = poisson_run(server, packages[:2], rate_rps=rate_rps,
+                                         requests=6, seed=4)
+            snapshot = server.stats.snapshot()
+        assert report.servers == 1
         assert not report.saturated
         assert report.utilisation < 0.5
-        assert report.predicted_wait_md1_ms < report.service_time_per_image_ms
-        assert report.observed_wait_mean_ms < report.latency_mean_ms
+        service_s = report.service_time_per_image_ms / 1e3
+        assert md_c_wait_s(rate_rps, service_s, 1) < service_s
+        assert np.isfinite(tenant.predicted_wait_ms_mean)
+        assert snapshot["queue_wait_mean_ms"] < tenant.latency_mean_ms
 
-    def test_rejects_empty_and_bad_rate(self, serve_config, serve_model):
-        with CompressionServer(model=serve_model, config=serve_config) as server:
-            generator = PoissonLoadGenerator(server)
-            with pytest.raises(ValueError):
-                generator.run([], arrival_rate_rps=1.0, num_requests=1)
-            with pytest.raises(ValueError):
-                generator.run([object()], arrival_rate_rps=0.0, num_requests=1)
-            with pytest.raises(ValueError):
-                generator.run([object()], arrival_rate_rps=1.0, num_requests=0)
+    def test_rejects_empty_and_bad_rate(self, capsys):
+        # a bad replay fails fast, before the model is built
+        for flags in (["--images", "0"], ["--rate", "0"], ["--requests", "0"]):
+            assert cli_main(["serve-bench"] + flags) == 2
+            assert "error" in capsys.readouterr().err

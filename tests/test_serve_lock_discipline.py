@@ -17,7 +17,7 @@ import pytest
 
 from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
-from repro.serve import BatchPolicy, ResultCache, ShardedCompressionServer
+from repro.serve import ResultCache, ShardedCompressionServer
 
 
 # --------------------------------------------------------------------------- #
@@ -111,7 +111,7 @@ class TestShardedRoutingState:
         server = ShardedCompressionServer(
             model=serve_model, config=serve_config, num_shards=2,
             base_codec=JpegCodec(quality=75),
-            batch_policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0))
+            max_batch_size=4)
         server.start()
         try:
             pendings = [server.submit(package) for package in packages]
@@ -149,7 +149,7 @@ class TestShardedRoutingState:
         server = ShardedCompressionServer(
             model=serve_model, config=serve_config, num_shards=1,
             base_codec=JpegCodec(quality=75),
-            batch_policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0))
+            max_batch_size=4)
         server.start()
         server.stop(timeout=60.0)
         with pytest.raises(QueueClosedError):

@@ -1,5 +1,5 @@
-"""Tests for process-sharded serving, adaptive batch-wait, the result cache
-and the M/D/c queueing bridge."""
+"""Tests for process-sharded serving, the result cache and the M/D/c
+queueing bridge."""
 
 from __future__ import annotations
 
@@ -15,10 +15,7 @@ from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor, 
 from repro.edge import erlang_c, md_c_wait_s
 from repro.serve import (
     AdmissionQueue,
-    BatchPolicy,
     CompressionServer,
-    MicroBatcher,
-    PoissonLoadGenerator,
     QueueClosedError,
     ResultCache,
     ServerOverloadedError,
@@ -60,7 +57,7 @@ def decoder(serve_config, serve_model):
 
 def _sharded(serve_model, serve_config, **kwargs):
     kwargs.setdefault("num_shards", 2)
-    kwargs.setdefault("batch_policy", BatchPolicy(max_batch_size=4, max_wait_ms=2.0))
+    kwargs.setdefault("max_batch_size", 4)
     return ShardedCompressionServer(model=serve_model, config=serve_config, **kwargs)
 
 
@@ -113,89 +110,6 @@ class TestMDc:
         pooled = fleet.evaluate("jpeg", servers=2)
         assert pooled.utilisation == pytest.approx(single.utilisation / 2.0)
         assert pooled.mean_queueing_delay_ms < single.mean_queueing_delay_ms
-
-
-# --------------------------------------------------------------------------- #
-# adaptive batch-wait
-# --------------------------------------------------------------------------- #
-class TestAdaptiveBatchWait:
-    def _batcher(self, **policy_kwargs):
-        policy_kwargs.setdefault("mode", "adaptive")
-        policy_kwargs.setdefault("max_batch_size", 4)
-        policy_kwargs.setdefault("max_wait_ms", 10.0)
-        return MicroBatcher(AdmissionQueue(max_depth=16), BatchPolicy(**policy_kwargs))
-
-    @staticmethod
-    def _arrival(t):
-        class _Request:
-            submitted_at = t
-        return _Request()
-
-    def test_defaults_to_ceiling_until_observed(self):
-        batcher = self._batcher()
-        assert batcher.effective_wait_s(1) == pytest.approx(10e-3)
-
-    def test_loaded_waits_expected_fill_time(self):
-        batcher = self._batcher(ewma_alpha=1.0)
-        for t in (0.000, 0.001, 0.002, 0.003):
-            batcher.observe_arrival(self._arrival(t))
-        assert batcher.ewma_gap_s == pytest.approx(1e-3)
-        # 3 more requests wanted at ~1 ms apart -> wait ~3 ms, not the 10 ms cap
-        assert batcher.effective_wait_s(1) == pytest.approx(3e-3)
-        assert batcher.effective_wait_s(3) == pytest.approx(1e-3)
-        assert batcher.effective_wait_s(4) == 0.0
-
-    def test_idle_serves_singles_instantly(self):
-        batcher = self._batcher(ewma_alpha=1.0, min_wait_ms=0.0)
-        batcher.observe_arrival(self._arrival(0.0))
-        batcher.observe_arrival(self._arrival(5.0))  # one request every 5 s
-        assert batcher.effective_wait_s(1) == 0.0
-
-    def test_wait_clamped_to_ceiling(self):
-        batcher = self._batcher(ewma_alpha=1.0)
-        batcher.observe_arrival(self._arrival(0.0))
-        batcher.observe_arrival(self._arrival(0.008))  # gap 8 ms < 10 ms cap
-        assert batcher.effective_wait_s(1) == pytest.approx(10e-3)  # 3*8 ms clamped
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="poll_interval_ms"):
-            BatchPolicy(poll_interval_ms=0.0)
-        with pytest.raises(ValueError, match="mode"):
-            BatchPolicy(mode="turbo")
-        with pytest.raises(ValueError, match="min_wait_ms"):
-            BatchPolicy(max_wait_ms=1.0, min_wait_ms=2.0)
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            BatchPolicy(ewma_alpha=0.0)
-
-    def test_fixed_mode_ignores_observations(self):
-        batcher = MicroBatcher(AdmissionQueue(max_depth=4),
-                               BatchPolicy(mode="fixed", max_wait_ms=7.0))
-        batcher.observe_arrival(self._arrival(0.0))
-        batcher.observe_arrival(self._arrival(10.0))
-        assert batcher.effective_wait_s(1) == pytest.approx(7e-3)
-
-    def test_wait_loop_clamped_to_anchor_deadline(self):
-        # regression: the post-wait sleep used a stale `remaining`, so late
-        # incompatible traffic pushed the batch past max_wait_ms by up to two
-        # poll intervals
-        class _Keyed:
-            def __init__(self, key):
-                self.batch_key = key
-
-        queue = AdmissionQueue(max_depth=8)
-        batcher = MicroBatcher(queue, BatchPolicy(max_batch_size=2, max_wait_ms=120.0,
-                                                  poll_interval_ms=100.0))
-        queue.put(_Keyed("anchor"))
-        threading.Timer(0.08, lambda: queue.put(_Keyed("other"))).start()
-        started = time.perf_counter()
-        batch = batcher.next_batch(timeout=0.01)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        assert [request.batch_key for request in batch] == ["anchor"]
-        # stale-remaining behaviour: ~80 ms wait + a full 100 ms sleep ≈ 180 ms;
-        # the clamped loop exits at the 120 ms budget (wide margins so a loaded
-        # single-core CI host cannot blur the two)
-        assert elapsed_ms < 155.0, f"batch held {elapsed_ms:.1f} ms past its 120 ms budget"
-        assert queue.depth == 1  # the incompatible request is untouched
 
 
 # --------------------------------------------------------------------------- #
@@ -314,7 +228,7 @@ class TestShardedCompressionServer:
     def test_admission_rejects_synchronously_when_window_full(self, serve_config,
                                                               serve_model, packages):
         server = _sharded(serve_model, serve_config, num_shards=1, queue_depth=1,
-                          batch_policy=BatchPolicy(max_batch_size=1, max_wait_ms=0.5))
+                          max_batch_size=1)
         admitted, rejected = [], 0
         with server:
             for _ in range(30):
@@ -341,7 +255,8 @@ class TestShardedCompressionServer:
         assert sum(size * count for size, count
                    in snapshot["batch_size_histogram"].items()) == len(pendings)
         assert len(snapshot["shards"]) == 2
-        assert snapshot["caches"]  # per-shard worker caches surfaced
+        # one plan/codec cache entry per shard process, not per worker
+        assert sorted(snapshot["caches"]) == ["shard-0/server", "shard-1/server"]
 
     def test_restart_shard_in_place(self, serve_config, serve_model, packages):
         with _sharded(serve_model, serve_config) as server:
@@ -436,7 +351,7 @@ class TestShardedCompressionServer:
         # the wrong error (ServerOverloadedError instead of QueueClosedError)
         server = _sharded(serve_model, serve_config, num_shards=1, queue_depth=1,
                           admission_policy="block", put_timeout=30.0,
-                          batch_policy=BatchPolicy(max_batch_size=1, max_wait_ms=0.5))
+                          max_batch_size=1)
         outcomes = []
         with server:
             for _ in range(3):  # fill the shard window so the next put blocks
@@ -610,7 +525,7 @@ class TestAdmissionQueueCloseRaces:
 
 
 # --------------------------------------------------------------------------- #
-# load generator: failure collection, NaN reporting, M/D/c bridge
+# Poisson replay: failure collection, NaN reporting, M/D/c bridge
 # --------------------------------------------------------------------------- #
 class _AlwaysRejectingServer:
     """Stub whose admission queue is permanently full."""
@@ -620,14 +535,18 @@ class _AlwaysRejectingServer:
     def __init__(self):
         self.stats = ServerStats()
 
-    def submit(self, package, kind="reconstruct"):
+    def submit(self, package, kind="reconstruct", deadline_s=None):
         self.stats.record_rejected()
         raise ServerOverloadedError("queue at capacity")
 
 
 class TestLoadGeneratorFixes:
+    """The retired load generator's reporting fixes, re-asserted on one-tenant
+    Poisson scenarios (:func:`repro.serve.scenarios.poisson_scenario`)."""
+
     def test_one_failed_request_does_not_lose_the_report(self, serve_config,
-                                                         serve_model, packages):
+                                                         serve_model, packages,
+                                                         poisson_run):
         import dataclasses
         healthy = packages[0]
         corrupt_payload = dataclasses.replace(
@@ -636,60 +555,66 @@ class TestLoadGeneratorFixes:
         corrupt = dataclasses.replace(healthy, codec_payload=corrupt_payload)
         with CompressionServer(model=serve_model, config=serve_config,
                                num_workers=1, queue_depth=64) as server:
-            generator = PoissonLoadGenerator(server, rng=np.random.default_rng(5))
-            report = generator.run([healthy, corrupt], arrival_rate_rps=50.0,
-                                   num_requests=6, timeout=300.0)
-        assert report.failed == 3  # every other request cycles onto the corrupt frame
-        assert report.completed == 3
-        assert report.latency_p50_ms > 0  # surviving latencies still reported
-        assert report.completed + report.failed + report.rejected == report.num_requests
+            report, tenant = poisson_run(server, [healthy, corrupt], rate_rps=50.0,
+                                         requests=6, seed=5)
+        # every other arrival cycles onto the corrupt frame: counted, not raised
+        assert tenant.offered >= 2
+        assert tenant.graceful_rejections == tenant.offered // 2
+        assert tenant.completed == tenant.offered - tenant.offered // 2
+        assert tenant.latency_p50_ms > 0  # surviving latencies still reported
+        assert tenant.completed + tenant.graceful_rejections == tenant.offered
+        assert report.ok()
 
-    def test_zero_completions_reports_nan_not_fake_zero(self, packages):
-        generator = PoissonLoadGenerator(_AlwaysRejectingServer(),
-                                         rng=np.random.default_rng(6))
-        report = generator.run(packages[:1], arrival_rate_rps=100.0,
-                               num_requests=5, warmup=False)
+    def test_zero_completions_reports_nan_not_fake_zero(self, packages, poisson_run):
+        report, tenant = poisson_run(_AlwaysRejectingServer(), packages[:1],
+                                     rate_rps=100.0, requests=5, seed=6,
+                                     warmup=False)
+        assert tenant.offered > 0
         assert report.completed == 0
-        assert report.rejected == 5
+        assert tenant.admission_rejected == tenant.offered
         assert report.saturated  # everything rejected == overload by definition
-        assert math.isnan(report.latency_p50_ms)
-        assert math.isnan(report.latency_p99_ms)
-        assert math.isnan(report.observed_wait_mean_ms)
+        assert math.isnan(tenant.latency_p50_ms)
+        assert math.isnan(tenant.latency_p99_ms)
         assert math.isnan(report.service_time_per_image_ms)
+        assert math.isnan(report.utilisation)
 
     def test_cache_absorbed_run_reports_zero_wait_not_nan(self, serve_config,
-                                                          serve_model, packages):
+                                                          serve_model, packages,
+                                                          poisson_run):
         # a static scene fully served from the result cache did not queue at
-        # all: utilisation and waits are genuinely zero, not "no data"
+        # all: utilisation and latency are genuinely zero, not "no data"
         with CompressionServer(model=serve_model, config=serve_config,
                                num_workers=1, result_cache_size=8) as server:
-            generator = PoissonLoadGenerator(server, rng=np.random.default_rng(8))
             # warmup populates the cache with the single distinct frame
-            report = generator.run(packages[:1], arrival_rate_rps=100.0,
-                                   num_requests=4, timeout=300.0)
-        assert report.completed == 4
+            report, tenant = poisson_run(server, packages[:1], rate_rps=100.0,
+                                         requests=4, seed=8)
+            snapshot = server.stats.snapshot()
+        assert tenant.offered > 0
+        assert report.completed == tenant.offered
+        assert snapshot["completed_cached"] == tenant.offered
         assert not report.saturated
         assert report.utilisation == 0.0
-        assert report.predicted_wait_mdc_ms == 0.0
-        assert report.observed_wait_mean_ms == 0.0
-        assert math.isnan(report.service_time_per_image_ms)  # nothing measured
+        assert tenant.latency_p50_ms == tenant.latency_p99_ms == 0.0
 
     def test_sharded_observed_wait_tracks_mdc_prediction(self, serve_config,
-                                                         serve_model, packages):
+                                                         serve_model, packages,
+                                                         poisson_run):
         # the sharded analogue of the M/D/1 light-load bracket: at low
         # utilisation both the observed wait and the M/D/c prediction sit far
-        # below the per-image service time
+        # below the per-image service time, with c = num_shards
+        rate_rps = 4.0
         with _sharded(serve_model, serve_config, queue_depth=64) as server:
-            generator = PoissonLoadGenerator(server, rng=np.random.default_rng(4))
-            report = generator.run(packages[:2], arrival_rate_rps=2.0,
-                                   num_requests=6, timeout=300.0)
+            report, tenant = poisson_run(server, packages[:2], rate_rps=rate_rps,
+                                         requests=6, seed=4)
+            snapshot = server.stats.snapshot()
         assert report.servers == 2
         assert not report.saturated
         assert report.utilisation < 0.5
-        assert report.predicted_wait_mdc_ms < report.service_time_per_image_ms
-        assert report.predicted_wait_mdc_ms <= report.predicted_wait_md1_ms
-        assert report.observed_wait_mean_ms < report.latency_mean_ms
-        assert f"M/D/{report.servers}" in report.headline()
+        service_s = report.service_time_per_image_ms / 1e3
+        assert md_c_wait_s(rate_rps, service_s, 2) < service_s
+        assert md_c_wait_s(rate_rps, service_s, 2) <= md_c_wait_s(rate_rps, service_s, 1)
+        assert snapshot["queue_wait_mean_ms"] < tenant.latency_mean_ms
+        assert "on 2 server(s)" in report.headline()
 
 
 # --------------------------------------------------------------------------- #

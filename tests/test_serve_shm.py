@@ -13,7 +13,6 @@ import pytest
 from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
 from repro.serve import (
-    BatchPolicy,
     ShardedCompressionServer,
     ShmRing,
     shm_available,
@@ -54,7 +53,7 @@ def decoder(serve_config, serve_model):
 
 def _sharded(serve_model, serve_config, **kwargs):
     kwargs.setdefault("num_shards", 2)
-    kwargs.setdefault("batch_policy", BatchPolicy(max_batch_size=4, max_wait_ms=2.0))
+    kwargs.setdefault("max_batch_size", 4)
     return ShardedCompressionServer(model=serve_model, config=serve_config, **kwargs)
 
 
@@ -440,7 +439,7 @@ class TestMaskAffinity:
         with ShardedCompressionServer(
                 model=serve_model, config=serve_config, num_shards=2,
                 affinity="auto",
-                batch_policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0)) as server:
+                max_batch_size=4) as server:
             server.submit(wide).result(timeout=300.0)
             server.submit(tall).result(timeout=300.0)  # flips the mask to affine
             workers = set()
