@@ -108,13 +108,13 @@ def watchdog_demo(server, containers):
     """Kill a shard outright and let the health watchdog replace it."""
     import time
 
-    victim = server._shards[1]
-    old_pid = victim.process.pid
-    victim.process.kill()
+    victim = server.shard_process(1)
+    old_pid = victim.pid
+    victim.kill()
     deadline = time.perf_counter() + 60.0
     while time.perf_counter() < deadline:
-        current = server._shards[1]
-        if current.is_alive() and current.process.pid != old_pid:
+        current = server.shard_process(1)
+        if current.is_alive() and current.pid != old_pid:
             break
         time.sleep(0.05)
     response = server.submit_bytes(containers[0]).result(timeout=120.0)

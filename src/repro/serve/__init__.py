@@ -5,23 +5,25 @@ erase-and-squeezed frames to one shared server.  ``repro.core`` makes a
 single decode→reconstruct fast; this package makes *many concurrent* ones
 fast by amortising fixed costs across requests:
 
-* :class:`AdmissionQueue` — a bounded request queue: overload becomes an
-  explicit :class:`ServerOverloadedError` (or bounded blocking), not
-  unbounded latency;
-* :class:`MicroBatcher` — coalesces the already-queued requests that share
-  an erase mask and image geometry, up to ``max_batch_size``; it never
-  waits for later arrivals;
-* :class:`ServeWorker` — worker threads running batches through the fused
-  batched APIs (``EaszDecoder.decode_batch`` / ``reconstruct_batch``) over
-  the process-wide squeeze-plan cache and the server's codec cache;
+* :class:`FrontDoor` — the one ``submit()``/``stop()`` of both servers:
+  lifecycle checks, the admission-time deadline shed, the result cache, a
+  per-backend in-flight window whose overload is an immediate
+  :class:`ServerOverloadedError` (never a wait), routing, exactly-once
+  settlement and one :class:`ServerStats`;
+* :class:`ThreadPoolBackend` — the in-process backend: an
+  :class:`AdmissionQueue` FIFO, the :class:`MicroBatcher` (coalesces the
+  already-queued requests that share an erase mask and image geometry, up
+  to ``max_batch_size``; it never waits for later arrivals) and
+  :class:`ServeWorker` threads running batches through the fused batched
+  APIs over the process-wide squeeze-plan cache and its codec cache;
+* :class:`ShardBackend` — one shard process running a thread-pool backend,
+  reached over a pickle-light wire format and a shared-memory response ring;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
-  touching the queue;
-* :class:`ServerStats` — throughput, p50/p99 latency, batch-size histogram,
-  queue depth and cache hit rates (:func:`aggregate_snapshots` merges them
-  across shards);
-* :class:`ShardedCompressionServer` — the same submission API executed on N
-  worker *processes* (see the decision matrix below);
+  touching a backend;
+* :class:`ServerStats` — throughput, p50/p99 latency over the front door's
+  own samples, batch-size histogram, queue depth and cache hit rates
+  (backend counters summed exactly by :func:`aggregate_snapshots`);
 * :mod:`repro.serve.scenarios` — the one load harness.  A
   :class:`ScenarioSpec` trace (per-tenant Poisson/diurnal/bursty arrivals,
   QoS deadline budgets, deadline-aware admission that degrades to a cheaper
@@ -33,18 +35,22 @@ fast by amortising fixed costs across requests:
   tenant, the capacity check against the M/D/c prediction;
 * :mod:`repro.serve.resilience` — the client side of the robustness story:
   :class:`RetryPolicy` (backoff + jitter, token-bucket :class:`RetryBudget`),
-  per-shard :class:`CircuitBreaker` consulted by the sharded router,
+  per-shard :class:`CircuitBreaker` consulted by the router,
   :class:`ResilientClient` (retries + optional p95 hedging, exactly-once)
   and :class:`ClosedLoopClient` think-time load loops; absolute deadlines
   (``submit(..., deadline_s=...)``, :func:`deadline_after_ms`) propagate
   through queue → batcher → worker → shard so expired work is shed with
   :class:`DeadlineExceededError` *before* any decode is paid for.
 
-Threaded vs process-sharded — which server to use
--------------------------------------------------
+One front door, two backends — which server to use
+--------------------------------------------------
+
+Both servers are the same :class:`FrontDoor`; they differ only in what
+sits behind it:
 
 ===========================  =========================  ==========================
 concern                      ``CompressionServer``      ``ShardedCompressionServer``
+                             (one thread-pool backend)  (N shard-process backends)
 ===========================  =========================  ==========================
 parallelism                  threads (one GIL: compute  processes (scales with
                              tops out near one core)    cores for the elementwise
@@ -53,13 +59,13 @@ startup / memory             instant; one model copy    per-shard model + caches
                                                         process spawn at start()
 submit() overhead            ~µs (in-process queue)     container pack + queue hop
                                                         (~100s of µs per request)
-batching reach               one pool sees every        per shard (consistent
-                             request                    routing keeps keys hot;
-                                                        spill uses the whole pool)
-failure isolation            a worker exception fails   a crashed shard is
-                             its batch only, but a      restartable in place
-                             hard crash takes the       (:meth:`~repro.serve.
-                             process down               sharding.ShardedCompressionServer.restart_shard`)
+routing                      always backend 0           key hash + mask affinity,
+                                                        load spill, breakers
+failure isolation            a worker exception fails   a crashed shard's requests
+                             its batch only, but a      are re-routed once; the
+                             hard crash takes the       shard restarts in place
+                             process down               (:meth:`~repro.serve.
+                                                        sharding.ShardedCompressionServer.restart_shard`)
 queueing model (scenarios)   M/D/1 (``parallelism=1``)  M/D/c with c = num_shards
 use when                     interactive latency,       throughput-bound fleets on
                              single-core hosts, tests   multi-core hosts
@@ -177,21 +183,21 @@ Scaling out is the same API::
 """
 
 from .batcher import MicroBatcher
-from .cache import LRUCache, ResultCache
+from .cache import ResultCache
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
-                       ServerOverloadedError, deadline_after_ms)
+                       ServerOverloadedError, ShardFailedError, deadline_after_ms)
 from .resilience import (CircuitBreaker, ClosedLoopClient, ResilientClient,
                          RetryBudget, RetryPolicy)
 from .scenarios import (ChaosDriver, ChaosSpec, ResilienceSpec, ScenarioReport,
                         ScenarioRunner, ScenarioSpec, TenantReport, TenantSpec,
                         build_workload, builtin_scenarios, run_scenario)
-from .server import CompressionServer, PendingResult, ServeRequest, ServeResponse
-from .sharding import (ShardedCompressionServer, ShardFailedError, ShardHandle,
-                       available_cpus)
+from .server import (CompressionServer, FrontDoor, PendingResult, ServeRequest,
+                     ServeResponse)
+from .sharding import ShardBackend, ShardedCompressionServer, available_cpus
 from .shm import ShmRing, shm_available
 from .telemetry import (LatencyWindow, ServerStats, aggregate_snapshots,
                         summarise_latency_ms)
-from .worker import ServeWorker
+from .worker import ServeWorker, ThreadPoolBackend
 
 __all__ = [
     "AdmissionQueue",
@@ -201,8 +207,8 @@ __all__ = [
     "ClosedLoopClient",
     "CompressionServer",
     "DeadlineExceededError",
+    "FrontDoor",
     "LatencyWindow",
-    "LRUCache",
     "MicroBatcher",
     "PendingResult",
     "QueueClosedError",
@@ -221,10 +227,11 @@ __all__ = [
     "ServerStats",
     "ShardedCompressionServer",
     "ShardFailedError",
-    "ShardHandle",
+    "ShardBackend",
     "ShmRing",
     "TenantReport",
     "TenantSpec",
+    "ThreadPoolBackend",
     "aggregate_snapshots",
     "available_cpus",
     "build_workload",

@@ -1,14 +1,9 @@
-"""Serving caches: a small LRU with hit/miss accounting, plus the result cache.
+"""The cross-request result cache, keyed on the digest of the payload itself.
 
-:class:`LRUCache` is a plain, unlocked least-recently-used map with hit,
-miss and eviction counters for single-owner use.
-
-:class:`ResultCache` is a *cross-request* cache keyed on the digest of the
-request payload itself.  Static scenes (a parked wildlife camera at night,
-an idle assembly line) ship byte-identical frames for minutes at a time;
-decoding the same payload again is pure waste, so a digest hit returns the
-finished pixels without touching the queue or the workers at all.  It is
-shared by every submitter, hence locked, unlike :class:`LRUCache`.
+Static scenes (a parked wildlife camera at night, an idle assembly line)
+ship byte-identical frames for minutes at a time; decoding the same payload
+again is pure waste, so a digest hit returns the finished pixels without
+touching a backend at all.  It is shared by every submitter, hence locked.
 """
 
 from __future__ import annotations
@@ -17,67 +12,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 
-__all__ = ["LRUCache", "ResultCache"]
-
-
-class LRUCache:
-    """A small least-recently-used cache with hit/miss statistics.
-
-    Not thread-safe by design: the owner must not share it between threads.
-    """
-
-    def __init__(self, capacity=32, name="cache"):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = int(capacity)
-        self.name = name
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries = OrderedDict()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, key):
-        return key in self._entries
-
-    def get(self, key, loader):
-        """Return the cached value for ``key``, calling ``loader()`` on a miss."""
-        entry = self._entries.get(key)
-        if entry is not None or key in self._entries:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        value = loader()
-        self._entries[key] = value
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return value
-
-    @property
-    def hit_rate(self):
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self):
-        """Plain-dict snapshot for :class:`repro.serve.telemetry.ServerStats`."""
-        return {
-            "name": self.name,
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def clear(self):
-        """Drop every entry (statistics are kept)."""
-        self._entries.clear()
+__all__ = ["ResultCache"]
 
 
 class ResultCache:
@@ -141,13 +76,11 @@ class ResultCache:
             self._entries.move_to_end(key)
             return entry.copy()
 
-    def put(self, key, image, copy=True):
-        """Store ``image`` under ``key`` (no-op when disabled).
+    def put(self, key, image):
+        """Store a copy of ``image`` under ``key`` (no-op when disabled).
 
-        The stored array is copied by default so a caller mutating its own
-        reference cannot corrupt later hits; pass ``copy=False`` only when
-        handing over an array no one else will write (e.g. a read-only view
-        of immutable wire bytes) to skip the defensive copy.
+        The copy keeps a caller mutating its own response from corrupting
+        later hits.
         """
         if not self.capacity:
             return
@@ -155,7 +88,7 @@ class ResultCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return
-            self._entries[key] = image.copy() if copy else image
+            self._entries[key] = image.copy()
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1

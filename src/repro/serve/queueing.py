@@ -1,13 +1,12 @@
-"""Bounded request queue with admission control and backpressure.
+"""Serving errors, deadline helpers and the thread-pool backend's FIFO.
 
-The queue is the server's only admission point: when the fleet offers more
-load than the workers can drain, the depth bound turns overload into an
-explicit, immediate signal — either a :class:`ServerOverloadedError` (the
-``"reject"`` policy, for callers that can drop or re-route frames) or a
-bounded blocking wait (the ``"block"`` policy, classic backpressure for
-callers that can stall the producer).  Unbounded queues only convert
-overload into unbounded latency, which the M/D/1 model in
-:mod:`repro.edge.fleet` makes precise.
+Admission itself happens at the servers' front door
+(:class:`repro.serve.server.FrontDoor`): a per-backend in-flight window
+turns overload into an immediate :class:`ServerOverloadedError`, never a
+wait — unbounded queues only convert overload into unbounded latency, which
+the M/D/1 model in :mod:`repro.edge.fleet` makes precise.
+:class:`AdmissionQueue` is the bounded FIFO the in-process backend's
+batcher drains.
 """
 
 from __future__ import annotations
@@ -17,16 +16,20 @@ import time
 from collections import deque
 
 __all__ = ["ServerOverloadedError", "QueueClosedError", "DeadlineExceededError",
-           "AdmissionQueue", "deadline_after_ms", "deadline_expired",
-           "deadline_remaining_s"]
+           "ShardFailedError", "AdmissionQueue", "deadline_after_ms",
+           "deadline_expired", "deadline_remaining_s"]
 
 
 class ServerOverloadedError(RuntimeError):
-    """Raised when a request is denied admission (queue at capacity)."""
+    """Raised when a request is denied admission (window or queue at capacity)."""
 
 
 class QueueClosedError(RuntimeError):
     """Raised when submitting to a queue that has been closed."""
+
+
+class ShardFailedError(RuntimeError):
+    """A shard process died (or was restarted) before resolving a request."""
 
 
 class DeadlineExceededError(RuntimeError):
@@ -72,30 +75,16 @@ def deadline_remaining_s(deadline_s, clock=time.monotonic):
 class AdmissionQueue:
     """A thread-safe bounded FIFO with key-aware draining for the batcher.
 
-    Parameters
-    ----------
-    max_depth:
-        Admission bound.  ``put`` beyond this depth rejects (or blocks,
-        per ``policy``).
-    policy:
-        ``"reject"`` raises :class:`ServerOverloadedError` immediately when
-        full; ``"block"`` waits up to ``put_timeout`` seconds for space and
-        only then raises.
-    put_timeout:
-        Backpressure bound for the ``"block"`` policy.
+    ``put`` beyond ``max_depth`` raises :class:`ServerOverloadedError`
+    immediately; it never blocks the submitter.
     """
 
-    def __init__(self, max_depth=64, policy="reject", put_timeout=1.0):
+    def __init__(self, max_depth=64):
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if policy not in ("reject", "block"):
-            raise ValueError("policy must be 'reject' or 'block'")
         self.max_depth = int(max_depth)
-        self.policy = policy
-        self.put_timeout = float(put_timeout)
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._items = deque()  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
@@ -111,7 +100,6 @@ class AdmissionQueue:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
     # ------------------------------------------------------------------ #
     def put(self, item):
@@ -123,25 +111,11 @@ class AdmissionQueue:
             if self._closed:
                 raise QueueClosedError("server is shut down")
             if len(self._items) >= self.max_depth:
-                if self.policy == "reject":
-                    raise ServerOverloadedError(
-                        f"queue at capacity ({self.max_depth}); request rejected"
-                    )
-                # absolute deadline: spurious wakeups (another producer wins
-                # the freed slot) must not restart the backpressure budget
-                deadline = time.monotonic() + self.put_timeout
-                while len(self._items) >= self.max_depth and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._not_full.wait(timeout=remaining):
-                        raise ServerOverloadedError(
-                            f"queue full for {self.put_timeout:.2f}s; backpressure timeout"
-                        )
-                if self._closed:
-                    raise QueueClosedError("server is shut down")
+                raise ServerOverloadedError(
+                    f"queue at capacity ({self.max_depth}); request rejected")
             self._items.append(item)
-            depth = len(self._items)
             self._not_empty.notify()
-            return depth
+            return len(self._items)
 
     def pop(self, timeout=None):
         """Remove and return the oldest request, or ``None`` on timeout/close."""
@@ -150,9 +124,7 @@ class AdmissionQueue:
                 self._not_empty.wait(timeout=timeout)
             if not self._items:
                 return None
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
+            return self._items.popleft()
 
     def take_matching(self, predicate, limit):
         """Remove up to ``limit`` queued requests satisfying ``predicate``.
@@ -172,6 +144,4 @@ class AdmissionQueue:
                 else:
                     kept.append(item)
             self._items = kept
-            if taken:
-                self._not_full.notify_all()
         return taken

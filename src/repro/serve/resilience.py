@@ -48,10 +48,9 @@ import threading
 import time
 
 from .queueing import (DeadlineExceededError, QueueClosedError,
-                       ServerOverloadedError, deadline_expired,
+                       ServerOverloadedError, ShardFailedError, deadline_expired,
                        deadline_remaining_s)
 from .server import PendingResult
-from .sharding import ShardFailedError
 from .telemetry import LatencyWindow
 
 __all__ = ["CircuitBreaker", "ClosedLoopClient", "DeadlineExceededError",

@@ -719,10 +719,10 @@ class ScenarioRunner:
     concurrently in the :class:`ChaosDriver`.
     """
 
-    #: How often the stats sampler refreshes the service-time estimate.  The
-    #: sharded server's snapshot polls shard control pipes, so per-request
-    #: probing is off the table; a few-hundred-ms-stale estimate is fine for
-    #: admission (service times drift slowly).
+    #: How often the stats sampler refreshes the service-time estimate that
+    #: admission predicts from; a few-hundred-ms-stale estimate is fine there
+    #: (service times drift slowly).  The saturation verdict does not use it:
+    #: it reads the whole run (:func:`_service_ms_between`).
     SAMPLE_INTERVAL_S = 0.3
 
     #: Sliding window for the arrival-rate estimate fed to the M/D/c model.
@@ -745,6 +745,7 @@ class ScenarioRunner:
         self._sampler = None
         self._sampler_stop = threading.Event()
         self._last_totals = None  # sampler-thread private
+        self._run_totals = None  # (service s, completed) when the clock started
         self._submission_ids = itertools.count()  # thread-safe allocator (CPython)
         self._driver_events = []  # final after ChaosDriver.stop()
         # one ResilientClient per tenant: retries and hedges stay attributed
@@ -762,13 +763,17 @@ class ScenarioRunner:
     # ------------------------------------------------------------------ #
     # admission estimate
     # ------------------------------------------------------------------ #
-    def _sample_once(self):
+    def _snapshot(self):
         try:
-            snapshot = self.server.stats.snapshot()
-        except Exception:  # noqa: BLE001 - a dying pool must not kill the sampler
+            return self.server.stats.snapshot()
+        except Exception:  # noqa: BLE001 - a dying pool must not kill the run
+            return {}
+
+    def _sample_once(self):
+        snapshot = self._snapshot()
+        if not snapshot:
             return
-        totals = (snapshot.get("service_seconds_total", 0.0),
-                  snapshot.get("completed", 0))
+        totals = _service_totals(snapshot)
         if self._last_totals is not None:
             delta_service = totals[0] - self._last_totals[0]
             delta_completed = totals[1] - self._last_totals[1]
@@ -968,6 +973,7 @@ class ScenarioRunner:
                 self._tenants[tenant.name].offered += 1
         if warmup:
             self._warmup()
+        self._run_totals = _service_totals(self._snapshot())
         self._sampler_stop.clear()
         self._sampler = threading.Thread(target=self._sampler_loop,
                                          name="scenario-sampler", daemon=True)
@@ -1048,17 +1054,16 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------ #
     def _render_report(self, elapsed):
-        snapshot = None
-        try:
-            snapshot = self.server.stats.snapshot()
-        except Exception:  # noqa: BLE001 - report what the run measured anyway
-            snapshot = {}
+        snapshot = self._snapshot()
+        # the verdict reads the service time per image over the whole run:
+        # the sampler's last 0.3-s window can spike to 10x the mean after a
+        # kill/freeze or under CPU contention
+        service_ms = _service_ms_between(self._run_totals, _service_totals(snapshot))
         client_stats = {name: client.stats()
                         for name, client in self._clients.items()}
         with self._lock:
             lost = sum(1 for count in self._resolutions.values() if count == 0)
             duplicated = sum(1 for count in self._resolutions.values() if count > 1)
-            service_ms = self._service_time_ms
             cache_hits = self._cache_hits
             tenants = []
             for tenant in self.scenario.tenants:
@@ -1142,6 +1147,26 @@ class ScenarioRunner:
             hedges=sum(report.hedges for report in tenants),
             deadline_shed=sum(report.deadline_shed for report in tenants),
         )
+
+
+def _service_totals(snapshot):
+    """(busy seconds, completed requests) of a stats snapshot.
+
+    Busy time is the wall time a backend had at least one batch running.
+    """
+    return snapshot.get("busy_seconds_total", 0.0), snapshot.get("completed", 0)
+
+
+def _service_ms_between(first, last):
+    """Mean service time per image (ms) from ``first`` to ``last`` totals.
+
+    Falls back to the lifetime mean of ``last`` when nothing completed in
+    between (a run fully absorbed by the result cache), and to NaN when
+    nothing ever completed.
+    """
+    if first is not None and last[1] > first[1]:
+        return 1e3 * (last[0] - first[0]) / (last[1] - first[1])
+    return 1e3 * last[0] / last[1] if last[1] > 0 else float("nan")
 
 
 def poisson_scenario(rate_rps, requests, num_images=4, seed=0):

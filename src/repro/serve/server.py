@@ -1,18 +1,19 @@
-"""The micro-batching compression server.
+"""One front door for both servers, and the threaded server.
 
 :class:`CompressionServer` is the deployment story of the paper's Fig. 2
 server half run at fleet scale: edge cameras ship ``EASZ`` transport
 containers to a shared host, which must decode and reconstruct them as fast
-as the hardware allows.  The server composes the pieces of this package —
+as the hardware allows.
 
-* an :class:`~repro.serve.queueing.AdmissionQueue` bounds memory and turns
-  overload into explicit backpressure;
-* a :class:`~repro.serve.batcher.MicroBatcher` coalesces queued requests
-  that share an erase mask and geometry;
-* :class:`~repro.serve.worker.ServeWorker` threads execute batches through
-  the fused batched decode/reconstruct APIs;
-* :class:`~repro.serve.telemetry.ServerStats` records throughput, latency
-  percentiles, batch sizes, queue depth and the plan/codec cache hit rates.
+Both servers are a :class:`FrontDoor` over backends.  The front door owns
+the one ``submit()``/``stop()``: kind and lifecycle checks, the
+admission-time deadline shed, the result cache, a per-backend in-flight
+window that rejects (never blocks) overload, routing (key hash with mask
+affinity, load spill and circuit breakers — backend 0 when there is only
+one), exactly-once settlement and one :class:`~repro.serve.telemetry.
+ServerStats`.  The threaded server sits on one in-process
+:class:`~repro.serve.worker.ThreadPoolBackend`; the sharded server
+(:mod:`repro.serve.sharding`) on N shard processes.
 
 ``submit`` is thread-safe and returns a :class:`PendingResult` future; the
 caller blocks (or polls) only when it needs the pixels.
@@ -20,31 +21,27 @@ caller blocks (or polls) only when it needs the pixels.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-import re
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..codecs.jpeg import JpegCodec
-from ..codecs.registry import create_codec
 from ..core.config import EaszConfig
-from ..core.erase_squeeze import get_squeeze_plan
-from ..core.pipeline import EaszCompressed, EaszDecoder
+from ..core.pipeline import EaszCompressed
 from ..core.reconstruction import EaszReconstructor
 from ..core.transport import unpack_package
-from .batcher import MicroBatcher
 from .cache import ResultCache
-from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
-                       deadline_expired)
+from .queueing import (DeadlineExceededError, QueueClosedError,
+                       ServerOverloadedError, ShardFailedError, deadline_expired)
 from .telemetry import ServerStats
-from .worker import ServeWorker
+from .worker import ThreadPoolBackend
 
-__all__ = ["ServeRequest", "ServeResponse", "PendingResult", "CompressionServer",
-           "try_resolve_from_result_cache"]
+__all__ = ["ServeRequest", "ServeResponse", "PendingResult", "FrontDoor",
+           "CompressionServer"]
 
-_CODEC_NAME_PATTERN = re.compile(r"^(?P<base>[a-z0-9-]+?)-qp?(?P<quality>\d+)$")
+#: Erase masks whose observed geometries the router remembers (mask affinity).
+_MASK_GEOMETRIES_MAX = 1024
 
 
 @dataclass
@@ -70,12 +67,11 @@ class ServeResponse:
 
 
 class PendingResult:
-    """A minimal future resolved by a serving worker.
+    """A minimal future settled by a server's front door.
 
     Besides blocking via :meth:`result`, completion callbacks can be attached
-    with :meth:`add_done_callback` — the sharded server uses this to marshal
-    finished responses back over the process boundary without a
-    thread-per-request.
+    with :meth:`add_done_callback` (the scenario harness and the resilient
+    client count resolutions through them).
     """
 
     def __init__(self, request_id):
@@ -106,7 +102,7 @@ class PendingResult:
                 return
         fn(self)
 
-    # worker-side hooks ------------------------------------------------- #
+    # front-door hooks -------------------------------------------------- #
     def _finish(self):
         with self._cb_lock:
             self._event.set()
@@ -123,79 +119,372 @@ class PendingResult:
         self._finish()
 
 
-def try_resolve_from_result_cache(result_cache, stats, package, kind, pending):
-    """Shared cache-hit fast path of the threaded and sharded ``submit()``.
-
-    Returns ``(cache_key, hit)``: the digest to store the eventual result
-    under (``None`` when the cache is disabled), and whether ``pending`` was
-    already resolved from a cached image (in which case the caller must not
-    queue the request).
-    """
-    if not result_cache.enabled:
-        return None, False
-    cache_key = result_cache.digest(package, kind)
-    image = result_cache.lookup(cache_key)
-    stats.record_result_cache(hit=image is not None)
-    if image is None:
-        return cache_key, False
-    pending._resolve(ServeResponse(
-        request_id=pending.request_id,
-        image=image,
-        kind=kind,
-        config_summary=dict(package.config_summary),
-        latency_s=0.0,
-        batch_size=1,
-        worker="result-cache",
-        cached=True,
-        transport="cache",
-    ))
-    return cache_key, True
-
-
 @dataclass
 class ServeRequest:
-    """One queued unit of work (a transport package plus its future).
+    """One admitted unit of work (a transport package plus its future).
 
     ``deadline_s`` is an absolute ``time.monotonic`` stamp (or ``None`` for
     no deadline).  Every stage of the pipeline that is about to spend real
     work on the request — batcher pop, worker pre-decode, shard-side
     pre-unpack — checks it first and sheds the request with a
     :class:`DeadlineExceededError` instead of computing an answer nobody is
-    waiting for.
+    waiting for.  ``backend`` is the index of the backend holding the
+    request; ``redispatched`` marks the one re-route a lost request gets.
     """
 
     request_id: int
     package: EaszCompressed
     kind: str
     submitted_at: float
-    pending: PendingResult
+    pending: PendingResult = None
     cache_key: bytes = None
     deadline_s: float = None
+    backend: int = 0
+    redispatched: bool = False
 
     @property
     def batch_key(self):
         """Requests sharing this key can run in one fused batch."""
-        return (self.kind, self.package.mask_bytes,
-                tuple(self.package.original_shape),
-                self.package.codec_payload.codec_name)
-
-    def resolve(self, image, batch_size, worker, latency):
-        self.pending._resolve(ServeResponse(
-            request_id=self.request_id,
-            image=image,
-            kind=self.kind,
-            config_summary=dict(self.package.config_summary),
-            latency_s=latency,
-            batch_size=batch_size,
-            worker=worker,
-        ))
-
-    def reject(self, error):
-        self.pending._reject(error)
+        return batch_key(self.package, self.kind)
 
 
-class CompressionServer:
+def batch_key(package, kind):
+    """(kind, mask bytes, geometry, codec): what one fused batch must share."""
+    return (kind, package.mask_bytes, tuple(package.original_shape),
+            package.codec_payload.codec_name)
+
+
+class FrontDoor:
+    """The one ``submit()``/``stop()`` in front of a list of backends.
+
+    A backend is any object with ``accepts_work()``, ``send(request)``,
+    ``counters()`` and a ``label``; it reports each request's outcome
+    through :meth:`_settle`, exactly once.  Subclasses build the backends;
+    :meth:`_start_backends` / :meth:`_stop_backends` call each backend's
+    ``start()`` / ``stop(deadline)`` unless overridden, and
+    :meth:`_telemetry` may add snapshot entries.
+
+    ``queue_depth`` is the in-flight window of each backend (admitted and
+    not yet settled); a full window rejects with
+    :class:`ServerOverloadedError`.  ``max_batch_size`` is also the load
+    spill threshold: a request leaves its preferred backend once that one
+    has a full batch in flight.
+    """
+
+    def __init__(self, model, config, backends, queue_depth=64, max_batch_size=8,
+                 result_cache_size=0, breakers=None):
+        if queue_depth < 1:
+            raise ValueError("queue_depth must be at least 1")
+        self.config = config or (model.config if model is not None else EaszConfig())
+        self.model = model or EaszReconstructor(self.config)
+        self.queue_depth = int(queue_depth)
+        self.max_batch_size = int(max_batch_size)
+        self.result_cache = ResultCache(result_cache_size)
+        self.stats = ServerStats(source=self._telemetry)
+        self._backends = backends
+        self._breakers = breakers
+        self._ids = itertools.count()
+        self._started = False
+        self._closed = False
+        self._lock = threading.Lock()
+        self._pending = {}  # guarded-by: _lock — request_id -> ServeRequest
+        self._inflight = [0] * len(backends)  # guarded-by: _lock
+        self._sent = [0] * len(backends)  # guarded-by: _lock — sends per backend, redispatches included
+        self._mask_geometries = {}  # guarded-by: _lock — mask bytes -> observed geometries
+
+    @property
+    def parallelism(self):
+        """Parallel service channels this server presents to the queueing model."""
+        return len(self._backends)
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+    # ------------------------------------------------------------------ #
+    def start(self):
+        """Start the backends and open admission (idempotent while running)."""
+        if self._started:
+            return self
+        with self._lock:
+            self._closed = False
+            self._mask_geometries = {}
+        self._start_backends()
+        self._started = True
+        return self
+
+    def stop(self, timeout=30.0):
+        """Close admission, drain the backends, fail anything stranded.
+
+        Returns the final stats snapshot.
+        """
+        if not self._started:
+            return self.stats.snapshot()
+        with self._lock:
+            self._closed = True
+        self._stop_backends(time.perf_counter() + timeout)
+        with self._lock:
+            stranded = list(self._pending.values())
+            self._pending.clear()
+            self._inflight = [0] * len(self._backends)
+        for request in stranded:
+            self.stats.record_failure()
+            request.pending._reject(QueueClosedError("server stopped before the request ran"))
+        self._started = False
+        return self.stats.snapshot()
+
+    def _start_backends(self):
+        for backend in self._backends:
+            backend.start()
+
+    def _stop_backends(self, deadline):
+        for backend in self._backends:
+            backend.stop(deadline)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc_value, traceback):
+        self.stop()
+        return False
+
+    # ------------------------------------------------------------------ #
+    # submission
+    # ------------------------------------------------------------------ #
+    def submit(self, package, kind="reconstruct", deadline_s=None):
+        """Admit one :class:`EaszCompressed` package; returns a future.
+
+        Raises :class:`ServerOverloadedError` when the routed backend's
+        in-flight window is full (backpressure: edge callers can drop or
+        re-route the frame instead of stacking latency), and
+        :class:`QueueClosedError` after :meth:`stop`.
+
+        ``deadline_s`` is an absolute ``time.monotonic`` deadline (see
+        :func:`repro.serve.queueing.deadline_after_ms`).  A request whose
+        deadline has already passed is shed immediately: its future is
+        rejected with :class:`DeadlineExceededError` (never raised
+        synchronously, preserving exactly-once settlement) and the shed is
+        counted in telemetry.
+        """
+        if kind not in ("reconstruct", "decode"):
+            raise ValueError("kind must be 'reconstruct' or 'decode'")
+        if self._closed:
+            raise QueueClosedError("server is shut down")
+        if not self._started:
+            raise RuntimeError("server not started; use start() or a with-block")
+        pending = PendingResult(next(self._ids))
+        if deadline_expired(deadline_s):
+            self.stats.record_deadline_shed()
+            pending._reject(DeadlineExceededError(
+                f"request {pending.request_id} expired before admission"))
+            return pending
+        cache_key = None
+        if self.result_cache.enabled:
+            cache_key = self.result_cache.digest(package, kind)
+            image = self.result_cache.lookup(cache_key)
+            self.stats.record_result_cache(hit=image is not None)
+            if image is not None:
+                pending._resolve(ServeResponse(
+                    request_id=pending.request_id, image=image, kind=kind,
+                    config_summary=dict(package.config_summary),
+                    worker="result-cache", cached=True, transport="cache"))
+                return pending
+        request = ServeRequest(pending.request_id, package, kind, time.perf_counter(),
+                               pending, cache_key, deadline_s)
+        key = batch_key(package, kind)
+        with self._lock:
+            if self._closed:
+                raise QueueClosedError("server is shut down")
+            if len(self._backends) > 1:
+                self._observe_geometry_locked(key)
+            index = self._route_locked(key)
+            admitted = self._inflight[index] < self.queue_depth
+            if admitted:
+                self._track_locked(request, index)
+                depth = sum(self._inflight)
+        if not admitted:
+            self.stats.record_rejected()
+            raise ServerOverloadedError(
+                f"backend {index} window at capacity ({self.queue_depth}); "
+                "request rejected")
+        try:
+            self._backends[index].send(request)
+        except Exception:
+            with self._lock:
+                tracked = (not request.redispatched
+                           and self._untrack_locked(request.request_id) is not None)
+            if tracked:
+                self.stats.record_rejected()
+                raise
+            return pending  # a reaper re-routed it while the send failed
+        self.stats.record_submitted()
+        self.stats.record_queue_depth(depth)
+        return pending
+
+    def submit_bytes(self, data, kind="reconstruct", deadline_s=None):
+        """Unpack a wire container (``EASZ`` magic) and submit it."""
+        return self.submit(unpack_package(data), kind=kind, deadline_s=deadline_s)
+
+    def _track_locked(self, request, index):
+        request.backend = index
+        self._pending[request.request_id] = request
+        self._inflight[index] += 1
+        self._sent[index] += 1
+
+    def _untrack_locked(self, request_id):
+        request = self._pending.pop(request_id, None)
+        if request is not None:
+            self._inflight[request.backend] -= 1
+        return request
+
+    # ------------------------------------------------------------------ #
+    # routing
+    # ------------------------------------------------------------------ #
+    _batch_key = staticmethod(batch_key)
+
+    def _observe_geometry_locked(self, key):
+        """Track which image geometries each erase mask arrives with.
+
+        One geometry per mask means the full batch key and the mask agree on
+        a home backend anyway; a second geometry (multi-camera fleet sharing
+        a mask template) flips that mask to mask-only routing so every
+        camera hits the same warm plan caches.  Bounded so adversarial mask
+        churn cannot grow memory.
+        """
+        geometries = self._mask_geometries.get(key[1])
+        if geometries is None:
+            if len(self._mask_geometries) >= _MASK_GEOMETRIES_MAX:
+                self._mask_geometries.pop(next(iter(self._mask_geometries)))
+            geometries = self._mask_geometries[key[1]] = set()
+        geometries.add(key[2])
+
+    def _mask_affine_locked(self, key):
+        """Whether routing for this key should use the mask digest alone."""
+        return len(self._mask_geometries.get(key[1], ())) > 1
+
+    def _preferred_shard(self, key, mask_only=False):
+        hasher = hashlib.blake2b(digest_size=8)
+        if not mask_only:
+            hasher.update(repr((key[0], key[2], key[3])).encode("utf-8"))
+        hasher.update(key[1])
+        return int.from_bytes(hasher.digest(), "big") % len(self._backends)
+
+    def _trusted(self, index):
+        """Whether backend ``index``'s circuit breaker admits a request now."""
+        return self._breakers is None or self._breakers[index].allow()
+
+    def _route_locked(self, key):
+        """Pick a backend (caller holds the lock): sticky unless overloaded.
+
+        The preferred backend keeps its caches hot for this key; once it has
+        a full batch of work in flight (``max_batch_size``), the least-loaded
+        live backend takes the overflow so one hot key saturates the whole
+        pool instead of one process.  A backend whose circuit breaker is
+        open is treated exactly like an overloaded one — unless *every*
+        breaker is open, in which case the breakers are ignored (half of the
+        pool guessing wrong must degrade to plain routing, not to an outage).
+        """
+        preferred = 0
+        if len(self._backends) > 1:
+            preferred = self._preferred_shard(key, self._mask_affine_locked(key))
+        if (self._backends[preferred].accepts_work()
+                and self._inflight[preferred] < self.max_batch_size
+                and self._trusted(preferred)):
+            return preferred
+        candidates = [index for index, backend in enumerate(self._backends)
+                      if backend.accepts_work()]
+        if not candidates:
+            raise ShardFailedError("no live shards")
+        trusted = [index for index in candidates if self._trusted(index)]
+        return min(trusted or candidates,
+                   key=lambda index: (self._inflight[index], index != preferred))
+
+    # ------------------------------------------------------------------ #
+    # settlement
+    # ------------------------------------------------------------------ #
+    def _settle(self, request_id, image=None, error=None, batch_size=1, worker="",
+                transport="inline", lost=False):
+        """Settle one admitted request exactly once; later calls are no-ops.
+
+        ``lost`` marks a request its backend could not serve (the shard
+        died, drained or lost the shm lease): it is re-routed once to
+        another backend with window room, and fails with ``error`` only
+        when none takes it.
+        """
+        with self._lock:
+            request = self._untrack_locked(request_id)
+        if request is None:
+            return
+        breaker = self._breakers[request.backend] if self._breakers else None
+        if lost:
+            if breaker is not None:
+                breaker.record_failure()
+            if self._redispatch(request):
+                return
+        if error is not None:
+            if isinstance(error, DeadlineExceededError):
+                self.stats.record_deadline_shed()
+            else:
+                self.stats.record_failure()
+            request.pending._reject(error)
+            return
+        if breaker is not None:
+            breaker.record_success()
+        latency = time.perf_counter() - request.submitted_at
+        if request.cache_key is not None:
+            self.result_cache.put(request.cache_key, image)
+        self.stats.record_completed(latency, transport)
+        request.pending._resolve(ServeResponse(
+            request_id=request_id, image=image, kind=request.kind,
+            config_summary=dict(request.package.config_summary),
+            latency_s=latency, batch_size=batch_size, worker=worker,
+            transport=transport))
+
+    def _redispatch(self, request):
+        """Re-route a lost request to another backend (once); True when taken."""
+        with self._lock:
+            if request.redispatched or self._closed:
+                return False
+            candidates = [index for index, backend in enumerate(self._backends)
+                          if index != request.backend and backend.accepts_work()
+                          and self._inflight[index] < self.queue_depth]
+            if not candidates:
+                return False
+            request.redispatched = True
+            self._track_locked(request, min(candidates, key=self._inflight.__getitem__))
+        try:
+            self._backends[request.backend].send(request)
+        except Exception:  # noqa: BLE001 - the caller fails the future instead
+            with self._lock:
+                return self._untrack_locked(request.request_id) is None
+        return True
+
+    def _fail_backend(self, index, error):
+        """Settle every request in flight on backend ``index`` as lost."""
+        with self._lock:
+            lost = [request_id for request_id, request in self._pending.items()
+                    if request.backend == index]
+        for request_id in lost:
+            self._settle(request_id, error=error, lost=True)
+
+    # ------------------------------------------------------------------ #
+    # telemetry
+    # ------------------------------------------------------------------ #
+    def _telemetry(self):
+        """Backend counters and routing state merged into ``stats.snapshot()``."""
+        with self._lock:
+            sent = list(self._sent)
+            inflight = list(self._inflight)
+        return {
+            "backends": [(backend.label, dict(backend.counters(), submitted=sent[index]))
+                         for index, backend in enumerate(self._backends)],
+            "inflight": inflight,
+        }
+
+
+class CompressionServer(FrontDoor):
     """Thread-based micro-batching decode/reconstruct service.
+
+    The front door over one in-process
+    :class:`~repro.serve.worker.ThreadPoolBackend` (``self.pool``).
 
     Parameters
     ----------
@@ -208,15 +497,13 @@ class CompressionServer:
         Fallback base codec used when a package names a codec the registry
         cannot rebuild; defaults to JPEG quality 75.
     num_workers:
-        Worker threads.  Even on a single core >1 worker keeps the pipeline
-        busy while another worker waits in the batcher.
-    queue_depth / admission_policy:
-        Bounds for the :class:`AdmissionQueue` (``"reject"`` or ``"block"``).
+        Worker threads.
+    queue_depth:
+        In-flight window: requests admitted and not yet settled.  A full
+        window rejects with :class:`ServerOverloadedError`.
     max_batch_size:
         Most requests one batch may hold; a batch only takes requests that
-        are already queued (see :class:`MicroBatcher`).
-    fill:
-        Unsqueeze fill mode (as :class:`repro.core.EaszDecoder`).
+        are already queued (see :class:`~repro.serve.batcher.MicroBatcher`).
     result_cache_size:
         Capacity of the cross-request :class:`~repro.serve.cache.ResultCache`
         keyed on payload digest.  ``0`` (the default) disables it; enable it
@@ -224,206 +511,13 @@ class CompressionServer:
         repeats resolve instantly without touching the queue.
     """
 
-    #: Parallel service channels this server presents to the queueing model
-    #: (threads share one GIL, so the M/D/1 view of a threaded server is c=1;
-    #: :class:`repro.serve.sharding.ShardedCompressionServer` overrides this).
-    parallelism = 1
-
     def __init__(self, model=None, config=None, base_codec=None, num_workers=2,
-                 queue_depth=64, admission_policy="reject", max_batch_size=8,
-                 fill="zero", result_cache_size=0):
-        self.config = config or (model.config if model is not None else EaszConfig())
-        self.model = model or EaszReconstructor(self.config)
-        self.base_codec = base_codec if base_codec is not None else JpegCodec(quality=75)
-        self.fill = fill
-        self.decoder = EaszDecoder(model=self.model, config=self.config,
-                                   base_codec=self.base_codec, fill=fill)
-        self.stats = ServerStats(cache_source=self._cache_stats)
-        self.result_cache = ResultCache(result_cache_size)
-        self.queue = AdmissionQueue(max_depth=queue_depth, policy=admission_policy)
-        self.batcher = MicroBatcher(self.queue, max_batch_size=max_batch_size,
-                                    on_expired=self._shed_expired)
-        self.workers = [ServeWorker(self, index) for index in range(max(1, num_workers))]
-        self.stopping = False
-        self._started = False
-        self._ids = itertools.count()
-        self._codec_lock = threading.Lock()
-        # bounded: codec names arrive on the wire, so an adversarial fleet
-        # must not be able to grow this without limit
-        self._codec_prototypes = OrderedDict({self.base_codec.name: self.base_codec})  # guarded-by: _codec_lock
-        self._codec_prototypes_max = 32
-        self._codec_hits = 0  # guarded-by: _codec_lock
-        self._codec_misses = 0  # guarded-by: _codec_lock
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self):
-        """Start the worker pool (idempotent)."""
-        if not self._started:
-            self._started = True
-            for worker in self.workers:
-                worker.start()
-        return self
-
-    def stop(self, timeout=5.0):
-        """Stop accepting work, join the workers, reject any stranded requests."""
-        self.stopping = True
-        self.queue.close()
-        for worker in self.workers:
-            if worker.is_alive():
-                worker.join(timeout=timeout)
-        # a submit() racing stop() can slip into the queue after the last
-        # worker checked it; fail those futures instead of leaving callers
-        # blocked until their own timeout
-        while True:
-            request = self.queue.pop(timeout=0.0)
-            if request is None:
-                break
-            self.stats.record_failure(1)
-            request.reject(QueueClosedError("server stopped before the request ran"))
-        return self.stats.snapshot()
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self.stop()
-        return False
-
-    # ------------------------------------------------------------------ #
-    # submission API
-    # ------------------------------------------------------------------ #
-    def submit(self, package, kind="reconstruct", deadline_s=None):
-        """Queue one :class:`EaszCompressed` package; returns a future.
-
-        Raises :class:`repro.serve.queueing.ServerOverloadedError` when the
-        admission queue denies the request (backpressure), so edge callers
-        can drop or re-route the frame instead of stacking latency.
-
-        ``deadline_s`` is an absolute ``time.monotonic`` deadline (see
-        :func:`repro.serve.queueing.deadline_after_ms`).  A request whose
-        deadline has already passed is shed immediately: its future is
-        rejected with :class:`DeadlineExceededError` (never raised
-        synchronously, preserving exactly-once settlement) and the shed is
-        counted in telemetry.
-        """
-        if kind not in ("reconstruct", "decode"):
-            raise ValueError("kind must be 'reconstruct' or 'decode'")
-        if not self._started:
-            raise RuntimeError("server not started; use start() or a with-block")
-        pending = PendingResult(next(self._ids))
-        if deadline_expired(deadline_s):
-            self.stats.record_deadline_shed()
-            pending._reject(DeadlineExceededError(
-                f"request {pending.request_id} expired before admission"))
-            return pending
-        cache_key, hit = try_resolve_from_result_cache(
-            self.result_cache, self.stats, package, kind, pending)
-        if hit:
-            return pending
-        request = ServeRequest(
-            request_id=pending.request_id,
-            package=package,
-            kind=kind,
-            submitted_at=time.perf_counter(),
-            pending=pending,
-            cache_key=cache_key,
-            deadline_s=deadline_s,
-        )
-        try:
-            depth = self.queue.put(request)
-        except Exception:
-            self.stats.record_rejected()
-            raise
-        self.stats.record_submitted()
-        self.stats.record_queue_depth(depth)
-        return pending
-
-    def submit_bytes(self, data, kind="reconstruct", deadline_s=None):
-        """Unpack a wire container (``EASZ`` magic) and queue it."""
-        return self.submit(unpack_package(data), kind=kind, deadline_s=deadline_s)
-
-    # ------------------------------------------------------------------ #
-    # deadline shedding
-    # ------------------------------------------------------------------ #
-    def _shed_expired(self, request):
-        """Reject an already-expired queued request (batcher ``on_expired`` hook)."""
-        self.stats.record_deadline_shed()
-        request.reject(DeadlineExceededError(
-            f"request {request.request_id} expired while queued"))
-
-    def shed_if_expired(self, request):
-        """Shed ``request`` if its deadline passed; True when it was shed.
-
-        Workers call this per batch member just before the entropy decode —
-        the last cheap moment to notice the caller has already given up.
-        """
-        if not deadline_expired(request.deadline_s):
-            return False
-        self.stats.record_deadline_shed()
-        request.reject(DeadlineExceededError(
-            f"request {request.request_id} expired before decode"))
-        return True
-
-    def current_depth(self):
-        """Requests currently queued (admission-control observability).
-
-        Deadline-aware admission (:mod:`repro.serve.scenarios`) reads this to
-        estimate the wait a new arrival would see without touching telemetry
-        locks on the hot path.
-        """
-        return self.queue.depth
-
-    # ------------------------------------------------------------------ #
-    # worker support
-    # ------------------------------------------------------------------ #
-    def codec_for(self, codec_name):
-        """Build (or reuse) a base codec matching a package's codec name.
-
-        Names follow the registry convention (``jpeg-q75``, ``bpg-qp32``,
-        quality-less names like ``png``).  A name that cannot be resolved to
-        a codec whose own name round-trips raises ``ValueError`` — decoding
-        with mismatched quantisation tables would produce silently wrong
-        pixels, so the request's future gets the error instead.
-        """
-        with self._codec_lock:
-            prototype = self._codec_prototypes.get(codec_name)
-            if prototype is not None:
-                self._codec_hits += 1
-                self._codec_prototypes.move_to_end(codec_name)
-                return prototype
-            self._codec_misses += 1
-            codec = None
-            try:  # quality-less registry names ("png")
-                codec = create_codec(codec_name)
-            except KeyError:
-                match = _CODEC_NAME_PATTERN.match(codec_name)
-                if match is not None:
-                    try:
-                        codec = create_codec(match.group("base"),
-                                             quality=int(match.group("quality")))
-                    except (KeyError, TypeError, ValueError):
-                        codec = None
-            if codec is None or codec.name != codec_name:
-                raise ValueError(
-                    f"cannot resolve base codec {codec_name!r}; the registry "
-                    "produced no codec with a matching name"
-                )
-            self._codec_prototypes[codec_name] = codec
-            if len(self._codec_prototypes) > self._codec_prototypes_max:
-                for key in self._codec_prototypes:
-                    if key != self.base_codec.name:  # keep the configured fallback
-                        del self._codec_prototypes[key]
-                        break
-            return codec
-
-    def _cache_stats(self):
-        """Plan- and codec-cache counters for ``stats.snapshot()["caches"]``."""
-        plans = get_squeeze_plan.cache_info()
-        with self._codec_lock:
-            codecs = {"name": "codecs", "hits": self._codec_hits,
-                      "misses": self._codec_misses,
-                      "size": len(self._codec_prototypes)}
-        return [{"name": "squeeze_plans", "hits": plans.hits,
-                 "misses": plans.misses, "size": plans.currsize}, codecs]
+                 queue_depth=64, max_batch_size=8, result_cache_size=0):
+        config = config or (model.config if model is not None else EaszConfig())
+        model = model or EaszReconstructor(config)
+        self.pool = ThreadPoolBackend(model, config, self._settle, base_codec=base_codec,
+                                      num_workers=num_workers, queue_depth=queue_depth,
+                                      max_batch_size=max_batch_size)
+        super().__init__(model, config, [self.pool], queue_depth=queue_depth,
+                         max_batch_size=max_batch_size,
+                         result_cache_size=result_cache_size)

@@ -1,10 +1,10 @@
 """Serving telemetry: throughput, latency percentiles, batch shapes, caches.
 
-:class:`ServerStats` is the single mutable telemetry object shared by the
-admission queue, the batcher and the workers.  All updates take one lock and
-touch a few counters, so instrumentation stays far off the hot path;
-:meth:`ServerStats.snapshot` renders everything into plain types for logs,
-tests and the ``serve-bench`` CLI table.
+:class:`ServerStats` is the mutable telemetry object of a server's front
+door (what it settles) and of each backend (the batches it runs).  All
+updates take one lock and touch a few counters, so instrumentation stays
+far off the hot path; :meth:`ServerStats.snapshot` renders everything into
+plain types for logs, tests and the ``serve-bench`` CLI table.
 """
 
 from __future__ import annotations
@@ -62,19 +62,22 @@ class LatencyWindow:
 
 
 class ServerStats:
-    """Aggregate telemetry for one :class:`repro.serve.CompressionServer`.
+    """Telemetry of one server front door, or of one backend's batches.
 
-    Tracks everything the ISSUE's serving story needs to be observable:
-    request throughput, end-to-end latency percentiles (p50/p99), the
-    batch-size histogram the micro-batcher actually achieved, queue depth
-    high-water mark, admission rejections, and cache hit rates.
+    The front door (:class:`repro.serve.server.FrontDoor`) counts what it
+    settles: submissions, admission rejections, deadline sheds, failures,
+    completions with their end-to-end latency, result-cache lookups and
+    response transports.  A backend records its batches here
+    (:meth:`record_batch`): sizes, queue wait and service time.
 
-    ``cache_source`` is a callable returning a list of cache-stat dicts
-    (``name``/``hits``/``misses``); :meth:`snapshot` publishes it under
-    ``caches["server"]``.
+    ``source`` is a callable returning a dict that :meth:`snapshot` merges:
+    its ``"backends"`` entry is a list of ``(label, counters)`` pairs whose
+    batch counters are summed exactly (:func:`aggregate_snapshots`); every
+    other entry is copied into the snapshot as is.  Latency percentiles
+    always come from this object's own samples.
     """
 
-    def __init__(self, latency_window=4096, cache_source=None):
+    def __init__(self, latency_window=4096, source=None):
         self._lock = threading.Lock()
         self._started = time.perf_counter()
         self.submitted = 0  # guarded-by: _lock
@@ -85,16 +88,16 @@ class ServerStats:
         self.batch_sizes = Counter()  # guarded-by: _lock
         self.service_seconds_total = 0.0  # guarded-by: _lock
         self.queue_wait_seconds_total = 0.0  # guarded-by: _lock
+        self.busy_seconds_total = 0.0  # guarded-by: _lock
+        self._busy_until = 0.0  # guarded-by: _lock
         self.queue_depth_peak = 0  # guarded-by: _lock
         self.latency = LatencyWindow(latency_window)  # guarded-by: _lock
-        self.queue_wait = LatencyWindow(latency_window)  # guarded-by: _lock
-        self.service_time = LatencyWindow(latency_window)  # guarded-by: _lock
         self.completed_cached = 0  # guarded-by: _lock
         self.deadline_shed = 0  # guarded-by: _lock
         self.result_cache_hits = 0  # guarded-by: _lock
         self.result_cache_misses = 0  # guarded-by: _lock
         self.response_transport = Counter()  # guarded-by: _lock
-        self._cache_source = cache_source
+        self._source = source
 
     # ------------------------------------------------------------------ #
     def record_submitted(self):
@@ -110,19 +113,30 @@ class ServerStats:
             if depth > self.queue_depth_peak:
                 self.queue_depth_peak = depth
 
-    def record_batch(self, size, queue_waits, latencies, service_seconds):
-        """One processed batch: its size plus per-request wait/latency samples."""
+    def record_completed(self, latency_s, transport):
+        """One request served by a backend, ``latency_s`` end to end."""
+        with self._lock:
+            self.completed += 1
+            self.latency.record(latency_s)
+            self.response_transport[transport] += 1
+
+    def record_batch(self, size, queue_waits, service_seconds):
+        """One batch that just finished: its size, queue waits, service time.
+
+        ``busy_seconds_total`` adds the wall time this batch kept the
+        backend busy that no earlier-finished batch already covered:
+        worker threads that overlap on one GIL must not count the same
+        second twice.
+        """
+        finished = time.perf_counter()
         with self._lock:
             self.batches += 1
             self.batch_sizes[int(size)] += 1
-            self.completed += size
-            self.service_time.record(service_seconds)
             self.service_seconds_total += service_seconds
-            for wait in queue_waits:
-                self.queue_wait.record(wait)
-                self.queue_wait_seconds_total += wait
-            for latency in latencies:
-                self.latency.record(latency)
+            self.queue_wait_seconds_total += sum(queue_waits)
+            self.busy_seconds_total += max(
+                finished - max(finished - service_seconds, self._busy_until), 0.0)
+            self._busy_until = max(self._busy_until, finished)
 
     def record_failure(self, count=1):
         with self._lock:
@@ -142,40 +156,39 @@ class ServerStats:
     def record_result_cache(self, hit):
         """One cross-request result-cache lookup.
 
-        Hits are tallied in ``completed_cached``, deliberately *not* in
-        ``completed``: the latter counts worker-served requests only, and
-        service-time estimates divide by it, so zero-cost cache hits must
-        stay out.
+        Hits are tallied in ``completed_cached`` (and as ``"cache"``
+        transport), deliberately *not* in ``completed``: the latter counts
+        backend-served requests only, and service-time estimates divide by
+        it, so zero-cost cache hits must stay out.
         """
         with self._lock:
             if hit:
                 self.result_cache_hits += 1
                 self.completed_cached += 1
+                self.response_transport["cache"] += 1
             else:
                 self.result_cache_misses += 1
 
-    def record_response_transport(self, transport):
-        """One response delivered via ``transport`` (queue / shm / cache / inline).
-
-        The sharded server's parent records these: the shm-vs-queue split is
-        how an operator sees the zero-copy ring actually being used (or
-        silently falling back because responses outgrow its slots).
-        """
+    def counters(self):
+        """The batch counters a backend reports to its front door."""
         with self._lock:
-            self.response_transport[str(transport)] += 1
+            return {
+                "batches": self.batches,
+                "batch_size_histogram": dict(sorted(self.batch_sizes.items())),
+                "queue_wait_seconds_total": self.queue_wait_seconds_total,
+                "service_seconds_total": self.service_seconds_total,
+                "busy_seconds_total": self.busy_seconds_total,
+            }
 
     # ------------------------------------------------------------------ #
     def snapshot(self):
         """Plain-dict view of every metric (safe to JSON-serialise)."""
-        caches = ({} if self._cache_source is None
-                  else {"server": list(self._cache_source())})
+        extra = {} if self._source is None else dict(self._source())
+        backends = extra.pop("backends", None)
+        counters = self.counters()
         with self._lock:
             elapsed = max(time.perf_counter() - self._started, 1e-9)
-            mean_batch = (
-                sum(size * count for size, count in self.batch_sizes.items())
-                / max(self.batches, 1)
-            )
-            return {
+            snapshot = {
                 "uptime_s": elapsed,
                 "submitted": self.submitted,
                 "rejected": self.rejected,
@@ -185,14 +198,6 @@ class ServerStats:
                 "latency_p50_ms": self.latency.percentile(50) * 1e3,
                 "latency_p99_ms": self.latency.percentile(99) * 1e3,
                 "latency_mean_ms": self.latency.mean() * 1e3,
-                "queue_wait_p50_ms": self.queue_wait.percentile(50) * 1e3,
-                "queue_wait_mean_ms": self.queue_wait.mean() * 1e3,
-                "service_time_mean_ms": self.service_time.mean() * 1e3,
-                "batches": self.batches,
-                "service_seconds_total": self.service_seconds_total,
-                "queue_wait_seconds_total": self.queue_wait_seconds_total,
-                "mean_batch_size": mean_batch,
-                "batch_size_histogram": dict(sorted(self.batch_sizes.items())),
                 "queue_depth_peak": self.queue_depth_peak,
                 "completed_cached": self.completed_cached,
                 "deadline_shed": self.deadline_shed,
@@ -203,70 +208,51 @@ class ServerStats:
                     "hit_rate": (self.result_cache_hits
                                  / max(self.result_cache_hits + self.result_cache_misses, 1)),
                 },
-                "caches": caches,
+                "caches": {},
             }
+        if backends is not None:
+            pooled = aggregate_snapshots([counters for _label, counters in backends],
+                                         labels=[label for label, _counters in backends])
+            counters = {key: pooled[key] for key in counters}
+            snapshot["caches"] = pooled["caches"]
+            snapshot["shards"] = pooled["shards"]
+        snapshot.update(counters)
+        batches = counters["batches"]
+        served = sum(size * count for size, count in counters["batch_size_histogram"].items())
+        snapshot["mean_batch_size"] = served / max(batches, 1)
+        snapshot["queue_wait_mean_ms"] = counters["queue_wait_seconds_total"] / max(served, 1) * 1e3
+        snapshot["service_time_mean_ms"] = counters["service_seconds_total"] / max(batches, 1) * 1e3
+        snapshot.update(extra)
+        return snapshot
+
+
+#: Counters that :func:`aggregate_snapshots` adds across snapshots.
+_SUMMED = ("submitted", "rejected", "completed", "failed", "batches",
+           "completed_cached", "deadline_shed")
+_SUMMED_SECONDS = ("service_seconds_total", "queue_wait_seconds_total",
+                   "busy_seconds_total")
 
 
 def aggregate_snapshots(snapshots, labels=None):
-    """Merge per-shard :meth:`ServerStats.snapshot` dicts into one pool view.
+    """Sum the counters of several snapshots (or backend counter dicts) exactly.
 
-    Counters, histograms and cumulative seconds add exactly; latency/wait
-    percentiles cannot be merged exactly from percentiles alone, so they are
-    approximated as completion-weighted averages of the per-shard values
-    (exact when the shards see i.i.d. traffic, which consistent routing plus
-    spill balancing approaches in practice).  The full per-shard snapshots are
-    kept under ``"shards"`` for anyone needing the unmerged numbers.
+    Counters, histograms and cumulative seconds add; percentiles do not, so
+    none are produced — a pool's latency percentiles come from the samples
+    its front door settled.  Each input's ``caches`` list is kept under its
+    label, and the inputs themselves under ``"shards"``.
     """
     snapshots = list(snapshots)
-    if not snapshots:
-        return {"shards": [], "completed": 0, "failed": 0, "submitted": 0,
-                "rejected": 0, "batches": 0, "completed_cached": 0,
-                "deadline_shed": 0,
-                "service_seconds_total": 0.0, "queue_wait_seconds_total": 0.0,
-                "batch_size_histogram": {}, "queue_depth_peak": 0,
-                "response_transport": {},
-                "throughput_rps": 0.0, "mean_batch_size": 0.0,
-                "latency_p50_ms": 0.0, "latency_p99_ms": 0.0,
-                "latency_mean_ms": 0.0, "queue_wait_mean_ms": 0.0,
-                "service_time_mean_ms": 0.0, "uptime_s": 0.0, "caches": {}}
     labels = list(labels) if labels is not None else [
         f"shard-{index}" for index in range(len(snapshots))]
-    merged = {
-        "uptime_s": max(snap.get("uptime_s", 0.0) for snap in snapshots),
-        "queue_depth_peak": max(snap.get("queue_depth_peak", 0) for snap in snapshots),
-    }
-    for key in ("submitted", "rejected", "completed", "failed", "batches",
-                "completed_cached", "deadline_shed"):
-        merged[key] = sum(snap.get(key, 0) for snap in snapshots)
-    for key in ("service_seconds_total", "queue_wait_seconds_total",
-                "throughput_rps"):
+    merged = {key: sum(snap.get(key, 0) for snap in snapshots) for key in _SUMMED}
+    for key in _SUMMED_SECONDS:
         merged[key] = float(sum(snap.get(key, 0.0) for snap in snapshots))
-    histogram = Counter()
-    for snap in snapshots:
-        for size, count in snap.get("batch_size_histogram", {}).items():
-            histogram[int(size)] += int(count)
-    merged["batch_size_histogram"] = dict(sorted(histogram.items()))
-    transports = Counter()
-    for snap in snapshots:
-        for transport, count in snap.get("response_transport", {}).items():
-            transports[str(transport)] += int(count)
-    merged["response_transport"] = dict(sorted(transports.items()))
-    merged["mean_batch_size"] = (
-        sum(size * count for size, count in histogram.items())
-        / max(merged["batches"], 1))
-    weights = [max(snap.get("completed", 0), 0) for snap in snapshots]
-    total_weight = sum(weights)
-    for key in ("latency_p50_ms", "latency_p99_ms", "latency_mean_ms",
-                "queue_wait_mean_ms", "service_time_mean_ms"):
-        if total_weight:
-            merged[key] = sum(weight * snap.get(key, 0.0)
-                              for weight, snap in zip(weights, snapshots)) / total_weight
-        else:
-            merged[key] = 0.0
-    caches = {}
-    for label, snap in zip(labels, snapshots):
-        for worker, stats in snap.get("caches", {}).items():
-            caches[f"{label}/{worker}"] = stats
-    merged["caches"] = caches
+    for key in ("batch_size_histogram", "response_transport"):
+        total = Counter()
+        for snap in snapshots:
+            total.update(snap.get(key, {}))
+        merged[key] = dict(sorted(total.items()))
+    merged["caches"] = {label: snap["caches"] for label, snap in zip(labels, snapshots)
+                        if snap.get("caches")}
     merged["shards"] = [dict(snap) for snap in snapshots]
     return merged

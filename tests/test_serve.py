@@ -13,7 +13,6 @@ from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
 from repro.serve import (
     AdmissionQueue,
     CompressionServer,
-    LRUCache,
     MicroBatcher,
     QueueClosedError,
     ServerOverloadedError,
@@ -48,65 +47,16 @@ def packages(serve_config):
 
 
 # --------------------------------------------------------------------------- #
-# LRU cache
-# --------------------------------------------------------------------------- #
-class TestLRUCache:
-    def test_hit_miss_accounting_and_eviction(self):
-        cache = LRUCache(capacity=2, name="plans")
-        loads = []
-        cache.get("a", lambda: loads.append("a") or 1)
-        cache.get("a", lambda: loads.append("a2") or 2)
-        cache.get("b", lambda: loads.append("b") or 3)
-        cache.get("c", lambda: loads.append("c") or 4)  # evicts "a"
-        cache.get("a", lambda: loads.append("a3") or 5)
-        assert loads == ["a", "b", "c", "a3"]
-        assert cache.hits == 1 and cache.misses == 4 and cache.evictions == 2
-        assert 0.0 < cache.hit_rate < 1.0
-        stats = cache.stats()
-        assert stats["name"] == "plans" and stats["size"] == 2
-
-    def test_lru_order_refreshes_on_hit(self):
-        cache = LRUCache(capacity=2)
-        cache.get("a", lambda: 1)
-        cache.get("b", lambda: 2)
-        cache.get("a", lambda: 0)  # refresh "a"
-        cache.get("c", lambda: 3)  # should evict "b", not "a"
-        assert "a" in cache and "b" not in cache
-
-    def test_caches_none_values(self):
-        cache = LRUCache(capacity=2)
-        calls = []
-        cache.get("k", lambda: calls.append(1))
-        cache.get("k", lambda: calls.append(2))
-        assert calls == [1]
-        assert cache.hits == 1
-
-
-# --------------------------------------------------------------------------- #
 # admission queue
 # --------------------------------------------------------------------------- #
 class TestAdmissionQueue:
     def test_reject_policy_raises_when_full(self):
-        queue = AdmissionQueue(max_depth=2, policy="reject")
+        queue = AdmissionQueue(max_depth=2)
         queue.put("a")
         queue.put("b")
         with pytest.raises(ServerOverloadedError):
             queue.put("c")
         assert queue.depth == 2
-
-    def test_block_policy_times_out(self):
-        queue = AdmissionQueue(max_depth=1, policy="block", put_timeout=0.05)
-        queue.put("a")
-        started = time.perf_counter()
-        with pytest.raises(ServerOverloadedError):
-            queue.put("b")
-        assert time.perf_counter() - started >= 0.04
-
-    def test_block_policy_admits_when_space_frees(self):
-        queue = AdmissionQueue(max_depth=1, policy="block", put_timeout=2.0)
-        queue.put("a")
-        threading.Timer(0.02, queue.pop).start()
-        assert queue.put("b") == 1
 
     def test_closed_queue_rejects_and_wakes(self):
         queue = AdmissionQueue(max_depth=4)
@@ -201,9 +151,10 @@ class TestServerStats:
         stats = ServerStats()
         stats.record_submitted()
         stats.record_queue_depth(3)
-        stats.record_batch(2, queue_waits=[0.01, 0.02], latencies=[0.05, 0.15],
-                           service_seconds=0.04)
-        stats.record_batch(1, queue_waits=[0.0], latencies=[0.1], service_seconds=0.02)
+        stats.record_batch(2, queue_waits=[0.01, 0.02], service_seconds=0.04)
+        stats.record_batch(1, queue_waits=[0.0], service_seconds=0.02)
+        for latency in (0.05, 0.15, 0.1):
+            stats.record_completed(latency, "inline")
         snapshot = stats.snapshot()
         assert snapshot["completed"] == 3
         assert snapshot["batch_size_histogram"] == {1: 1, 2: 1}
@@ -212,6 +163,19 @@ class TestServerStats:
         assert snapshot["latency_p99_ms"] <= 150.0 + 1e-6
         assert snapshot["service_seconds_total"] == pytest.approx(0.06)
         assert snapshot["mean_batch_size"] == pytest.approx(1.5)
+        assert snapshot["queue_wait_mean_ms"] == pytest.approx(10.0)
+        assert snapshot["response_transport"] == {"inline": 3}
+
+    def test_busy_time_counts_overlapping_batches_once(self, monkeypatch):
+        stats = ServerStats()
+        finish_times = iter([10.0, 12.0, 20.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(finish_times))
+        stats.record_batch(1, queue_waits=[0.0], service_seconds=5.0)  # 5..10
+        stats.record_batch(1, queue_waits=[0.0], service_seconds=4.0)  # 8..12
+        stats.record_batch(1, queue_waits=[0.0], service_seconds=1.0)  # 19..20
+        counters = stats.counters()
+        assert counters["service_seconds_total"] == pytest.approx(10.0)
+        assert counters["busy_seconds_total"] == pytest.approx(8.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -317,7 +281,7 @@ class TestCompressionServer:
         server = CompressionServer(model=serve_model, config=serve_config,
                                    num_workers=1, max_batch_size=4)
         both_queued = threading.Event()
-        next_batch = server.batcher.next_batch
+        next_batch = server.pool.batcher.next_batch
         formed = []
 
         def gated_next_batch(timeout=0.1):
@@ -327,7 +291,7 @@ class TestCompressionServer:
                 formed.append(len(batch))
             return batch
 
-        server.batcher.next_batch = gated_next_batch
+        server.pool.batcher.next_batch = gated_next_batch
         with server:
             pending_corrupt = server.submit(corrupt)
             pending_healthy = server.submit(healthy)
@@ -345,8 +309,8 @@ class TestCompressionServer:
         from repro.serve import QueueClosedError
         server = CompressionServer(model=serve_model, config=serve_config, num_workers=1)
         server.start()
-        server.stopping = True  # workers drain and exit on their next idle poll
-        for worker in server.workers:
+        server.pool.stopping = True  # workers drain and exit on their next idle poll
+        for worker in server.pool.workers:
             worker.join(timeout=30.0)
         stranded = server.submit(packages[0])  # queue still open: admitted
         server.stop()
@@ -364,29 +328,29 @@ class TestCompressionServer:
             server.submit(packages[0], kind="transcode")
 
     def test_codec_for_parses_registry_names(self, serve_config, serve_model):
-        server = CompressionServer(model=serve_model, config=serve_config)
-        codec = server.codec_for("jpeg-q30")
+        pool = CompressionServer(model=serve_model, config=serve_config).pool
+        codec = pool.codec_for("jpeg-q30")
         assert codec.name == "jpeg-q30"
-        assert server.codec_for("jpeg-q30") is codec  # cached prototype
-        assert server.codec_for("png").name == "png"  # quality-less names
-        assert server.codec_for("bpg-qp32").name == "bpg-qp32"
-        assert server.codec_for(server.base_codec.name) is server.base_codec
+        assert pool.codec_for("jpeg-q30") is codec  # cached prototype
+        assert pool.codec_for("png").name == "png"  # quality-less names
+        assert pool.codec_for("bpg-qp32").name == "bpg-qp32"
+        assert pool.codec_for(pool.base_codec.name) is pool.base_codec
 
     def test_codec_for_rejects_unresolvable_names(self, serve_config, serve_model):
         # decoding with mismatched tables would be silently wrong; must raise
-        server = CompressionServer(model=serve_model, config=serve_config)
+        pool = CompressionServer(model=serve_model, config=serve_config).pool
         with pytest.raises(ValueError, match="cannot resolve"):
-            server.codec_for("no-such-codec")
+            pool.codec_for("no-such-codec")
         with pytest.raises(ValueError, match="cannot resolve"):
-            server.codec_for("jpeg")  # bare family name, quality unknown
+            pool.codec_for("jpeg")  # bare family name, quality unknown
 
     def test_codec_prototype_cache_is_bounded(self, serve_config, serve_model):
-        server = CompressionServer(model=serve_model, config=serve_config)
-        for quality in range(1, server._codec_prototypes_max + 10):
-            server.codec_for(f"jpeg-q{quality}")
-        assert len(server._codec_prototypes) <= server._codec_prototypes_max + 1
+        pool = CompressionServer(model=serve_model, config=serve_config).pool
+        for quality in range(1, pool._codec_prototypes_max + 10):
+            pool.codec_for(f"jpeg-q{quality}")
+        assert len(pool._codec_prototypes) <= pool._codec_prototypes_max + 1
         # the configured fallback codec is never evicted
-        assert server.base_codec.name in server._codec_prototypes
+        assert pool.base_codec.name in pool._codec_prototypes
 
 
 # --------------------------------------------------------------------------- #

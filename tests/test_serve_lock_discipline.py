@@ -119,7 +119,7 @@ class TestShardedRoutingState:
                 pending.result(timeout=300.0)
             # queue depth is sampled inside the routing-lock span that
             # inserted the entry, so a completed submit always registers
-            merged = server.aggregate_snapshot()
+            merged = server.stats.snapshot()
             assert merged["queue_depth_peak"] >= 1
             assert merged["inflight"] == [0] * server.num_shards
 

@@ -30,7 +30,6 @@ from repro.serve import (
 )
 from repro.serve.queueing import deadline_expired, deadline_remaining_s
 from repro.serve.server import PendingResult, ServeRequest
-from repro.serve.worker import ServeWorker
 
 
 @pytest.fixture(scope="module")
@@ -490,18 +489,25 @@ class TestDeadlineShedding:
 
     def test_expired_mid_batch_is_shed_before_decode(self, serve_model,
                                                      serve_config, package):
-        with CompressionServer(model=serve_model, config=serve_config,
-                               num_workers=1) as server:
-            worker = ServeWorker(server, index=99)  # never started: driven by hand
-            expired = ServeRequest(request_id=7, package=package,
-                                   kind="reconstruct",
-                                   submitted_at=time.monotonic(),
-                                   pending=PendingResult(7),
-                                   deadline_s=time.monotonic() - 0.1)
-            worker._process_batch([expired])
+        server = CompressionServer(model=serve_model, config=serve_config,
+                                   num_workers=1)
+        # the batcher hands expired requests on (as if the deadline passed
+        # after batching) and the worker waits until the deadline is gone
+        server.pool.batcher.on_expired = None
+        deadline_s = time.monotonic() + 0.05
+        next_batch = server.pool.batcher.next_batch
+
+        def late_next_batch(timeout=0.1):
+            time.sleep(max(deadline_s - time.monotonic(), 0.0) + 0.01)
+            return next_batch(timeout=timeout)
+
+        server.pool.batcher.next_batch = late_next_batch
+        with server:
+            pending = server.submit(package, deadline_s=deadline_s)
+            with pytest.raises(DeadlineExceededError, match="before decode"):
+                pending.result(timeout=30.0)
+            worker = server.pool.workers[0]
             assert worker.batches_processed == 0  # no decode was paid for
-            with pytest.raises(DeadlineExceededError):
-                expired.pending.result(timeout=0)
             assert server.stats.snapshot()["deadline_shed"] == 1
 
     def test_expired_on_a_shard_is_shed_before_unpack(self, serve_model,
@@ -514,7 +520,7 @@ class TestDeadlineShedding:
                                       use_shm=False) as server:
             warm = server.submit(package)
             warm.result(timeout=60.0)  # shard is up and serving
-            pid = server._shards[0].process.pid
+            pid = server._backends[0].process.pid
             os.kill(pid, signal.SIGSTOP)
             try:
                 pending = server.submit(package,
@@ -550,13 +556,3 @@ class TestShardedResilienceIntegration:
             server._breakers[0].trip()
             server._breakers[1].trip()  # all-open degrades to breaker-blind
             assert server.submit(package).result(timeout=60.0) is not None
-
-    def test_breakers_can_be_disabled(self, serve_model, serve_config,
-                                      package):
-        with ShardedCompressionServer(model=serve_model, config=serve_config,
-                                      num_shards=1, workers_per_shard=1,
-                                      use_shm=False,
-                                      circuit_breakers=False) as server:
-            server.submit(package).result(timeout=60.0)
-            assert server.stats.snapshot()["circuit_breakers"] == {
-                "enabled": False}

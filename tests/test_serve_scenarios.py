@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import EaszConfig, EaszReconstructor
-from repro.serve import (CompressionServer, ServerOverloadedError,
-                         ShardedCompressionServer)
+from repro.serve import (CompressionServer, PendingResult, ServeResponse,
+                         ServerOverloadedError, ShardedCompressionServer)
 from repro.serve.scenarios import (
     ChaosSpec,
     ResilienceSpec,
@@ -385,6 +387,54 @@ class TestResilienceAcceptance:
         for report in reports.values():
             assert report.futures_lost == 0
             assert report.futures_duplicated == 0
+
+
+class _LateSlowdownServer:
+    """Serves every request at once; the last 40% cost 12x the first 60%.
+
+    Its stats report 5 ms of service per image for the first ``slow_from``
+    submissions and 60 ms after, so the final 0.3-s sample reads a spike
+    while the mean over the whole run stays far below saturation.
+    """
+
+    parallelism = 1
+
+    def __init__(self, slow_from):
+        self.stats = self
+        self._slow_from = slow_from
+        self._lock = threading.Lock()
+        self._completed = 0
+        self._service_s = 0.0
+        self._ids = itertools.count()
+
+    def submit(self, package, kind="reconstruct", deadline_s=None):
+        with self._lock:
+            self._service_s += 0.005 if self._completed < self._slow_from else 0.060
+            self._completed += 1
+        pending = PendingResult(next(self._ids))
+        pending._resolve(ServeResponse(request_id=pending.request_id, image=None,
+                                       kind=kind))
+        return pending
+
+    def snapshot(self):
+        with self._lock:  # one worker: busy time equals service time
+            return {"completed": self._completed,
+                    "service_seconds_total": self._service_s,
+                    "busy_seconds_total": self._service_s}
+
+
+class TestSaturationVerdict:
+    def test_verdict_reads_the_whole_run_not_the_last_sample(self, poisson_run):
+        # ~60 arrivals at 20 rps: the run mean is ~27 ms/image (utilisation
+        # ~0.5); the last sampler window reads 60 ms/image (utilisation 1.2)
+        server = _LateSlowdownServer(slow_from=36)
+        report, tenant = poisson_run(server, [object()], rate_rps=20.0,
+                                     requests=60, seed=12, warmup=False)
+        assert tenant.completed == tenant.offered > 36
+        assert report.service_time_per_image_ms < 40.0
+        assert report.utilisation < 1.0
+        assert not report.saturated
+        assert report.ok()
 
 
 class _RefusingAdmission:

@@ -271,7 +271,7 @@ class TestShardWatchdog:
         with _sharded(serve_model, serve_config, watchdog_interval_s=0.1,
                       watchdog_backoff_s=0.05, queue_depth=128) as server:
             server.submit(packages[0]).result(timeout=300.0)  # warm both shards
-            victim = server._shards[0]
+            victim = server._backends[0]
             old_pid = victim.process.pid
             pendings = [server.submit(package) for package in packages * 3]
             victim.process.kill()
@@ -280,7 +280,7 @@ class TestShardWatchdog:
             # watchdog replaces the dead shard in place
             deadline = time.perf_counter() + 60.0
             while time.perf_counter() < deadline:
-                current = server._shards[0]
+                current = server._backends[0]
                 if current.is_alive() and current.process.pid != old_pid:
                     break
                 time.sleep(0.05)
@@ -328,12 +328,12 @@ class TestShardWatchdog:
                       watchdog_backoff_s=0.05, watchdog_hang_timeout_s=0.75,
                       queue_depth=128) as server:
             server.submit(packages[0]).result(timeout=300.0)
-            victim = server._shards[0]
+            victim = server._backends[0]
             old_pid = victim.process.pid
             os.kill(old_pid, signal.SIGSTOP)  # alive, but silent
             deadline = time.perf_counter() + 60.0
             while time.perf_counter() < deadline:
-                current = server._shards[0]
+                current = server._backends[0]
                 if current.is_alive() and current.process.pid != old_pid:
                     break
                 time.sleep(0.05)
@@ -352,9 +352,9 @@ class TestShardWatchdog:
             server.submit(packages[0]).result(timeout=300.0)
             time.sleep(0.3)  # a few watchdog ticks over a healthy pool
             snapshot = server.stats.snapshot()
-            pids = [shard.process.pid for shard in server._shards]
+            pids = [shard.process.pid for shard in server._backends]
             response = server.submit(packages[0]).result(timeout=300.0)
-            assert [shard.process.pid for shard in server._shards] == pids
+            assert [shard.process.pid for shard in server._backends] == pids
         assert snapshot["watchdog"]["restarts_total"] == 0
         ages = snapshot["watchdog"]["heartbeat_age_s"]
         assert len(ages) == 2
@@ -362,17 +362,17 @@ class TestShardWatchdog:
         assert response.image.shape == packages[0].original_shape
 
     def test_backoff_spaces_restart_attempts(self, serve_model, serve_config):
+        from repro.serve.sharding import _WATCHDOG_BACKOFF_CAP_S
         server = ShardedCompressionServer(model=serve_model, config=serve_config,
                                           watchdog_interval_s=0.5,
-                                          watchdog_backoff_s=0.25,
-                                          watchdog_backoff_cap_s=2.0)
-        # pure bookkeeping check: the backoff doubles up to its cap
+                                          watchdog_backoff_s=8.0)
+        # pure bookkeeping check: the backoff doubles up to its 30 s cap
         backoff = server.watchdog_backoff_s
         seen = []
         for _ in range(5):
             seen.append(backoff)
-            backoff = min(backoff * 2.0, server.watchdog_backoff_cap_s)
-        assert seen == [0.25, 0.5, 1.0, 2.0, 2.0]
+            backoff = min(backoff * 2.0, _WATCHDOG_BACKOFF_CAP_S)
+        assert seen == [8.0, 16.0, 30.0, 30.0, 30.0]
         snapshot_keys = server.watchdog_snapshot()
         assert snapshot_keys["enabled"]
         assert snapshot_keys["restarts_total"] == 0
@@ -394,19 +394,18 @@ class TestMaskAffinity:
             self, serve_model, serve_config):
         wide, tall = self._keys_for_two_geometries(serve_config)
         server = ShardedCompressionServer(model=serve_model, config=serve_config,
-                                          num_shards=4, affinity="mask")
+                                          num_shards=4)
         key_wide = server._batch_key(wide, "reconstruct")
         key_tall = server._batch_key(tall, "reconstruct")
         assert key_wide[2] != key_tall[2]  # genuinely different geometries
         assert (server._preferred_shard(key_wide, mask_only=True)
                 == server._preferred_shard(key_tall, mask_only=True))
-        assert server._mask_affine_locked(key_wide)
 
     def test_auto_mode_switches_after_second_geometry(self, serve_model,
                                                       serve_config):
         wide, tall = self._keys_for_two_geometries(serve_config)
         server = ShardedCompressionServer(model=serve_model, config=serve_config,
-                                          num_shards=4, affinity="auto")
+                                          num_shards=4)
         key_wide = server._batch_key(wide, "reconstruct")
         key_tall = server._batch_key(tall, "reconstruct")
         server._observe_geometry_locked(key_wide)
@@ -414,21 +413,6 @@ class TestMaskAffinity:
         server._observe_geometry_locked(key_tall)
         assert server._mask_affine_locked(key_wide)
         assert server._mask_affine_locked(key_tall)
-
-    def test_key_mode_never_switches(self, serve_model, serve_config):
-        wide, tall = self._keys_for_two_geometries(serve_config)
-        server = ShardedCompressionServer(model=serve_model, config=serve_config,
-                                          num_shards=4, affinity="key")
-        key_wide = server._batch_key(wide, "reconstruct")
-        key_tall = server._batch_key(tall, "reconstruct")
-        server._observe_geometry_locked(key_wide)
-        server._observe_geometry_locked(key_tall)
-        assert not server._mask_affine_locked(key_wide)
-
-    def test_affinity_validation(self, serve_model, serve_config):
-        with pytest.raises(ValueError, match="affinity"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     affinity="sticky")
 
     def test_multi_camera_fleet_lands_on_one_shard_end_to_end(
             self, serve_model, serve_config, decoder):
@@ -438,7 +422,6 @@ class TestMaskAffinity:
         wide, tall = self._keys_for_two_geometries(serve_config)
         with ShardedCompressionServer(
                 model=serve_model, config=serve_config, num_shards=2,
-                affinity="auto",
                 max_batch_size=4) as server:
             server.submit(wide).result(timeout=300.0)
             server.submit(tall).result(timeout=300.0)  # flips the mask to affine
