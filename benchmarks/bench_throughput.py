@@ -14,11 +14,9 @@ seed's bit-at-a-time arithmetic coder on the bpg/neural-shaped symbol
 workload (bar: >=3x combined encode+decode, guarded by
 ``tests/test_perf_smoke.py``).  The ``dct`` section times the fused
 squeeze-aware block gather + batched multi-image DCT entry point (one
-``(N·C·blocks, 64) @ (64, 64)`` GEMM, row-split over the opt-in thread
-pool) against the per-channel squeeze→pad→block→dct2 pipeline (bar:
->=1.5x at batch >= 4, guarded; recorded only on >=2-CPU hosts — on one
-core both paths are memory-bound, so the section carries a ``skipped``
-marker there like the sharded/shm bars).
+``(N·C·blocks, 64) @ (64, 64)`` GEMM on one thread) against the
+per-channel squeeze→pad→block→dct2 pipeline; both paths are
+bandwidth-bound, so it carries no guarded bar.
 
 The ``reconstruct_layers`` section profiles one 256² RGB
 ``reconstruct_batch`` call layer by layer: the engine's primitives (norm,
@@ -27,12 +25,13 @@ token gather and float64 cast + scatter + clip, each timed inside the real
 call.  It prints their sum next to the measured call and the gap
 between the two; it carries no guarded bar.
 
-The ``serving`` section measures the batched serving path: images/sec of
-``reconstruct_batch`` (the fused multi-image engine) against sequential
-per-image ``reconstruct_image`` calls on 256² RGB, across batch sizes, plus
-the batched ``decode_batch`` roundtrip.  ``reconstruct_image`` is a batch of
-one through the same engine, so these numbers record what micro-batching
-alone buys; they carry no guarded bar.  Reconstructions are checked against
+The ``serving`` section measures the reconstruction engine across batch
+sizes: images/sec of ``reconstruct_batch`` (the fused multi-image engine)
+against sequential per-image ``reconstruct_image`` calls on 256² RGB.
+``reconstruct_image`` is a batch of one through the same engine, so these
+numbers record what batching alone would buy (flat images/s from batch 1
+to 8, which is why the servers serve one frame per call); they carry no
+guarded bar.  Reconstructions are checked against
 the float64 seed path (``seed_reference.seed_reconstruct_image``) to 1e-5.
 
 The ``serving.sharded`` subsection drives the full 256² RGB reconstruct
@@ -219,36 +218,26 @@ def entropy_section(num_symbols=256, count=120_000, repeats=3):
 
 
 def dct_section(config, mask, size=512, batch=8, repeats=7):
-    """Parallel batched block-transform front end vs per-channel calls.
+    """Batched block-transform front end vs per-channel calls, one thread.
 
-    Measures the pixels→DCT-coefficients stage of the codec over a
-    micro-batch.  ``per_channel`` is the seed pattern, one channel at a
-    time: materialise the squeezed channel (``SqueezePlan.squeeze_image``),
+    Measures the pixels→DCT-coefficients stage of the codec over several
+    images.  ``per_channel`` is the seed pattern, one channel at a time:
+    materialise the squeezed channel (``SqueezePlan.squeeze_image``),
     edge-pad, extract 8×8 blocks, broadcast-matmul ``dct2``.  ``batched``
     is the fused pipeline: every channel's DCT-ready blocks gathered
     straight from the original pixels through the cached
     ``BlockGatherPlan``, every channel of every image concatenated into one
-    ``(N·C·blocks, 8, 8)`` ``dct2_batched`` call — a single 64×64 GEMM,
-    row-split across the opt-in DCT thread pool (``set_dct_threads``).
-    Outputs are bit-identical.
-
-    The guarded >=1.5x bar comes from the thread-parallel GEMM, so — like
-    the sharded and shm serving bars — it is only recorded on hosts with
-    >= 2 visible CPUs; a single-CPU host records a ``skipped`` marker plus
-    the single-threaded numbers for information (on one core both paths
-    are bandwidth-bound and the ratio hovers around 1.0-2x with the host's
-    BLAS mode).
+    ``(N·C·blocks, 8, 8)`` ``dct2_batched`` call — a single 64×64 GEMM.
+    Outputs agree to 1e-9.  The numbers are recorded for information and
+    carry no guarded bar: both paths are bandwidth-bound (recorded
+    speedups: 1.006x on one CPU, 1.04x on two).
     """
-    from repro.codecs.jpeg import _DCT_MT_MIN_BLOCKS, _image_to_blocks, set_dct_threads
-    from repro.serve import available_cpus
+    from repro.codecs.jpeg import _image_to_blocks
 
     plan = get_squeeze_plan(mask, config.subpatch_size)
     images = [synthetic_image(size, color=False, seed_value=400 + index)
               for index in range(batch)]
     block_plans = [plan.block_plan(image.shape[:2]) for image in images]
-    total_blocks = sum(bp.num_blocks for bp in block_plans)
-    assert total_blocks >= _DCT_MT_MIN_BLOCKS, (
-        "dct bench workload too small to engage the thread pool")
 
     def per_channel():
         out = []
@@ -268,47 +257,23 @@ def dct_section(config, mask, size=512, batch=8, repeats=7):
     max_diff = float(np.abs(reference - fused).max())
     assert max_diff < 1e-9, f"fused block transform diverged: {max_diff}"
     per_channel_s = timeit(per_channel, repeats)
-    single_thread_s = timeit(batched, repeats)
-
+    batched_s = timeit(batched, repeats)
     section = {
         "workload": f"batch{batch}_{size}x{size}_gray",
         "total_blocks": int(fused.shape[0]),
         "per_channel_s": per_channel_s,
-        "batched_single_thread_s": single_thread_s,
-        "single_thread_speedup": per_channel_s / single_thread_s,
+        "batched_s": batched_s,
+        "speedup": per_channel_s / batched_s,
         "max_abs_diff": max_diff,
     }
-    cpus = available_cpus()
-    if cpus < 2:
-        section["skipped"] = (f"host exposes {cpus} CPU; the parallel DCT "
-                              "bar needs >= 2 to thread the GEMM")
-        print(f"dct: batched single-thread {single_thread_s * 1e3:.2f}ms vs "
-              f"per-channel {per_channel_s * 1e3:.2f}ms "
-              f"({section['single_thread_speedup']:.2f}x); parallel bar skipped "
-              f"({cpus} CPU visible)")
-        return section
-
-    threads = min(cpus, 8)
-    previous = set_dct_threads(threads)
-    try:
-        threaded = batched()
-        assert np.array_equal(threaded, fused), "threaded GEMM changed results"
-        batched_s = timeit(batched, repeats)
-    finally:
-        set_dct_threads(previous)
-    section["dct_threads"] = threads
-    section["batched_s"] = batched_s
-    section["speedup"] = per_channel_s / batched_s
-    print(f"dct: fused+batched ({threads} threads) {fused.shape[0]} blocks in "
-          f"{batched_s * 1e3:.2f}ms vs per-channel {per_channel_s * 1e3:.2f}ms "
-          f"({section['speedup']:.2f}x; single-thread "
-          f"{section['single_thread_speedup']:.2f}x)")
+    print(f"dct: batched {batched_s * 1e3:.2f}ms vs per-channel "
+          f"{per_channel_s * 1e3:.2f}ms ({section['speedup']:.2f}x)")
     return section
 
 
 def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
                     size=256, repeats=5):
-    """Batched serving throughput vs sequential per-image calls (256² RGB)."""
+    """Engine images/sec across batch sizes vs sequential per-image calls (256² RGB)."""
     rng_images = [synthetic_image(size, color=True, seed_value=100 + index)
                   for index in range(max(batch_sizes))]
     encoder = EaszEncoder(config, base_codec=codec, seed=0)
@@ -353,17 +318,6 @@ def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
               f"{batch_size / batch_s:.2f} img/s "
               f"(seq {batch_size / sequential_s:.2f} img/s, "
               f"speedup {sequential_s / batch_s:.2f}x)")
-
-    # end-to-end decode_batch (base decode + unsqueeze + fused reconstruction)
-    batch = packages[:4]
-    decode_batch_s = timeit(lambda: decoder.decode_batch(batch), repeats)
-    decode_seq_s = timeit(lambda: [decoder.decode(package) for package in batch],
-                          max(repeats - 2, 2))
-    section["decode_batch4_s"] = decode_batch_s
-    section["decode_sequential4_s"] = decode_seq_s
-    section["decode_batch4_speedup"] = decode_seq_s / decode_batch_s
-    print(f"serving decode batch 4: {decode_batch_s:.3f}s vs sequential "
-          f"{decode_seq_s:.3f}s ({decode_seq_s / decode_batch_s:.2f}x)")
     return section
 
 
@@ -483,10 +437,10 @@ def sharded_serving_section(config, model, mask, size=256, num_images=8, shards=
     references = [decoder.decode(package) for package in packages]
 
     with CompressionServer(model=model, config=config, num_workers=2,
-                           queue_depth=256, max_batch_size=4) as server:
+                           queue_depth=256) as server:
         threaded_ips, _ = _drive_server(server, packages)
     with ShardedCompressionServer(model=model, config=config, num_shards=shards,
-                                  queue_depth=256, max_batch_size=4) as server:
+                                  queue_depth=256) as server:
         sharded_ips, responses = _drive_server(server, packages)
 
     max_diff = max(float(np.abs(response.image - references[index % num_images]).max())
@@ -540,7 +494,6 @@ def shm_serving_section(config, model, mask, size=256, num_images=8, shards=2,
     for label, use_shm in (("queue", False), ("shm", True)):
         with ShardedCompressionServer(model=model, config=config,
                                       num_shards=shards, queue_depth=256,
-                                      max_batch_size=4,
                                       use_shm=use_shm) as server:
             ips, responses = _drive_server(server, packages, rounds=rounds,
                                            kind="decode")

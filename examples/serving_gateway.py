@@ -1,4 +1,4 @@
-"""Serving-gateway scenario: a camera fleet behind one micro-batching server.
+"""Serving-gateway scenario: a camera fleet behind one reconstruction server.
 
 A fleet of wildlife cameras ships ``EASZ`` transport containers to a shared
 reconstruction gateway.  This example wires the pieces end to end:
@@ -6,8 +6,7 @@ reconstruction gateway.  This example wires the pieces end to end:
 1. **fleet → wire** — every camera frame is encoded with a shared erase mask
    and flattened into the ``EASZ`` container it would store-and-forward;
 2. **gateway** — a :class:`repro.serve.CompressionServer` receives the raw
-   container bytes, micro-batches queued requests that share a mask and
-   geometry, and reconstructs them on a small worker pool;
+   container bytes and reconstructs each frame on a small worker pool;
 3. **congestion check** — the same fleet's Poisson arrival process is
    replayed against the live server through the scenario harness
    (:func:`repro.serve.scenarios.poisson_scenario`) and the observed
@@ -48,11 +47,10 @@ def gateway_roundtrip(server, frames, containers):
             f"camera-{index}",
             response.config_summary.get("base_codec", "?"),
             f"{psnr(frames[index], response.image):.2f}",
-            response.batch_size,
             f"{response.latency_s * 1e3:.1f}",
         ])
     print(format_table(
-        ["node", "codec (echoed)", "psnr (dB)", "batch size", "latency (ms)"],
+        ["node", "codec (echoed)", "psnr (dB)", "latency (ms)"],
         rows, title="Gateway round-trip (submitted as raw EASZ containers)"))
 
 
@@ -75,8 +73,7 @@ def congestion_replay(server, packages, images_per_hour=360.0, speedup=80.0):
 
 
 def backpressure_demo(model, config, packages):
-    tiny = CompressionServer(model=model, config=config, num_workers=1, queue_depth=2,
-                             max_batch_size=2)
+    tiny = CompressionServer(model=model, config=config, num_workers=1, queue_depth=2)
     rejected = 0
     with tiny:
         pendings = []
@@ -98,21 +95,18 @@ def main():
     model = pretrained_model(config, steps=600, batch_size=32)
     frames, packages, containers = fleet_containers(config)
     print("Serving-gateway example\n")
-    server = CompressionServer(model=model, config=config, num_workers=2,
-                               max_batch_size=4)
+    server = CompressionServer(model=model, config=config, num_workers=2)
     with server:
         gateway_roundtrip(server, frames, containers)
         congestion_replay(server, packages)
         snapshot = server.stats.snapshot()
     print(f"\nServer stats: {snapshot['completed']} images, "
           f"p50 {snapshot['latency_p50_ms']:.1f} ms, p99 {snapshot['latency_p99_ms']:.1f} ms, "
-          f"mean batch {snapshot['mean_batch_size']:.1f}, "
-          f"batch histogram {snapshot['batch_size_histogram']}")
+          f"service {snapshot['service_time_mean_ms']:.1f} ms/image")
     backpressure_demo(model, config, packages)
-    print("\nOne shared mask per fleet keeps every frame batchable: the gateway fuses "
-          "concurrent requests into single transformer calls, and admission control "
-          "turns overload into dropped frames at the edge rather than unbounded "
-          "server-side latency.")
+    print("\nOne shared mask per fleet keeps the gateway's squeeze plan warm for every "
+          "frame, and admission control turns overload into dropped frames at the "
+          "edge rather than unbounded server-side latency.")
 
 
 if __name__ == "__main__":

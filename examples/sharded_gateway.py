@@ -8,9 +8,9 @@ the same story out to a *pool* — the deployment shape the ROADMAP's
    worker processes (each with its own model weights, codec tables and plan
    caches) behind the exact ``submit_bytes``/``PendingResult`` API the
    threaded server exposes;
-2. **queued-only batching** — each shard batches the same-key requests
-   already waiting in its queue and never holds a batch open, so idle
-   shards serve singles instantly while loaded shards batch their backlog;
+2. **sticky routing** — requests that share a mask, geometry and codec go
+   to the same shard, whose worker serves them one frame per call from
+   warm plan and codec caches;
 3. **static-scene result cache** — the fleet re-sends one unchanged frame
    (a parked camera at night) and the digest-keyed cross-request cache
    resolves the repeats without touching any shard;
@@ -58,11 +58,10 @@ def pool_roundtrip(server, frames, containers):
             f"camera-{index}",
             response.worker,
             f"{psnr(frames[index], response.image):.2f}",
-            response.batch_size,
             f"{response.latency_s * 1e3:.1f}",
         ])
     print(format_table(
-        ["node", "served by", "psnr (dB)", "batch size", "latency (ms)"],
+        ["node", "served by", "psnr (dB)", "latency (ms)"],
         rows, title="Pool round-trip (submitted as raw EASZ containers)"))
 
 
@@ -131,7 +130,6 @@ def main():
     print("Sharded-gateway example\n")
     server = ShardedCompressionServer(
         model=model, config=config, num_shards=2,
-        max_batch_size=4,
         watchdog_interval_s=0.25,
     )
     with server:
@@ -144,8 +142,6 @@ def main():
                            in sorted(snapshot["response_transport"].items()))
     print(f"\nPool stats: {snapshot['completed']} images across "
           f"{snapshot['num_shards']} shards, p50 {snapshot['latency_p50_ms']:.1f} ms, "
-          f"mean batch {snapshot['mean_batch_size']:.1f}, "
-          f"batch histogram {snapshot['batch_size_histogram']}, "
           f"response transport [{transports}]")
     static_scene_cache(model, config, containers)
     print("\nEach shard owns its model weights and caches, so the pool scales "

@@ -11,9 +11,9 @@ Top-level package layout:
 * :mod:`repro.datasets` — synthetic Kodak / CLIC / CIFAR stand-ins;
 * :mod:`repro.sr` — super-resolution baselines (Table I);
 * :mod:`repro.edge` — Jetson-TX2-class edge/server testbed simulation;
-* :mod:`repro.serve` — micro-batching compression service layer (bounded
-  request queue, micro-batcher, worker pool, caches, telemetry, scenario
-  load harness);
+* :mod:`repro.serve` — compression service layer (admission, routing,
+  worker pool or shard processes, caches, telemetry, scenario load
+  harness);
 * :mod:`repro.experiments` — experiment harness shared by the benchmarks.
 """
 

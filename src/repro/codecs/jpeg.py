@@ -17,9 +17,6 @@ rate/quality trade-off as libjpeg output.
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
 from ..entropy.bitio import BitReader, BitWriter
@@ -45,7 +42,7 @@ from .jpeg_tables import (
 )
 
 __all__ = ["JpegCodec", "dct2", "idct2", "dct2_batched", "idct2_batched",
-           "dct_matrix", "set_dct_threads"]
+           "dct_matrix"]
 
 _MAGIC = b"RJPG"
 _EOB = 0x00
@@ -68,67 +65,11 @@ _DCT8 = dct_matrix(8)
 _KRON = np.kron(_DCT8, _DCT8)
 _KRON_T = np.ascontiguousarray(_KRON.T)
 
-# Opt-in thread pool for very large batched DCT calls (>~1 megapixel of
-# blocks).  Off by default: numpy's GEMM is already the fastest option on a
-# single core, and tier-1 must not spawn threads behind the caller's back.
-_DCT_THREADS = 1
-_DCT_POOL = None  # (executor, num_threads, owning pid)
-_DCT_POOL_LOCK = threading.Lock()
-_DCT_MT_MIN_BLOCKS = 16384  # 16384 blocks == 1 MiP of 8x8 pixels
-
-
-def set_dct_threads(num_threads):
-    """Size the opt-in DCT thread pool (1 disables it; returns the old value).
-
-    With ``num_threads > 1``, :func:`dct2_batched` / :func:`idct2_batched`
-    split batches of at least ``16384`` blocks (one megapixel) across a
-    shared thread pool — worth it for >1MP single-image calls on multi-core
-    hosts, a wash on one core.  The GEMM is row-partitioned so results are
-    unchanged.
-    """
-    global _DCT_THREADS, _DCT_POOL
-    num_threads = int(num_threads)
-    if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
-    previous = _DCT_THREADS
-    _DCT_THREADS = num_threads
-    if num_threads == 1:
-        with _DCT_POOL_LOCK:
-            # drop the reference only: idle ThreadPoolExecutor workers exit
-            # on their own once the executor is collected, and an explicit
-            # shutdown here could race another thread's in-flight map()
-            _DCT_POOL = None
-    return previous
-
-
-def _dct_pool(num_threads):
-    """The shared executor, recreated on resize and never shared across
-    ``fork`` (a child would inherit worker threads that do not exist)."""
-    global _DCT_POOL
-    with _DCT_POOL_LOCK:
-        pool = _DCT_POOL
-        if (pool is not None and pool[1] == num_threads
-                and pool[2] == os.getpid()):
-            return pool[0]
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=num_threads,
-                                      thread_name_prefix="repro-dct")
-        _DCT_POOL = (executor, num_threads, os.getpid())
-        return executor
-
 
 def _gemm_blocks(blocks, operator):
     """Apply a 64×64 flat-DCT operator to ``(N, 8, 8)`` blocks as one GEMM."""
     count = blocks.shape[0]
-    flat = np.ascontiguousarray(blocks).reshape(count, 64)
-    num_threads = _DCT_THREADS
-    if num_threads > 1 and count >= _DCT_MT_MIN_BLOCKS:
-        executor = _dct_pool(num_threads)
-        chunks = np.array_split(flat, num_threads)
-        parts = list(executor.map(lambda chunk: chunk @ operator, chunks))
-        return np.concatenate(parts).reshape(count, 8, 8)
-    return (flat @ operator).reshape(count, 8, 8)
+    return (np.ascontiguousarray(blocks).reshape(count, 64) @ operator).reshape(count, 8, 8)
 
 
 def dct2(blocks):
@@ -151,10 +92,10 @@ def dct2_batched(blocks):
 
     One BLAS call over the whole batch instead of 2N broadcast 8×8 matmuls —
     ~2.5x faster at the block counts a 256² channel produces, and the entry
-    point the JPEG pipeline feeds with *all* channels of *all* images of a
-    micro-batch at once.  Numerics are the standard orthonormal DCT (the
-    64×64 operator is the Kronecker square of the 8-point basis); summation
-    order differs from :func:`dct2` by at most ~1e-13 on pixel-scale inputs.
+    point the JPEG pipeline feeds with *all* channels of one image at once.
+    Numerics are the standard orthonormal DCT (the 64×64 operator is the
+    Kronecker square of the 8-point basis); summation order differs from
+    :func:`dct2` by at most ~1e-13 on pixel-scale inputs.
     """
     return _gemm_blocks(blocks, _KRON_T)
 
@@ -593,12 +534,6 @@ class JpegCodec(Codec):
             "num_channels": payload[8],
         }
 
-    def _channel_coefficients(self, state):
-        """Dequantised DCT coefficients per channel of one decode state."""
-        return [quantised.astype(np.float64)
-                * (self._luma_table if meta["is_luma"] else self._chroma_table)
-                for quantised, meta in state["channels"]]
-
     def _assemble(self, state, blocks_per_channel):
         """Bulk half of decoding: IDCT'd blocks → assembled image."""
         height, width = state["height"], state["width"]
@@ -617,71 +552,22 @@ class JpegCodec(Codec):
             return channels[0]
         return ycbcr_to_rgb(np.stack(channels, axis=-1))
 
-    @staticmethod
-    def _idct_states(states):
-        """One fused IDCT over every channel of every decode state.
+    def _idct_channels(self, state):
+        """One fused IDCT over every channel of one decode state.
 
-        Returns, per state, the list of per-channel ``(N, 8, 8)`` pixel
-        blocks.  This is the batched entry point the serving worker drives
-        with a whole micro-batch: all block counts are concatenated into a
-        single GEMM.
+        Dequantises each channel, concatenates the block counts into a
+        single GEMM and returns the per-channel ``(N, 8, 8)`` pixel blocks.
         """
-        arrays = []
-        for state, codec in states:
-            arrays.extend(codec._channel_coefficients(state))
-        if not arrays:
-            return []
-        blocks = idct2_batched(np.concatenate(arrays))
-        split_points = np.cumsum([a.shape[0] for a in arrays])[:-1]
-        parts = np.split(blocks, split_points)
-        grouped = []
-        cursor = 0
-        for state, _ in states:
-            count = len(state["channels"])
-            grouped.append(parts[cursor:cursor + count])
-            cursor += count
-        return grouped
+        coefficients = [quantised.astype(np.float64)
+                        * (self._luma_table if meta["is_luma"] else self._chroma_table)
+                        for quantised, meta in state["channels"]]
+        blocks = idct2_batched(np.concatenate(coefficients))
+        return np.split(blocks, np.cumsum([c.shape[0] for c in coefficients])[:-1])
 
     def decompress(self, compressed):
         """Decode a bitstream produced by :meth:`compress`."""
         state = self._entropy_decode(compressed)
-        blocks = self._idct_states([(state, self)])[0]
-        return self._assemble(state, blocks)
-
-    def decompress_many(self, compressed_list, on_error="raise"):
-        """Decode several payloads with one fused IDCT across the batch.
-
-        Entropy decoding stays per-payload (the streams are sequential by
-        nature, and with ``on_error="collect"`` a corrupt payload yields its
-        exception in the result list instead of failing the batch); the
-        IDCT — the bulk numeric cost — runs as a single GEMM over every
-        block of every surviving payload.
-        """
-        if on_error not in ("raise", "collect"):
-            raise ValueError("on_error must be 'raise' or 'collect'")
-        states = [None] * len(compressed_list)
-        results = [None] * len(compressed_list)
-        for index, compressed in enumerate(compressed_list):
-            try:
-                states[index] = self._entropy_decode(compressed)
-            except Exception as error:  # noqa: BLE001 - isolate per payload
-                if on_error == "raise":
-                    raise
-                results[index] = error
-        alive = [(state, self) for state in states if state is not None]
-        grouped = self._idct_states(alive)
-        cursor = 0
-        for index, state in enumerate(states):
-            if state is None:
-                continue
-            try:
-                results[index] = self._assemble(state, grouped[cursor])
-            except Exception as error:  # noqa: BLE001 - isolate per payload
-                if on_error == "raise":
-                    raise
-                results[index] = error
-            cursor += 1
-        return results
+        return self._assemble(state, self._idct_channels(state))
 
     def decompress_unsqueezed(self, compressed, plan, original_spatial):
         """Fused decode for grayscale erase-and-squeeze payloads.

@@ -35,7 +35,7 @@ more than the GEMMs themselves.
 
 The engine processes stacked tokens from any number of images in chunks of
 about :data:`CHUNK_ROWS` token rows, so one engine call serves a whole
-micro-batch in chunks whose working set stays cache-sized (the sweep behind
+batch in chunks whose working set stays cache-sized (the sweep behind
 the row count covers 16- and 64-token patches).  Numerics differ from the
 float64 autograd forward only by float32 rounding; reconstructions agree to
 ~1e-6, far below a pixel quantisation step.

@@ -16,7 +16,6 @@ This is the system of the paper's Fig. 2 (left):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from ..image import image_num_pixels, to_float
 from .config import EaszConfig
 from .erase_squeeze import get_squeeze_plan
 from .masks import deserialize_mask, proposed_mask, random_mask, serialize_mask
-from .reconstruction import EaszReconstructor, reconstruct_batch, reconstruct_image
+from .reconstruction import EaszReconstructor, reconstruct_image
 
 __all__ = ["EaszCompressed", "EaszEncoder", "EaszDecoder", "EaszCodec"]
 
@@ -217,71 +216,19 @@ class EaszDecoder:
         )
         return filled[: original_spatial[0], : original_spatial[1], ...]
 
-    def _unsqueeze_package(self, compressed, mask):
-        """Base-codec decode + unsqueeze one package (no reconstruction)."""
-        codec = self.base_codec
+    def _unsqueeze_package(self, compressed, mask, codec=None):
+        """Base-codec decode + unsqueeze one package (no reconstruction).
+
+        ``codec`` defaults to the decoder's base codec; servers pass the
+        codec the package names.
+        """
+        codec = codec if codec is not None else self.base_codec
         plan = self._plan(mask)
         filled = self._fused_unsqueeze(compressed, codec, plan)
         if filled is not None:
             return filled
         squeezed = codec.decompress(compressed.codec_payload)
         return self._finish_unsqueeze(compressed, squeezed, plan)
-
-    def _unsqueeze_many(self, packages, masks, codec=None, collect_errors=False):
-        """Decode + unsqueeze N packages with one fused IDCT across the batch.
-
-        The sequential entropy decode runs per package (with
-        ``collect_errors=True`` a corrupt payload yields its exception in
-        the result list and its batch-mates keep going — the serving
-        contract); the inverse DCT of every surviving payload runs as a
-        single batched call when the codec exposes ``decompress_many``.
-        ``codec`` defaults to the decoder's base codec; servers pass the
-        codec a package names.  Squeeze plans come from the process-wide
-        :func:`~repro.core.erase_squeeze.get_squeeze_plan` cache.
-        """
-        codec = codec if codec is not None else self.base_codec
-        packages = list(packages)
-        resolved = [self._plan(mask) for mask in masks]
-        results = [None] * len(packages)
-        pending = []
-        for index, package in enumerate(packages):
-            try:
-                filled = self._fused_unsqueeze(package, codec, resolved[index])
-            except Exception as error:  # noqa: BLE001 - isolate per package
-                if not collect_errors:
-                    raise
-                results[index] = error
-                continue
-            if filled is not None:
-                results[index] = filled
-            else:
-                pending.append(index)
-        if pending:
-            if hasattr(codec, "decompress_many"):
-                decoded = codec.decompress_many(
-                    [packages[index].codec_payload for index in pending],
-                    on_error="collect" if collect_errors else "raise")
-            else:
-                decoded = []
-                for index in pending:
-                    try:
-                        decoded.append(codec.decompress(packages[index].codec_payload))
-                    except Exception as error:  # noqa: BLE001
-                        if not collect_errors:
-                            raise
-                        decoded.append(error)
-            for index, squeezed in zip(pending, decoded):
-                if isinstance(squeezed, Exception):
-                    results[index] = squeezed
-                    continue
-                try:
-                    results[index] = self._finish_unsqueeze(
-                        packages[index], squeezed, resolved[index])
-                except Exception as error:  # noqa: BLE001
-                    if not collect_errors:
-                        raise
-                    results[index] = error
-        return results
 
     def decode(self, compressed, reconstruct=True):
         """Recover the full image from an :class:`EaszCompressed` package."""
@@ -292,37 +239,13 @@ class EaszDecoder:
         return reconstruct_image(self.model, filled, mask)
 
     def decode_batch(self, packages, reconstruct=True):
-        """Decode N packages, fusing the reconstruction of shared-mask groups.
+        """:meth:`decode` each package, in submission order.
 
-        Base-codec entropy decoding runs per package (entropy streams are
-        sequential by nature); the transformer reconstruction — the dominant
-        server-side cost — is batched through
-        :func:`repro.core.reconstruction.reconstruct_batch` for every group
-        of packages sharing one erase mask.  Results keep submission order.
-        :meth:`decode` is a batch of one through the same engine, so
-        ``decode_batch([p])[0]`` equals ``decode(p)`` bit for bit; in larger
-        batches predicted pixels agree with per-package calls to float32
-        tolerance.
+        Batching buys nothing here: the engine's cost per image is flat from
+        batch 1 to 8, so every package takes the single-frame path and
+        ``decode_batch(ps)[i]`` equals ``decode(ps[i])`` bit for bit.
         """
-        packages = list(packages)
-        masks = [deserialize_mask(package.mask_bytes) for package in packages]
-        filled_images = self._unsqueeze_many(packages, masks)
-        groups = OrderedDict()
-        for position, package in enumerate(packages):
-            group = groups.get(package.mask_bytes)
-            if group is None:
-                groups[package.mask_bytes] = (masks[position], [position])
-            else:
-                group[1].append(position)
-        if not reconstruct:
-            return filled_images
-        results = [None] * len(packages)
-        for mask, positions in groups.values():
-            reconstructed = reconstruct_batch(
-                self.model, [filled_images[p] for p in positions], mask)
-            for position, image in zip(positions, reconstructed):
-                results[position] = image
-        return results
+        return [self.decode(package, reconstruct) for package in packages]
 
     def complexity(self, shape):
         """Server-side cost: base-codec decode + transformer reconstruction."""
@@ -393,9 +316,8 @@ class EaszCodec(Codec):
         ]
 
     def decompress_batch(self, compressed_list):
-        """Batched :meth:`decompress` with fused shared-mask reconstruction."""
-        packages = [compressed.metadata["easz_package"] for compressed in compressed_list]
-        return self.decoder.decode_batch(packages)
+        """:meth:`decompress` each item, in submission order."""
+        return [self.decompress(compressed) for compressed in compressed_list]
 
     def encode_complexity(self, shape):
         """Edge cost = erase-and-squeeze + base-codec encode of the squeezed image."""

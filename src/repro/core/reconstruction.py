@@ -246,7 +246,7 @@ def reconstruct_batch(model, filled_images, mask, keep_original=True):
     (one fancy index per shape group, see :class:`PixelIndexPlan`), stacked
     into one patch batch and run through the model's
     :class:`FusedBatchEngine`, so fixed per-call costs are amortised across
-    the whole micro-batch.  Images may mix shapes and gray/RGB — they are
+    the whole batch.  Images may mix shapes and gray/RGB — they are
     grouped internally and each group is processed in one stacked call.
     RGB images are folded channel-major into the batch when the model was
     built with ``channels=1`` (the default), otherwise tokenised jointly.

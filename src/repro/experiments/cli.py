@@ -114,8 +114,8 @@ def build_parser():
 
     serve_bench = subparsers.add_parser(
         "serve-bench",
-        help="drive the micro-batching compression server with Poisson load "
-             "or a chaos scenario")
+        help="drive the compression server with Poisson load or a chaos "
+             "scenario")
     serve_bench.add_argument("--requests", type=int, default=48,
                              help="expected requests of the Poisson replay (it "
                                   "lasts requests / rate seconds)")
@@ -137,13 +137,8 @@ def build_parser():
                              help="watchdog probe interval in seconds (must be > 0)")
     serve_bench.add_argument("--result-cache", type=int, default=0,
                              help="cross-request result cache capacity (0 = off)")
-    serve_bench.add_argument("--max-batch", type=int, default=8,
-                             help="micro-batcher batch-size cap")
     serve_bench.add_argument("--queue-depth", type=int, default=64,
                              help="admission queue bound")
-    serve_bench.add_argument("--dct-threads", type=int, default=1,
-                             help="opt-in thread pool for >1MP batched DCT "
-                                  "calls (1 = single-threaded GEMM)")
     serve_bench.add_argument("--images", type=int, default=4,
                              help="distinct frames cycled through the replay")
     serve_bench.add_argument("--train-steps", type=int, default=300,
@@ -500,7 +495,6 @@ def _run_scenario_bench(args, scenario, config, model):
             "num_shards": args.shards,
             "workers_per_shard": max(1, args.workers // args.shards),
             "queue_depth": args.queue_depth,
-            "max_batch_size": args.max_batch,
             "result_cache_size": args.result_cache,
             "use_shm": args.shm,
             "watchdog_interval_s": args.watchdog_interval if args.watchdog else 0.25,
@@ -515,7 +509,6 @@ def _run_scenario_bench(args, scenario, config, model):
         kwargs = {
             "num_workers": args.workers,
             "queue_depth": args.queue_depth,
-            "max_batch_size": args.max_batch,
             "result_cache_size": args.result_cache,
         }
         # scenario hints still override here, minus the process/ring knobs a
@@ -542,7 +535,6 @@ def _run_scenario_bench(args, scenario, config, model):
         "utilisation": report.utilisation,
         "service time / image (ms)": report.service_time_per_image_ms,
         "queue wait mean (ms)": snapshot["queue_wait_mean_ms"],
-        "mean batch size": snapshot["mean_batch_size"],
         "result-cache hits": snapshot["result_cache"]["hits"],
         "chaos events": len(report.chaos_events),
     }
@@ -564,9 +556,6 @@ def _run_scenario_bench(args, scenario, config, model):
          "shed", "retry", "hedge", "dl-shed", "p50 ms", "p99 ms",
          "M/D/c pred ms", "SLO miss"],
         rows, title="per-tenant service levels"))
-    print()
-    rows = [[size, count] for size, count in snapshot["batch_size_histogram"].items()]
-    print(format_table(["batch size", "batches"], rows, title="micro-batch histogram"))
     cache_rows = [[owner, cache["name"], cache["hits"], cache["misses"]]
                   for owner, caches in snapshot["caches"].items() for cache in caches]
     if cache_rows:
@@ -620,11 +609,6 @@ def _command_serve_bench(args):
         print(f"warning: host exposes {available_cpus()} CPU; {args.shards} "
               "process shards will not run in parallel (numbers reflect "
               "transport overhead only)", file=sys.stderr)
-
-    if args.dct_threads != 1:
-        from ..codecs.jpeg import set_dct_threads
-
-        set_dct_threads(args.dct_threads)
 
     config = default_benchmark_config()
     model = pretrained_model(config, steps=args.train_steps)

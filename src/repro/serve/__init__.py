@@ -1,9 +1,10 @@
-"""``repro.serve`` — the micro-batching compression service layer.
+"""``repro.serve`` — the compression service layer.
 
 The paper's deployment story is a fleet of edge cameras streaming
 erase-and-squeezed frames to one shared server.  ``repro.core`` makes a
-single decode→reconstruct fast; this package makes *many concurrent* ones
-fast by amortising fixed costs across requests:
+single decode→reconstruct fast; this package serves *many concurrent* ones,
+each through that same single-frame path, with warm caches, admission
+control and failure isolation around it:
 
 * :class:`FrontDoor` — the one ``submit()``/``stop()`` of both servers:
   lifecycle checks, the admission-time deadline shed, the result cache, a
@@ -11,18 +12,17 @@ fast by amortising fixed costs across requests:
   :class:`ServerOverloadedError` (never a wait), routing, exactly-once
   settlement and one :class:`ServerStats`;
 * :class:`ThreadPoolBackend` — the in-process backend: an
-  :class:`AdmissionQueue` FIFO, the :class:`MicroBatcher` (coalesces the
-  already-queued requests that share an erase mask and image geometry, up
-  to ``max_batch_size``; it never waits for later arrivals) and
-  :class:`ServeWorker` threads running batches through the fused batched
-  APIs over the process-wide squeeze-plan cache and its codec cache;
+  :class:`AdmissionQueue` FIFO and :class:`ServeWorker` threads, each
+  popping one request at a time and serving it exactly as
+  :meth:`~repro.core.EaszDecoder.decode` would, over the process-wide
+  squeeze-plan cache and the backend's codec cache;
 * :class:`ShardBackend` — one shard process running a thread-pool backend,
   reached over a pickle-light wire format and a shared-memory response ring;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching a backend;
 * :class:`ServerStats` — throughput, p50/p99 latency over the front door's
-  own samples, batch-size histogram, queue depth and cache hit rates
+  own samples, queue wait, service time, queue depth and cache hit rates
   (backend counters summed exactly by :func:`aggregate_snapshots`);
 * :mod:`repro.serve.scenarios` — the one load harness.  A
   :class:`ScenarioSpec` trace (per-tenant Poisson/diurnal/bursty arrivals,
@@ -39,7 +39,7 @@ fast by amortising fixed costs across requests:
   :class:`ResilientClient` (retries + optional p95 hedging, exactly-once)
   and :class:`ClosedLoopClient` think-time load loops; absolute deadlines
   (``submit(..., deadline_s=...)``, :func:`deadline_after_ms`) propagate
-  through queue → batcher → worker → shard so expired work is shed with
+  through front door → shard → worker so expired work is shed with
   :class:`DeadlineExceededError` *before* any decode is paid for.
 
 One front door, two backends — which server to use
@@ -62,7 +62,7 @@ submit() overhead            ~µs (in-process queue)     container pack + queue 
 routing                      always backend 0           key hash + mask affinity,
                                                         load spill, breakers
 failure isolation            a worker exception fails   a crashed shard's requests
-                             its batch only, but a      are re-routed once; the
+                             its request only, but a    are re-routed once; the
                              hard crash takes the       shard restarts in place
                              process down               (:meth:`~repro.serve.
                                                         sharding.ShardedCompressionServer.restart_shard`)
@@ -82,10 +82,10 @@ counts both):
 concern                      queue path (``use_shm=     shm ring (``use_shm=True``,
                              False``)                   the default)
 ===========================  =========================  ==========================
-per-response cost            ``tobytes`` + queue pickle one copy into the slot,
-                             + pipe chunking + parent   one copy out (the lease
+per-response cost            ``tobytes`` + pickle +     one copy into the slot,
+                             pipe chunking + parent     one copy out (the lease
                              copy (4 copies of the      descriptor rides the
-                             pixels)                    queue; pixels never do)
+                             pixels)                    pipe; pixels never do)
 requirements                 none                       ``/dev/shm`` large enough
                                                         for ``shm_slots x
                                                         shm_slot_bytes`` (Docker
@@ -97,7 +97,7 @@ oversized / overflow         n/a                        responses larger than
                                                         full ring) fall back to
                                                         the queue path per
                                                         response, automatically
-crash safety                 queue messages die with    leases are reclaimed by
+crash safety                 pipe messages die with     leases are reclaimed by
                              the shard                  owner; per-slot sequence
                                                         numbers make stale acks
                                                         inert
@@ -182,7 +182,6 @@ Scaling out is the same API::
         response = server.submit_bytes(container).result(timeout=10.0)
 """
 
-from .batcher import MicroBatcher
 from .cache import ResultCache
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, ShardFailedError, deadline_after_ms)
@@ -209,7 +208,6 @@ __all__ = [
     "DeadlineExceededError",
     "FrontDoor",
     "LatencyWindow",
-    "MicroBatcher",
     "PendingResult",
     "QueueClosedError",
     "ResilienceSpec",

@@ -6,7 +6,7 @@ turns overload into an immediate :class:`ServerOverloadedError`, never a
 wait — unbounded queues only convert overload into unbounded latency, which
 the M/D/1 model in :mod:`repro.edge.fleet` makes precise.
 :class:`AdmissionQueue` is the bounded FIFO the in-process backend's
-batcher drains.
+workers pop one request at a time.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def deadline_remaining_s(deadline_s, clock=time.monotonic):
 
 
 class AdmissionQueue:
-    """A thread-safe bounded FIFO with key-aware draining for the batcher.
+    """A thread-safe bounded FIFO.
 
     ``put`` beyond ``max_depth`` raises :class:`ServerOverloadedError`
     immediately; it never blocks the submitter.
@@ -125,23 +125,3 @@ class AdmissionQueue:
             if not self._items:
                 return None
             return self._items.popleft()
-
-    def take_matching(self, predicate, limit):
-        """Remove up to ``limit`` queued requests satisfying ``predicate``.
-
-        Requests that do not match keep their queue order — the batcher uses
-        this to coalesce compatible requests without starving the rest.
-        """
-        if limit <= 0:
-            return []
-        taken = []
-        with self._lock:
-            kept = deque()
-            while self._items:
-                item = self._items.popleft()
-                if len(taken) < limit and predicate(item):
-                    taken.append(item)
-                else:
-                    kept.append(item)
-            self._items = kept
-        return taken

@@ -814,9 +814,8 @@ class ScenarioRunner:
             # order is acyclic
             shard_index, depth = predictor(package, kind)
             if shard_index is not None:
-                # the routed shard drains its window roughly one service time
-                # per request (workers_per_shard defaults to 1; batching only
-                # makes this estimate conservative)
+                # the routed shard drains its window one service time per
+                # request (workers_per_shard defaults to 1)
                 return (depth + 1) * service_ms
         cutoff = now - self.RATE_WINDOW_S
         while self._recent_arrivals and self._recent_arrivals[0] < cutoff:
@@ -1152,7 +1151,7 @@ class ScenarioRunner:
 def _service_totals(snapshot):
     """(busy seconds, completed requests) of a stats snapshot.
 
-    Busy time is the wall time a backend had at least one batch running.
+    Busy time is the wall time a backend had at least one request in service.
     """
     return snapshot.get("busy_seconds_total", 0.0), snapshot.get("completed", 0)
 

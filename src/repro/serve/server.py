@@ -43,6 +43,9 @@ __all__ = ["ServeRequest", "ServeResponse", "PendingResult", "FrontDoor",
 #: Erase masks whose observed geometries the router remembers (mask affinity).
 _MASK_GEOMETRIES_MAX = 1024
 
+#: Requests in flight on a backend before its traffic spills elsewhere.
+_SPILL_THRESHOLD = 8
+
 
 @dataclass
 class ServeResponse:
@@ -60,7 +63,6 @@ class ServeResponse:
     kind: str
     config_summary: dict = field(default_factory=dict)
     latency_s: float = 0.0
-    batch_size: int = 1
     worker: str = ""
     cached: bool = False
     transport: str = "inline"
@@ -125,8 +127,8 @@ class ServeRequest:
 
     ``deadline_s`` is an absolute ``time.monotonic`` stamp (or ``None`` for
     no deadline).  Every stage of the pipeline that is about to spend real
-    work on the request — batcher pop, worker pre-decode, shard-side
-    pre-unpack — checks it first and sheds the request with a
+    work on the request — front-door admission, shard-side pre-unpack,
+    worker pre-decode — checks it first and sheds the request with a
     :class:`DeadlineExceededError` instead of computing an answer nobody is
     waiting for.  ``backend`` is the index of the backend holding the
     request; ``redispatched`` marks the one re-route a lost request gets.
@@ -142,14 +144,13 @@ class ServeRequest:
     backend: int = 0
     redispatched: bool = False
 
-    @property
-    def batch_key(self):
-        """Requests sharing this key can run in one fused batch."""
-        return batch_key(self.package, self.kind)
-
 
 def batch_key(package, kind):
-    """(kind, mask bytes, geometry, codec): what one fused batch must share."""
+    """(kind, mask bytes, geometry, codec): the key the router hashes.
+
+    Requests that share it share a squeeze plan and a base codec, so the
+    router sends them to the same backend, whose caches are then warm.
+    """
     return (kind, package.mask_bytes, tuple(package.original_shape),
             package.codec_payload.codec_name)
 
@@ -166,19 +167,17 @@ class FrontDoor:
 
     ``queue_depth`` is the in-flight window of each backend (admitted and
     not yet settled); a full window rejects with
-    :class:`ServerOverloadedError`.  ``max_batch_size`` is also the load
-    spill threshold: a request leaves its preferred backend once that one
-    has a full batch in flight.
+    :class:`ServerOverloadedError`.  A request leaves its preferred backend
+    once that one has ``_SPILL_THRESHOLD`` requests in flight.
     """
 
-    def __init__(self, model, config, backends, queue_depth=64, max_batch_size=8,
-                 result_cache_size=0, breakers=None):
+    def __init__(self, model, config, backends, queue_depth=64, result_cache_size=0,
+                 breakers=None):
         if queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
         self.config = config or (model.config if model is not None else EaszConfig())
         self.model = model or EaszReconstructor(self.config)
         self.queue_depth = int(queue_depth)
-        self.max_batch_size = int(max_batch_size)
         self.result_cache = ResultCache(result_cache_size)
         self.stats = ServerStats(source=self._telemetry)
         self._backends = backends
@@ -375,7 +374,7 @@ class FrontDoor:
         """Pick a backend (caller holds the lock): sticky unless overloaded.
 
         The preferred backend keeps its caches hot for this key; once it has
-        a full batch of work in flight (``max_batch_size``), the least-loaded
+        ``_SPILL_THRESHOLD`` requests in flight, the least-loaded
         live backend takes the overflow so one hot key saturates the whole
         pool instead of one process.  A backend whose circuit breaker is
         open is treated exactly like an overloaded one — unless *every*
@@ -386,7 +385,7 @@ class FrontDoor:
         if len(self._backends) > 1:
             preferred = self._preferred_shard(key, self._mask_affine_locked(key))
         if (self._backends[preferred].accepts_work()
-                and self._inflight[preferred] < self.max_batch_size
+                and self._inflight[preferred] < _SPILL_THRESHOLD
                 and self._trusted(preferred)):
             return preferred
         candidates = [index for index, backend in enumerate(self._backends)
@@ -400,8 +399,8 @@ class FrontDoor:
     # ------------------------------------------------------------------ #
     # settlement
     # ------------------------------------------------------------------ #
-    def _settle(self, request_id, image=None, error=None, batch_size=1, worker="",
-                transport="inline", lost=False):
+    def _settle(self, request_id, image=None, error=None, worker="", transport="inline",
+                lost=False):
         """Settle one admitted request exactly once; later calls are no-ops.
 
         ``lost`` marks a request its backend could not serve (the shard
@@ -435,8 +434,7 @@ class FrontDoor:
         request.pending._resolve(ServeResponse(
             request_id=request_id, image=image, kind=request.kind,
             config_summary=dict(request.package.config_summary),
-            latency_s=latency, batch_size=batch_size, worker=worker,
-            transport=transport))
+            latency_s=latency, worker=worker, transport=transport))
 
     def _redispatch(self, request):
         """Re-route a lost request to another backend (once); True when taken."""
@@ -481,7 +479,7 @@ class FrontDoor:
 
 
 class CompressionServer(FrontDoor):
-    """Thread-based micro-batching decode/reconstruct service.
+    """Thread-based decode/reconstruct service.
 
     The front door over one in-process
     :class:`~repro.serve.worker.ThreadPoolBackend` (``self.pool``).
@@ -493,17 +491,11 @@ class CompressionServer(FrontDoor):
         workers; a fresh one is built from ``config`` when omitted.
     config:
         :class:`EaszConfig`; defaults to the model's config.
-    base_codec:
-        Fallback base codec used when a package names a codec the registry
-        cannot rebuild; defaults to JPEG quality 75.
     num_workers:
-        Worker threads.
+        Worker threads; each serves one request at a time.
     queue_depth:
         In-flight window: requests admitted and not yet settled.  A full
         window rejects with :class:`ServerOverloadedError`.
-    max_batch_size:
-        Most requests one batch may hold; a batch only takes requests that
-        are already queued (see :class:`~repro.serve.batcher.MicroBatcher`).
     result_cache_size:
         Capacity of the cross-request :class:`~repro.serve.cache.ResultCache`
         keyed on payload digest.  ``0`` (the default) disables it; enable it
@@ -511,13 +503,11 @@ class CompressionServer(FrontDoor):
         repeats resolve instantly without touching the queue.
     """
 
-    def __init__(self, model=None, config=None, base_codec=None, num_workers=2,
-                 queue_depth=64, max_batch_size=8, result_cache_size=0):
+    def __init__(self, model=None, config=None, num_workers=2, queue_depth=64,
+                 result_cache_size=0):
         config = config or (model.config if model is not None else EaszConfig())
         model = model or EaszReconstructor(config)
-        self.pool = ThreadPoolBackend(model, config, self._settle, base_codec=base_codec,
-                                      num_workers=num_workers, queue_depth=queue_depth,
-                                      max_batch_size=max_batch_size)
+        self.pool = ThreadPoolBackend(model, config, self._settle,
+                                      num_workers=num_workers, queue_depth=queue_depth)
         super().__init__(model, config, [self.pool], queue_depth=queue_depth,
-                         max_batch_size=max_batch_size,
                          result_cache_size=result_cache_size)

@@ -15,21 +15,23 @@ Design points:
 * **pickle-light wire format** — requests cross the process boundary as the
   existing ``EASZ`` transport container bytes (:func:`repro.core.pack_package`)
   plus plain ints/strings; responses come back as raw pixel buffers with
-  shape/dtype and the batch size and worker name.  No live objects, no class
+  shape/dtype and the worker name.  No live objects, no class
   pickling, so a shard can be restarted without poisoning the parent.
-* **routing** — the front door hashes a request's batch key to a preferred
+  Each shard process answers over its own pipe: a shard killed mid-write
+  breaks only its own channel, never a lock the other shards write under.
+* **routing** — the front door hashes a request's routing key to a preferred
   shard (so shard-local caches stay hot), switches a mask to mask-only
   routing once it arrives with a second geometry, spills to the least-loaded
-  shard once the preferred one has a full batch in flight, and routes around
+  shard once the preferred one has eight requests in flight, and routes around
   shards whose circuit breaker is open.
 * **zero-copy responses** — with ``use_shm=True`` (the default) shards write
   finished pixels straight into a :class:`~repro.serve.shm.ShmRing` of
-  shared-memory slots and send only a tiny lease descriptor over the queue.
+  shared-memory slots and send only a tiny lease descriptor over their pipe.
   Responses that outgrow a slot, a full ring, or a host without shared
   memory fall back to the queue path per response (``ServeResponse.transport``
   says which path served each request; telemetry counts both).
 * **shared counter cells** — each slot owns one row of float64 cells in
-  shared memory: its heartbeat stamp and its batch/cache counters.  A shard
+  shared memory: its heartbeat stamp and its service/cache counters.  A shard
   publishes its counters before each response leaves, adding to what
   earlier processes of its slot left, so the pool's counters survive a
   restart or a SIGKILL without any stats round trip.
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import builtins
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_module
 import threading
@@ -76,7 +79,7 @@ _DEFAULT_SHM_SLOT_BYTES = 4 << 20
 
 # Default hang timeout when the watchdog runs (``watchdog_hang_timeout_s=
 # "auto"``): shards stamp their heartbeat every loop iteration (<= 50 ms
-# idle; batches never block the loop), so 30 s of silence from a live
+# idle; serving never blocks the loop), so 30 s of silence from a live
 # process means wedged, not busy — conservative by ~3 orders of magnitude.
 _DEFAULT_HANG_TIMEOUT_S = 30.0
 
@@ -85,16 +88,15 @@ _BREAKER_OPEN_S = 1.0
 _WATCHDOG_BACKOFF_CAP_S = 30.0
 _REAP_INTERVAL_S = 0.25
 
-# One row of float64 cells per shard slot: the heartbeat stamp, the batch
-# counters, (hits, misses, size) of the plan and codec caches, then the
-# batch-size histogram (cell _HISTOGRAM + k - 1 counts batches of size k).
+# One row of float64 cells per shard slot: the heartbeat stamp, the service
+# counters, then (hits, misses, size) of the plan and codec caches.
 _HEARTBEAT = 0
 _COUNTERS = ("batches", "queue_wait_seconds_total", "service_seconds_total",
              "busy_seconds_total")
 _CACHES = ("squeeze_plans", "codecs")
 _CACHE_CELLS = 1 + len(_COUNTERS)
 _SIZE_CELLS = [_CACHE_CELLS + 3 * position + 2 for position in range(len(_CACHES))]
-_HISTOGRAM = _CACHE_CELLS + 3 * len(_CACHES)
+_ROW_CELLS = _CACHE_CELLS + 3 * len(_CACHES)
 
 
 def available_cpus():
@@ -112,15 +114,13 @@ def available_cpus():
 # --------------------------------------------------------------------------- #
 # counter cells
 # --------------------------------------------------------------------------- #
-def _counter_cells(counters, width):
+def _counter_cells(counters):
     """A backend's counters as one row of cells (heartbeat cell left at 0)."""
-    cells = np.zeros(width)
+    cells = np.zeros(_ROW_CELLS)
     cells[1:_CACHE_CELLS] = [counters[name] for name in _COUNTERS]
     for position, cache in enumerate(counters["caches"]):
         first = _CACHE_CELLS + 3 * position
         cells[first:first + 3] = cache["hits"], cache["misses"], cache["size"]
-    for size, count in counters["batch_size_histogram"].items():
-        cells[_HISTOGRAM + size - 1] = count
     return cells
 
 
@@ -128,8 +128,6 @@ def _cells_counters(cells):
     """The inverse of :func:`_counter_cells`: a backend counters dict."""
     counters = {name: float(cells[1 + position]) for position, name in enumerate(_COUNTERS)}
     counters["batches"] = int(counters["batches"])
-    counters["batch_size_histogram"] = {
-        size: int(count) for size, count in enumerate(cells[_HISTOGRAM:], start=1) if count}
     counters["caches"] = []
     for position, name in enumerate(_CACHES):
         hits, misses, size = cells[_CACHE_CELLS + 3 * position:][:3]
@@ -164,11 +162,11 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     deadline_s)`` tuples (``deadline_s`` an absolute CLOCK_MONOTONIC stamp or
     ``None``, checked *before* the container is unpacked); finished pixels
     leave either through the shared-memory ring (a tiny ``("shm", ...)``
-    lease descriptor on ``responses``) or as raw buffers in ``("ok", ...)``
-    messages, errors as ``("err", ...)``.  The control pipe carries the
-    ready and drain handshakes.  The shard stamps its heartbeat cell every
-    loop iteration so the parent's watchdog can tell a busy shard from a
-    hung one.
+    lease descriptor on ``responses``, this shard's own pipe) or as raw
+    buffers in ``("ok", ...)`` messages, errors as ``("err", ...)``.  The
+    control pipe carries the ready and drain handshakes.  The shard stamps
+    its heartbeat cell every loop iteration so the parent's watchdog can
+    tell a busy shard from a hung one.
     """
     config = EaszConfig(**config_kwargs)
     model = EaszReconstructor(config)
@@ -180,18 +178,22 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
             ring = ShmRing.attach(ring_descriptor)
         except Exception:  # noqa: BLE001 - ring is a fast path, not a requirement
             ring = None
-    width = _HISTOGRAM + options["max_batch_size"]
-    row = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)[index]
+    row = np.frombuffer(cells, dtype=np.float64).reshape(-1, _ROW_CELLS)[index]
     base = row.copy()  # what earlier processes of this slot published
     base[_SIZE_CELLS] = 0.0  # cache sizes are this process's own
     publish_lock = threading.Lock()
+    send_lock = threading.Lock()  # one message at a time on the response pipe
 
-    def reply(request_id, image=None, error=None, batch_size=1, worker=""):
+    def send(message):
+        with send_lock:
+            responses.send(message)
+
+    def reply(request_id, image=None, error=None, worker=""):
         if error is not None:
-            responses.put(("err", index, request_id, type(error).__name__, str(error)))
+            send(("err", index, request_id, type(error).__name__, str(error)))
             return
         with publish_lock:
-            row[1:] = base[1:] + _counter_cells(backend.counters(), width)[1:]
+            row[1:] = base[1:] + _counter_cells(backend.counters())[1:]
         image = np.ascontiguousarray(image)
         message = None
         if ring is not None and image.nbytes <= ring.slot_bytes:
@@ -204,11 +206,11 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
                     ring.release(slot, seq, index)
                 else:
                     message = ("shm", index, request_id, slot, seq, image.nbytes,
-                               image.shape, str(image.dtype), batch_size, worker)
+                               image.shape, str(image.dtype), worker)
         if message is None:  # ring off, full, or the response outgrew a slot
             message = ("ok", index, request_id, image.tobytes(), image.shape,
-                       str(image.dtype), batch_size, worker)
-        responses.put(message)
+                       str(image.dtype), worker)
+        send(message)
 
     backend = ThreadPoolBackend(model, config, reply, **options)
     backend.start()
@@ -286,11 +288,12 @@ class ShardBackend:
         self.process = None
         self.request_queue = None
         self.control_conn = None
+        self.responses = None  # read end of this process's response pipe
         self.draining = False
         self.stopped = False
         self.row = None
         self.shared = ()
-        self._spawned = None  # (process, request queue, pipe) until ready
+        self._spawned = None  # (process, request queue, pipe, responses) until ready
         self._conn_lock = threading.Lock()  # Connections are not thread-safe
         self.restarts = 0
         self.backoff_s = 0.0
@@ -306,7 +309,7 @@ class ShardBackend:
                                 pack_package(request.package), request.deadline_s))
 
     def counters(self):
-        return _cells_counters(self.row if self.row is not None else np.zeros(_HISTOGRAM))
+        return _cells_counters(self.row if self.row is not None else np.zeros(_ROW_CELLS))
 
     # process lifecycle --------------------------------------------------- #
     def is_alive(self):
@@ -321,25 +324,31 @@ class ShardBackend:
         """Start a new process for this slot; :meth:`await_ready` publishes it."""
         request_queue = context.Queue()
         parent_conn, child_conn = context.Pipe()
+        responses, response_writer = context.Pipe(duplex=False)
         process = context.Process(
             target=_shard_main, name=f"easz-shard-{self.index}",
-            args=(self.index, request_queue, child_conn) + self.shared, daemon=True)
+            args=(self.index, request_queue, child_conn, response_writer) + self.shared,
+            daemon=True)
         process.start()
         child_conn.close()
-        self._spawned = (process, request_queue, parent_conn)
+        response_writer.close()  # the child holds the only write end
+        self._spawned = (process, request_queue, parent_conn, responses)
 
     def await_ready(self):
         """Wait for the spawned process's ready message, then route to it."""
-        process, request_queue, conn = self._spawned
+        process, request_queue, conn, responses = self._spawned
         self._spawned = None
         if not _await_message(conn, process, "ready",
                               time.perf_counter() + _STARTUP_TIMEOUT_S):
             if process.is_alive():
                 process.terminate()
             process.join(timeout=5.0)
+            responses.close()
             raise ShardFailedError(f"shard {self.index} not ready "
                                    f"(exit code {process.exitcode})")
+        # the collector closes the previous process's pipe once it reads EOF
         self.process, self.request_queue, self.control_conn = process, request_queue, conn
+        self.responses = responses
         self.stopped = False
 
     def drain(self):
@@ -364,7 +373,7 @@ class ShardBackend:
 
 
 class ShardedCompressionServer(FrontDoor):
-    """Micro-batching decode/reconstruct service sharded over N processes.
+    """Decode/reconstruct service sharded over N processes.
 
     The same surface as :class:`~repro.serve.server.CompressionServer` —
     ``submit`` / ``submit_bytes`` returning futures, ``stats.snapshot()``,
@@ -372,8 +381,6 @@ class ShardedCompressionServer(FrontDoor):
     shard processes of ``workers_per_shard`` worker threads each.
     ``queue_depth`` is the in-flight window of each shard; the front door
     rejects before a request ever crosses the process boundary.
-    ``base_codec`` seeds each shard's fallback codec exactly as on the
-    threaded server.
 
     ``use_shm``
         Serve responses through the shared-memory ring when the host
@@ -392,15 +399,14 @@ class ShardedCompressionServer(FrontDoor):
         (no heartbeat stamp) for longer than this is killed and restarted
         exactly like a crashed one.  The default ``"auto"`` resolves to
         ``30.0`` seconds — a healthy shard stamps its heartbeat every loop
-        iteration (≤ 50 ms idle, and long model batches never block the
+        iteration (≤ 50 ms idle, and long model calls never block the
         loop), so 30 s of silence means the process is wedged, not busy.
         Pass ``None`` to opt out (liveness-only watchdog) or an explicit
         number of seconds to tune it.
     """
 
     def __init__(self, model=None, config=None, num_shards=2, workers_per_shard=1,
-                 base_codec=None, queue_depth=64, max_batch_size=8,
-                 result_cache_size=0, use_shm=True, shm_slots=None,
+                 queue_depth=64, result_cache_size=0, use_shm=True, shm_slots=None,
                  shm_slot_bytes=None, watchdog_interval_s=None,
                  watchdog_backoff_s=0.5, watchdog_hang_timeout_s="auto"):
         if num_shards < 1:
@@ -419,15 +425,12 @@ class ShardedCompressionServer(FrontDoor):
             raise ValueError("shm_slot_bytes must be positive")
         self.num_shards = int(num_shards)
         super().__init__(model, config, [ShardBackend(index) for index in range(self.num_shards)],
-                         queue_depth=queue_depth, max_batch_size=max_batch_size,
-                         result_cache_size=result_cache_size,
+                         queue_depth=queue_depth, result_cache_size=result_cache_size,
                          breakers=[CircuitBreaker(open_duration_s=_BREAKER_OPEN_S)
                                    for _ in range(self.num_shards)])
         self._options = {
-            "base_codec": base_codec,
             "num_workers": max(1, int(workers_per_shard)),
             "queue_depth": self.queue_depth,
-            "max_batch_size": self.max_batch_size,
         }
         self._context = multiprocessing.get_context()
         self.use_shm = bool(use_shm)
@@ -441,7 +444,6 @@ class ShardedCompressionServer(FrontDoor):
         self.watchdog_hang_timeout_s = (float(watchdog_hang_timeout_s)
                                         if watchdog_hang_timeout_s is not None else None)
         self._restart_lock = threading.Lock()  # one restart at a time
-        self._responses = None
         self._collector = None
         self._collector_stop = threading.Event()
         self._shm_ring = None
@@ -478,13 +480,10 @@ class ShardedCompressionServer(FrontDoor):
             # restart; wait it out, or two watchdog loops would run
             self._watchdog.join()
             self._watchdog = None
-        self._responses = self._context.Queue()
         self._create_ring()
-        width = _HISTOGRAM + self.max_batch_size
-        self._cells = self._context.RawArray("d", self.num_shards * width)
-        rows = np.frombuffer(self._cells, dtype=np.float64).reshape(self.num_shards, width)
-        shared = (self._responses, asdict(self.config), dict(self.model.state_dict()),
-                  self._options,
+        self._cells = self._context.RawArray("d", self.num_shards * _ROW_CELLS)
+        rows = np.frombuffer(self._cells, dtype=np.float64).reshape(self.num_shards, _ROW_CELLS)
+        shared = (asdict(self.config), dict(self.model.state_dict()), self._options,
                   self._shm_ring.descriptor() if self._shm_ring is not None else None,
                   self._cells)
         try:
@@ -499,9 +498,12 @@ class ShardedCompressionServer(FrontDoor):
             for shard in self._backends:
                 if shard._spawned is not None:
                     shard._spawned[0].terminate()
+                    shard._spawned[3].close()
                     shard._spawned = None
                 if shard.process is not None:
                     shard.kill()
+                if shard.responses is not None:
+                    shard.responses.close()
             self._release_ring()
             raise
         self._collector_stop.clear()
@@ -544,6 +546,10 @@ class ShardedCompressionServer(FrontDoor):
         self._collector_stop.set()
         if self._collector is not None:
             self._collector.join(timeout=5.0)
+        for shard in self._backends:
+            if shard.responses is not None:
+                shard.responses.close()
+                shard.responses = None
         self._release_ring()  # after the collector: it may hold slot views
 
     # ------------------------------------------------------------------ #
@@ -598,25 +604,34 @@ class ShardedCompressionServer(FrontDoor):
     # response collection
     # ------------------------------------------------------------------ #
     def _collect_loop(self):
+        """Read every shard's response pipe; a pipe at EOF is closed and dropped."""
+        readers = set()
         last_reap = time.perf_counter()
-        while True:
-            try:
-                message = self._responses.get(timeout=0.05)
-            except queue_module.Empty:
-                if self._collector_stop.is_set():
+        try:
+            while True:
+                readers.update(shard.responses for shard in self._backends
+                               if shard.responses is not None and not shard.responses.closed)
+                ready = multiprocessing.connection.wait(list(readers), timeout=0.05)
+                if not ready and self._collector_stop.is_set():
                     return
-                message = None
-            except (EOFError, OSError):
-                return
-            if message is not None:
-                try:
-                    self._dispatch_response(message)
-                except Exception as error:  # noqa: BLE001 - one bad message must not kill the collector
-                    self._settle(message[2], error=ShardFailedError(
-                        f"unreadable response from shard {message[1]}: {error!r}"))
-            if time.perf_counter() - last_reap >= _REAP_INTERVAL_S:
-                last_reap = time.perf_counter()
-                self._reap()
+                for conn in ready:
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):  # the writing process is gone
+                        readers.discard(conn)
+                        conn.close()
+                        continue
+                    try:
+                        self._dispatch_response(message)
+                    except Exception as error:  # noqa: BLE001 - one bad message must not kill the collector
+                        self._settle(message[2], error=ShardFailedError(
+                            f"unreadable response from shard {message[1]}: {error!r}"))
+                if time.perf_counter() - last_reap >= _REAP_INTERVAL_S:
+                    last_reap = time.perf_counter()
+                    self._reap()
+        finally:
+            for conn in readers:
+                conn.close()
 
     def _reap(self):
         """Fail (or re-route) the in-flight requests of crashed shard processes.
@@ -670,7 +685,7 @@ class ShardedCompressionServer(FrontDoor):
                          lost=message[3] == "QueueClosedError")
             return
         if tag == "shm":
-            slot, seq, nbytes, shape, dtype_name, batch_size, worker = message[3:]
+            slot, seq, nbytes, shape, dtype_name, worker = message[3:]
             image = self._read_shm_response(index, slot, seq, nbytes, shape, dtype_name)
             if image is None:
                 self._settle(request_id, error=ShardFailedError(
@@ -678,10 +693,9 @@ class ShardedCompressionServer(FrontDoor):
                     lost=True)
                 return
         else:
-            buffer, shape, dtype_name, batch_size, worker = message[3:]
+            buffer, shape, dtype_name, worker = message[3:]
             image = pixels_from_buffer(buffer, shape, dtype_name).copy()
-        self._settle(request_id, image=image, batch_size=batch_size,
-                     worker=f"shard-{index}/{worker}",
+        self._settle(request_id, image=image, worker=f"shard-{index}/{worker}",
                      transport="shm" if tag == "shm" else "queue")
 
     # ------------------------------------------------------------------ #

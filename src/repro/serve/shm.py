@@ -1,20 +1,19 @@
 """Shared-memory response ring for the process-sharded server.
 
-The PR-3 queue path moves every finished image across the process boundary
-as ``image.tobytes()`` inside a pickled queue message: the shard copies the
-pixels once into the bytes object, the queue's feeder thread copies them
-again while pickling, the pipe copies them through the kernel in 64 KiB
-chunks, and the parent copies them a fourth time out of the unpickled
-message.  At serving scale those copies — not the reconstruction compute —
+The queue path moves every finished image across the process boundary as
+``image.tobytes()`` inside a pickled message: the shard copies the pixels
+once into the bytes object, pickling copies them again, the pipe copies
+them through the kernel in 64 KiB chunks, and the parent copies them a
+fourth time out of the unpickled message.  At serving scale those copies — not the reconstruction compute —
 become the marginal cost of every response (the 5GC²ache observation:
 memory movement dominates once the kernel is fast).
 
 :class:`ShmRing` removes the queue from the pixel path.  The parent creates
 one ``multiprocessing.shared_memory`` segment sliced into fixed-size slots;
 a shard *leases* a slot, writes the reconstructed pixels straight into it,
-and sends only a tiny ``(slot, seq, shape, dtype)`` descriptor over the
-queue.  The parent reads the pixels out of the slot and *acks* the lease so
-the slot returns to the pool.  Two shared arrays make reclamation safe:
+and sends only a tiny ``(slot, seq, shape, dtype)`` descriptor over its
+response pipe.  The parent reads the pixels out of the slot and *acks* the
+lease so the slot returns to the pool.  Two shared arrays make reclamation safe:
 
 * ``owner[slot]`` — which shard holds the lease (0 = free).  Claims scan for
   a free slot under a cross-process lock; releases just clear the owner.

@@ -1,7 +1,7 @@
-"""Serving telemetry: throughput, latency percentiles, batch shapes, caches.
+"""Serving telemetry: throughput, latency percentiles, service times, caches.
 
 :class:`ServerStats` is the mutable telemetry object of a server's front
-door (what it settles) and of each backend (the batches it runs).  All
+door (what it settles) and of each backend (the requests it serves).  All
 updates take one lock and touch a few counters, so instrumentation stays
 far off the hot path; :meth:`ServerStats.snapshot` renders everything into
 plain types for logs, tests and the ``serve-bench`` CLI table.
@@ -62,17 +62,17 @@ class LatencyWindow:
 
 
 class ServerStats:
-    """Telemetry of one server front door, or of one backend's batches.
+    """Telemetry of one server front door, or of one backend's services.
 
     The front door (:class:`repro.serve.server.FrontDoor`) counts what it
     settles: submissions, admission rejections, deadline sheds, failures,
     completions with their end-to-end latency, result-cache lookups and
-    response transports.  A backend records its batches here
-    (:meth:`record_batch`): sizes, queue wait and service time.
+    response transports.  A backend records each request it serves here
+    (:meth:`record_service`): queue wait and service time.
 
     ``source`` is a callable returning a dict that :meth:`snapshot` merges:
     its ``"backends"`` entry is a list of ``(label, counters)`` pairs whose
-    batch counters are summed exactly (:func:`aggregate_snapshots`); every
+    service counters are summed exactly (:func:`aggregate_snapshots`); every
     other entry is copied into the snapshot as is.  Latency percentiles
     always come from this object's own samples.
     """
@@ -85,7 +85,6 @@ class ServerStats:
         self.completed = 0  # guarded-by: _lock
         self.failed = 0  # guarded-by: _lock
         self.batches = 0  # guarded-by: _lock
-        self.batch_sizes = Counter()  # guarded-by: _lock
         self.service_seconds_total = 0.0  # guarded-by: _lock
         self.queue_wait_seconds_total = 0.0  # guarded-by: _lock
         self.busy_seconds_total = 0.0  # guarded-by: _lock
@@ -120,20 +119,19 @@ class ServerStats:
             self.latency.record(latency_s)
             self.response_transport[transport] += 1
 
-    def record_batch(self, size, queue_waits, service_seconds):
-        """One batch that just finished: its size, queue waits, service time.
+    def record_service(self, queue_wait_s, service_seconds):
+        """One request a worker just served: its queue wait and service time.
 
-        ``busy_seconds_total`` adds the wall time this batch kept the
-        backend busy that no earlier-finished batch already covered:
+        ``busy_seconds_total`` adds the wall time this service kept the
+        backend busy that no earlier-finished service already covered:
         worker threads that overlap on one GIL must not count the same
         second twice.
         """
         finished = time.perf_counter()
         with self._lock:
             self.batches += 1
-            self.batch_sizes[int(size)] += 1
             self.service_seconds_total += service_seconds
-            self.queue_wait_seconds_total += sum(queue_waits)
+            self.queue_wait_seconds_total += queue_wait_s
             self.busy_seconds_total += max(
                 finished - max(finished - service_seconds, self._busy_until), 0.0)
             self._busy_until = max(self._busy_until, finished)
@@ -170,11 +168,10 @@ class ServerStats:
                 self.result_cache_misses += 1
 
     def counters(self):
-        """The batch counters a backend reports to its front door."""
+        """The service counters a backend reports to its front door."""
         with self._lock:
             return {
                 "batches": self.batches,
-                "batch_size_histogram": dict(sorted(self.batch_sizes.items())),
                 "queue_wait_seconds_total": self.queue_wait_seconds_total,
                 "service_seconds_total": self.service_seconds_total,
                 "busy_seconds_total": self.busy_seconds_total,
@@ -217,11 +214,11 @@ class ServerStats:
             snapshot["caches"] = pooled["caches"]
             snapshot["shards"] = pooled["shards"]
         snapshot.update(counters)
-        batches = counters["batches"]
-        served = sum(size * count for size, count in counters["batch_size_histogram"].items())
-        snapshot["mean_batch_size"] = served / max(batches, 1)
-        snapshot["queue_wait_mean_ms"] = counters["queue_wait_seconds_total"] / max(served, 1) * 1e3
-        snapshot["service_time_mean_ms"] = counters["service_seconds_total"] / max(batches, 1) * 1e3
+        # each service is one request: a batch of one
+        snapshot["batch_size_histogram"] = {1: counters["batches"]} if counters["batches"] else {}
+        served = max(counters["batches"], 1)
+        snapshot["queue_wait_mean_ms"] = counters["queue_wait_seconds_total"] / served * 1e3
+        snapshot["service_time_mean_ms"] = counters["service_seconds_total"] / served * 1e3
         snapshot.update(extra)
         return snapshot
 
@@ -236,9 +233,9 @@ _SUMMED_SECONDS = ("service_seconds_total", "queue_wait_seconds_total",
 def aggregate_snapshots(snapshots, labels=None):
     """Sum the counters of several snapshots (or backend counter dicts) exactly.
 
-    Counters, histograms and cumulative seconds add; percentiles do not, so
-    none are produced — a pool's latency percentiles come from the samples
-    its front door settled.  Each input's ``caches`` list is kept under its
+    Counters, transport tallies and cumulative seconds add; percentiles do
+    not, so none are produced — a pool's latency percentiles come from the
+    samples its front door settled.  Each input's ``caches`` list is kept under its
     label, and the inputs themselves under ``"shards"``.
     """
     snapshots = list(snapshots)
@@ -247,11 +244,10 @@ def aggregate_snapshots(snapshots, labels=None):
     merged = {key: sum(snap.get(key, 0) for snap in snapshots) for key in _SUMMED}
     for key in _SUMMED_SECONDS:
         merged[key] = float(sum(snap.get(key, 0.0) for snap in snapshots))
-    for key in ("batch_size_histogram", "response_transport"):
-        total = Counter()
-        for snap in snapshots:
-            total.update(snap.get(key, {}))
-        merged[key] = dict(sorted(total.items()))
+    transports = Counter()
+    for snap in snapshots:
+        transports.update(snap.get("response_transport", {}))
+    merged["response_transport"] = dict(sorted(transports.items()))
     merged["caches"] = {label: snap["caches"] for label, snap in zip(labels, snapshots)
                         if snap.get("caches")}
     merged["shards"] = [dict(snap) for snap in snapshots]

@@ -358,6 +358,17 @@ class TestSingleInferencePath:
         decoder = EaszDecoder(model=model, config=config)
         assert np.array_equal(decoder.decode(package), decoder.decode_batch([package])[0])
 
+    def test_decode_batch_is_per_package_decode_across_masks(self, config, model, mask,
+                                                             mixed_images):
+        # two packages share a mask, the rest draw their own
+        encoder = EaszEncoder(config, seed=7)
+        packages = (encoder.encode_batch(mixed_images[:2], mask=mask)
+                    + [encoder.encode(image) for image in mixed_images[2:]])
+        assert len({package.mask_bytes for package in packages}) > 1
+        decoder = EaszDecoder(model=model, config=config)
+        for package, got in zip(packages, decoder.decode_batch(packages)):
+            assert np.array_equal(got, decoder.decode(package))
+
 
 class TestVectorizedJpegDecode:
     """The two-pass entropy decode must be exact against a reference loop."""

@@ -66,13 +66,16 @@ class TestServeBenchScenarios:
         assert code == 0
         assert elapsed <= 5.0, f"serve-bench smoke took {elapsed:.1f} s"
         output = capsys.readouterr().out
-        assert "scenario poisson" in output and "micro-batch histogram" in output
+        assert "scenario poisson" in output and "plan and codec caches" in output
+        assert "micro-batch histogram" not in output
 
     def test_removed_wait_and_size_flags_are_gone(self):
         for flags in (["--adaptive-wait"], ["--batch-wait-ms", "1"],
-                      ["--height", "96"], ["--width", "96"]):
-            with pytest.raises(SystemExit):
+                      ["--height", "96"], ["--width", "96"],
+                      ["--max-batch", "4"], ["--dct-threads", "2"]):
+            with pytest.raises(SystemExit) as exited:
                 build_parser().parse_args(["serve-bench"] + flags)
+            assert exited.value.code == 2
 
     def test_serve_bench_shm_and_watchdog_flags(self):
         args = build_parser().parse_args(["serve-bench", "--shards", "2"])

@@ -23,7 +23,6 @@ def report(**sections):
     base = {
         "roundtrip_512_rgb": {"speedup": 8.0},
         "entropy": {"speedup": 5.0},
-        "dct": {"speedup": 2.0},
         "serving": {
             "sharded": {"speedup_vs_threaded": 1.6},
             "shm": {"speedup_vs_queue": 1.3},
@@ -46,13 +45,13 @@ def test_guarded_regression_detected():
 
 
 def test_noise_margin_tolerates_small_shortfall():
-    # the dct bar is 1.5; 0.96 * 1.5 = 1.44 sits inside the 0.95 margin
-    fresh = report(dct={"speedup": 1.5 * 0.96})
+    # the entropy bar is 3.0; 0.96 * 3.0 = 2.88 sits inside the 0.95 margin
+    fresh = report(entropy={"speedup": 3.0 * 0.96})
     assert diff_bench.diff(report(), fresh) == []
     # ...but below the margin still fails
-    fresh = report(dct={"speedup": 1.5 * 0.90})
+    fresh = report(entropy={"speedup": 3.0 * 0.90})
     failures = diff_bench.diff(report(), fresh)
-    assert len(failures) == 1 and "dct.speedup" in failures[0]
+    assert len(failures) == 1 and "entropy.speedup" in failures[0]
 
 
 def test_missing_section_present_in_baseline_fails():
@@ -86,7 +85,7 @@ def test_skipped_marker_at_outer_level():
 
 
 def test_multiple_regressions_all_reported():
-    fresh = report(entropy={"speedup": 1.0}, dct={"speedup": 0.5})
+    fresh = report(entropy={"speedup": 1.0}, roundtrip_512_rgb={"speedup": 0.5})
     failures = diff_bench.diff(report(), fresh)
     assert len(failures) == 2
 

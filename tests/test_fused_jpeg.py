@@ -4,8 +4,8 @@ The fused path (``JpegCodec.compress_squeezed`` / ``decompress_unsqueezed``
 over ``SqueezePlan.block_plan``) must produce bit-identical payloads and
 pixel-identical decodes to compressing the materialised squeezed image —
 across gray/RGB, ragged sizes, and the degenerate all-erased / none-erased
-masks.  The batched DCT entry point and ``decompress_many`` must be exact
-against their per-channel / per-payload equivalents.
+masks.  The batched DCT entry point must be exact against the
+per-channel transform.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.codecs.jpeg import (
     dct2_batched,
     idct2,
     idct2_batched,
-    set_dct_threads,
 )
 from repro.core import EaszCodec, EaszConfig, EaszDecoder, EaszEncoder
 from repro.core.erase_squeeze import get_squeeze_plan
@@ -149,28 +148,6 @@ class TestFusedDecode:
 
 
 class TestBatchedDecode:
-    def test_decompress_many_matches_individual_decodes(self):
-        rng = np.random.default_rng(4)
-        codec = JpegCodec(quality=75)
-        payloads = [codec.compress(rng.random(shape)) for shape in
-                    [(48, 64, 3), (32, 32), (56, 40, 3), (17, 100)]]
-        batched = codec.decompress_many(payloads)
-        for payload, result in zip(payloads, batched):
-            assert np.array_equal(np.asarray(codec.decompress(payload)),
-                                  np.asarray(result))
-
-    def test_decompress_many_isolates_corrupt_payloads(self):
-        rng = np.random.default_rng(5)
-        codec = JpegCodec(quality=75)
-        good = codec.compress(rng.random((32, 32)))
-        bad = codec.compress(rng.random((32, 32)))
-        bad.payload = bad.payload[:16]  # truncated entropy stream
-        results = codec.decompress_many([good, bad, good], on_error="collect")
-        assert np.array_equal(np.asarray(results[0]), np.asarray(results[2]))
-        assert isinstance(results[1], Exception)
-        with pytest.raises(Exception):
-            codec.decompress_many([good, bad], on_error="raise")
-
     def test_decode_batch_equals_sequential_decode(self):
         rng = np.random.default_rng(6)
         config = EaszConfig(patch_size=16, subpatch_size=4, erase_per_row=1)
@@ -197,17 +174,3 @@ class TestBatchedDct:
         empty = np.zeros((0, 8, 8))
         assert dct2_batched(empty).shape == (0, 8, 8)
         assert idct2_batched(empty).shape == (0, 8, 8)
-
-    def test_thread_pool_is_opt_in_and_exact(self):
-        rng = np.random.default_rng(8)
-        blocks = rng.random((20000, 8, 8))
-        single = dct2_batched(blocks)
-        previous = set_dct_threads(2)
-        try:
-            assert previous == 1
-            threaded = dct2_batched(blocks)
-        finally:
-            set_dct_threads(previous)
-        assert np.array_equal(single, threaded)
-        with pytest.raises(ValueError):
-            set_dct_threads(0)

@@ -53,7 +53,6 @@ _SERVING_BUDGET_CPU_SECONDS = 1.2
 _SHARDED_SPEEDUP_BAR = 1.3
 _SHM_SPEEDUP_BAR = 1.15
 _ENTROPY_SPEEDUP_BAR = 3.0
-_DCT_SPEEDUP_BAR = 1.5
 _BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 
@@ -125,30 +124,6 @@ def test_entropy_range_coder_bar_recorded_in_bench_json():
         "hot loop has regressed")
     assert section["payload_bytes_range"] <= section["payload_bytes_legacy"] + 64, (
         "the range coder is buying speed with compression ratio")
-
-
-def test_dct_batched_bar_recorded_in_bench_json():
-    """The fused block-transform front end (plan-gathered blocks + one
-    thread-parallel DCT GEMM across the micro-batch) must have recorded
-    >=1.5x over the per-channel squeeze→pad→block→dct2 pipeline at
-    batch >= 4 (see ``dct_section`` in ``benchmarks/bench_throughput.py``).
-
-    Like the sharded/shm serving bars, the parallel bar needs cores to
-    thread the GEMM over: single-CPU hosts record a ``skipped`` marker
-    (plus unguarded single-thread numbers) and this guard skips with it.
-    """
-    if available_cpus() < 2:
-        pytest.skip("the parallel DCT bar needs >= 2 visible CPUs")
-    report = json.loads(_BENCH_JSON.read_text())
-    section = report.get("dct") or {}
-    if "skipped" in section or "speedup" not in section:
-        pytest.skip("dct bench was not recorded on this host "
-                    "(re-run benchmarks/bench_throughput.py on a multi-core box)")
-    assert section["max_abs_diff"] < 1e-9
-    assert section["speedup"] >= _DCT_SPEEDUP_BAR, (
-        f"batched DCT recorded only {section['speedup']:.2f}x over per-channel "
-        f"calls (bar {_DCT_SPEEDUP_BAR}x at batch>=4); the parallel "
-        "single-GEMM formulation has regressed")
 
 
 def test_sharded_throughput_bar_recorded_in_bench_json():

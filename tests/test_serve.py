@@ -1,4 +1,4 @@
-"""Tests for the ``repro.serve`` micro-batching service layer."""
+"""Tests for the ``repro.serve`` service layer."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
 from repro.serve import (
     AdmissionQueue,
     CompressionServer,
-    MicroBatcher,
     QueueClosedError,
     ServerOverloadedError,
     ServerStats,
@@ -65,83 +64,6 @@ class TestAdmissionQueue:
             queue.put("a")
         assert queue.pop(timeout=0.01) is None
 
-    def test_take_matching_preserves_other_order(self):
-        queue = AdmissionQueue(max_depth=8)
-        for item in ["a1", "b1", "a2", "b2", "a3"]:
-            queue.put(item)
-        taken = queue.take_matching(lambda item: item.startswith("a"), limit=2)
-        assert taken == ["a1", "a2"]
-        remaining = [queue.pop(timeout=0.01) for _ in range(queue.depth)]
-        assert remaining == ["b1", "b2", "a3"]
-
-
-# --------------------------------------------------------------------------- #
-# micro-batcher
-# --------------------------------------------------------------------------- #
-class _FakeRequest:
-    def __init__(self, key, tag):
-        self.batch_key = key
-        self.tag = tag
-
-
-class TestMicroBatcher:
-    def test_groups_by_key_and_respects_cap(self):
-        queue = AdmissionQueue(max_depth=16)
-        batcher = MicroBatcher(queue, max_batch_size=3)
-        for index in range(4):
-            queue.put(_FakeRequest("k1", index))
-        queue.put(_FakeRequest("k2", 99))
-        batch = batcher.next_batch(timeout=0.01)
-        assert [request.tag for request in batch] == [0, 1, 2]
-        batch = batcher.next_batch(timeout=0.01)
-        assert [request.tag for request in batch] == [3]
-        batch = batcher.next_batch(timeout=0.01)
-        assert [request.tag for request in batch] == [99]
-
-    def test_idle_returns_none(self):
-        queue = AdmissionQueue(max_depth=4)
-        batcher = MicroBatcher(queue, max_batch_size=4)
-        assert batcher.next_batch(timeout=0.01) is None
-
-    def test_rejects_empty_batch_cap(self):
-        with pytest.raises(ValueError, match="max_batch_size"):
-            MicroBatcher(AdmissionQueue(max_depth=4), max_batch_size=0)
-
-    @pytest.mark.parametrize("cap", [1, 2, 3, 8])
-    def test_never_waits_after_the_first_pop(self, monkeypatch, cap):
-        """A batch is the queued same-key requests only: once the first
-        request is popped, nothing may sleep or block for later arrivals."""
-        queue = AdmissionQueue(max_depth=16)
-        tags = [("a", 0), ("b", 1), ("a", 2), ("c", 3), ("a", 4), ("b", 5), ("a", 6)]
-        for key, tag in tags:
-            queue.put(_FakeRequest(key, tag))
-        pop = queue.pop
-        popped = []
-
-        def pop_once(timeout=None):
-            popped.append(True)
-            return pop(timeout=timeout)
-
-        real_sleep = time.sleep
-        batcher_thread = threading.current_thread()
-
-        def forbidden(*args, **kwargs):
-            if popped and threading.current_thread() is batcher_thread:
-                raise AssertionError("the batcher waited after its first pop")
-            if args and isinstance(args[0], (int, float)):
-                real_sleep(args[0])
-
-        monkeypatch.setattr(queue, "pop", pop_once)
-        monkeypatch.setattr(time, "sleep", forbidden)
-        # raising=False: the queue no longer offers a blocking wait to patch
-        monkeypatch.setattr(AdmissionQueue, "wait_nonempty", forbidden, raising=False)
-        batch = MicroBatcher(queue, max_batch_size=cap).next_batch(timeout=0.01)
-        same_key = [tag for key, tag in tags if key == "a"][:cap]
-        assert [request.tag for request in batch] == same_key
-        assert len(popped) == 1
-        remaining = [pop(timeout=0.0).tag for _ in range(queue.depth)]
-        assert remaining == [tag for _key, tag in tags if tag not in same_key]
-
 
 # --------------------------------------------------------------------------- #
 # telemetry
@@ -151,18 +73,21 @@ class TestServerStats:
         stats = ServerStats()
         stats.record_submitted()
         stats.record_queue_depth(3)
-        stats.record_batch(2, queue_waits=[0.01, 0.02], service_seconds=0.04)
-        stats.record_batch(1, queue_waits=[0.0], service_seconds=0.02)
+        stats.record_service(0.01, service_seconds=0.02)
+        stats.record_service(0.02, service_seconds=0.02)
+        stats.record_service(0.0, service_seconds=0.02)
         for latency in (0.05, 0.15, 0.1):
             stats.record_completed(latency, "inline")
         snapshot = stats.snapshot()
         assert snapshot["completed"] == 3
-        assert snapshot["batch_size_histogram"] == {1: 1, 2: 1}
+        # one service is a batch of one
+        assert snapshot["batches"] == 3
+        assert snapshot["batch_size_histogram"] == {1: 3}
         assert snapshot["queue_depth_peak"] == 3
         assert snapshot["latency_p50_ms"] == pytest.approx(100.0)
         assert snapshot["latency_p99_ms"] <= 150.0 + 1e-6
         assert snapshot["service_seconds_total"] == pytest.approx(0.06)
-        assert snapshot["mean_batch_size"] == pytest.approx(1.5)
+        assert snapshot["service_time_mean_ms"] == pytest.approx(20.0)
         assert snapshot["queue_wait_mean_ms"] == pytest.approx(10.0)
         assert snapshot["response_transport"] == {"inline": 3}
 
@@ -170,9 +95,9 @@ class TestServerStats:
         stats = ServerStats()
         finish_times = iter([10.0, 12.0, 20.0])
         monkeypatch.setattr(time, "perf_counter", lambda: next(finish_times))
-        stats.record_batch(1, queue_waits=[0.0], service_seconds=5.0)  # 5..10
-        stats.record_batch(1, queue_waits=[0.0], service_seconds=4.0)  # 8..12
-        stats.record_batch(1, queue_waits=[0.0], service_seconds=1.0)  # 19..20
+        stats.record_service(0.0, service_seconds=5.0)  # 5..10
+        stats.record_service(0.0, service_seconds=4.0)  # 8..12
+        stats.record_service(0.0, service_seconds=1.0)  # 19..20
         counters = stats.counters()
         assert counters["service_seconds_total"] == pytest.approx(10.0)
         assert counters["busy_seconds_total"] == pytest.approx(8.0)
@@ -185,8 +110,7 @@ class TestCompressionServer:
     def test_concurrent_submits_no_lost_or_duplicated_responses(
             self, serve_config, serve_model, packages):
         server = CompressionServer(
-            model=serve_model, config=serve_config, num_workers=2, queue_depth=256,
-            max_batch_size=4)
+            model=serve_model, config=serve_config, num_workers=2, queue_depth=256)
         decoder = EaszDecoder(model=serve_model, config=serve_config,
                               base_codec=JpegCodec(quality=75))
         results = {}
@@ -220,7 +144,7 @@ class TestCompressionServer:
         references = [decoder.decode(package) for package in packages]
         for (_thread_id, (_repeat, index)), response in results.items():
             assert response.image.shape == references[index].shape
-            assert np.abs(response.image - references[index]).max() < 1e-5
+            assert np.array_equal(response.image, references[index])
         assert snapshot["completed"] == len(results)
         assert snapshot["failed"] == 0
         assert sum(size * count for size, count
@@ -251,8 +175,7 @@ class TestCompressionServer:
 
     def test_admission_control_rejects_burst(self, serve_config, serve_model, packages):
         server = CompressionServer(model=serve_model, config=serve_config,
-                                   num_workers=1, queue_depth=1,
-                                   max_batch_size=1)
+                                   num_workers=1, queue_depth=1)
         admitted, rejected = [], 0
         with server:
             for _ in range(30):
@@ -275,23 +198,18 @@ class TestCompressionServer:
             healthy.codec_payload,
             payload=healthy.codec_payload.payload[:12] + b"\xff" * 6)
         corrupt = dataclasses.replace(healthy, codec_payload=corrupt_payload)
-        # same mask/shape/codec -> both requests coalesce into one batch; the
-        # worker is held back until both are queued, since the batcher only
-        # takes what is already waiting
+        # the worker is held until the corrupt request and a healthy one
+        # with the same mask/shape/codec are both in its backlog
         server = CompressionServer(model=serve_model, config=serve_config,
-                                   num_workers=1, max_batch_size=4)
+                                   num_workers=1)
         both_queued = threading.Event()
-        next_batch = server.pool.batcher.next_batch
-        formed = []
+        pop = server.pool.queue.pop
 
-        def gated_next_batch(timeout=0.1):
+        def held_pop(timeout=None):
             both_queued.wait()
-            batch = next_batch(timeout=timeout)
-            if batch:
-                formed.append(len(batch))
-            return batch
+            return pop(timeout=timeout)
 
-        server.pool.batcher.next_batch = gated_next_batch
+        server.pool.queue.pop = held_pop
         with server:
             pending_corrupt = server.submit(corrupt)
             pending_healthy = server.submit(healthy)
@@ -300,10 +218,10 @@ class TestCompressionServer:
             with pytest.raises(ValueError):
                 pending_corrupt.result(timeout=120.0)
             snapshot = server.stats.snapshot()
-        assert formed[0] == 2
-        assert good.image.shape == healthy.original_shape
-        assert good.batch_size == 1  # the corrupt batch-mate dropped out alone
+        reference = EaszDecoder(model=serve_model, config=serve_config).decode(healthy)
+        assert np.array_equal(good.image, reference)
         assert snapshot["failed"] == 1
+        assert snapshot["completed"] == 1
 
     def test_stop_rejects_stranded_requests(self, serve_config, serve_model, packages):
         from repro.serve import QueueClosedError
@@ -334,7 +252,6 @@ class TestCompressionServer:
         assert pool.codec_for("jpeg-q30") is codec  # cached prototype
         assert pool.codec_for("png").name == "png"  # quality-less names
         assert pool.codec_for("bpg-qp32").name == "bpg-qp32"
-        assert pool.codec_for(pool.base_codec.name) is pool.base_codec
 
     def test_codec_for_rejects_unresolvable_names(self, serve_config, serve_model):
         # decoding with mismatched tables would be silently wrong; must raise
@@ -345,12 +262,14 @@ class TestCompressionServer:
             pool.codec_for("jpeg")  # bare family name, quality unknown
 
     def test_codec_prototype_cache_is_bounded(self, serve_config, serve_model):
+        from repro.serve.worker import _CODEC_CACHE_MAX
         pool = CompressionServer(model=serve_model, config=serve_config).pool
-        for quality in range(1, pool._codec_prototypes_max + 10):
+        for quality in range(1, _CODEC_CACHE_MAX + 10):
             pool.codec_for(f"jpeg-q{quality}")
-        assert len(pool._codec_prototypes) <= pool._codec_prototypes_max + 1
-        # the configured fallback codec is never evicted
-        assert pool.base_codec.name in pool._codec_prototypes
+        assert len(pool._codec_prototypes) == _CODEC_CACHE_MAX
+        # the least recently used names go first
+        assert "jpeg-q1" not in pool._codec_prototypes
+        assert f"jpeg-q{_CODEC_CACHE_MAX + 9}" in pool._codec_prototypes
 
 
 # --------------------------------------------------------------------------- #
@@ -363,8 +282,7 @@ class TestPoissonLoadGenerator:
     def test_replay_serves_everything_and_reports(self, serve_config, serve_model,
                                                   packages, poisson_run):
         with CompressionServer(model=serve_model, config=serve_config,
-                               num_workers=1, queue_depth=256,
-                               max_batch_size=4) as server:
+                               num_workers=1, queue_depth=256) as server:
             report, tenant = poisson_run(server, packages[:4], rate_rps=20.0,
                                          requests=12, seed=3)
         assert report.offered > 0

@@ -15,7 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
 from repro.serve import ResultCache, ShardedCompressionServer
 
@@ -109,9 +108,7 @@ class TestShardedRoutingState:
     def test_lifecycle_resets_inflight_and_records_queue_depth(
             self, serve_model, serve_config, packages):
         server = ShardedCompressionServer(
-            model=serve_model, config=serve_config, num_shards=2,
-            base_codec=JpegCodec(quality=75),
-            max_batch_size=4)
+            model=serve_model, config=serve_config, num_shards=2)
         server.start()
         try:
             pendings = [server.submit(package) for package in packages]
@@ -147,9 +144,7 @@ class TestShardedRoutingState:
         from repro.serve import QueueClosedError
 
         server = ShardedCompressionServer(
-            model=serve_model, config=serve_config, num_shards=1,
-            base_codec=JpegCodec(quality=75),
-            max_batch_size=4)
+            model=serve_model, config=serve_config, num_shards=1)
         server.start()
         server.stop(timeout=60.0)
         with pytest.raises(QueueClosedError):

@@ -1,5 +1,5 @@
 """Tests for client-side resilience (``repro.serve.resilience``) and the
-end-to-end deadline-shedding path (queue → batcher → worker → shard)."""
+end-to-end deadline-shedding path (front door → shard → worker)."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ import pytest
 
 from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
 from repro.serve import (
-    AdmissionQueue,
     CircuitBreaker,
     ClosedLoopClient,
     CompressionServer,
     DeadlineExceededError,
-    MicroBatcher,
     QueueClosedError,
     ResilientClient,
     RetryBudget,
@@ -29,7 +27,7 @@ from repro.serve import (
     deadline_after_ms,
 )
 from repro.serve.queueing import deadline_expired, deadline_remaining_s
-from repro.serve.server import PendingResult, ServeRequest
+from repro.serve.server import PendingResult
 
 
 @pytest.fixture(scope="module")
@@ -466,49 +464,55 @@ class TestDeadlineShedding:
             assert server.stats.snapshot()["deadline_shed"] == 1
         assert len(resolutions) == 1  # rejected exactly once
 
-    def test_expired_while_queued_is_shed_by_the_batcher(self):
-        queue = AdmissionQueue(max_depth=8)
-        shed = []
-        batcher = MicroBatcher(queue, key_fn=lambda r: "k",
-                               on_expired=shed.append)
-        now = time.monotonic()
-        def request(request_id, deadline_s):
-            return ServeRequest(request_id=request_id, package=None,
-                                kind="reconstruct", submitted_at=now,
-                                pending=PendingResult(request_id),
-                                deadline_s=deadline_s)
-        expired_first = request(0, now - 0.1)     # sheds in the first-pop loop
-        live = request(1, now + 60.0)
-        expired_queued = request(2, now - 0.1)    # sheds in take_matching
-        for item in (expired_first, live, expired_queued):
-            queue.put(item)
-        batch = batcher.next_batch(timeout=0.1)
-        assert [r.request_id for r in batch] == [1]
-        assert {r.request_id for r in shed} == {0, 2}
-        assert queue.depth == 0
-
-    def test_expired_mid_batch_is_shed_before_decode(self, serve_model,
-                                                     serve_config, package):
+    def test_expired_while_queued_is_shed_by_the_worker(self, serve_model,
+                                                        serve_config, package):
+        # the worker is held while one request's deadline passes in the
+        # queue; a live request queued behind it is still served
         server = CompressionServer(model=serve_model, config=serve_config,
                                    num_workers=1)
-        # the batcher hands expired requests on (as if the deadline passed
-        # after batching) and the worker waits until the deadline is gone
-        server.pool.batcher.on_expired = None
-        deadline_s = time.monotonic() + 0.05
-        next_batch = server.pool.batcher.next_batch
+        release = threading.Event()
+        pop = server.pool.queue.pop
 
-        def late_next_batch(timeout=0.1):
+        def held_pop(timeout=None):
+            release.wait()
+            return pop(timeout=timeout)
+
+        server.pool.queue.pop = held_pop
+        with server:
+            deadline_s = time.monotonic() + 0.05
+            expiring = server.submit(package, deadline_s=deadline_s)
+            live = server.submit(package, deadline_s=time.monotonic() + 60.0)
             time.sleep(max(deadline_s - time.monotonic(), 0.0) + 0.01)
-            return next_batch(timeout=timeout)
+            release.set()
+            with pytest.raises(DeadlineExceededError, match="before decode"):
+                expiring.result(timeout=30.0)
+            assert live.result(timeout=30.0).image.shape == package.original_shape
+            snapshot = server.stats.snapshot()
+        assert snapshot["deadline_shed"] == 1
+        assert snapshot["batches"] == snapshot["completed"] == 1
 
-        server.pool.batcher.next_batch = late_next_batch
+    def test_expired_after_the_pop_is_shed_before_decode(self, serve_model,
+                                                         serve_config, package):
+        server = CompressionServer(model=serve_model, config=serve_config,
+                                   num_workers=1)
+        # the worker pops the request and only then does its deadline pass
+        deadline_s = time.monotonic() + 0.05
+        pop = server.pool.queue.pop
+
+        def late_pop(timeout=None):
+            request = pop(timeout=timeout)
+            if request is not None:
+                time.sleep(max(deadline_s - time.monotonic(), 0.0) + 0.01)
+            return request
+
+        server.pool.queue.pop = late_pop
         with server:
             pending = server.submit(package, deadline_s=deadline_s)
             with pytest.raises(DeadlineExceededError, match="before decode"):
                 pending.result(timeout=30.0)
-            worker = server.pool.workers[0]
-            assert worker.batches_processed == 0  # no decode was paid for
-            assert server.stats.snapshot()["deadline_shed"] == 1
+            snapshot = server.stats.snapshot()
+        assert snapshot["deadline_shed"] == 1
+        assert snapshot["batches"] == 0  # no decode was paid for
 
     def test_expired_on_a_shard_is_shed_before_unpack(self, serve_model,
                                                       serve_config, package):

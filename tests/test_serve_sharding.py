@@ -4,6 +4,8 @@ queueing bridge."""
 from __future__ import annotations
 
 import math
+import os
+import signal
 import threading
 import time
 
@@ -57,7 +59,6 @@ def decoder(serve_config, serve_model):
 
 def _sharded(serve_model, serve_config, **kwargs):
     kwargs.setdefault("num_shards", 2)
-    kwargs.setdefault("max_batch_size", 4)
     return ShardedCompressionServer(model=serve_model, config=serve_config, **kwargs)
 
 
@@ -227,8 +228,7 @@ class TestShardedCompressionServer:
 
     def test_admission_rejects_synchronously_when_window_full(self, serve_config,
                                                               serve_model, packages):
-        server = _sharded(serve_model, serve_config, num_shards=1, queue_depth=1,
-                          max_batch_size=1)
+        server = _sharded(serve_model, serve_config, num_shards=1, queue_depth=1)
         admitted, rejected = [], 0
         with server:
             for _ in range(30):
@@ -316,7 +316,7 @@ class TestShardedCompressionServer:
             server = _sharded(serve_model, serve_config, num_shards=num_shards)
         else:
             server = CompressionServer(model=serve_model, config=serve_config,
-                                       num_workers=1, max_batch_size=4)
+                                       num_workers=1)
         with server:
             pendings = [server.submit(package) for package in packages * 3]
             latencies = [pending.result(timeout=300.0).latency_s for pending in pendings]
@@ -326,6 +326,43 @@ class TestShardedCompressionServer:
             np.percentile(latencies, 50) * 1e3, rel=1e-12)
         assert snapshot["latency_p99_ms"] == pytest.approx(
             np.percentile(latencies, 99) * 1e3, rel=1e-12)
+
+    @pytest.mark.parametrize("num_shards", [0, 1])
+    def test_backlog_is_served_one_frame_per_call(
+            self, serve_config, serve_model, packages, decoder, num_shards):
+        # hold the worker, queue four same-key requests behind it, release
+        # it: each request is served on its own, never coalesced, and each
+        # response is exactly what the library decoder returns
+        if num_shards:
+            server = _sharded(serve_model, serve_config, num_shards=num_shards)
+        else:
+            server = CompressionServer(model=serve_model, config=serve_config,
+                                       num_workers=1)
+            release = threading.Event()
+            pop = server.pool.queue.pop
+
+            def held_pop(timeout=None):
+                release.wait()
+                return pop(timeout=timeout)
+
+            server.pool.queue.pop = held_pop
+        with server:
+            if num_shards:
+                pid = server.shard_process(0).pid
+                os.kill(pid, signal.SIGSTOP)
+            try:
+                pendings = [server.submit(package) for package in packages]
+            finally:
+                if num_shards:
+                    os.kill(pid, signal.SIGCONT)
+                else:
+                    release.set()
+            responses = [pending.result(timeout=300.0) for pending in pendings]
+            snapshot = server.stats.snapshot()
+        assert snapshot["batches"] == snapshot["completed"] == len(packages) == 4
+        assert snapshot["batch_size_histogram"] == {1: 4}
+        for package, response in zip(packages, responses):
+            assert np.array_equal(response.image, decoder.decode(package))
 
     def test_crashed_shard_fails_or_reroutes_in_flight_futures(self, serve_config,
                                                                serve_model, packages):
@@ -400,14 +437,20 @@ class TestShardedCompressionServer:
         assert restart_s < 30.0, "graceful restart burned its drain timeout"
         assert response.image.shape == packages[0].original_shape
 
-    def test_base_codec_reaches_the_shards(self, serve_config, serve_model, packages):
-        # parity with the threaded server: the configured fallback codec is
-        # seeded into each shard's prototype cache
-        with _sharded(serve_model, serve_config, num_shards=1,
-                      base_codec=JpegCodec(quality=75)) as server:
-            assert server._options["base_codec"].name == "jpeg-q75"
-            response = server.submit(packages[0]).result(timeout=300.0)
-        assert response.config_summary["base_codec"] == "jpeg-q75"
+    def test_package_codec_reaches_the_shards(self, serve_config, serve_model):
+        # a shard decodes with the codec each package names, resolved
+        # through the registry: no server-side codec is configured
+        codec = JpegCodec(quality=30)
+        package = EaszEncoder(serve_config, codec, seed=1).encode(
+            np.random.default_rng(1).random((48, 64, 3)))
+        reference = EaszDecoder(model=serve_model, config=serve_config,
+                                base_codec=codec).decode(package, reconstruct=False)
+        with _sharded(serve_model, serve_config, num_shards=1) as server:
+            response = server.submit(package, kind="decode").result(timeout=300.0)
+            caches = server.stats.snapshot()["caches"]["shard-0/server"]
+        assert response.config_summary["base_codec"] == "jpeg-q30"
+        assert np.array_equal(response.image, reference)
+        assert {cache["name"]: cache["size"] for cache in caches}["codecs"] == 1
 
     def test_start_after_stop_reopens_admission(self, serve_config, serve_model,
                                                 packages):
@@ -621,16 +664,16 @@ class TestLoadGeneratorFixes:
 class TestAggregateSnapshots:
     def test_counters_add(self):
         a = ServerStats()
-        a.record_batch(2, queue_waits=[0.01, 0.01], service_seconds=0.05)
+        a.record_service(0.01, service_seconds=0.02)
+        a.record_service(0.01, service_seconds=0.03)
         a.record_completed(0.1, "shm")
         a.record_completed(0.1, "shm")
         b = ServerStats()
-        b.record_batch(1, queue_waits=[0.02], service_seconds=0.04)
+        b.record_service(0.02, service_seconds=0.04)
         b.record_completed(0.3, "queue")
         merged = aggregate_snapshots([a.snapshot(), b.snapshot()])
         assert merged["completed"] == 3
-        assert merged["batches"] == 2
-        assert merged["batch_size_histogram"] == {1: 1, 2: 1}
+        assert merged["batches"] == 3
         assert merged["service_seconds_total"] == pytest.approx(0.09)
         assert merged["queue_wait_seconds_total"] == pytest.approx(0.04)
         assert merged["response_transport"] == {"queue": 1, "shm": 2}

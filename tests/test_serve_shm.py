@@ -53,7 +53,6 @@ def decoder(serve_config, serve_model):
 
 def _sharded(serve_model, serve_config, **kwargs):
     kwargs.setdefault("num_shards", 2)
-    kwargs.setdefault("max_batch_size", 4)
     return ShardedCompressionServer(model=serve_model, config=serve_config, **kwargs)
 
 
@@ -421,8 +420,7 @@ class TestMaskAffinity:
         # once the mask is known to span geometries
         wide, tall = self._keys_for_two_geometries(serve_config)
         with ShardedCompressionServer(
-                model=serve_model, config=serve_config, num_shards=2,
-                max_batch_size=4) as server:
+                model=serve_model, config=serve_config, num_shards=2) as server:
             server.submit(wide).result(timeout=300.0)
             server.submit(tall).result(timeout=300.0)  # flips the mask to affine
             workers = set()
