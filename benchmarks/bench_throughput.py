@@ -42,16 +42,6 @@ Process sharding only helps when there are cores to shard over, so on a
 single-CPU host the subsection records ``{"skipped": ...}`` and the guard
 skips with it.
 
-The ``serving.shm`` subsection isolates the response-transport layer: the
-same 2-shard pool serves the 256² RGB *decode* workload (mid-quality JPEG
-decode + unsqueeze — the serving kind whose response bytes dominate its
-compute) once over the PR-3 queue path (``use_shm=False``) and once over
-the zero-copy shared-memory ring.  Each response is ~1.5 MiB of pixels; the
-queue path copies them ~six times (``tobytes``, queue pickle, pipe in/out,
-unpickle, parent copy) while the ring copies twice (slot in, response out),
-so the ring must deliver ≥1.15x images/sec at 2 shards (guarded by
-``test_perf_smoke.py``, skipped on <2-CPU hosts like the sharded bar).
-
 The ``serving.chaos`` subsection is a correctness record, not a timing one:
 it replays two :mod:`repro.serve.scenarios` scenarios — payload corruption
 on the threaded server, and SIGKILL-under-watchdog on a 2-shard pool
@@ -459,73 +449,6 @@ def sharded_serving_section(config, model, mask, size=256, num_images=8, shards=
     return section
 
 
-def shm_serving_section(config, model, mask, size=256, num_images=8, shards=2,
-                        rounds=4):
-    """Zero-copy shm ring vs the queue path on the 256² RGB decode workload.
-
-    ``kind="decode"`` (JPEG decode + unsqueeze, no transformer pass) at a
-    mid-range quality is the serving kind with the highest
-    response-bytes-to-compute ratio — each response is still the full
-    1.5 MiB float64 frame while the entropy decode stays cheap — which is
-    exactly where the response transport is the bottleneck the shm ring
-    removes.  The reconstruct path enjoys the same absolute savings
-    (~2 ms/image measured) but hides them behind ~10x more model compute.
-    """
-    from repro.serve import ShardedCompressionServer, available_cpus, shm_available
-
-    cpus = available_cpus()
-    if cpus < 2:
-        print(f"serving shm: skipped ({cpus} CPU visible; sharding needs >= 2)")
-        return {"skipped": f"host exposes {cpus} CPU; process sharding needs >= 2"}
-    if not shm_available():
-        print("serving shm: skipped (host cannot create shared memory)")
-        return {"skipped": "host cannot create shared memory"}
-
-    codec = JpegCodec(quality=25)
-    images = [synthetic_image(size, color=True, seed_value=300 + index)
-              for index in range(num_images)]
-    encoder = EaszEncoder(config, base_codec=codec, seed=0)
-    decoder = EaszDecoder(model=model, config=config, base_codec=codec)
-    packages = encoder.encode_batch(images, mask=mask)
-    references = [decoder.decode(package, reconstruct=False)
-                  for package in packages]
-
-    results = {}
-    for label, use_shm in (("queue", False), ("shm", True)):
-        with ShardedCompressionServer(model=model, config=config,
-                                      num_shards=shards, queue_depth=256,
-                                      use_shm=use_shm) as server:
-            ips, responses = _drive_server(server, packages, rounds=rounds,
-                                           kind="decode")
-            snapshot = server.stats.snapshot()
-        transports = snapshot.get("response_transport", {})
-        if use_shm:
-            assert transports.get("shm", 0) > 0, \
-                "shm run silently fell back to the queue path"
-        max_diff = max(
-            float(np.abs(response.image - references[index % num_images]).max())
-            for index, response in enumerate(responses))
-        assert max_diff == 0.0, f"decode responses diverged: {max_diff}"
-        results[label] = {"images_per_s": ips, "response_transport": transports}
-
-    section = {
-        "image": f"{size}x{size}_rgb",
-        "kind": "decode",
-        "num_shards": shards,
-        "queue_images_per_s": results["queue"]["images_per_s"],
-        "shm_images_per_s": results["shm"]["images_per_s"],
-        "speedup_vs_queue": (results["shm"]["images_per_s"]
-                             / results["queue"]["images_per_s"]),
-        "response_transport": results["shm"]["response_transport"],
-        "max_abs_diff_vs_reference": 0.0,
-    }
-    print(f"serving shm ({shards} shards, decode): "
-          f"{section['shm_images_per_s']:.2f} img/s vs queue path "
-          f"{section['queue_images_per_s']:.2f} img/s "
-          f"({section['speedup_vs_queue']:.2f}x)")
-    return section
-
-
 def _chaos_summary(report):
     """The recorded shape of one scenario replay: invariants + per-tenant SLOs."""
     return {
@@ -564,7 +487,7 @@ def chaos_serving_section(config, model, threaded_duration_s=4.0):
     the M/D/c prediction.  The payload-corruption scenario runs on the
     threaded server (any host); the SIGKILL scenario needs process shards
     and records a ``skipped`` marker on single-CPU hosts, like the
-    sharded/shm timing bars.  ``tests/test_perf_smoke.py`` enforces the
+    sharded timing bar.  ``tests/test_perf_smoke.py`` enforces the
     invariants on whatever was recorded — strictly, no noise margin.
     """
     import dataclasses
@@ -676,9 +599,6 @@ def main():
 
     # --- serving: process-sharded pool vs the threaded server ------------ #
     report["serving"]["sharded"] = sharded_serving_section(config, model, mask)
-
-    # --- serving: zero-copy shm ring vs the queue response path ---------- #
-    report["serving"]["shm"] = shm_serving_section(config, model, mask)
 
     # --- serving: chaos invariants under fault injection ----------------- #
     report["serving"]["chaos"] = chaos_serving_section(config, model)

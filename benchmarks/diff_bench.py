@@ -4,7 +4,7 @@ CI runs the throughput benchmark on every PR; raw timings are too noisy to
 gate on, so this script fails **only on guarded-bar regressions** — the
 same speedup floors ``tests/test_perf_smoke.py`` enforces on the recorded
 numbers, checked on the fresh JSON, plus "a section the baseline had went
-missing".  Sections the baseline skipped (e.g. sharded/shm on a 1-CPU dev
+missing".  Sections the baseline skipped (e.g. sharded on a 1-CPU dev
 box) are only required when the fresh run recorded them.
 
 Usage::
@@ -27,7 +27,6 @@ GUARDED_BARS = (
     (("roundtrip_512_rgb", "speedup"), 5.0),
     (("entropy", "speedup"), 3.0),
     (("serving", "sharded", "speedup_vs_threaded"), 1.3),
-    (("serving", "shm", "speedup_vs_queue"), 1.15),
 )
 
 #: Bars that sit right at the measured value flap on run-to-run noise; this

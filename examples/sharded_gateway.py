@@ -19,10 +19,10 @@ the same story out to a *pool* — the deployment shape the ROADMAP's
    (:func:`repro.serve.scenarios.poisson_scenario`) and the observed
    latency is printed next to the response time admission predicted from
    the routed shard's queue depth;
-5. **zero-copy responses** — the pool runs with the shared-memory response
-   ring (the default), so reconstructed pixels come back without the
-   per-response ``tobytes``/queue-pickle copies; the transport split is
-   printed from telemetry;
+5. **one response socket per shard** — each shard sends reconstructed
+   pixels back as raw bytes over its own socket, so a shard killed
+   mid-write breaks only its own channel; the transport split (shard
+   responses vs result-cache hits) is printed from telemetry;
 6. **shard health watchdog + restart** — one shard is restarted in place
    mid-traffic, then another is killed outright and the watchdog replaces
    it automatically (restart counts come from the same telemetry snapshot).
@@ -147,8 +147,8 @@ def main():
     print("\nEach shard owns its model weights and caches, so the pool scales "
           "with cores instead of fighting one GIL; consistent routing keeps a "
           "camera's mask/geometry on the same warm shard (mask affinity keeps "
-          "multi-geometry fleets together), responses come back through the "
-          "zero-copy shared-memory ring, the watchdog replaces crashed shards "
+          "multi-geometry fleets together), each shard answers over its own "
+          "response socket, the watchdog replaces crashed shards "
           "with no lost responses, and the replay line shows admission's "
           "response-time prediction next to what the pool delivered.")
 

@@ -18,9 +18,9 @@ setup(
     ),
     long_description=(
         "Reproduction of the Easz erase-and-squeeze codec (DAC 2025) grown "
-        "into a serving system: vectorized codec fast paths, micro-batching "
-        "compression servers (threaded and process-sharded with a zero-copy "
-        "shared-memory response ring), edge-fleet simulation and the paper's "
+        "into a serving system: vectorized codec fast paths, compression "
+        "servers (threaded, and process-sharded with one response socket per "
+        "shard), edge-fleet simulation and the paper's "
         "experiment suite — pure numpy/scipy, no GPU required."
     ),
     long_description_content_type="text/plain",

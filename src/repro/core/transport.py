@@ -188,19 +188,17 @@ def unpack_package(data):
 def pixels_from_buffer(buffer, shape, dtype, copy=False):
     """Pixel array over ``buffer`` without copying when the layout permits.
 
-    The serving layer moves reconstructed pixels as raw buffers (queue
-    message bytes, shared-memory ring slots); this is the single place that
-    turns such a buffer back into an ``ndarray``.  When the buffer start is
-    aligned for ``dtype`` the result is a **read-only zero-copy view**
-    aliasing the buffer; an unaligned buffer (or ``copy=True``) falls back
-    to a fresh owning array, because numpy operations on unaligned views are
-    silently slow and a view pinned to a reusable buffer (a ring slot) must
-    be copied out before the slot is recycled anyway.
+    This is the single place that turns a raw pixel buffer (bytes read
+    from a file or another process) back into an ``ndarray``.  When the
+    buffer start is aligned for ``dtype`` the result is a **read-only
+    zero-copy view** aliasing the buffer; an unaligned buffer (or
+    ``copy=True``) falls back to a fresh owning array, because numpy
+    operations on unaligned views are silently slow and a caller that hands
+    the pixels on as writable needs its own copy anyway.
 
-    Oversized buffers are tolerated (trailing bytes ignored — a fixed-size
-    slot usually holds a smaller image); a buffer shorter than
-    ``prod(shape) * itemsize`` raises ``ValueError``.  Zero-element shapes
-    yield an empty array of the right shape.
+    Oversized buffers are tolerated (trailing bytes ignored); a buffer
+    shorter than ``prod(shape) * itemsize`` raises ``ValueError``.
+    Zero-element shapes yield an empty array of the right shape.
     """
     dtype = np.dtype(dtype)
     shape = tuple(int(dim) for dim in shape)

@@ -125,16 +125,6 @@ def build_parser():
     serve_bench.add_argument("--shards", type=int, default=0,
                              help="serve from N worker processes instead of threads "
                                   "(0 = threaded server)")
-    serve_bench.add_argument("--shm", action=argparse.BooleanOptionalAction,
-                             default=True,
-                             help="serve sharded responses through the zero-copy "
-                                  "shared-memory ring (--no-shm forces the queue "
-                                  "path; ignored without --shards)")
-    serve_bench.add_argument("--watchdog", action="store_true",
-                             help="run the shard health watchdog (auto-restart of "
-                                  "crashed shards; ignored without --shards)")
-    serve_bench.add_argument("--watchdog-interval", type=float, default=1.0,
-                             help="watchdog probe interval in seconds (must be > 0)")
     serve_bench.add_argument("--result-cache", type=int, default=0,
                              help="cross-request result cache capacity (0 = off)")
     serve_bench.add_argument("--queue-depth", type=int, default=64,
@@ -444,8 +434,6 @@ def _command_list_scenarios():
             faults.append(f"freeze x{len(chaos.freeze_shard_at_s)}")
         if chaos.corrupt_fraction > 0:
             faults.append(f"corrupt {chaos.corrupt_fraction * 100:.0f}%")
-        if chaos.exhaust_shm_at_s:
-            faults.append(f"shm-exhaust x{len(chaos.exhaust_shm_at_s)}")
         rows.append([name, len(scenario.tenants), f"{scenario.duration_s:.0f}s",
                      ", ".join(faults) or "none"])
     print(format_table(["scenario", "tenants", "duration", "chaos"], rows,
@@ -489,30 +477,29 @@ def _run_scenario_bench(args, scenario, config, model):
     from ..serve.scenarios import run_scenario
 
     if args.shards > 0:
-        # scenario hints (watchdog cadence, ring sizing) override the generic
-        # CLI defaults — each scenario is tuned to exercise one failure mode
+        # the watchdog always runs, probing every 0.25 s; scenario hints
+        # (watchdog cadence, queue depth) override the generic CLI defaults —
+        # each scenario is tuned to exercise one failure mode
         kwargs = {
             "num_shards": args.shards,
             "workers_per_shard": max(1, args.workers // args.shards),
             "queue_depth": args.queue_depth,
             "result_cache_size": args.result_cache,
-            "use_shm": args.shm,
-            "watchdog_interval_s": args.watchdog_interval if args.watchdog else 0.25,
+            "watchdog_interval_s": 0.25,
         }
         kwargs.update(dict(scenario.server_hints))
         server = ShardedCompressionServer(model=model, config=config, **kwargs)
     else:
-        if scenario.chaos.kill_shard_at_s or scenario.chaos.freeze_shard_at_s \
-                or scenario.chaos.exhaust_shm_at_s:
-            print("warning: scenario has process/ring chaos but --shards is 0; "
+        if scenario.chaos.kill_shard_at_s or scenario.chaos.freeze_shard_at_s:
+            print("warning: scenario has process chaos but --shards is 0; "
                   "those events will be skipped (threaded server)", file=sys.stderr)
         kwargs = {
             "num_workers": args.workers,
             "queue_depth": args.queue_depth,
             "result_cache_size": args.result_cache,
         }
-        # scenario hints still override here, minus the process/ring knobs a
-        # threaded server has no equivalent for (shm sizing, watchdog cadence)
+        # scenario hints still override here, minus the process knobs a
+        # threaded server has no equivalent for (watchdog cadence)
         kwargs.update({key: value for key, value in dict(scenario.server_hints).items()
                        if key in kwargs})
         server = CompressionServer(model=model, config=config, **kwargs)
@@ -601,8 +588,6 @@ def _command_serve_bench(args):
         from ..serve.scenarios import poisson_scenario
 
         scenario = poisson_scenario(args.rate, args.requests, num_images=args.images)
-    if args.shards > 0 and not args.watchdog_interval > 0:
-        raise ValueError("--watchdog-interval must be positive")
     if args.shards > 0 and available_cpus() < 2:
         # not silent: sharding cannot beat the threaded server here, and the
         # throughput benchmark records a `skipped` marker on such hosts

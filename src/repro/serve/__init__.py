@@ -17,7 +17,7 @@ control and failure isolation around it:
   :meth:`~repro.core.EaszDecoder.decode` would, over the process-wide
   squeeze-plan cache and the backend's codec cache;
 * :class:`ShardBackend` — one shard process running a thread-pool backend,
-  reached over a pickle-light wire format and a shared-memory response ring;
+  reached over a pickle-light wire format, answering over its own socket;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching a backend;
@@ -29,10 +29,10 @@ control and failure isolation around it:
   QoS deadline budgets, deadline-aware admission that degrades to a cheaper
   codec quality or sheds when the M/D/c predicted wait exceeds a tenant's
   budget) is replayed, optionally while a
-  :class:`~repro.serve.scenarios.ChaosDriver` SIGKILLs/SIGSTOPs shards,
-  corrupts payloads through :mod:`repro.edge.faults` and exhausts the shm
-  ring.  ``serve-bench`` without ``--scenario`` replays one healthy Poisson
-  tenant, the capacity check against the M/D/c prediction;
+  :class:`~repro.serve.scenarios.ChaosDriver` SIGKILLs/SIGSTOPs shards and
+  corrupts payloads through :mod:`repro.edge.faults`.  ``serve-bench``
+  without ``--scenario`` replays one healthy Poisson tenant, the capacity
+  check against the M/D/c prediction;
 * :mod:`repro.serve.resilience` — the client side of the robustness story:
   :class:`RetryPolicy` (backoff + jitter, token-bucket :class:`RetryBudget`),
   per-shard :class:`CircuitBreaker` consulted by the router,
@@ -69,41 +69,6 @@ failure isolation            a worker exception fails   a crashed shard's reques
 queueing model (scenarios)   M/D/1 (``parallelism=1``)  M/D/c with c = num_shards
 use when                     interactive latency,       throughput-bound fleets on
                              single-core hosts, tests   multi-core hosts
-===========================  =========================  ==========================
-
-Sharded response path: shm ring vs queue
-----------------------------------------
-
-The sharded server moves finished pixels back to the parent one of two ways
-(``ServeResponse.transport`` names which served each request, telemetry
-counts both):
-
-===========================  =========================  ==========================
-concern                      queue path (``use_shm=     shm ring (``use_shm=True``,
-                             False``)                   the default)
-===========================  =========================  ==========================
-per-response cost            ``tobytes`` + pickle +     one copy into the slot,
-                             pipe chunking + parent     one copy out (the lease
-                             copy (4 copies of the      descriptor rides the
-                             pixels)                    pipe; pixels never do)
-requirements                 none                       ``/dev/shm`` large enough
-                                                        for ``shm_slots x
-                                                        shm_slot_bytes`` (Docker
-                                                        defaults /dev/shm to
-                                                        64 MiB — size the ring
-                                                        accordingly)
-oversized / overflow         n/a                        responses larger than
-                                                        ``shm_slot_bytes`` (or a
-                                                        full ring) fall back to
-                                                        the queue path per
-                                                        response, automatically
-crash safety                 pipe messages die with     leases are reclaimed by
-                             the shard                  owner; per-slot sequence
-                                                        numbers make stale acks
-                                                        inert
-use when                     tiny responses (thumbnail  responses are the full
-                             decode), /dev/shm-starved  reconstructed frames —
-                             containers                 the common serving case
 ===========================  =========================  ==========================
 
 Retry vs hedge vs degrade vs shed — which resilience lever to pull
@@ -193,7 +158,6 @@ from .scenarios import (ChaosDriver, ChaosSpec, ResilienceSpec, ScenarioReport,
 from .server import (CompressionServer, FrontDoor, PendingResult, ServeRequest,
                      ServeResponse)
 from .sharding import ShardBackend, ShardedCompressionServer, available_cpus
-from .shm import ShmRing, shm_available
 from .telemetry import (LatencyWindow, ServerStats, aggregate_snapshots,
                         summarise_latency_ms)
 from .worker import ServeWorker, ThreadPoolBackend
@@ -226,7 +190,6 @@ __all__ = [
     "ShardedCompressionServer",
     "ShardFailedError",
     "ShardBackend",
-    "ShmRing",
     "TenantReport",
     "TenantSpec",
     "ThreadPoolBackend",
@@ -236,6 +199,5 @@ __all__ = [
     "builtin_scenarios",
     "deadline_after_ms",
     "run_scenario",
-    "shm_available",
     "summarise_latency_ms",
 ]

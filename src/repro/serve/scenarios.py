@@ -4,7 +4,7 @@ The one load harness of the serving layer.  A single healthy-pool Poisson
 tenant validates the M/D/c queueing model (``serve-bench`` without
 ``--scenario``); many tenants plus chaos give the load shape under which the
 serving stack's robustness claims (watchdog auto-restart, dead-shard
-re-routing, shm-lease reclamation, graceful decode failures) are
+re-routing, graceful decode failures) are
 *continuously exercised* instead of asserted:
 
 * **Tenants** (:class:`TenantSpec`) — each with its own arrival shape
@@ -17,9 +17,8 @@ re-routing, shm-lease reclamation, graceful decode failures) are
   request to a cheaper codec quality, sheds it, or knowingly accepts the SLO
   risk (``TenantSpec.on_breach``);
 * **Chaos** (:class:`ChaosSpec` / :class:`ChaosDriver`) — while the trace
-  replays, shards are SIGKILLed and SIGSTOPped, payloads are corrupted
-  through :class:`repro.edge.faults.FaultInjector`, and the shm response
-  ring is exhausted by leasing every slot under a sentinel owner;
+  replays, shards are SIGKILLed and SIGSTOPped, and payloads are corrupted
+  through :class:`repro.edge.faults.FaultInjector`;
 * **Per-tenant verdicts** (:class:`TenantReport` / :class:`ScenarioReport`)
   — p50/p99 latency, SLO-miss rate and the queueing-model prediction side by
   side, plus the pool-level invariants every chaos run must keep: zero lost
@@ -184,8 +183,6 @@ class ChaosSpec:
     share of submitted payloads through a :class:`FaultInjector`
     (``corrupt_bit_flips`` flips and/or truncation to ``corrupt_truncate_to``)
     — those requests must fail *gracefully*, never crash a worker.
-    ``exhaust_shm_at_s`` leases every free ring slot under a sentinel owner
-    for ``exhaust_shm_duration_s``, forcing the per-response queue fallback.
     """
 
     kill_shard_at_s: tuple = ()
@@ -194,8 +191,6 @@ class ChaosSpec:
     corrupt_fraction: float = 0.0
     corrupt_bit_flips: int = 64
     corrupt_truncate_to: float = 1.0
-    exhaust_shm_at_s: tuple = ()
-    exhaust_shm_duration_s: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -203,8 +198,6 @@ class ChaosSpec:
             raise ValueError("corrupt_fraction must be in [0, 1]")
         if not self.freeze_duration_s > 0:
             raise ValueError("freeze_duration_s must be positive")
-        if not self.exhaust_shm_duration_s > 0:
-            raise ValueError("exhaust_shm_duration_s must be positive")
         # build once to validate the injector parameters up front
         if self.corrupt_fraction > 0:
             self.injector()
@@ -212,7 +205,7 @@ class ChaosSpec:
     @property
     def any_faults(self):
         return bool(self.kill_shard_at_s or self.freeze_shard_at_s
-                    or self.corrupt_fraction > 0 or self.exhaust_shm_at_s)
+                    or self.corrupt_fraction > 0)
 
     def injector(self):
         """A fresh payload injector for one scenario run (stateful per run)."""
@@ -275,8 +268,8 @@ class ScenarioSpec:
 
     ``server_hints`` are ``(key, value)`` pairs the CLI applies when building
     the :class:`~repro.serve.sharding.ShardedCompressionServer` for this
-    scenario (e.g. a short watchdog interval for freeze chaos, or tiny shm
-    slots so responses overflow to the queue path); the harness itself never
+    scenario (e.g. a short watchdog interval for freeze chaos); the harness
+    itself never
     reads them, so a caller with its own server can ignore them.
     """
 
@@ -335,7 +328,7 @@ class ScenarioSpec:
             for index, entry in enumerate(tenants))
         chaos = data.pop("chaos", None)
         if chaos is not None:
-            for key in ("kill_shard_at_s", "freeze_shard_at_s", "exhaust_shm_at_s"):
+            for key in ("kill_shard_at_s", "freeze_shard_at_s"):
                 if key in chaos:
                     chaos = dict(chaos)
                     chaos[key] = tuple(chaos[key])
@@ -466,17 +459,13 @@ def corrupt_package(package, injector):
 # chaos driver
 # --------------------------------------------------------------------------- #
 class ChaosDriver:
-    """Replays a :class:`ChaosSpec`'s process/ring faults on a schedule.
+    """Replays a :class:`ChaosSpec`'s process faults on a schedule.
 
     Runs as a daemon thread beside the trace replay.  Shard faults need the
     sharded server's introspection surface (``live_shard_indices`` /
     ``shard_process``); against a threaded server those events are skipped
     and logged, so payload-corruption-only scenarios still run anywhere.
     """
-
-    #: Ring-slot leases taken during exhaustion use this owner offset so they
-    #: can never collide with a real shard index.
-    SENTINEL_OWNER_OFFSET = 1024
 
     def __init__(self, server, chaos, rng):
         self.server = server
@@ -490,8 +479,6 @@ class ChaosDriver:
             schedule.append((float(at_s), "kill"))
         for at_s in chaos.freeze_shard_at_s:
             schedule.append((float(at_s), "freeze"))
-        for at_s in chaos.exhaust_shm_at_s:
-            schedule.append((float(at_s), "exhaust-shm"))
         self._schedule = sorted(schedule)
 
     # ------------------------------------------------------------------ #
@@ -536,8 +523,6 @@ class ChaosDriver:
                 self._kill(elapsed)
             elif kind == "freeze":
                 self._freeze(elapsed)
-            elif kind == "exhaust-shm":
-                self._exhaust_shm(elapsed)
 
     def _kill(self, elapsed):
         victim = self._pick_victim()
@@ -578,27 +563,6 @@ class ChaosDriver:
             # recovery path this fault exists to exercise
             detail = f"shard {victim} (pid {pid}) was reaped while frozen"
         self._log(elapsed + self.chaos.freeze_duration_s, "thaw", detail)
-
-    def _exhaust_shm(self, elapsed):
-        ring_getter = getattr(self.server, "shm_ring", None)
-        ring = ring_getter() if ring_getter is not None else None
-        if ring is None:
-            self._log(elapsed, "exhaust-shm", "skipped: no shm ring on this server")
-            return
-        owner = self.SENTINEL_OWNER_OFFSET
-        leased = 0
-        while True:
-            lease = ring.claim(owner)
-            if lease is None:
-                break
-            leased += 1
-        self._log(elapsed, "exhaust-shm",
-                  f"leased {leased}/{ring.num_slots} slots for "
-                  f"{self.chaos.exhaust_shm_duration_s:.1f}s")
-        self._stop.wait(self.chaos.exhaust_shm_duration_s)
-        freed = ring.reclaim(owner)
-        self._log(elapsed + self.chaos.exhaust_shm_duration_s, "release-shm",
-                  f"reclaimed {freed} sentinel-leased slots")
 
 
 # --------------------------------------------------------------------------- #
@@ -1206,8 +1170,8 @@ def builtin_scenarios():
     Durations are single-digit seconds: long enough for the arrival shapes
     and the watchdog recovery loop to matter, short enough that the whole
     matrix stays inside a CI job.  ``server_hints`` tune the pool per
-    scenario (short watchdog ticks for process chaos, a starved ring for the
-    shm scenarios).
+    scenario (short watchdog ticks for process chaos, a shallow admission
+    window for the retry storm).
     """
     premium = TenantSpec(name="premium-cam", rate_rps=12.0, qos="premium",
                          deadline_ms=150.0, on_breach="degrade", quality=75,
@@ -1286,26 +1250,10 @@ def builtin_scenarios():
                             corrupt_truncate_to=0.7, seed=51),
         ),
         ScenarioSpec(
-            name="shm-pressure",
-            description="A starved 4-slot ring with oversized 128px responses "
-                        "plus two full-ring exhaustion windows: every response "
-                        "must fall back to the queue path, none may be lost.",
-            tenants=(
-                TenantSpec(name="big-frames", rate_rps=14.0, deadline_ms=600.0,
-                           on_breach="accept", image_size=128, seed=61),
-                premium,
-            ),
-            duration_s=7.0,
-            chaos=ChaosSpec(exhaust_shm_at_s=(1.5, 4.0),
-                            exhaust_shm_duration_s=1.0, seed=62),
-            server_hints=(("shm_slots", 4), ("shm_slot_bytes", 1 << 16),
-                          ("queue_depth", 128)),
-        ),
-        ScenarioSpec(
             name="chaos-mix",
             description="Everything at once: bursty+diurnal tenants, a kill, "
-                        "a freeze, corrupted payloads and an shm-exhaustion "
-                        "window — the nightly smoke of the full failure matrix.",
+                        "a freeze and corrupted payloads — the nightly smoke "
+                        "of the full failure matrix.",
             tenants=(
                 TenantSpec(name="bursty-fleet", rate_rps=18.0, arrival="bursty",
                            deadline_ms=250.0, on_breach="degrade", seed=71),
@@ -1315,8 +1263,7 @@ def builtin_scenarios():
             duration_s=10.0,
             chaos=ChaosSpec(kill_shard_at_s=(3.0,), freeze_shard_at_s=(6.0,),
                             freeze_duration_s=1.5, corrupt_fraction=0.1,
-                            corrupt_bit_flips=64, exhaust_shm_at_s=(8.0,),
-                            exhaust_shm_duration_s=1.0, seed=73),
+                            corrupt_bit_flips=64, seed=73),
             server_hints=chaos_watchdog_hints,
         ),
         ScenarioSpec(
@@ -1363,22 +1310,6 @@ def builtin_scenarios():
                                       max_backoff_ms=250.0, budget_ratio=0.2,
                                       budget_burst=10.0),
             server_hints=chaos_watchdog_hints,
-        ),
-        ScenarioSpec(
-            name="oversized-response",
-            description="Every response outgrows the 4KB shm slots outright: "
-                        "the ring must be bypassed for the queue fallback on "
-                        "each reply, with nothing lost or doubled.",
-            tenants=(
-                TenantSpec(name="wide-frames", rate_rps=14.0, deadline_ms=800.0,
-                           on_breach="accept", image_size=96, seed=64),
-                TenantSpec(name="wide-decode", rate_rps=8.0, deadline_ms=1200.0,
-                           on_breach="accept", image_size=96, kind="decode",
-                           seed=65),
-            ),
-            duration_s=6.0,
-            server_hints=(("shm_slots", 4), ("shm_slot_bytes", 1 << 12),
-                          ("queue_depth", 128)),
         ),
     ]
     return {scenario.name: scenario for scenario in scenarios}

@@ -52,10 +52,9 @@ class ServeResponse:
     """What the server hands back for one request.
 
     ``transport`` names how the pixels reached the caller: ``"inline"``
-    (same-process, the threaded server), ``"queue"`` (pickled over a
-    multiprocessing queue from a shard), ``"shm"`` (written into the
-    shared-memory ring by a shard) or ``"cache"`` (cross-request result
-    cache, no work executed).
+    (same-process, the threaded server), ``"queue"`` (raw pixel bytes a
+    shard sent over its own response socket) or ``"cache"`` (cross-request
+    result cache, no work executed).
     """
 
     request_id: int
@@ -404,9 +403,8 @@ class FrontDoor:
         """Settle one admitted request exactly once; later calls are no-ops.
 
         ``lost`` marks a request its backend could not serve (the shard
-        died, drained or lost the shm lease): it is re-routed once to
-        another backend with window room, and fails with ``error`` only
-        when none takes it.
+        died or drained): it is re-routed once to another backend with
+        window room, and fails with ``error`` only when none takes it.
         """
         with self._lock:
             request = self._untrack_locked(request_id)

@@ -14,22 +14,19 @@ Design points:
 
 * **pickle-light wire format** — requests cross the process boundary as the
   existing ``EASZ`` transport container bytes (:func:`repro.core.pack_package`)
-  plus plain ints/strings; responses come back as raw pixel buffers with
-  shape/dtype and the worker name.  No live objects, no class
-  pickling, so a shard can be restarted without poisoning the parent.
-  Each shard process answers over its own pipe: a shard killed mid-write
-  breaks only its own channel, never a lock the other shards write under.
+  plus plain ints/strings; responses come back as a small pickled header
+  (shape/dtype and the worker name) followed by the raw pixel bytes.  No
+  live objects, no class pickling, so a shard can be restarted without
+  poisoning the parent.  Each shard process answers over its own socket
+  pair: a shard killed mid-write breaks only its own channel, never a lock
+  the other shards write under.  The parent receives the pixels straight
+  into the response array in one ``MSG_WAITALL`` call, which does not need
+  the GIL while the bytes arrive.
 * **routing** — the front door hashes a request's routing key to a preferred
   shard (so shard-local caches stay hot), switches a mask to mask-only
   routing once it arrives with a second geometry, spills to the least-loaded
   shard once the preferred one has eight requests in flight, and routes around
   shards whose circuit breaker is open.
-* **zero-copy responses** — with ``use_shm=True`` (the default) shards write
-  finished pixels straight into a :class:`~repro.serve.shm.ShmRing` of
-  shared-memory slots and send only a tiny lease descriptor over their pipe.
-  Responses that outgrow a slot, a full ring, or a host without shared
-  memory fall back to the queue path per response (``ServeResponse.transport``
-  says which path served each request; telemetry counts both).
 * **shared counter cells** — each slot owns one row of float64 cells in
   shared memory: its heartbeat stamp and its service/cache counters.  A shard
   publishes its counters before each response leaves, adding to what
@@ -52,7 +49,10 @@ import builtins
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import queue as queue_module
+import socket
+import struct
 import threading
 import time
 from dataclasses import asdict
@@ -61,21 +61,15 @@ import numpy as np
 
 from ..core.config import EaszConfig
 from ..core.reconstruction import EaszReconstructor
-from ..core.transport import pack_package, pixels_from_buffer, unpack_package
+from ..core.transport import pack_package, unpack_package
 from .queueing import (DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, ShardFailedError, deadline_expired)
 from .resilience import CircuitBreaker
 from .server import FrontDoor, ServeRequest
-from .shm import ShmRing, shm_available
 from .worker import ThreadPoolBackend
 
 __all__ = ["ShardedCompressionServer", "ShardBackend", "ShardFailedError",
            "available_cpus"]
-
-#: Default shared-memory ring geometry: slots sized for a 512² RGB float32
-#: (or 256² RGB float64) response with headroom, kept modest so the ring fits
-#: containers whose /dev/shm is capped at the Docker default of 64 MiB.
-_DEFAULT_SHM_SLOT_BYTES = 4 << 20
 
 # Default hang timeout when the watchdog runs (``watchdog_hang_timeout_s=
 # "auto"``): shards stamp their heartbeat every loop iteration (<= 50 ms
@@ -97,6 +91,15 @@ _CACHES = ("squeeze_plans", "codecs")
 _CACHE_CELLS = 1 + len(_COUNTERS)
 _SIZE_CELLS = [_CACHE_CELLS + 3 * position + 2 for position in range(len(_CACHES))]
 _ROW_CELLS = _CACHE_CELLS + 3 * len(_CACHES)
+
+# Each response on a shard's channel starts with one fixed-size block: the
+# pickled header's byte length, then the header (padded; a longer one, such
+# as a long error message, runs on past the block).  An "ok" header is
+# followed by the pixels' raw bytes.  The fixed block lets the parent read a
+# response in two receive calls; each call drops the GIL, and under load
+# every reacquisition can cost the 5 ms switch interval.
+_HEADER_SIZE = struct.Struct("!I")
+_BLOCK_BYTES = 256
 
 
 def available_cpus():
@@ -137,6 +140,53 @@ def _cells_counters(cells):
 
 
 # --------------------------------------------------------------------------- #
+# response framing
+# --------------------------------------------------------------------------- #
+def _pixel_bytes(image):
+    """``image``'s memory as a flat ``uint8`` array (writable when ``image`` is)."""
+    return image.reshape(-1).view(np.uint8)
+
+
+def _send_response(sock, header, image=None):
+    """Write one response: its header block, then ``image``'s bytes."""
+    data = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
+    sock.sendall(_HEADER_SIZE.pack(len(data))
+                 + data.ljust(_BLOCK_BYTES - _HEADER_SIZE.size, b"\0"))
+    if image is not None:
+        sock.sendall(_pixel_bytes(np.ascontiguousarray(image)))
+
+
+def _recv_exact(sock, buffer):
+    """Fill ``buffer`` from ``sock``; ``EOFError`` when the writer went away first."""
+    view = memoryview(buffer)
+    while len(view):
+        received = sock.recv_into(view, len(view), socket.MSG_WAITALL)
+        if not received:
+            raise EOFError("shard channel closed mid-response")
+        view = view[received:]
+
+
+def _recv_response(sock):
+    """Read one response: the header tuple, with an ``"ok"``'s pixels in
+    place of its shape and dtype."""
+    block = bytearray(_BLOCK_BYTES)
+    _recv_exact(sock, block)
+    size = _HEADER_SIZE.unpack_from(block)[0]
+    data = block[_HEADER_SIZE.size:_HEADER_SIZE.size + size]
+    if len(data) < size:  # the header ran on past the block
+        rest = bytearray(size - len(data))
+        _recv_exact(sock, rest)
+        data += rest
+    header = pickle.loads(data)
+    if header[0] != "ok":
+        return header
+    tag, index, request_id, shape, dtype_name, worker = header
+    image = np.empty(shape, dtype=dtype_name)
+    _recv_exact(sock, _pixel_bytes(image))
+    return tag, index, request_id, image, worker
+
+
+# --------------------------------------------------------------------------- #
 # shard-process side
 # --------------------------------------------------------------------------- #
 def _rebuild_error(type_name, message):
@@ -153,7 +203,7 @@ def _rebuild_error(type_name, message):
 
 
 def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
-                model_state, options, ring_descriptor, cells):
+                model_state, options, cells):
     """Entry point of one shard process.
 
     Rebuilds the model from the shipped ``state_dict`` and runs a
@@ -161,9 +211,8 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     the parent: requests arrive as ``("req", id, kind, container_bytes,
     deadline_s)`` tuples (``deadline_s`` an absolute CLOCK_MONOTONIC stamp or
     ``None``, checked *before* the container is unpacked); finished pixels
-    leave either through the shared-memory ring (a tiny ``("shm", ...)``
-    lease descriptor on ``responses``, this shard's own pipe) or as raw
-    buffers in ``("ok", ...)`` messages, errors as ``("err", ...)``.  The
+    leave as ``("ok", ...)`` responses followed by their raw bytes on
+    ``responses``, this shard's own socket, and errors as ``("err", ...)``.  The
     control pipe carries the ready and drain handshakes.  The shard stamps
     its heartbeat cell every loop iteration so the parent's watchdog can
     tell a busy shard from a hung one.
@@ -172,45 +221,21 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     model = EaszReconstructor(config)
     model.load_state_dict(model_state)
     model.eval()
-    ring = None
-    if ring_descriptor is not None:
-        try:
-            ring = ShmRing.attach(ring_descriptor)
-        except Exception:  # noqa: BLE001 - ring is a fast path, not a requirement
-            ring = None
     row = np.frombuffer(cells, dtype=np.float64).reshape(-1, _ROW_CELLS)[index]
     base = row.copy()  # what earlier processes of this slot published
     base[_SIZE_CELLS] = 0.0  # cache sizes are this process's own
     publish_lock = threading.Lock()
-    send_lock = threading.Lock()  # one message at a time on the response pipe
-
-    def send(message):
-        with send_lock:
-            responses.send(message)
+    send_lock = threading.Lock()  # one response at a time on the socket
 
     def reply(request_id, image=None, error=None, worker=""):
         if error is not None:
-            send(("err", index, request_id, type(error).__name__, str(error)))
-            return
-        with publish_lock:
-            row[1:] = base[1:] + _counter_cells(backend.counters())[1:]
-        image = np.ascontiguousarray(image)
-        message = None
-        if ring is not None and image.nbytes <= ring.slot_bytes:
-            lease = ring.claim(index)
-            if lease is not None:
-                slot, seq = lease
-                try:
-                    ring.write(slot, image)
-                except Exception:  # noqa: BLE001 - fall back to the queue
-                    ring.release(slot, seq, index)
-                else:
-                    message = ("shm", index, request_id, slot, seq, image.nbytes,
-                               image.shape, str(image.dtype), worker)
-        if message is None:  # ring off, full, or the response outgrew a slot
-            message = ("ok", index, request_id, image.tobytes(), image.shape,
-                       str(image.dtype), worker)
-        send(message)
+            header = ("err", index, request_id, type(error).__name__, str(error))
+        else:
+            with publish_lock:
+                row[1:] = base[1:] + _counter_cells(backend.counters())[1:]
+            header = ("ok", index, request_id, image.shape, str(image.dtype), worker)
+        with send_lock:
+            _send_response(responses, header, image)
 
     backend = ThreadPoolBackend(model, config, reply, **options)
     backend.start()
@@ -250,7 +275,7 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
                 reply(message[1], error=QueueClosedError(
                     "shard stopped before the request ran"))
         control_conn.send(("stopped", index))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # parent went away
+    except (EOFError, ConnectionError, KeyboardInterrupt):  # parent went away
         backend.stop(time.perf_counter() + 1.0)
 
 
@@ -288,7 +313,7 @@ class ShardBackend:
         self.process = None
         self.request_queue = None
         self.control_conn = None
-        self.responses = None  # read end of this process's response pipe
+        self.responses = None  # parent end of this process's response socket
         self.draining = False
         self.stopped = False
         self.row = None
@@ -324,14 +349,14 @@ class ShardBackend:
         """Start a new process for this slot; :meth:`await_ready` publishes it."""
         request_queue = context.Queue()
         parent_conn, child_conn = context.Pipe()
-        responses, response_writer = context.Pipe(duplex=False)
+        responses, response_writer = socket.socketpair()
         process = context.Process(
             target=_shard_main, name=f"easz-shard-{self.index}",
             args=(self.index, request_queue, child_conn, response_writer) + self.shared,
             daemon=True)
         process.start()
         child_conn.close()
-        response_writer.close()  # the child holds the only write end
+        response_writer.close()  # the child holds the only other end
         self._spawned = (process, request_queue, parent_conn, responses)
 
     def await_ready(self):
@@ -382,11 +407,6 @@ class ShardedCompressionServer(FrontDoor):
     ``queue_depth`` is the in-flight window of each shard; the front door
     rejects before a request ever crosses the process boundary.
 
-    ``use_shm``
-        Serve responses through the shared-memory ring when the host
-        supports it (default).  ``shm_slots`` / ``shm_slot_bytes`` size the
-        ring (defaults: ``max(4, 2 * num_shards)`` slots of 4 MiB); anything
-        that does not fit falls back to the queue path per response.
     ``watchdog_interval_s``
         When set (must be ``> 0``), a parent-side watchdog thread probes
         shard liveness (and heartbeat staleness, see
@@ -406,8 +426,7 @@ class ShardedCompressionServer(FrontDoor):
     """
 
     def __init__(self, model=None, config=None, num_shards=2, workers_per_shard=1,
-                 queue_depth=64, result_cache_size=0, use_shm=True, shm_slots=None,
-                 shm_slot_bytes=None, watchdog_interval_s=None,
+                 queue_depth=64, result_cache_size=0, watchdog_interval_s=None,
                  watchdog_backoff_s=0.5, watchdog_hang_timeout_s="auto"):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
@@ -419,10 +438,6 @@ class ShardedCompressionServer(FrontDoor):
             raise ValueError("watchdog_hang_timeout_s must be positive")
         if not watchdog_backoff_s > 0:
             raise ValueError("watchdog_backoff_s must be positive")
-        if shm_slots is not None and int(shm_slots) < 1:
-            raise ValueError("shm_slots must be positive")
-        if shm_slot_bytes is not None and int(shm_slot_bytes) < 1:
-            raise ValueError("shm_slot_bytes must be positive")
         self.num_shards = int(num_shards)
         super().__init__(model, config, [ShardBackend(index) for index in range(self.num_shards)],
                          queue_depth=queue_depth, result_cache_size=result_cache_size,
@@ -433,11 +448,6 @@ class ShardedCompressionServer(FrontDoor):
             "queue_depth": self.queue_depth,
         }
         self._context = multiprocessing.get_context()
-        self.use_shm = bool(use_shm)
-        self.shm_slots = (int(shm_slots) if shm_slots is not None
-                          else max(4, 2 * self.num_shards))
-        self.shm_slot_bytes = (int(shm_slot_bytes) if shm_slot_bytes is not None
-                               else _DEFAULT_SHM_SLOT_BYTES)
         self.watchdog_interval_s = (float(watchdog_interval_s)
                                     if watchdog_interval_s is not None else None)
         self.watchdog_backoff_s = float(watchdog_backoff_s)
@@ -446,7 +456,6 @@ class ShardedCompressionServer(FrontDoor):
         self._restart_lock = threading.Lock()  # one restart at a time
         self._collector = None
         self._collector_stop = threading.Event()
-        self._shm_ring = None
         self._cells = None
         self._watchdog = None
         self._watchdog_stop = threading.Event()
@@ -454,25 +463,6 @@ class ShardedCompressionServer(FrontDoor):
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def _create_ring(self):
-        """Build the shared-memory response ring, or run without one.
-
-        Any failure (no /dev/shm, quota, exotic platform) downgrades the pool
-        to the queue path — zero-copy is a fast path, never a requirement.
-        """
-        self._shm_ring = None
-        if self.use_shm and shm_available():
-            try:
-                self._shm_ring = ShmRing(self.shm_slot_bytes, self.shm_slots,
-                                         context=self._context)
-            except Exception:  # noqa: BLE001 - fall back to the queue path
-                self._shm_ring = None
-
-    def _release_ring(self):
-        if self._shm_ring is not None:
-            self._shm_ring.close()
-        self._shm_ring = None
-
     def _start_backends(self):
         """Spawn the shard pool, wait for readiness, start the collector."""
         if self._watchdog is not None:
@@ -480,11 +470,9 @@ class ShardedCompressionServer(FrontDoor):
             # restart; wait it out, or two watchdog loops would run
             self._watchdog.join()
             self._watchdog = None
-        self._create_ring()
         self._cells = self._context.RawArray("d", self.num_shards * _ROW_CELLS)
         rows = np.frombuffer(self._cells, dtype=np.float64).reshape(self.num_shards, _ROW_CELLS)
         shared = (asdict(self.config), dict(self.model.state_dict()), self._options,
-                  self._shm_ring.descriptor() if self._shm_ring is not None else None,
                   self._cells)
         try:
             for shard, row in zip(self._backends, rows):
@@ -504,7 +492,6 @@ class ShardedCompressionServer(FrontDoor):
                     shard.kill()
                 if shard.responses is not None:
                     shard.responses.close()
-            self._release_ring()
             raise
         self._collector_stop.clear()
         self._collector = threading.Thread(target=self._collect_loop,
@@ -550,7 +537,6 @@ class ShardedCompressionServer(FrontDoor):
             if shard.responses is not None:
                 shard.responses.close()
                 shard.responses = None
-        self._release_ring()  # after the collector: it may hold slot views
 
     # ------------------------------------------------------------------ #
     # admission observability + chaos-harness introspection
@@ -592,31 +578,24 @@ class ShardedCompressionServer(FrontDoor):
             raise ValueError(f"no shard {index}")
         return self._backends[index].process
 
-    def shm_ring(self):
-        """The live response :class:`~repro.serve.shm.ShmRing` (None when off).
-
-        Chaos scenarios lease slots through it (under a sentinel owner index)
-        to exercise ring exhaustion; normal callers never need it.
-        """
-        return self._shm_ring
-
     # ------------------------------------------------------------------ #
     # response collection
     # ------------------------------------------------------------------ #
     def _collect_loop(self):
-        """Read every shard's response pipe; a pipe at EOF is closed and dropped."""
+        """Read every shard's response socket; one at EOF is closed and dropped."""
         readers = set()
         last_reap = time.perf_counter()
         try:
             while True:
                 readers.update(shard.responses for shard in self._backends
-                               if shard.responses is not None and not shard.responses.closed)
+                               if shard.responses is not None
+                               and shard.responses.fileno() >= 0)
                 ready = multiprocessing.connection.wait(list(readers), timeout=0.05)
                 if not ready and self._collector_stop.is_set():
                     return
                 for conn in ready:
                     try:
-                        message = conn.recv()
+                        message = _recv_response(conn)
                     except (EOFError, OSError):  # the writing process is gone
                         readers.discard(conn)
                         conn.close()
@@ -645,36 +624,9 @@ class ShardedCompressionServer(FrontDoor):
                 continue
             # a dead process is hard evidence: stop trusting the slot now
             self._breakers[shard.index].trip()
-            if self._shm_ring is not None:
-                # free ring slots the dead shard still leased; any of its
-                # responses still queued become stale (seq-bumped)
-                self._shm_ring.reclaim(shard.index)
             self._fail_backend(shard.index, ShardFailedError(
                 f"shard {shard.index} died (exit code {shard.process.exitcode}) "
                 "with the request in flight"))
-
-    def _read_shm_response(self, index, slot, seq, nbytes, shape, dtype_name):
-        """Copy the pixels out of a leased ring slot and ack the lease.
-
-        Returns ``None`` when the lease is stale (the writing shard crashed
-        and the reaper already reclaimed its slots — the slot may belong to
-        someone else now, so the copy is discarded).
-        """
-        ring = self._shm_ring
-        if ring is None:
-            return None
-        image = None
-        try:
-            slot_view = ring.read(slot, nbytes)
-            try:
-                # the slot is recycled the moment we ack, so the response
-                # must own its pixels (the one parent-side copy)
-                image = pixels_from_buffer(slot_view, shape, dtype_name, copy=True)
-            finally:
-                slot_view.release()
-        except Exception:  # noqa: BLE001 - a malformed descriptor must not
-            image = None   # wedge the collector; the lease is still acked below
-        return image if ring.release(slot, seq, index) else None
 
     def _dispatch_response(self, message):
         tag, index, request_id = message[:3]
@@ -684,19 +636,9 @@ class ShardedCompressionServer(FrontDoor):
             self._settle(request_id, error=_rebuild_error(*message[3:]),
                          lost=message[3] == "QueueClosedError")
             return
-        if tag == "shm":
-            slot, seq, nbytes, shape, dtype_name, worker = message[3:]
-            image = self._read_shm_response(index, slot, seq, nbytes, shape, dtype_name)
-            if image is None:
-                self._settle(request_id, error=ShardFailedError(
-                    f"shard {index} lost its shm lease for request {request_id}"),
-                    lost=True)
-                return
-        else:
-            buffer, shape, dtype_name, worker = message[3:]
-            image = pixels_from_buffer(buffer, shape, dtype_name).copy()
+        image, worker = message[3:]
         self._settle(request_id, image=image, worker=f"shard-{index}/{worker}",
-                     transport="shm" if tag == "shm" else "queue")
+                     transport="queue")
 
     # ------------------------------------------------------------------ #
     # shard management
@@ -733,9 +675,6 @@ class ShardedCompressionServer(FrontDoor):
                 while time.perf_counter() < deadline and self._holds_requests(index):
                     time.sleep(0.01)
             shard.kill()
-            if self._shm_ring is not None:
-                # slots the old process still leased are unreachable now
-                self._shm_ring.reclaim(index)
             self._fail_backend(index, ShardFailedError(
                 f"shard {index} restarted before the request completed"))
             if self._closed:
@@ -838,8 +777,6 @@ class ShardedCompressionServer(FrontDoor):
     def _telemetry(self):
         view = super()._telemetry()
         view["num_shards"] = self.num_shards
-        view["shm"] = (self._shm_ring.stats() if self._shm_ring is not None
-                       else {"enabled": False})
         view["watchdog"] = self.watchdog_snapshot()
         view["circuit_breakers"] = [breaker.snapshot() for breaker in self._breakers]
         return view

@@ -72,25 +72,12 @@ class TestServeBenchScenarios:
     def test_removed_wait_and_size_flags_are_gone(self):
         for flags in (["--adaptive-wait"], ["--batch-wait-ms", "1"],
                       ["--height", "96"], ["--width", "96"],
-                      ["--max-batch", "4"], ["--dct-threads", "2"]):
+                      ["--max-batch", "4"], ["--dct-threads", "2"],
+                      ["--shm"], ["--no-shm"], ["--watchdog"],
+                      ["--watchdog-interval", "0.5"]):
             with pytest.raises(SystemExit) as exited:
                 build_parser().parse_args(["serve-bench"] + flags)
             assert exited.value.code == 2
-
-    def test_serve_bench_shm_and_watchdog_flags(self):
-        args = build_parser().parse_args(["serve-bench", "--shards", "2"])
-        assert args.shm and not args.watchdog
-        assert args.watchdog_interval == pytest.approx(1.0)
-        args = build_parser().parse_args(
-            ["serve-bench", "--shards", "2", "--no-shm", "--watchdog",
-             "--watchdog-interval", "0.5"])
-        assert not args.shm and args.watchdog
-        assert args.watchdog_interval == pytest.approx(0.5)
-
-    def test_serve_bench_rejects_nonpositive_watchdog_interval(self):
-        # a zero interval would spin the watchdog loop
-        assert main(["serve-bench", "--shards", "1", "--watchdog",
-                     "--watchdog-interval", "0"]) == 2
 
 
 class TestCommands:

@@ -172,7 +172,7 @@ class TestBinaryPartEdgeCases:
 
 
 class TestPixelsFromBuffer:
-    """The zero-copy view path behind serving's raw pixel buffers."""
+    """The zero-copy view path for raw pixel buffers."""
 
     def test_aligned_bytes_give_zero_copy_readonly_view(self):
         source = np.arange(24.0).reshape(2, 3, 4)

@@ -25,7 +25,6 @@ def report(**sections):
         "entropy": {"speedup": 5.0},
         "serving": {
             "sharded": {"speedup_vs_threaded": 1.6},
-            "shm": {"speedup_vs_queue": 1.3},
         },
     }
     base.update(sections)
@@ -66,15 +65,14 @@ def test_missing_section_present_in_baseline_fails():
 def test_section_missing_from_both_is_ignored():
     baseline, fresh = report(), report()
     for doc in (baseline, fresh):
-        del doc["serving"]["shm"]
+        del doc["serving"]["sharded"]
     assert diff_bench.diff(baseline, fresh) == []
 
 
 def test_skipped_marker_excuses_missing_bar():
-    """A 1-CPU host records {"skipped": ...} instead of sharded/shm numbers."""
+    """A 1-CPU host records {"skipped": ...} instead of sharded numbers."""
     fresh = report()
     fresh["serving"]["sharded"] = {"skipped": "needs >= 2 CPUs"}
-    fresh["serving"]["shm"] = {"skipped": "needs >= 2 CPUs"}
     assert diff_bench.diff(report(), fresh) == []
 
 

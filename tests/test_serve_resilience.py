@@ -520,8 +520,7 @@ class TestDeadlineShedding:
         # wire; after thaw the shard must shed it pre-unpack and report the
         # shed through the merged telemetry
         with ShardedCompressionServer(model=serve_model, config=serve_config,
-                                      num_shards=1, workers_per_shard=1,
-                                      use_shm=False) as server:
+                                      num_shards=1, workers_per_shard=1) as server:
             warm = server.submit(package)
             warm.result(timeout=60.0)  # shard is up and serving
             pid = server._backends[0].process.pid
@@ -544,8 +543,7 @@ class TestShardedResilienceIntegration:
     def test_snapshot_reports_per_shard_breakers(self, serve_model,
                                                  serve_config, package):
         with ShardedCompressionServer(model=serve_model, config=serve_config,
-                                      num_shards=2, workers_per_shard=1,
-                                      use_shm=False) as server:
+                                      num_shards=2, workers_per_shard=1) as server:
             server.submit(package).result(timeout=60.0)
             breakers = server.stats.snapshot()["circuit_breakers"]
             assert len(breakers) == 2

@@ -111,7 +111,6 @@ class TestSpecValidation:
         assert not ChaosSpec().any_faults
         assert ChaosSpec(kill_shard_at_s=(1.0,)).any_faults
         assert ChaosSpec(corrupt_fraction=0.1).any_faults
-        assert ChaosSpec(exhaust_shm_at_s=(0.5,)).any_faults
 
     def test_scenario_rejects_duplicate_or_missing_tenants(self):
         tenant = TenantSpec(name="same")
@@ -470,7 +469,6 @@ class TestBuiltinScenarios:
         assert any(s.chaos.kill_shard_at_s for s in scenarios)
         assert any(s.chaos.freeze_shard_at_s for s in scenarios)
         assert any(s.chaos.corrupt_fraction > 0 for s in scenarios)
-        assert any(s.chaos.exhaust_shm_at_s for s in scenarios)
         assert any(not s.chaos.any_faults for s in scenarios)  # healthy baselines
 
     def test_matrix_covers_every_arrival_shape_and_policy(self):
@@ -480,19 +478,13 @@ class TestBuiltinScenarios:
 
     def test_matrix_covers_resilience_and_closed_loop(self):
         scenarios = builtin_scenarios()
-        for name in ("retry-storm", "metastable-recovery", "oversized-response"):
+        for name in ("retry-storm", "metastable-recovery"):
             assert name in scenarios
         assert scenarios["retry-storm"].resilience is not None
         assert scenarios["retry-storm"].resilience.budget_ratio is not None
         assert any(t.closed_loop for t in scenarios["retry-storm"].tenants)
         assert scenarios["metastable-recovery"].chaos.kill_shard_at_s
         assert scenarios["metastable-recovery"].resilience is not None
-        # oversized-response: the slots must be smaller than any possible
-        # response so every reply exercises the queue fallback
-        hints = dict(scenarios["oversized-response"].server_hints)
-        smallest = min(t.image_size for t in
-                       scenarios["oversized-response"].tenants)
-        assert hints["shm_slot_bytes"] < smallest * smallest * 3 * 4
 
     def test_ci_workflow_matrix_matches_builtins(self):
         # chaos.yml hand-lists the matrix; a new scenario must be added there

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -26,6 +27,7 @@ from repro.serve import (
     ShardFailedError,
     aggregate_snapshots,
 )
+from repro.serve.sharding import _recv_response, _send_response
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,51 @@ class TestResultCache:
         assert snapshot["result_cache"]["hits"] == 3
         assert snapshot["completed"] == 1
 
+    def test_result_cache_hits_count_as_cache_transport(self, serve_config,
+                                                        serve_model, packages):
+        with _sharded(serve_model, serve_config, result_cache_size=8) as server:
+            first = server.submit(packages[0]).result(timeout=300.0)
+            repeat = server.submit(packages[0]).result(timeout=300.0)
+            snapshot = server.stats.snapshot()
+        assert first.transport == "queue"
+        assert repeat.transport == "cache" and repeat.cached
+        assert np.array_equal(first.image, repeat.image)
+        assert snapshot["response_transport"] == {"cache": 1, "queue": 1}
+
+
+# --------------------------------------------------------------------------- #
+# the shard response channel
+# --------------------------------------------------------------------------- #
+class TestResponseFraming:
+    @pytest.mark.parametrize("image", [
+        np.random.default_rng(1).random((5, 7, 3)),
+        np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2],  # not contiguous
+        np.empty((0, 3)),
+    ], ids=["rgb-float64", "strided-float32", "empty"])
+    def test_pixels_arrive_bit_exact_and_writable(self, image):
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            _send_response(writer, ("ok", 1, 7, image.shape, str(image.dtype), "w"), image)
+            long_message = "bad bytes " * 100  # runs on past the header block
+            _send_response(writer, ("err", 1, 8, "ValueError", long_message))
+            _send_response(writer, ("err", 1, 9, "ValueError", "bad bytes"))
+            tag, index, request_id, received, worker = _recv_response(reader)
+            assert (tag, index, request_id, worker) == ("ok", 1, 7, "w")
+            assert received.dtype == image.dtype
+            assert np.array_equal(received, image)
+            assert received.flags.writeable
+            assert _recv_response(reader) == ("err", 1, 8, "ValueError", long_message)
+            assert _recv_response(reader) == ("err", 1, 9, "ValueError", "bad bytes")
+
+    def test_writer_gone_mid_response_is_eof(self):
+        reader, writer = socket.socketpair()
+        with reader:
+            _send_response(writer, ("ok", 0, 1, (64, 64), "float64", "w"))
+            writer.sendall(bytes(100))  # a fraction of the 32 KiB of pixels
+            writer.close()
+            with pytest.raises(EOFError):
+                _recv_response(reader)
+
 
 # --------------------------------------------------------------------------- #
 # sharded server end-to-end
@@ -182,16 +229,21 @@ class TestShardedCompressionServer:
         with _sharded(serve_model, serve_config) as server:
             pendings = [server.submit(package) for package in packages]
             responses = [pending.result(timeout=300.0) for pending in pendings]
+            snapshot = server.stats.snapshot()
         for response, reference in zip(responses, references):
             assert response.image.shape == reference.shape
             assert np.abs(response.image - reference).max() < 1e-5
             assert response.worker.startswith("shard-")
+            assert response.transport == "queue"  # the shard's own socket
+            assert response.image.flags.writeable  # caller owns its pixels
+        assert snapshot["response_transport"] == {"queue": len(packages)}
 
     def test_decode_kind_is_bit_exact(self, serve_config, serve_model, packages,
                                       decoder):
         reference = decoder.decode(packages[0], reconstruct=False)
         with _sharded(serve_model, serve_config) as server:
             response = server.submit(packages[0], kind="decode").result(timeout=300.0)
+        assert response.transport == "queue"
         assert np.array_equal(response.image, reference)
 
     def test_submit_bytes_over_the_wire(self, serve_config, serve_model, packages):
@@ -268,6 +320,14 @@ class TestShardedCompressionServer:
             assert server._backends[0].process.pid != old_process.pid
             # the retired generation's counters survive the restart
             assert server.stats.snapshot()["completed"] == completed_before
+            response = server.submit(packages[0]).result(timeout=300.0)
+        assert response.image.shape == packages[0].original_shape
+
+    def test_hard_restart_keeps_the_pool_serving(self, serve_config, serve_model,
+                                                 packages):
+        with _sharded(serve_model, serve_config) as server:
+            server.submit(packages[0]).result(timeout=300.0)
+            server.restart_shard(0, graceful=False)
             response = server.submit(packages[0]).result(timeout=300.0)
         assert response.image.shape == packages[0].original_shape
 
@@ -666,8 +726,8 @@ class TestAggregateSnapshots:
         a = ServerStats()
         a.record_service(0.01, service_seconds=0.02)
         a.record_service(0.01, service_seconds=0.03)
-        a.record_completed(0.1, "shm")
-        a.record_completed(0.1, "shm")
+        a.record_completed(0.1, "inline")
+        a.record_completed(0.1, "inline")
         b = ServerStats()
         b.record_service(0.02, service_seconds=0.04)
         b.record_completed(0.3, "queue")
@@ -676,7 +736,7 @@ class TestAggregateSnapshots:
         assert merged["batches"] == 3
         assert merged["service_seconds_total"] == pytest.approx(0.09)
         assert merged["queue_wait_seconds_total"] == pytest.approx(0.04)
-        assert merged["response_transport"] == {"queue": 1, "shm": 2}
+        assert merged["response_transport"] == {"inline": 2, "queue": 1}
         # percentiles do not add: none are produced
         assert "latency_p50_ms" not in merged
         assert len(merged["shards"]) == 2

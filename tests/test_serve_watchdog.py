@@ -1,5 +1,4 @@
-"""Tests for the zero-copy shared-memory response path, the shard health
-watchdog and spill-aware mask affinity."""
+"""Tests for the shard health watchdog and spill-aware mask affinity."""
 
 from __future__ import annotations
 
@@ -12,14 +11,7 @@ import pytest
 
 from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
-from repro.serve import (
-    ShardedCompressionServer,
-    ShmRing,
-    shm_available,
-)
-
-pytestmark = pytest.mark.skipif(not shm_available(),
-                                reason="host cannot create shared memory")
+from repro.serve import ShardedCompressionServer
 
 
 @pytest.fixture(scope="module")
@@ -54,193 +46,6 @@ def decoder(serve_config, serve_model):
 def _sharded(serve_model, serve_config, **kwargs):
     kwargs.setdefault("num_shards", 2)
     return ShardedCompressionServer(model=serve_model, config=serve_config, **kwargs)
-
-
-# --------------------------------------------------------------------------- #
-# the ring itself (single-process: lease/ack/reclaim protocol)
-# --------------------------------------------------------------------------- #
-class TestShmRing:
-    def test_claim_write_read_release_cycle(self):
-        ring = ShmRing(slot_bytes=1024, num_slots=2)
-        try:
-            slot, seq = ring.claim(owner_index=0)
-            payload = np.arange(12.0).reshape(3, 4)
-            nbytes = ring.write(slot, payload)
-            assert nbytes == payload.nbytes
-            view = ring.read(slot, nbytes)
-            try:
-                assert bytes(view) == payload.tobytes()
-            finally:
-                view.release()
-            assert ring.leased_slots() == 1
-            assert ring.release(slot, seq, owner_index=0)
-            assert ring.leased_slots() == 0
-        finally:
-            ring.close()
-
-    def test_full_ring_returns_none(self):
-        ring = ShmRing(slot_bytes=64, num_slots=2)
-        try:
-            assert ring.claim(0) is not None
-            assert ring.claim(1) is not None
-            assert ring.claim(0) is None
-        finally:
-            ring.close()
-
-    def test_release_refuses_wrong_owner_or_stale_seq(self):
-        ring = ShmRing(slot_bytes=64, num_slots=1)
-        try:
-            slot, seq = ring.claim(owner_index=3)
-            assert not ring.release(slot, seq, owner_index=1)  # wrong owner
-            assert not ring.release(slot, seq + 1, owner_index=3)  # wrong seq
-            assert ring.release(slot, seq, owner_index=3)
-        finally:
-            ring.close()
-
-    def test_reclaim_frees_a_dead_owners_slots_and_staleness_protects(self):
-        ring = ShmRing(slot_bytes=64, num_slots=3)
-        try:
-            leases = [ring.claim(owner_index=0) for _ in range(2)]
-            ring.claim(owner_index=1)
-            assert ring.reclaim(owner_index=0) == 2
-            assert ring.leased_slots() == 1
-            # a late ack from the dead owner's old lease must be inert,
-            # even after the slot was re-leased by someone else
-            slot, old_seq = leases[0]
-            new_slot, new_seq = ring.claim(owner_index=2)
-            assert new_slot == slot  # lowest free slot is re-issued
-            assert not ring.release(slot, old_seq, owner_index=0)
-            assert ring.release(new_slot, new_seq, owner_index=2)
-        finally:
-            ring.close()
-
-    def test_oversized_write_raises(self):
-        ring = ShmRing(slot_bytes=64, num_slots=1)
-        try:
-            slot, seq = ring.claim(0)
-            with pytest.raises(ValueError, match="slots hold"):
-                ring.write(slot, np.zeros(1024))
-            ring.release(slot, seq, 0)
-        finally:
-            ring.close()
-
-    def test_attach_shares_state_in_process(self):
-        parent = ShmRing(slot_bytes=64, num_slots=2)
-        try:
-            child = ShmRing.attach(parent.descriptor())
-            slot, seq = child.claim(owner_index=0)
-            child.write(slot, np.arange(4, dtype=np.int64))
-            view = parent.read(slot, 32)
-            try:
-                assert np.array_equal(np.frombuffer(view, dtype=np.int64),
-                                      np.arange(4, dtype=np.int64))
-            finally:
-                view.release()
-            assert parent.release(slot, seq, owner_index=0)
-            child.close()
-        finally:
-            parent.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="slot_bytes"):
-            ShmRing(slot_bytes=0, num_slots=1)
-        with pytest.raises(ValueError, match="num_slots"):
-            ShmRing(slot_bytes=64, num_slots=0)
-
-
-# --------------------------------------------------------------------------- #
-# sharded server over the ring
-# --------------------------------------------------------------------------- #
-class TestShmServing:
-    def test_responses_ride_shm_and_match_reference(self, serve_config, serve_model,
-                                                    packages, decoder):
-        references = [decoder.decode(package) for package in packages]
-        with _sharded(serve_model, serve_config) as server:
-            pendings = [server.submit(package) for package in packages]
-            responses = [pending.result(timeout=300.0) for pending in pendings]
-            snapshot = server.stats.snapshot()
-        for response, reference in zip(responses, references):
-            assert response.transport == "shm"
-            assert np.abs(response.image - reference).max() < 1e-5
-            assert response.image.flags.writeable  # caller owns its pixels
-        assert snapshot["response_transport"].get("shm", 0) == len(packages)
-        assert snapshot["shm"]["enabled"]
-        assert snapshot["shm"]["leased"] == 0  # every lease was acked back
-
-    def test_decode_kind_is_bit_exact_over_shm(self, serve_config, serve_model,
-                                               packages, decoder):
-        reference = decoder.decode(packages[0], reconstruct=False)
-        with _sharded(serve_model, serve_config) as server:
-            response = server.submit(packages[0], kind="decode").result(timeout=300.0)
-        assert response.transport == "shm"
-        assert np.array_equal(response.image, reference)
-
-    def test_use_shm_false_keeps_the_queue_path(self, serve_config, serve_model,
-                                                packages):
-        with _sharded(serve_model, serve_config, use_shm=False) as server:
-            response = server.submit(packages[0]).result(timeout=300.0)
-            snapshot = server.stats.snapshot()
-        assert response.transport == "queue"
-        assert not snapshot["shm"]["enabled"]
-        assert snapshot["response_transport"] == {"queue": 1}
-
-    def test_oversized_response_falls_back_to_queue(self, serve_config, serve_model,
-                                                    packages, decoder):
-        # slots far smaller than a 48x64x3 float64 response: every response
-        # must take the queue path, with identical pixels
-        reference = decoder.decode(packages[0])
-        with _sharded(serve_model, serve_config, shm_slot_bytes=1024) as server:
-            response = server.submit(packages[0]).result(timeout=300.0)
-            snapshot = server.stats.snapshot()
-        assert response.transport == "queue"
-        assert np.abs(response.image - reference).max() < 1e-5
-        assert snapshot["response_transport"] == {"queue": 1}
-
-    def test_exhausted_ring_spills_to_queue_without_loss(self, serve_config,
-                                                         serve_model, packages):
-        # one slot for the whole pool: under a burst some responses must fall
-        # back; every future still resolves with correct pixels
-        with _sharded(serve_model, serve_config, shm_slots=1,
-                      queue_depth=64) as server:
-            pendings = [server.submit(package) for package in packages * 4]
-            responses = [pending.result(timeout=300.0) for pending in pendings]
-            snapshot = server.stats.snapshot()
-        assert len(responses) == len(pendings)
-        transports = {response.transport for response in responses}
-        assert transports <= {"shm", "queue"}
-        total = sum(snapshot["response_transport"].values())
-        assert total == len(pendings)
-        assert snapshot["shm"]["leased"] == 0
-
-    def test_result_cache_hits_count_as_cache_transport(self, serve_config,
-                                                        serve_model, packages):
-        with _sharded(serve_model, serve_config, result_cache_size=8) as server:
-            first = server.submit(packages[0]).result(timeout=300.0)
-            repeat = server.submit(packages[0]).result(timeout=300.0)
-            snapshot = server.stats.snapshot()
-        assert first.transport == "shm"
-        assert repeat.transport == "cache" and repeat.cached
-        assert np.array_equal(first.image, repeat.image)
-        assert snapshot["response_transport"] == {"cache": 1, "shm": 1}
-
-    def test_restart_shard_reclaims_its_leases(self, serve_config, serve_model,
-                                               packages):
-        with _sharded(serve_model, serve_config) as server:
-            server.submit(packages[0]).result(timeout=300.0)
-            server.restart_shard(0, graceful=False)
-            snapshot = server.stats.snapshot()
-            # pool still serves, ring fully reclaimed
-            response = server.submit(packages[0]).result(timeout=300.0)
-        assert snapshot["shm"]["leased"] == 0
-        assert response.image.shape == packages[0].original_shape
-
-    def test_shm_param_validation(self, serve_model, serve_config):
-        with pytest.raises(ValueError, match="shm_slots"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     shm_slots=0)
-        with pytest.raises(ValueError, match="shm_slot_bytes"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     shm_slot_bytes=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -302,7 +107,6 @@ class TestShardWatchdog:
         assert snapshot["watchdog"]["enabled"]
         assert snapshot["watchdog"]["restarts_total"] >= 1
         assert snapshot["watchdog"]["restarts_by_shard"].get(0, 0) >= 1
-        assert snapshot["shm"]["leased"] == 0
 
     def test_hang_timeout_defaults_on_with_opt_out(self, serve_model, serve_config):
         """``"auto"`` resolves to the conservative 30 s default; ``None``
