@@ -72,11 +72,17 @@ class TestServeBenchScenarios:
     def test_removed_wait_and_size_flags_are_gone(self):
         for flags in (["--adaptive-wait"], ["--batch-wait-ms", "1"],
                       ["--height", "96"], ["--width", "96"],
-                      ["--max-batch", "4"], ["--dct-threads", "2"],
-                      ["--shm"], ["--no-shm"], ["--watchdog"],
-                      ["--watchdog-interval", "0.5"]):
+                      ["--max-batch", "4"], ["--dct-threads", "2"]):
             with pytest.raises(SystemExit) as exited:
                 build_parser().parse_args(["serve-bench"] + flags)
+            assert exited.value.code == 2
+
+    def test_serve_bench_drops_shm_and_watchdog_flags(self):
+        # the sharded bench has one response path and always runs the watchdog
+        for flags in (["--shm"], ["--no-shm"], ["--watchdog"],
+                      ["--watchdog-interval", "0.5"]):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args(["serve-bench", "--shards", "2"] + flags)
             assert exited.value.code == 2
 
 

@@ -229,14 +229,30 @@ class TestShardedCompressionServer:
         with _sharded(serve_model, serve_config) as server:
             pendings = [server.submit(package) for package in packages]
             responses = [pending.result(timeout=300.0) for pending in pendings]
-            snapshot = server.stats.snapshot()
         for response, reference in zip(responses, references):
             assert response.image.shape == reference.shape
             assert np.abs(response.image - reference).max() < 1e-5
             assert response.worker.startswith("shard-")
+
+    def test_responses_ride_the_shard_socket(self, serve_config, serve_model,
+                                             packages, decoder):
+        references = [decoder.decode(package) for package in packages]
+        with _sharded(serve_model, serve_config) as server:
+            pendings = [server.submit(package) for package in packages]
+            responses = [pending.result(timeout=300.0) for pending in pendings]
+            snapshot = server.stats.snapshot()
+        for response, reference in zip(responses, references):
             assert response.transport == "queue"  # the shard's own socket
+            assert np.abs(response.image - reference).max() < 1e-5
             assert response.image.flags.writeable  # caller owns its pixels
         assert snapshot["response_transport"] == {"queue": len(packages)}
+        assert "shm" not in snapshot
+
+    def test_shm_keywords_are_gone(self, serve_config, serve_model):
+        for keyword, value in (("use_shm", False), ("shm_slots", 4),
+                               ("shm_slot_bytes", 1024)):
+            with pytest.raises(TypeError, match=keyword):
+                _sharded(serve_model, serve_config, **{keyword: value})
 
     def test_decode_kind_is_bit_exact(self, serve_config, serve_model, packages,
                                       decoder):
