@@ -84,7 +84,6 @@ from .transport import (
     load_package,
     pack_compressed,
     pack_package,
-    pixels_from_buffer,
     save_package,
     unpack_compressed,
     unpack_package,
@@ -117,7 +116,6 @@ __all__ = [
     "unpack_package",
     "pack_compressed",
     "unpack_compressed",
-    "pixels_from_buffer",
     "save_package",
     "load_package",
     "RowConditionalSampler",

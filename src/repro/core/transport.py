@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from ..codecs.base import CompressedImage
 from .pipeline import EaszCompressed
 
@@ -35,7 +33,6 @@ __all__ = [
     "unpack_compressed",
     "pack_package",
     "unpack_package",
-    "pixels_from_buffer",
     "save_package",
     "load_package",
 ]
@@ -180,50 +177,6 @@ def unpack_package(data):
         # .get() tolerates containers written before the field existed
         config_summary=_tuplify(header.get("config_summary", {})),
     )
-
-
-# --------------------------------------------------------------------------- #
-# zero-copy container views
-# --------------------------------------------------------------------------- #
-def pixels_from_buffer(buffer, shape, dtype, copy=False):
-    """Pixel array over ``buffer`` without copying when the layout permits.
-
-    This is the single place that turns a raw pixel buffer (bytes read
-    from a file or another process) back into an ``ndarray``.  When the
-    buffer start is aligned for ``dtype`` the result is a **read-only
-    zero-copy view** aliasing the buffer; an unaligned buffer (or
-    ``copy=True``) falls back to a fresh owning array, because numpy
-    operations on unaligned views are silently slow and a caller that hands
-    the pixels on as writable needs its own copy anyway.
-
-    Oversized buffers are tolerated (trailing bytes ignored); a buffer
-    shorter than ``prod(shape) * itemsize`` raises ``ValueError``.
-    Zero-element shapes yield an empty array of the right shape.
-    """
-    dtype = np.dtype(dtype)
-    shape = tuple(int(dim) for dim in shape)
-    count = 1
-    for dim in shape:
-        if dim < 0:
-            raise ValueError(f"negative dimension in shape {shape}")
-        count *= dim
-    nbytes = count * dtype.itemsize
-    view = memoryview(buffer)
-    if not view.contiguous:
-        view = memoryview(bytes(view))  # rare: non-contiguous exporters copy once
-    view = view.cast("B")
-    if view.nbytes < nbytes:
-        raise ValueError(
-            f"buffer holds {view.nbytes} bytes; shape {shape} of {dtype} needs {nbytes}")
-    raw = np.frombuffer(view, dtype=np.uint8, count=nbytes)
-    aligned = raw.ctypes.data % max(dtype.alignment, 1) == 0
-    if copy or not aligned:
-        pixels = np.empty(count, dtype=dtype)
-        pixels.view(np.uint8)[...] = raw
-        return pixels.reshape(shape)
-    pixels = raw.view(dtype).reshape(shape)
-    pixels.setflags(write=False)  # aliases the caller's buffer: never scribble
-    return pixels
 
 
 # --------------------------------------------------------------------------- #

@@ -517,8 +517,8 @@ def _run_scenario_bench(args, scenario, config, model):
             f"{report.futures_lost} / {report.futures_duplicated}",
         "decoder crashes": report.decoder_crashes,
         "watchdog restarts": report.watchdog_restarts,
-        "retries / hedges / deadline-shed":
-            f"{report.retries} / {report.hedges} / {report.deadline_shed}",
+        "retries / deadline-shed":
+            f"{report.retries} / {report.deadline_shed}",
         "utilisation": report.utilisation,
         "service time / image (ms)": report.service_time_per_image_ms,
         "queue wait mean (ms)": snapshot["queue_wait_mean_ms"],
@@ -533,14 +533,14 @@ def _run_scenario_bench(args, scenario, config, model):
     print()
     rows = [[t.name, t.qos, t.arrival, f"{t.deadline_ms:.0f}",
              t.offered, t.completed, t.degraded, t.shed,
-             t.retries, t.hedges, t.deadline_shed,
+             t.retries, t.deadline_shed,
              f"{t.latency_p50_ms:.1f}", f"{t.latency_p99_ms:.1f}",
              f"{t.predicted_wait_ms_mean:.1f}",
              f"{t.slo_miss_rate * 100:.1f}%"]
             for t in report.tenants]
     print(format_table(
         ["tenant", "qos", "arrival", "budget ms", "offered", "done", "degr",
-         "shed", "retry", "hedge", "dl-shed", "p50 ms", "p99 ms",
+         "shed", "retry", "dl-shed", "p50 ms", "p99 ms",
          "M/D/c pred ms", "SLO miss"],
         rows, title="per-tenant service levels"))
     cache_rows = [[owner, cache["name"], cache["hits"], cache["misses"]]

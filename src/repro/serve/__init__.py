@@ -35,9 +35,8 @@ control and failure isolation around it:
   check against the M/D/c prediction;
 * :mod:`repro.serve.resilience` — the client side of the robustness story:
   :class:`RetryPolicy` (backoff + jitter, token-bucket :class:`RetryBudget`),
-  per-shard :class:`CircuitBreaker` consulted by the router,
-  :class:`ResilientClient` (retries + optional p95 hedging, exactly-once)
-  and :class:`ClosedLoopClient` think-time load loops; absolute deadlines
+  :class:`ResilientClient` (retries, exactly-once) and
+  :class:`ClosedLoopClient` think-time load loops; absolute deadlines
   (``submit(..., deadline_s=...)``, :func:`deadline_after_ms`) propagate
   through front door → shard → worker so expired work is shed with
   :class:`DeadlineExceededError` *before* any decode is paid for.
@@ -60,7 +59,7 @@ startup / memory             instant; one model copy    per-shard model + caches
 submit() overhead            ~µs (in-process queue)     container pack + queue hop
                                                         (~100s of µs per request)
 routing                      always backend 0           key hash + mask affinity,
-                                                        load spill, breakers
+                                                        load spill
 failure isolation            a worker exception fails   a crashed shard's requests
                              its request only, but a    are re-routed once; the
                              hard crash takes the       shard restarts in place
@@ -71,10 +70,10 @@ use when                     interactive latency,       throughput-bound fleets 
                              single-core hosts, tests   multi-core hosts
 ===========================  =========================  ==========================
 
-Retry vs hedge vs degrade vs shed — which resilience lever to pull
-------------------------------------------------------------------
+Retry vs degrade vs shed — which resilience lever to pull
+---------------------------------------------------------
 
-Four distinct mechanisms trade work for latency when a request is at risk;
+Three distinct mechanisms trade work for latency when a request is at risk;
 they answer different failure modes and must not be confused:
 
 ===========================  ==============================================
@@ -89,13 +88,6 @@ retry                        re-submit *after* a retryable failure
                              overload into a metastable retry storm.
                              Never retries permanent errors (corrupt
                              payload, expired deadline, closed queue).
-hedge                        speculative *duplicate* submitted while the
-(``hedge_after_ms`` /        first attempt is still in flight and slower
-``"p95"``)                   than expected.  Attacks tail latency, not
-                             failures; costs duplicate work, so it draws
-                             from the same retry budget.  First answer
-                             wins; the loser is absorbed (exactly-once at
-                             the caller).
 degrade                      admission-time *quality* trade: when the
 (``on_breach="degrade"``)    predicted queue wait breaches the tenant's
                              deadline budget, re-encode at the tenant's
@@ -110,12 +102,11 @@ deadline propagation)        server-side at every pipeline stage once the
                              shed *before* decode, not after.
 ===========================  ==============================================
 
-Rules of thumb: retries repair *infra* failures, hedges repair *tail*
-latency, degrade preserves throughput under *predicted* overload, and
-deadline shedding stops *dead* work from consuming live capacity.  Per-shard
-circuit breakers (:class:`CircuitBreaker`) sit underneath all four: a shard
-that keeps failing is routed around (closed → open → half-open probe) so
-retries and hedges are not wasted on a corpse.
+Rules of thumb: retries repair *infra* failures, degrade preserves
+throughput under *predicted* overload, and deadline shedding stops *dead*
+work from consuming live capacity.  Underneath all three, the router only
+sends work to shards that are alive and not draining, so a retry never
+lands on a corpse.
 
 With ``watchdog_interval_s`` set, a parent-side watchdog additionally
 auto-restarts crashed shards (exponential backoff, restart counts in
@@ -150,8 +141,8 @@ Scaling out is the same API::
 from .cache import ResultCache
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, ShardFailedError, deadline_after_ms)
-from .resilience import (CircuitBreaker, ClosedLoopClient, ResilientClient,
-                         RetryBudget, RetryPolicy)
+from .resilience import (ClosedLoopClient, ResilientClient, RetryBudget,
+                         RetryPolicy)
 from .scenarios import (ChaosDriver, ChaosSpec, ResilienceSpec, ScenarioReport,
                         ScenarioRunner, ScenarioSpec, TenantReport, TenantSpec,
                         build_workload, builtin_scenarios, run_scenario)
@@ -166,7 +157,6 @@ __all__ = [
     "AdmissionQueue",
     "ChaosDriver",
     "ChaosSpec",
-    "CircuitBreaker",
     "ClosedLoopClient",
     "CompressionServer",
     "DeadlineExceededError",

@@ -21,18 +21,15 @@ class ResultCache:
     Every stored/returned image is copied so a caller mutating its response
     cannot corrupt what later cache hits see.  ``capacity == 0`` disables the
     cache entirely (every lookup misses, nothing is stored), which lets the
-    servers keep one code path.
+    servers keep one code path.  Hits and misses are counted by the front
+    door's :class:`~repro.serve.telemetry.ServerStats`, not here.
     """
 
-    def __init__(self, capacity=256, name="results"):
+    def __init__(self, capacity=256):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
-        self.name = name
         self._lock = threading.Lock()
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
         self._entries = OrderedDict()  # guarded-by: _lock
 
     @staticmethod
@@ -57,10 +54,6 @@ class ResultCache:
         hasher.update(payload.payload)
         return hasher.digest()
 
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
     @property
     def enabled(self):
         return self.capacity > 0
@@ -70,9 +63,7 @@ class ResultCache:
         with self._lock:
             entry = self._entries.get(key) if self.capacity else None
             if entry is None:
-                self.misses += 1
                 return None
-            self.hits += 1
             self._entries.move_to_end(key)
             return entry.copy()
 
@@ -91,35 +82,3 @@ class ResultCache:
             self._entries[key] = image.copy()
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def _hit_rate_locked(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def hit_rate(self):
-        with self._lock:
-            return self._hit_rate_locked()
-
-    def stats(self):
-        """Plain-dict snapshot for :class:`repro.serve.telemetry.ServerStats`.
-
-        One lock span covers every counter so the snapshot is internally
-        consistent (a concurrent lookup cannot land between the ``hits`` read
-        and the ``hit_rate`` computation).
-        """
-        with self._lock:
-            return {
-                "name": self.name,
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": self._hit_rate_locked(),
-            }
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()

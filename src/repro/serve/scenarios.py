@@ -216,26 +216,22 @@ class ChaosSpec:
 
 @dataclass(frozen=True)
 class ResilienceSpec:
-    """Client-side retry/hedge configuration for a scenario's tenants.
+    """Client-side retry configuration for a scenario's tenants.
 
-    When present (and ``enabled``), every tenant submits through its own
+    When present, every tenant submits through its own
     :class:`~repro.serve.resilience.ResilientClient` built from these
     parameters, so transient infra errors (shard crashes, admission
     rejections) retry under a token-bucket budget instead of surfacing to
     the accounting as failures.  ``budget_ratio=None`` disables the budget —
     every retryable error retries up to ``max_attempts``, which is the
     configuration the ``retry-storm`` scenario demonstrates melting down.
-    ``hedge_after_ms`` enables request hedging (a number of milliseconds, or
-    ``"p95"`` to track the client's own observed p95 latency).
     """
 
-    enabled: bool = True
     max_attempts: int = 3
     base_backoff_ms: float = 10.0
     max_backoff_ms: float = 200.0
     budget_ratio: float = 0.1
     budget_burst: float = 10.0
-    hedge_after_ms: object = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -248,9 +244,6 @@ class ResilienceSpec:
             raise ValueError("budget_ratio must be non-negative or None")
         if not self.budget_burst >= 1:
             raise ValueError("budget_burst must be at least 1")
-        if (self.hedge_after_ms is not None and self.hedge_after_ms != "p95"
-                and not float(self.hedge_after_ms) > 0):
-            raise ValueError("hedge_after_ms must be positive, 'p95' or None")
 
     def policy(self):
         """A fresh :class:`RetryPolicy` (own budget bucket) for one client."""
@@ -593,7 +586,6 @@ class TenantReport:
     predicted_wait_ms_mean: float
     deadline_shed: int = 0
     retries: int = 0
-    hedges: int = 0
     budget_denied: int = 0
 
 
@@ -618,7 +610,6 @@ class ScenarioReport:
     chaos_events: list = field(default_factory=list)
     watchdog_restarts: int = 0
     retries: int = 0
-    hedges: int = 0
     deadline_shed: int = 0
 
     def ok(self):
@@ -712,16 +703,15 @@ class ScenarioRunner:
         self._run_totals = None  # (service s, completed) when the clock started
         self._submission_ids = itertools.count()  # thread-safe allocator (CPython)
         self._driver_events = []  # final after ChaosDriver.stop()
-        # one ResilientClient per tenant: retries and hedges stay attributed
-        # to the tenant that caused them, and each tenant gets its own retry
-        # budget (a batch tenant's retries can't starve a premium tenant's)
+        # one ResilientClient per tenant: retries stay attributed to the
+        # tenant that caused them, and each tenant gets its own retry budget
+        # (a batch tenant's retries can't starve a premium tenant's)
         self._clients = {}
         spec = scenario.resilience
-        if spec is not None and spec.enabled:
+        if spec is not None:
             for tenant in scenario.tenants:
                 self._clients[tenant.name] = ResilientClient(
                     server, retry_policy=spec.policy(),
-                    hedge_after_ms=spec.hedge_after_ms,
                     seed=zlib.crc32(tenant.name.encode()))
 
     # ------------------------------------------------------------------ #
@@ -905,7 +895,7 @@ class ScenarioRunner:
             try:
                 pending.result(timeout=self.drain_timeout_s)
             except INFRA_ERRORS:
-                return False  # overload / crash / open circuit: back off
+                return False  # overload / crash / timeout: back off
             except Exception:  # noqa: BLE001 - graceful verdict or deadline shed: the server is healthy, keep pace
                 return True
             return True
@@ -1012,7 +1002,7 @@ class ScenarioRunner:
         if unresolved:
             time.sleep(0.2)
         for client in self._clients.values():
-            client.close()  # cancel any backoff/hedge timers still armed
+            client.close()  # cancel any backoff timers still armed
         return self._render_report(elapsed)
 
     # ------------------------------------------------------------------ #
@@ -1062,7 +1052,6 @@ class ScenarioRunner:
                                             if finite_predictions else float("nan")),
                     deadline_shed=state.deadline_shed,
                     retries=int(resilience.get("retries", 0)),
-                    hedges=int(resilience.get("hedges", 0)),
                     budget_denied=int(resilience.get("budget_denied", 0)),
                 ))
         offered = sum(report.offered for report in tenants)
@@ -1107,7 +1096,6 @@ class ScenarioRunner:
             chaos_events=list(self._driver_events),
             watchdog_restarts=int(restarts),
             retries=sum(report.retries for report in tenants),
-            hedges=sum(report.hedges for report in tenants),
             deadline_shed=sum(report.deadline_shed for report in tenants),
         )
 
@@ -1294,9 +1282,10 @@ def builtin_scenarios():
         ScenarioSpec(
             name="metastable-recovery",
             description="A shard dies mid-run while closed-loop retrying "
-                        "clients keep offering load: budgeted retries plus "
-                        "the per-shard circuit breaker must ride out the "
-                        "restart with zero client-visible infra failures.",
+                        "clients keep offering load: budgeted retries, the "
+                        "one re-route of the dead shard's requests and the "
+                        "watchdog restart must ride it out with zero "
+                        "client-visible infra failures.",
             tenants=(
                 TenantSpec(name="loop-fleet", rate_rps=10.0, qos="standard",
                            deadline_ms=1200.0, on_breach="accept",

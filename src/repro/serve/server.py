@@ -9,11 +9,11 @@ Both servers are a :class:`FrontDoor` over backends.  The front door owns
 the one ``submit()``/``stop()``: kind and lifecycle checks, the
 admission-time deadline shed, the result cache, a per-backend in-flight
 window that rejects (never blocks) overload, routing (key hash with mask
-affinity, load spill and circuit breakers — backend 0 when there is only
-one), exactly-once settlement and one :class:`~repro.serve.telemetry.
-ServerStats`.  The threaded server sits on one in-process
-:class:`~repro.serve.worker.ThreadPoolBackend`; the sharded server
-(:mod:`repro.serve.sharding`) on N shard processes.
+affinity and load spill — backend 0 when there is only one), exactly-once
+settlement with one re-route of a lost request, and one
+:class:`~repro.serve.telemetry.ServerStats`.  The threaded server sits on
+one in-process :class:`~repro.serve.worker.ThreadPoolBackend`; the sharded
+server (:mod:`repro.serve.sharding`) on N shard processes.
 
 ``submit`` is thread-safe and returns a :class:`PendingResult` future; the
 caller blocks (or polls) only when it needs the pixels.
@@ -170,8 +170,7 @@ class FrontDoor:
     once that one has ``_SPILL_THRESHOLD`` requests in flight.
     """
 
-    def __init__(self, model, config, backends, queue_depth=64, result_cache_size=0,
-                 breakers=None):
+    def __init__(self, model, config, backends, queue_depth=64, result_cache_size=0):
         if queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
         self.config = config or (model.config if model is not None else EaszConfig())
@@ -180,7 +179,6 @@ class FrontDoor:
         self.result_cache = ResultCache(result_cache_size)
         self.stats = ServerStats(source=self._telemetry)
         self._backends = backends
-        self._breakers = breakers
         self._ids = itertools.count()
         self._started = False
         self._closed = False
@@ -365,34 +363,25 @@ class FrontDoor:
         hasher.update(key[1])
         return int.from_bytes(hasher.digest(), "big") % len(self._backends)
 
-    def _trusted(self, index):
-        """Whether backend ``index``'s circuit breaker admits a request now."""
-        return self._breakers is None or self._breakers[index].allow()
-
     def _route_locked(self, key):
         """Pick a backend (caller holds the lock): sticky unless overloaded.
 
         The preferred backend keeps its caches hot for this key; once it has
         ``_SPILL_THRESHOLD`` requests in flight, the least-loaded
         live backend takes the overflow so one hot key saturates the whole
-        pool instead of one process.  A backend whose circuit breaker is
-        open is treated exactly like an overloaded one — unless *every*
-        breaker is open, in which case the breakers are ignored (half of the
-        pool guessing wrong must degrade to plain routing, not to an outage).
+        pool instead of one process.
         """
         preferred = 0
         if len(self._backends) > 1:
             preferred = self._preferred_shard(key, self._mask_affine_locked(key))
         if (self._backends[preferred].accepts_work()
-                and self._inflight[preferred] < _SPILL_THRESHOLD
-                and self._trusted(preferred)):
+                and self._inflight[preferred] < _SPILL_THRESHOLD):
             return preferred
         candidates = [index for index, backend in enumerate(self._backends)
                       if backend.accepts_work()]
         if not candidates:
             raise ShardFailedError("no live shards")
-        trusted = [index for index in candidates if self._trusted(index)]
-        return min(trusted or candidates,
+        return min(candidates,
                    key=lambda index: (self._inflight[index], index != preferred))
 
     # ------------------------------------------------------------------ #
@@ -410,12 +399,8 @@ class FrontDoor:
             request = self._untrack_locked(request_id)
         if request is None:
             return
-        breaker = self._breakers[request.backend] if self._breakers else None
-        if lost:
-            if breaker is not None:
-                breaker.record_failure()
-            if self._redispatch(request):
-                return
+        if lost and self._redispatch(request):
+            return
         if error is not None:
             if isinstance(error, DeadlineExceededError):
                 self.stats.record_deadline_shed()
@@ -423,8 +408,6 @@ class FrontDoor:
                 self.stats.record_failure()
             request.pending._reject(error)
             return
-        if breaker is not None:
-            breaker.record_success()
         latency = time.perf_counter() - request.submitted_at
         if request.cache_key is not None:
             self.result_cache.put(request.cache_key, image)

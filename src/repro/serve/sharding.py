@@ -25,8 +25,8 @@ Design points:
 * **routing** — the front door hashes a request's routing key to a preferred
   shard (so shard-local caches stay hot), switches a mask to mask-only
   routing once it arrives with a second geometry, spills to the least-loaded
-  shard once the preferred one has eight requests in flight, and routes around
-  shards whose circuit breaker is open.
+  shard once the preferred one has eight requests in flight, and skips
+  shards that are dead, draining or restarting.
 * **shared counter cells** — each slot owns one row of float64 cells in
   shared memory: its heartbeat stamp and its service/cache counters.  A shard
   publishes its counters before each response leaves, adding to what
@@ -64,7 +64,6 @@ from ..core.reconstruction import EaszReconstructor
 from ..core.transport import pack_package, unpack_package
 from .queueing import (DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, ShardFailedError, deadline_expired)
-from .resilience import CircuitBreaker
 from .server import FrontDoor, ServeRequest
 from .worker import ThreadPoolBackend
 
@@ -78,7 +77,6 @@ __all__ = ["ShardedCompressionServer", "ShardBackend", "ShardFailedError",
 _DEFAULT_HANG_TIMEOUT_S = 30.0
 
 _STARTUP_TIMEOUT_S = 120.0
-_BREAKER_OPEN_S = 1.0
 _WATCHDOG_BACKOFF_CAP_S = 30.0
 _REAP_INTERVAL_S = 0.25
 
@@ -440,9 +438,7 @@ class ShardedCompressionServer(FrontDoor):
             raise ValueError("watchdog_backoff_s must be positive")
         self.num_shards = int(num_shards)
         super().__init__(model, config, [ShardBackend(index) for index in range(self.num_shards)],
-                         queue_depth=queue_depth, result_cache_size=result_cache_size,
-                         breakers=[CircuitBreaker(open_duration_s=_BREAKER_OPEN_S)
-                                   for _ in range(self.num_shards)])
+                         queue_depth=queue_depth, result_cache_size=result_cache_size)
         self._options = {
             "num_workers": max(1, int(workers_per_shard)),
             "queue_depth": self.queue_depth,
@@ -622,8 +618,6 @@ class ShardedCompressionServer(FrontDoor):
         for shard in self._backends:
             if not shard.crashed():
                 continue
-            # a dead process is hard evidence: stop trusting the slot now
-            self._breakers[shard.index].trip()
             self._fail_backend(shard.index, ShardFailedError(
                 f"shard {shard.index} died (exit code {shard.process.exitcode}) "
                 "with the request in flight"))
@@ -686,9 +680,6 @@ class ShardedCompressionServer(FrontDoor):
                 # shut-down pool
                 shard.kill(timeout=1.0)
                 raise RuntimeError("server stopped during shard restart")
-            # the replacement starts with a clean slate: an open breaker
-            # would shun a healthy shard for the rest of its open window
-            self._breakers[index].reset()
         finally:
             with self._lock:
                 shard.draining = False
@@ -778,5 +769,4 @@ class ShardedCompressionServer(FrontDoor):
         view = super()._telemetry()
         view["num_shards"] = self.num_shards
         view["watchdog"] = self.watchdog_snapshot()
-        view["circuit_breakers"] = [breaker.snapshot() for breaker in self._breakers]
         return view

@@ -12,7 +12,6 @@ from repro.core import (
     load_package,
     pack_compressed,
     pack_package,
-    pixels_from_buffer,
     save_package,
     unpack_compressed,
     unpack_package,
@@ -169,56 +168,6 @@ class TestBinaryPartEdgeCases:
         restored = unpack_compressed(pack_compressed(empty))
         assert restored.payload == b""
         assert restored.original_shape == compressed.original_shape
-
-
-class TestPixelsFromBuffer:
-    """The zero-copy view path for raw pixel buffers."""
-
-    def test_aligned_bytes_give_zero_copy_readonly_view(self):
-        source = np.arange(24.0).reshape(2, 3, 4)
-        buffer = source.tobytes()
-        view = pixels_from_buffer(buffer, source.shape, source.dtype)
-        assert np.array_equal(view, source)
-        assert np.shares_memory(view, np.frombuffer(buffer, dtype=source.dtype))
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[0, 0, 0] = 1.0
-
-    def test_unaligned_buffer_falls_back_to_copy(self):
-        source = np.arange(6.0)
-        padded = bytearray(b"\x00" + source.tobytes())
-        unaligned = memoryview(padded)[1:]  # offset 1: misaligned for float64
-        pixels = pixels_from_buffer(unaligned, source.shape, source.dtype)
-        assert np.array_equal(pixels, source)
-        assert not np.shares_memory(pixels, np.frombuffer(unaligned, dtype=np.uint8))
-        pixels[0] = 42.0  # the copy owns its memory: writable
-
-    def test_copy_flag_forces_owning_array(self):
-        source = np.arange(6.0)
-        buffer = source.tobytes()
-        pixels = pixels_from_buffer(buffer, source.shape, source.dtype, copy=True)
-        assert pixels.flags.writeable
-        assert not np.shares_memory(pixels, np.frombuffer(buffer, dtype=np.uint8))
-        assert np.array_equal(pixels, source)
-
-    def test_oversized_buffer_trailing_bytes_ignored(self):
-        source = np.arange(6, dtype=np.float32)
-        pixels = pixels_from_buffer(source.tobytes() + b"\xff" * 100,
-                                    source.shape, source.dtype)
-        assert np.array_equal(pixels, source)
-
-    def test_short_buffer_rejected(self):
-        with pytest.raises(ValueError, match="bytes"):
-            pixels_from_buffer(b"\x00" * 7, (1,), np.float64)
-
-    def test_zero_byte_pixel_payload(self):
-        pixels = pixels_from_buffer(b"", (0, 3), np.float64)
-        assert pixels.shape == (0, 3)
-        assert pixels.size == 0
-
-    def test_negative_dimension_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            pixels_from_buffer(b"\x00" * 8, (-1,), np.float64)
 
 
 class TestFileHelpers:

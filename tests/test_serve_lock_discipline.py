@@ -1,81 +1,20 @@
 """Regression tests for the lock-discipline fixes in the serving stack.
 
 Each test pins a concrete bug found by the ``# guarded-by`` audit:
-torn ``ResultCache`` stats snapshots, queue-depth telemetry sampled
-outside the routing lock, and stale ``_inflight`` state across a
-stop()/start() cycle.  The module name starts with ``test_serve`` on
+queue-depth telemetry sampled outside the routing lock, and stale
+``_inflight`` state across a stop()/start() cycle.  The module name starts with ``test_serve`` on
 purpose — the autouse lock-order fixture in conftest records every lock
 acquisition here too.
 """
 
 from __future__ import annotations
 
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
-from repro.serve import ResultCache, ShardedCompressionServer
-
-
-# --------------------------------------------------------------------------- #
-# ResultCache: stats() and hit_rate must be internally consistent snapshots
-# --------------------------------------------------------------------------- #
-class TestResultCacheConsistency:
-    def test_counters_match_single_threaded(self):
-        cache = ResultCache(capacity=4)
-        image = np.zeros((2, 2), dtype=np.float64)
-        assert cache.lookup(b"a") is None
-        cache.put(b"a", image)
-        assert cache.lookup(b"a") is not None
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["hit_rate"] == pytest.approx(0.5)
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_stats_snapshot_never_torn_under_concurrency(self):
-        """hit_rate in a snapshot must equal hits/(hits+misses) of that
-        same snapshot — the pre-fix stats() recomputed the rate outside
-        the span that read the counters, so a concurrent lookup could
-        land in between."""
-        cache = ResultCache(capacity=8)
-        image = np.zeros((2, 2), dtype=np.float64)
-        cache.put(b"hot", image)
-        stop = threading.Event()
-
-        def hammer():
-            toggle = 0
-            while not stop.is_set():
-                cache.lookup(b"hot" if toggle else b"cold")
-                toggle ^= 1
-
-        workers = [threading.Thread(target=hammer) for _ in range(4)]
-        for worker in workers:
-            worker.start()
-        try:
-            previous_total = 0
-            for _ in range(300):
-                stats = cache.stats()
-                total = stats["hits"] + stats["misses"]
-                expected = stats["hits"] / total if total else 0.0
-                assert stats["hit_rate"] == pytest.approx(expected, abs=0.0)
-                assert total >= previous_total  # counters only move forward
-                previous_total = total
-        finally:
-            stop.set()
-            for worker in workers:
-                worker.join(timeout=5.0)
-        assert previous_total > 0
-
-    def test_disabled_cache_is_all_misses(self):
-        cache = ResultCache(capacity=0)
-        assert cache.lookup(b"x") is None
-        cache.put(b"x", np.zeros((1, 1)))
-        assert cache.lookup(b"x") is None
-        stats = cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 2
-        assert stats["hit_rate"] == 0.0
+from repro.serve import ShardedCompressionServer
 
 
 # --------------------------------------------------------------------------- #

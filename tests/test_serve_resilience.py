@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
 from repro.serve import (
-    CircuitBreaker,
     ClosedLoopClient,
     CompressionServer,
     DeadlineExceededError,
@@ -67,15 +66,13 @@ class FlakyServer:
 
     ``sync_raise`` raises from ``submit`` itself (the admission-rejection
     shape); otherwise the returned future is rejected asynchronously (the
-    shard-failure shape).  ``delay_s`` delays successful resolutions.
+    shard-failure shape).
     """
 
-    def __init__(self, fail_first=0, error_factory=None, sync_raise=False,
-                 delay_s=0.0):
+    def __init__(self, fail_first=0, error_factory=None, sync_raise=False):
         self.fail_first = fail_first
         self.error_factory = error_factory or (lambda: ShardFailedError("boom"))
         self.sync_raise = sync_raise
-        self.delay_s = delay_s
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -90,13 +87,7 @@ class FlakyServer:
             pending._reject(self.error_factory())
             return pending
         pending = PendingResult(call)
-        if self.delay_s > 0:
-            timer = threading.Timer(
-                self.delay_s, lambda: pending._resolve(f"response-{call}"))
-            timer.daemon = True
-            timer.start()
-        else:
-            pending._resolve(f"response-{call}")
+        pending._resolve(f"response-{call}")
         return pending
 
 
@@ -139,9 +130,12 @@ class TestRetryPolicy:
         assert not policy.retryable(ValueError("corrupt payload"))
 
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(base_backoff_s=0.01, max_backoff_s=0.05,
-                             jitter="none")
-        values = [policy.backoff_s(k, rng=None) for k in (1, 2, 3, 4, 5)]
+        class TopOfRange:
+            def uniform(self, low, high):
+                return high
+
+        policy = RetryPolicy(base_backoff_s=0.01, max_backoff_s=0.05)
+        values = [policy.backoff_s(k, rng=TopOfRange()) for k in (1, 2, 3, 4, 5)]
         assert values == [0.01, 0.02, 0.04, 0.05, 0.05]
 
     def test_full_jitter_stays_inside_the_envelope(self):
@@ -158,90 +152,8 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError, match="max_backoff_s"):
             RetryPolicy(base_backoff_s=0.5, max_backoff_s=0.1)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter="decorrelated")
         with pytest.raises(ValueError, match="budget"):
             RetryPolicy(budget=0.1)
-
-
-# --------------------------------------------------------------------------- #
-# circuit breaker
-# --------------------------------------------------------------------------- #
-class TestCircuitBreaker:
-    def _breaker(self, clock, **kwargs):
-        defaults = dict(failure_threshold=0.5, ewma_alpha=0.5, min_samples=3,
-                        open_duration_s=1.0, clock=clock)
-        defaults.update(kwargs)
-        return CircuitBreaker(**defaults)
-
-    def test_opens_only_after_min_samples_of_failures(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED  # below min_samples
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-
-    def test_successes_hold_the_breaker_closed(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, ewma_alpha=0.1)
-        # a 1-in-3 failure rate peaks the EWMA near 0.37, safely under the
-        # 0.5 threshold — mixed traffic must not open the breaker
-        for _ in range(50):
-            breaker.record_failure()
-            breaker.record_success()
-            breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-        assert breaker.snapshot()["failure_ewma"] < 0.5
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(1.5)
-        assert breaker.allow()          # the single half-open probe
-        assert not breaker.allow()      # second concurrent probe refused
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-        assert breaker.snapshot()["failure_ewma"] == 0.0
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.5)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()      # open timer restarted
-        clock.advance(1.5)
-        assert breaker.allow()
-
-    def test_trip_and_reset(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        breaker.trip()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.snapshot()["failure_ewma"] == 1.0
-        breaker.reset()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-        assert breaker.snapshot()["opened_total"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0.0)
-        with pytest.raises(ValueError, match="open_duration_s"):
-            CircuitBreaker(open_duration_s=0.0)
-        with pytest.raises(ValueError, match="half_open_probes"):
-            CircuitBreaker(half_open_probes=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -316,50 +228,6 @@ class TestResilientClient:
         with pytest.raises(ShardFailedError):
             pending.result(timeout=1.0)
         assert server.calls == 1  # retrying past the deadline is pure waste
-
-    def test_hedge_wins_and_loser_is_absorbed(self):
-        # first attempt resolves slowly; the hedge (second call) is instant
-        server = FlakyServer(delay_s=0.4)
-        original_submit = server.submit
-        def submit(package, kind="reconstruct", deadline_s=None):
-            if server.calls >= 1:
-                server.delay_s = 0.0
-            return original_submit(package, kind=kind, deadline_s=deadline_s)
-        server.submit = submit
-        client = ResilientClient(server, retry_policy=self._policy(),
-                                 hedge_after_ms=30.0)
-        resolutions = []
-        pending = client.submit("pkg")
-        pending.add_done_callback(lambda p: resolutions.append(p))
-        assert pending.result(timeout=2.0) == "response-2"
-        stats = client.stats()
-        assert stats["hedges"] == 1 and stats["hedge_wins"] == 1
-        time.sleep(0.6)  # let the slow original resolve and be absorbed
-        assert len(resolutions) == 1
-        assert server.calls == 2
-
-    def test_hedge_draws_from_the_budget(self):
-        budget = RetryBudget(ratio=0.0, burst=1.0)
-        assert budget.withdraw()  # drain it: the hedge must be refused
-        server = FlakyServer(delay_s=0.2)
-        client = ResilientClient(
-            server, retry_policy=self._policy(budget=budget),
-            hedge_after_ms=20.0)
-        assert client.submit("pkg").result(timeout=2.0) == "response-1"
-        stats = client.stats()
-        assert stats["hedges"] == 0 and stats["budget_denied"] == 1
-        assert server.calls == 1
-
-    def test_p95_hedging_needs_samples_first(self):
-        server = FlakyServer()
-        client = ResilientClient(server, retry_policy=self._policy(),
-                                 hedge_after_ms="p95", min_hedge_samples=4)
-        for _ in range(3):
-            client.submit("pkg").result(timeout=1.0)
-        assert client.stats()["hedges"] == 0  # too little signal to hedge
-        assert client._hedge_delay_s() is None
-        client.submit("pkg").result(timeout=1.0)
-        assert client._hedge_delay_s() is not None
 
     def test_close_cancels_scheduled_retries(self):
         server = FlakyServer(fail_first=10)
@@ -534,27 +402,3 @@ class TestDeadlineShedding:
             with pytest.raises(DeadlineExceededError):
                 pending.result(timeout=30.0)
             assert server.stats.snapshot()["deadline_shed"] >= 1
-
-
-# --------------------------------------------------------------------------- #
-# sharded-server integration: breakers in the router, depth prediction
-# --------------------------------------------------------------------------- #
-class TestShardedResilienceIntegration:
-    def test_snapshot_reports_per_shard_breakers(self, serve_model,
-                                                 serve_config, package):
-        with ShardedCompressionServer(model=serve_model, config=serve_config,
-                                      num_shards=2, workers_per_shard=1) as server:
-            server.submit(package).result(timeout=60.0)
-            breakers = server.stats.snapshot()["circuit_breakers"]
-            assert len(breakers) == 2
-            assert all(b["state"] == "closed" for b in breakers)
-
-            index, depth = server.predicted_shard_depth(package)
-            assert index in (0, 1)
-            assert depth >= 0
-
-            # an open breaker must not make the pool refuse work: traffic
-            # spills to the trusted shard and still completes
-            server._breakers[0].trip()
-            server._breakers[1].trip()  # all-open degrades to breaker-blind
-            assert server.submit(package).result(timeout=60.0) is not None

@@ -135,7 +135,6 @@ class TestResultCache:
         assert hit[0, 0] == 0.0
         hit[0, 1] = 77.0  # consumer mutates its hit
         assert cache.lookup(b"k")[0, 1] == 1.0
-        assert cache.hits == 2 and cache.misses == 1
 
     def test_capacity_zero_disables(self):
         cache = ResultCache(capacity=0)
@@ -156,6 +155,7 @@ class TestResultCache:
         reference = decoder.decode(packages[0])
         assert np.abs(second.image - reference).max() < 1e-5
         assert snapshot["result_cache"]["hits"] == 1
+        assert snapshot["result_cache"]["misses"] == 1
         assert snapshot["completed_cached"] == 1
         assert snapshot["completed"] == 1  # only the first touched a worker
 
@@ -276,6 +276,14 @@ class TestShardedCompressionServer:
                 response = server.submit(packages[0]).result(timeout=300.0)
                 shards.add(response.worker.split("/")[0])
         assert len(shards) == 1
+
+    def test_predicted_shard_depth_is_a_live_shard(self, serve_config,
+                                                   serve_model, packages):
+        with _sharded(serve_model, serve_config) as server:
+            server.submit(packages[0]).result(timeout=300.0)
+            index, depth = server.predicted_shard_depth(packages[0])
+            assert index in server.live_shard_indices()
+            assert depth >= 0
 
     def test_corrupt_request_fails_alone(self, serve_config, serve_model, packages):
         import dataclasses
