@@ -1,4 +1,4 @@
-"""Ablations for the agility extensions (DESIGN.md §4, beyond the paper's figures).
+"""Ablations for the agility extensions, beyond the paper's figures.
 
 * rate control — accuracy of the erase-ratio bitrate controller against a BPP
   target, and the number of encoder probes it needs;

@@ -1,4 +1,4 @@
-"""Additional ablations beyond the paper's figures (DESIGN.md §4).
+"""Additional ablations beyond the paper's figures.
 
 * sampler constraints — effect of the intra-row (δ) and inter-row (Δ)
   distance constraints on mask adjacency statistics;

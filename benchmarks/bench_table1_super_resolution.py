@@ -6,7 +6,7 @@ pathway (plus plain bicubic as a floor).  The paper reports Easz at
 28.96 dB / 0.96 MS-SSIM with an 8.7 MB model against ≈24.9–25.4 dB / 0.93–0.94
 with 67 MB models; at this reproduction's reduced scale the model-size and
 flexibility advantages reproduce exactly, while the PSNR gap depends on the
-training budget (see EXPERIMENTS.md).
+training budget.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def test_table1_easz_vs_super_resolution(benchmark, kodak, bench_config, easz_mo
     # Easz keeps 75% of pixels bit-exact, so its reconstruction quality must be
     # high in absolute terms.  (The paper's *ordering* over the SR baselines does
     # not reproduce on the smooth synthetic stand-in images, which flatter
-    # interpolation-style SR — see EXPERIMENTS.md.)
+    # interpolation-style SR.)
     assert by_name["easz"][1] > 26.0
     assert by_name["easz"][2] > 0.86
 

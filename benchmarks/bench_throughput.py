@@ -12,11 +12,7 @@ pure wall-clock comparison.
 The ``entropy`` section times the byte-oriented range coder against the
 seed's bit-at-a-time arithmetic coder on the bpg/neural-shaped symbol
 workload (bar: >=3x combined encode+decode, guarded by
-``tests/test_perf_smoke.py``).  The ``dct`` section times the fused
-squeeze-aware block gather + batched multi-image DCT entry point (one
-``(N·C·blocks, 64) @ (64, 64)`` GEMM on one thread) against the
-per-channel squeeze→pad→block→dct2 pipeline; both paths are
-bandwidth-bound, so it carries no guarded bar.
+``tests/test_perf_smoke.py``).
 
 The ``reconstruct_layers`` section profiles one 256² RGB
 ``reconstruct_batch`` call layer by layer: the engine's primitives (norm,
@@ -25,14 +21,11 @@ token gather and float64 cast + scatter + clip, each timed inside the real
 call.  It prints their sum next to the measured call and the gap
 between the two; it carries no guarded bar.
 
-The ``serving`` section measures the reconstruction engine across batch
-sizes: images/sec of ``reconstruct_batch`` (the fused multi-image engine)
-against sequential per-image ``reconstruct_image`` calls on 256² RGB.
-``reconstruct_image`` is a batch of one through the same engine, so these
-numbers record what batching alone would buy (flat images/s from batch 1
-to 8, which is why the servers serve one frame per call); they carry no
-guarded bar.  Reconstructions are checked against
-the float64 seed path (``seed_reference.seed_reconstruct_image``) to 1e-5.
+The ``serving`` section checks the serving-side equivalence bars on eight
+256² RGB frames: ``encode_batch`` payloads are bit-exact against per-image
+``encode`` calls, and ``reconstruct_batch`` output is within 1e-5 of the
+float64 seed path (``seed_reference.seed_reconstruct_image``).  It records
+the per-image ``reconstruct_image`` rate, with no guarded bar.
 
 The ``serving.sharded`` subsection drives the full 256² RGB reconstruct
 workload through a live 2-shard :class:`ShardedCompressionServer` and the
@@ -74,7 +67,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from repro.codecs.jpeg import JpegCodec, dct2, dct2_batched  # noqa: E402
+from repro.codecs.jpeg import JpegCodec  # noqa: E402
 from repro.entropy import encode_symbols, decode_symbols  # noqa: E402
 from repro.core import (  # noqa: E402
     EaszConfig,
@@ -88,7 +81,6 @@ from repro.core import (  # noqa: E402
 )
 from repro.core import reconstruction as reconstruction_module  # noqa: E402
 from repro.core.batch_engine import CHUNK_ROWS  # noqa: E402
-from repro.image import pad_to_multiple  # noqa: E402
 from repro.metrics import psnr  # noqa: E402
 
 import seed_reference as seed  # noqa: E402
@@ -207,65 +199,10 @@ def entropy_section(num_symbols=256, count=120_000, repeats=3):
     return section
 
 
-def dct_section(config, mask, size=512, batch=8, repeats=7):
-    """Batched block-transform front end vs per-channel calls, one thread.
-
-    Measures the pixels→DCT-coefficients stage of the codec over several
-    images.  ``per_channel`` is the seed pattern, one channel at a time:
-    materialise the squeezed channel (``SqueezePlan.squeeze_image``),
-    edge-pad, extract 8×8 blocks, broadcast-matmul ``dct2``.  ``batched``
-    is the fused pipeline: every channel's DCT-ready blocks gathered
-    straight from the original pixels through the cached
-    ``BlockGatherPlan``, every channel of every image concatenated into one
-    ``(N·C·blocks, 8, 8)`` ``dct2_batched`` call — a single 64×64 GEMM.
-    Outputs agree to 1e-9.  The numbers are recorded for information and
-    carry no guarded bar: both paths are bandwidth-bound (recorded
-    speedups: 1.006x on one CPU, 1.04x on two).
-    """
-    from repro.codecs.jpeg import _image_to_blocks
-
-    plan = get_squeeze_plan(mask, config.subpatch_size)
-    images = [synthetic_image(size, color=False, seed_value=400 + index)
-              for index in range(batch)]
-    block_plans = [plan.block_plan(image.shape[:2]) for image in images]
-
-    def per_channel():
-        out = []
-        for image in images:
-            squeezed, _, _ = plan.squeeze_image(image)
-            padded, _ = pad_to_multiple(squeezed, 8)
-            out.append(dct2(_image_to_blocks(padded * 255.0 - 128.0)))
-        return out
-
-    def batched():
-        blocks = [block_plan.gather_blocks(image) * 255.0 - 128.0
-                  for image, block_plan in zip(images, block_plans)]
-        return dct2_batched(np.concatenate(blocks))
-
-    reference = np.concatenate(per_channel())
-    fused = batched()
-    max_diff = float(np.abs(reference - fused).max())
-    assert max_diff < 1e-9, f"fused block transform diverged: {max_diff}"
-    per_channel_s = timeit(per_channel, repeats)
-    batched_s = timeit(batched, repeats)
-    section = {
-        "workload": f"batch{batch}_{size}x{size}_gray",
-        "total_blocks": int(fused.shape[0]),
-        "per_channel_s": per_channel_s,
-        "batched_s": batched_s,
-        "speedup": per_channel_s / batched_s,
-        "max_abs_diff": max_diff,
-    }
-    print(f"dct: batched {batched_s * 1e3:.2f}ms vs per-channel "
-          f"{per_channel_s * 1e3:.2f}ms ({section['speedup']:.2f}x)")
-    return section
-
-
-def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
-                    size=256, repeats=5):
-    """Engine images/sec across batch sizes vs sequential per-image calls (256² RGB)."""
+def serving_section(config, model, codec, mask, num_images=8, size=256, repeats=5):
+    """Serving equivalence bars on 256² RGB frames, plus the per-image rate."""
     rng_images = [synthetic_image(size, color=True, seed_value=100 + index)
-                  for index in range(max(batch_sizes))]
+                  for index in range(num_images)]
     encoder = EaszEncoder(config, base_codec=codec, seed=0)
     decoder = EaszDecoder(model=model, config=config, base_codec=codec)
     packages = encoder.encode_batch(rng_images, mask=mask)
@@ -288,26 +225,12 @@ def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
         "image": f"{size}x{size}_rgb",
         "max_abs_diff_batched_vs_seed": max_diff,
         "payload_bit_exact": True,
-        "batches": {},
     }
     per_image_s = timeit(lambda: reconstruct_image(model, filled[0], mask), repeats)
     section["sequential_reconstruct_s_per_image"] = per_image_s
     section["sequential_images_per_s"] = 1.0 / per_image_s
-    for batch_size in batch_sizes:
-        group = filled[:batch_size]
-        batch_s = timeit(lambda group=group: reconstruct_batch(model, group, mask),
-                         repeats)
-        sequential_s = per_image_s * batch_size
-        section["batches"][batch_size] = {
-            "batched_s": batch_s,
-            "batched_images_per_s": batch_size / batch_s,
-            "sequential_s": sequential_s,
-            "speedup_vs_sequential": sequential_s / batch_s,
-        }
-        print(f"serving reconstruct batch {batch_size}: "
-              f"{batch_size / batch_s:.2f} img/s "
-              f"(seq {batch_size / sequential_s:.2f} img/s, "
-              f"speedup {sequential_s / batch_s:.2f}x)")
+    print(f"serving reconstruct: {1.0 / per_image_s:.2f} img/s per image, "
+          f"batched vs seed max diff {max_diff:.2e}")
     return section
 
 
@@ -547,16 +470,12 @@ def main():
         "stages": {},
         "roundtrip_512_rgb": {},
         "entropy": {},
-        "dct": {},
         "reconstruct_layers": {},
         "serving": {},
     }
 
     # --- entropy: range coder vs seed arithmetic coder ------------------- #
     report["entropy"] = entropy_section()
-
-    # --- dct: batched multi-channel GEMM vs per-channel calls ------------ #
-    report["dct"] = dct_section(config, mask)
 
     for size in SIZES:
         for color in (False, True):
@@ -594,7 +513,7 @@ def main():
     # --- reconstruction engine, layer by layer (one 256² RGB frame) ------ #
     report["reconstruct_layers"] = reconstruct_layers_section(config, model, mask)
 
-    # --- serving: batched reconstruction vs per-image calls -------------- #
+    # --- serving: payload and reconstruction equivalence bars ------------ #
     report["serving"] = serving_section(config, model, codec, mask)
 
     # --- serving: process-sharded pool vs the threaded server ------------ #

@@ -1,10 +1,19 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper-figure benchmark suite.
 
-Each ``bench_*.py`` file regenerates one of the paper's tables or figures
-(see DESIGN.md §4 for the index).  Everything runs at reduced scale — small
-synthetic Kodak/CLIC stand-ins and the cached CPU-scale reconstruction model —
-so the whole suite finishes in CPU-minutes; the printed rows/series are the
-quantities the paper reports, and EXPERIMENTS.md records paper-vs-measured.
+Each ``bench_fig*.py`` / ``bench_table*.py`` file regenerates one of the
+paper's figures or tables (the file name says which); ``bench_ablation_*.py``
+adds ablations beyond them.  Their asserts encode the paper's shapes.  The
+files are not named ``test_*.py``, so a plain ``pytest benchmarks`` collects
+none of them; name them on the command line instead::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_fig*.py \
+        benchmarks/bench_table*.py benchmarks/bench_ablation*.py --benchmark-disable
+
+Everything runs at reduced scale — small synthetic Kodak/CLIC stand-ins and
+the cached CPU-scale reconstruction model — so the whole suite finishes in
+CPU-minutes; the printed rows/series are the quantities the paper reports.
+``bench_throughput.py`` is a separate script (codec speed against the seed,
+see ``tests/test_perf_smoke.py``), not part of this suite.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Top-level package layout:
 * :mod:`repro.core` — the Easz framework (erase-and-squeeze, lightweight
   transformer reconstruction, end-to-end pipeline);
 * :mod:`repro.nn` — numpy autograd / neural-network substrate;
-* :mod:`repro.codecs` — JPEG, BPG-proxy, MBT/Cheng learned-codec proxies, PNG;
-* :mod:`repro.entropy` — Huffman / range coding / RLE;
+* :mod:`repro.codecs` — JPEG, BPG-proxy, Ballé/MBT/Cheng learned-codec
+  proxies, PNG, bpp-targeted quality selection;
+* :mod:`repro.entropy` — bit I/O, range coding, erase-mask RLE;
 * :mod:`repro.metrics` — PSNR, SSIM, MS-SSIM, LPIPS-proxy, BRISQUE/NIQE/PI/TReS;
 * :mod:`repro.datasets` — synthetic Kodak / CLIC / CIFAR stand-ins;
 * :mod:`repro.sr` — super-resolution baselines (Table I);

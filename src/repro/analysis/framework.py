@@ -26,7 +26,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["Violation", "SourceFile", "Rule", "all_rules", "register",

@@ -24,7 +24,6 @@ HOT_PATH_MODULES = (
     "repro/entropy/arithmetic.py",
     "repro/entropy/range_coder.py",
     "repro/entropy/bitio.py",
-    "repro/entropy/huffman.py",
     "repro/entropy/rle.py",
     "repro/core/erase_squeeze.py",
     "repro/core/patchify.py",

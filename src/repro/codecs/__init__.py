@@ -1,12 +1,13 @@
 """``repro.codecs`` — image compressors used as Easz substrates and baselines.
 
 Contains a from-scratch baseline JPEG, a BPG/HEVC-intra proxy, learned-codec
-proxies for the MBT (Minnen 2018) and Cheng-anchor (Cheng 2020) baselines, a
-lossless PNG-style codec, and a registry for building codecs by name.
+proxies for the Ballé factorized/hyperprior, MBT (Minnen 2018) and
+Cheng-anchor (Cheng 2020) baselines, a lossless PNG-style codec, a
+bpp-targeted quality selector and a registry for building codecs by name.
 """
 
 from .balle import BalleFactorizedCodec, BalleHyperpriorCodec
-from .base import Codec, ComplexityProfile, CompressedImage, RateDistortionPoint
+from .base import Codec, ComplexityProfile, CompressedImage
 from .bpg import BpgCodec
 from .cheng import ChengCodec
 from .jpeg import JpegCodec
@@ -26,7 +27,6 @@ __all__ = [
     "Codec",
     "CompressedImage",
     "ComplexityProfile",
-    "RateDistortionPoint",
     "JpegCodec",
     "BpgCodec",
     "MbtCodec",

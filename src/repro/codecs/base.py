@@ -13,11 +13,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..image import image_num_pixels
 
-__all__ = ["CompressedImage", "ComplexityProfile", "Codec", "RateDistortionPoint"]
+__all__ = ["CompressedImage", "ComplexityProfile", "Codec"]
 
 
 @dataclass
@@ -94,17 +92,6 @@ class ComplexityProfile:
         )
 
 
-@dataclass
-class RateDistortionPoint:
-    """One point on a rate/quality curve produced by the experiment harness."""
-
-    bpp: float
-    quality: float
-    metric: str
-    codec_name: str
-    parameters: dict = field(default_factory=dict)
-
-
 class Codec(ABC):
     """Abstract base class for image compressors.
 
@@ -143,19 +130,5 @@ class Codec(ABC):
         return ComplexityProfile(macs=50.0 * pixels)
 
     # -- conveniences ----------------------------------------------------- #
-    def rate_distortion(self, image, metric_fn, metric_name="psnr"):
-        """Compress/decompress ``image`` and score it with ``metric_fn``.
-
-        Returns a :class:`RateDistortionPoint` — the unit the benchmark
-        harness aggregates into the paper's rate/perception curves.
-        """
-        reconstruction, compressed = self.roundtrip(image)
-        return RateDistortionPoint(
-            bpp=compressed.bpp(),
-            quality=float(metric_fn(np.asarray(image), np.asarray(reconstruction))),
-            metric=metric_name,
-            codec_name=self.name,
-        )
-
     def __repr__(self):
         return f"{self.__class__.__name__}(name={self.name!r})"

@@ -16,19 +16,15 @@ from .erase_squeeze import (
     BlockGatherPlan,
     SqueezePlan,
     erase_and_squeeze_image,
-    erase_patch,
     get_squeeze_plan,
-    squeeze_patch,
     squeezed_shape,
     unsqueeze_image,
-    unsqueeze_patch,
     validate_balanced_mask,
 )
 from .mask_codec import (
     MaskSpec,
     decode_mask,
     encode_mask,
-    mask_payload_format,
     pack_mask_bits,
     unpack_mask_bits,
 )
@@ -36,7 +32,6 @@ from .masks import (
     deserialize_mask,
     diagonal_mask,
     mask_erase_ratio,
-    mask_summary,
     proposed_mask,
     random_mask,
     serialize_mask,
@@ -47,12 +42,9 @@ from .patchify import (
     image_to_patches,
     patch_to_subpatches,
     patches_to_image,
-    patches_to_tokens,
     subpatches_to_patch,
     subpatches_to_tokens,
-    tokens_to_patches,
     tokens_to_subpatches,
-    two_stage_patchify,
 )
 from .batch_engine import FusedBatchEngine
 from .pipeline import EaszCodec, EaszCompressed, EaszDecoder, EaszEncoder
@@ -100,7 +92,6 @@ __all__ = [
     "decode_mask",
     "pack_mask_bits",
     "unpack_mask_bits",
-    "mask_payload_format",
     "saliency_map",
     "allocate_erase_levels",
     "RoiCompressed",
@@ -124,7 +115,6 @@ __all__ = [
     "diagonal_mask",
     "uniform_mask",
     "mask_erase_ratio",
-    "mask_summary",
     "serialize_mask",
     "deserialize_mask",
     "image_to_patches",
@@ -133,16 +123,10 @@ __all__ = [
     "subpatches_to_patch",
     "subpatches_to_tokens",
     "tokens_to_subpatches",
-    "patches_to_tokens",
-    "tokens_to_patches",
-    "two_stage_patchify",
     "attention_complexity",
     "BlockGatherPlan",
     "SqueezePlan",
     "get_squeeze_plan",
-    "erase_patch",
-    "squeeze_patch",
-    "unsqueeze_patch",
     "erase_and_squeeze_image",
     "unsqueeze_image",
     "squeezed_shape",

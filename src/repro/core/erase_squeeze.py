@@ -28,21 +28,13 @@ import functools
 import numpy as np
 
 from ..image import pad_to_multiple
-from .patchify import (
-    image_to_patches,
-    patch_to_subpatches,
-    patches_to_image,
-    subpatches_to_patch,
-)
+from .patchify import image_to_patches, patches_to_image
 
 __all__ = [
     "SqueezePlan",
     "BlockGatherPlan",
     "get_squeeze_plan",
     "validate_balanced_mask",
-    "erase_patch",
-    "squeeze_patch",
-    "unsqueeze_patch",
     "erase_and_squeeze_image",
     "unsqueeze_image",
     "squeezed_shape",
@@ -379,42 +371,6 @@ get_squeeze_plan.cache_info = _cached_squeeze_plan.cache_info
 # ---------------------------------------------------------------------- #
 # functional API (thin wrappers over cached plans)
 # ---------------------------------------------------------------------- #
-def erase_patch(patch, mask, subpatch_size, fill_value=0.0):
-    """Zero out the erased sub-patches of a patch (no squeezing).
-
-    Useful for visualisation and for measuring what a codec does to a
-    partially-erased (but not packed) image.
-    """
-    subpatches = patch_to_subpatches(patch, subpatch_size).copy()
-    mask = np.asarray(mask, dtype=bool)
-    subpatches[~mask] = fill_value
-    return subpatches_to_patch(subpatches)
-
-
-def squeeze_patch(patch, mask, subpatch_size, direction="horizontal"):
-    """Remove erased sub-patches and pack the survivors of each row together.
-
-    Parameters
-    ----------
-    direction:
-        ``"horizontal"`` packs survivors within each sub-patch row (output is
-        ``n × kept·b``); ``"vertical"`` operates on columns instead.
-    """
-    plan = get_squeeze_plan(mask, subpatch_size, direction)
-    return plan.squeeze_patches(np.asarray(patch)[None])[0]
-
-
-def unsqueeze_patch(squeezed, mask, subpatch_size, fill="zero"):
-    """Scatter squeezed sub-patches back to their original grid positions.
-
-    See :meth:`SqueezePlan.unsqueeze_patches` for the ``fill`` semantics.
-    """
-    if fill not in _FILLS:
-        raise ValueError("fill must be 'zero', 'neighbor' or 'mean'")
-    plan = get_squeeze_plan(mask, subpatch_size)
-    return plan.unsqueeze_patches(np.asarray(squeezed)[None], fill=fill)[0]
-
-
 def squeezed_shape(image_shape, patch_size, subpatch_size, erase_per_row,
                    direction="horizontal"):
     """Shape of the squeezed image produced by :func:`erase_and_squeeze_image`."""

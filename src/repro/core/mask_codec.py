@@ -32,18 +32,11 @@ __all__ = [
     "unpack_mask_bits",
     "encode_mask",
     "decode_mask",
-    "mask_payload_format",
 ]
 
 _FORMAT_BITPACK = 0x42  # 'B'
 _FORMAT_RLE = 0x52      # 'R'
 _FORMAT_SEED = 0x53     # 'S'
-
-_FORMAT_NAMES = {
-    _FORMAT_BITPACK: "bitpack",
-    _FORMAT_RLE: "rle",
-    _FORMAT_SEED: "seed",
-}
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,3 @@ def decode_mask(payload):
     raise ValueError(f"unknown mask payload tag 0x{tag:02x}")
 
 
-def mask_payload_format(payload):
-    """Name of the format a mask payload uses (``bitpack``/``rle``/``seed``)."""
-    if not payload or payload[0] not in _FORMAT_NAMES:
-        raise ValueError("unknown mask payload format")
-    return _FORMAT_NAMES[payload[0]]

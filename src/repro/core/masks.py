@@ -22,7 +22,6 @@ __all__ = [
     "mask_erase_ratio",
     "serialize_mask",
     "deserialize_mask",
-    "mask_summary",
 ]
 
 
@@ -109,14 +108,3 @@ def deserialize_mask(payload):
     return decode_binary_mask(payload)
 
 
-def mask_summary(mask):
-    """Human-readable statistics of a mask (used in logs and examples)."""
-    mask = np.asarray(mask)
-    per_row = (mask == 0).sum(axis=1)
-    return {
-        "grid_size": mask.shape[0],
-        "erase_ratio": mask_erase_ratio(mask),
-        "erased_per_row_min": int(per_row.min()),
-        "erased_per_row_max": int(per_row.max()),
-        "serialized_bytes": len(serialize_mask(mask)),
-    }

@@ -22,9 +22,6 @@ __all__ = [
     "subpatches_to_patch",
     "subpatches_to_tokens",
     "tokens_to_subpatches",
-    "patches_to_tokens",
-    "tokens_to_patches",
-    "two_stage_patchify",
     "attention_complexity",
 ]
 
@@ -116,52 +113,6 @@ def tokens_to_subpatches(tokens, grid_size, subpatch_size, channels=1):
     else:
         shape = (grid_size, grid_size, subpatch_size, subpatch_size)
     return tokens.reshape(shape)
-
-
-def patches_to_tokens(patches, subpatch_size):
-    """Tokenize a whole batch of patches with one reshape/transpose.
-
-    ``patches`` has shape ``(count, n, n[, channels])``; the result has shape
-    ``(count, (n/b)², b²·channels)`` and matches applying
-    :func:`patch_to_subpatches` + :func:`subpatches_to_tokens` per patch.
-    """
-    patches = np.asarray(patches)
-    count, n = patches.shape[0], patches.shape[1]
-    if n % subpatch_size != 0:
-        raise ValueError(f"patch size {n} not divisible by subpatch size {subpatch_size}")
-    grid, b = n // subpatch_size, subpatch_size
-    if patches.ndim == 4:
-        channels = patches.shape[3]
-        sub = patches.reshape(count, grid, b, grid, b, channels).transpose(0, 1, 3, 2, 4, 5)
-        return sub.reshape(count, grid * grid, b * b * channels)
-    sub = patches.reshape(count, grid, b, grid, b).transpose(0, 1, 3, 2, 4)
-    return sub.reshape(count, grid * grid, b * b)
-
-
-def tokens_to_patches(tokens, grid_size, subpatch_size, channels=1):
-    """Inverse of :func:`patches_to_tokens` for a whole batch at once."""
-    tokens = np.asarray(tokens)
-    count, grid, b = tokens.shape[0], grid_size, subpatch_size
-    if channels > 1:
-        sub = tokens.reshape(count, grid, grid, b, b, channels).transpose(0, 1, 3, 2, 4, 5)
-        return sub.reshape(count, grid * b, grid * b, channels)
-    sub = tokens.reshape(count, grid, grid, b, b).transpose(0, 1, 3, 2, 4)
-    return sub.reshape(count, grid * b, grid * b)
-
-
-def two_stage_patchify(image, patch_size, subpatch_size):
-    """Full two-stage patchify: image → patches → sub-patch token batches.
-
-    All patches are tokenized by one batched reshape/transpose
-    (:func:`patches_to_tokens`) — there is no per-patch Python loop.
-
-    Returns
-    -------
-    (tokens, grid_shape, original_shape):
-        ``tokens`` has shape ``(num_patches, tokens_per_patch, token_dim)``.
-    """
-    patches, grid_shape, original_shape = image_to_patches(image, patch_size)
-    return patches_to_tokens(patches, subpatch_size), grid_shape, original_shape
 
 
 def attention_complexity(height, width, patch_size=None, subpatch_size=1, d_model=1):

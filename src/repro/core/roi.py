@@ -18,7 +18,7 @@ implements that extension on top of the standard Easz machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,12 +145,6 @@ class RoiCompressed:
     def bpp(self):
         """Bits per pixel relative to the original image."""
         return 8.0 * self.num_bytes / image_num_pixels(self.original_shape)
-
-    def level_histogram(self):
-        """Number of patches assigned to each erase level."""
-        values, counts = np.unique(self.assignments, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
 
 class RoiEaszEncoder:
     """Edge-side ROI encoder: per-patch erase levels, one squeezed strip per level."""
@@ -340,15 +334,3 @@ class RoiEaszCodec:
         compressed = self.compress(image)
         return self.decompress(compressed), compressed
 
-    def with_target_ratio(self, target_ratio):
-        """Return a copy of this codec targeting a different average erase ratio."""
-        return RoiEaszCodec(
-            config=replace(self.config),
-            base_codec=self.encoder.base_codec,
-            model=self.decoder.model,
-            min_erase=self.encoder.min_erase,
-            max_erase=self.encoder.max_erase,
-            target_ratio=target_ratio,
-            fill=self.decoder.fill,
-            seed=self.encoder.seed,
-        )

@@ -68,18 +68,6 @@ class StreamReport:
     mask_bytes_total: int
     per_frame: list = field(default_factory=list)
 
-    def as_dict(self):
-        """Plain-dict view used by examples and tests."""
-        return {
-            "num_frames": self.num_frames,
-            "mean_bpp": self.mean_bpp,
-            "mean_psnr_db": self.mean_psnr_db,
-            "flicker": self.flicker,
-            "mask_refreshes": self.mask_refreshes,
-            "mask_bytes_total": self.mask_bytes_total,
-        }
-
-
 class EaszStreamEncoder:
     """Edge-side encoder for a frame sequence with a mask-refresh policy.
 

@@ -40,12 +40,6 @@ class TrainingResult:
         """Loss value at the last recorded step (``nan`` if never trained)."""
         return self.losses[-1] if self.losses else float("nan")
 
-    @property
-    def initial_loss(self):
-        """Loss value at the first recorded step (``nan`` if never trained)."""
-        return self.losses[0] if self.losses else float("nan")
-
-
 def reconstruction_loss(prediction, target, patch_size, loss_lambda=0.3,
                         perceptual=None, mask=None, erased_weight=1.0, kept_weight=0.1):
     """Paper Eq. 2: ``L1(x, y) + λ · LPIPS(x, y)`` on token batches.

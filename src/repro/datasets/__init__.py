@@ -1,7 +1,7 @@
 """``repro.datasets`` — deterministic synthetic stand-ins for Kodak, CLIC and CIFAR-10.
 
-See DESIGN.md §2 for why synthetic data is used and what properties it
-preserves for the paper's experiments.
+:mod:`repro.datasets.synthetic` explains why synthetic data is used and
+what properties it preserves for the paper's experiments.
 """
 
 from .base import ImageDataset

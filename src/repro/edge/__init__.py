@@ -1,8 +1,9 @@
 """``repro.edge`` — analytical edge/server testbed simulation.
 
 Replaces the paper's physical Jetson TX2 + RTX 2080Ti + Wi-Fi testbed with
-calibrated device, latency, power, memory and channel models (see DESIGN.md
-§2 for the substitution rationale).
+calibrated device, latency, power, memory and channel models
+(:mod:`repro.edge.device` gives the substitution rationale and the
+calibration targets).
 """
 
 from .device import (

@@ -121,13 +121,6 @@ class FaultInjector:
             damaged = truncate_payload(damaged, self.truncate_to)
         return damaged
 
-    @property
-    def is_clean(self):
-        """True when the injector is configured to pass payloads through unchanged."""
-        return (self.bit_flips == 0 and self.truncate_to >= 1.0
-                and self.packet_loss_rate == 0.0)
-
-
 @dataclass
 class RobustnessResult:
     """Outcome of decoding one damaged payload."""

@@ -240,11 +240,6 @@ class FleetSimulation:
         self.channel = channel
         self.nodes = list(nodes or [])
 
-    def add_node(self, node):
-        """Add one camera node to the fleet."""
-        self.nodes.append(node)
-        return node
-
     # ------------------------------------------------------------------ #
     def calibrate_node_sizes(self, codec, sample_images):
         """Measure per-node compressed frame size by running ``codec`` on samples.

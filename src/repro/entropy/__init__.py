@@ -1,7 +1,7 @@
 """``repro.entropy`` — entropy-coding substrate shared by the codecs.
 
-Contains bit-level I/O, canonical Huffman coding, run-length helpers and the
-adaptive multi-symbol range coder.
+Contains the bit-level I/O behind the JPEG entropy coder, the run-length
+binary-mask serialiser and the adaptive multi-symbol range coder.
 
 The range coder (``RangeEncoder`` / ``RangeDecoder``) codes symbols under an
 :class:`AdaptiveModel`: Laplace-smoothed counts, +32 per coded symbol,
@@ -22,23 +22,17 @@ across versions, so there is no migration path to carry.
 
 from .arithmetic import FORMAT_RANGE, AdaptiveModel, decode_symbols, encode_symbols
 from .bitio import BitReader, BitWriter
-from .huffman import HuffmanCode, huffman_decode, huffman_encode
 from .range_coder import RangeDecoder, RangeEncoder
 from .rle import (
     decode_binary_mask,
     encode_binary_mask,
-    run_length_decode,
     run_length_encode,
 )
 
 __all__ = [
     "BitReader",
     "BitWriter",
-    "HuffmanCode",
-    "huffman_encode",
-    "huffman_decode",
     "run_length_encode",
-    "run_length_decode",
     "encode_binary_mask",
     "decode_binary_mask",
     "AdaptiveModel",

@@ -1,6 +1,6 @@
-"""Bit-level I/O used by the Huffman and arithmetic coders.
+"""Bit-level I/O used by the JPEG entropy coder.
 
-The JPEG and BPG-proxy codecs serialise their symbol streams through
+The JPEG codec serialises its Huffman symbol streams through
 :class:`BitWriter` / :class:`BitReader`, which pack bits MSB-first into a
 ``bytes`` object.
 

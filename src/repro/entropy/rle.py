@@ -1,16 +1,14 @@
-"""Run-length encoding helpers.
+"""Run-length encoding behind the binary erase-mask serialiser.
 
-JPEG's AC coefficient coding is a (zero-run, value) scheme; the generic
-functions here are also used by the mask serialiser (binary erase masks are
-mostly smooth, so RLE plus Huffman compacts them well below the paper's
-"128 bytes for a 32×32 mask" bound).
+Binary erase masks are mostly smooth, so run lengths with varint counts
+compact them well below the paper's "128 bytes for a 32×32 mask" bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["run_length_encode", "run_length_decode", "encode_binary_mask", "decode_binary_mask"]
+__all__ = ["run_length_encode", "encode_binary_mask", "decode_binary_mask"]
 
 
 def run_length_encode(values):
@@ -29,14 +27,6 @@ def run_length_encode(values):
     if current is not None:
         runs.append((current, count))
     return runs
-
-
-def run_length_decode(runs):
-    """Inverse of :func:`run_length_encode`."""
-    out = []
-    for value, count in runs:
-        out.extend([value] * count)
-    return out
 
 
 _MODE_RLE = 0

@@ -10,8 +10,6 @@ from .runner import (
     NO_REFERENCE_METRICS,
     evaluate_codec,
     evaluate_codec_on_dataset,
-    rate_sweep,
-    series_from_sweep,
 )
 from .tables import format_kv_block, format_table
 
@@ -29,8 +27,6 @@ __all__ = [
     "CodecEvaluation",
     "evaluate_codec",
     "evaluate_codec_on_dataset",
-    "rate_sweep",
-    "series_from_sweep",
     "NO_REFERENCE_METRICS",
     "FULL_REFERENCE_METRICS",
     "pretrained_model",

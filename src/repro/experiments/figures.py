@@ -25,11 +25,6 @@ class Series:
     ys: list
     metadata: dict = field(default_factory=dict)
 
-    def as_rows(self):
-        """Rows of ``(x, y)`` pairs for table rendering."""
-        return list(zip(self.xs, self.ys))
-
-
 def sparkline(values):
     """Unicode sparkline of a numeric sequence (empty string for < 2 points)."""
     values = np.asarray(list(values), dtype=np.float64)

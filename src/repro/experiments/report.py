@@ -1,8 +1,7 @@
 """Markdown report generation for experiment results.
 
-EXPERIMENTS.md in this repository is hand-written; deployments that re-run
-the benchmark suite on their own hardware usually want the same
-paper-vs-measured layout regenerated automatically.  This module provides a
+Deployments that re-run the benchmark suite on their own hardware usually
+want a paper-vs-measured layout generated automatically.  This module provides a
 small report builder: record each experiment's measured rows (and optionally
 the paper's reference values), then render everything as one Markdown
 document or write it to disk.

@@ -1,4 +1,4 @@
-"""Experiment runner: codec sweeps, dataset scoring, rate/perception curves.
+"""Experiment runner: score a codec's reconstructions on an image or a dataset.
 
 These functions are the shared machinery behind the benchmark files in
 ``benchmarks/`` — each benchmark composes them into the specific table or
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..metrics import brisque, ms_ssim, mse, pi, psnr, ssim, tres
-from .figures import Series
 
 __all__ = [
     "NO_REFERENCE_METRICS",
@@ -20,8 +19,6 @@ __all__ = [
     "CodecEvaluation",
     "evaluate_codec",
     "evaluate_codec_on_dataset",
-    "rate_sweep",
-    "series_from_sweep",
 ]
 
 #: No-reference metric functions keyed by the names used in the paper.
@@ -39,7 +36,6 @@ class CodecEvaluation:
     bpp: float
     scores: dict = field(default_factory=dict)
     num_images: int = 0
-    parameters: dict = field(default_factory=dict)
 
     def row(self, metric_names):
         """Table row: codec, bpp, then the requested metrics in order."""
@@ -83,29 +79,3 @@ def evaluate_codec_on_dataset(codec, dataset, max_images=None,
     )
 
 
-def rate_sweep(codec_factory, qualities, dataset, max_images=2,
-               no_reference=("brisque", "pi", "tres"), full_reference=("psnr",)):
-    """Evaluate ``codec_factory(quality)`` across ``qualities``.
-
-    Returns a list of :class:`CodecEvaluation`, one per quality, sorted by
-    average BPP — the raw material of the paper's rate/perception curves
-    (Fig. 7a-b, Fig. 8a-c).
-    """
-    evaluations = []
-    for quality in qualities:
-        codec = codec_factory(quality)
-        evaluation = evaluate_codec_on_dataset(codec, dataset, max_images,
-                                               no_reference, full_reference)
-        evaluation.parameters = {"quality": quality}
-        evaluations.append(evaluation)
-    return sorted(evaluations, key=lambda e: e.bpp)
-
-
-def series_from_sweep(evaluations, metric, label):
-    """Convert a rate sweep into a :class:`Series` of (bpp, metric) points."""
-    return Series(
-        label=label,
-        xs=[e.bpp for e in evaluations],
-        ys=[e.scores[metric] for e in evaluations],
-        metadata={"metric": metric},
-    )

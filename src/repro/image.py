@@ -21,7 +21,6 @@ __all__ = [
     "ycbcr_to_rgb",
     "rgb_to_gray",
     "pad_to_multiple",
-    "crop_to_shape",
     "resize_bilinear",
     "resize_bicubic",
     "downsample_box",
@@ -111,11 +110,6 @@ def pad_to_multiple(image, multiple, mode="edge"):
         return image, image.shape
     pad_spec = [(0, pad_h), (0, pad_w)] + [(0, 0)] * (image.ndim - 2)
     return np.pad(image, pad_spec, mode=mode), image.shape
-
-
-def crop_to_shape(image, shape):
-    """Crop an image back to the leading ``shape[:2]`` spatial size."""
-    return np.asarray(image)[: shape[0], : shape[1], ...]
 
 
 def _resample_axis(length, new_length):

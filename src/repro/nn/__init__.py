@@ -12,20 +12,14 @@ from .layers import (
     AvgPool2d,
     Conv2d,
     Dropout,
-    Embedding,
     GELU,
-    Identity,
     LayerNorm,
     Linear,
     Module,
     Parameter,
-    ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
-    Upsample2d,
 )
-from .optim import Adam, AdamW, CosineSchedule, Optimizer, SGD, clip_grad_norm
+from .optim import Adam, AdamW, Optimizer, SGD, clip_grad_norm
 from .schedulers import (
     ConstantLR,
     EarlyStopping,
@@ -52,16 +46,10 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "Dropout",
-    "Embedding",
     "Sequential",
-    "ReLU",
     "GELU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
     "Conv2d",
     "AvgPool2d",
-    "Upsample2d",
     "MultiHeadSelfAttention",
     "FeedForward",
     "TransformerBlock",
@@ -70,7 +58,6 @@ __all__ = [
     "SGD",
     "Adam",
     "AdamW",
-    "CosineSchedule",
     "clip_grad_norm",
     "LRScheduler",
     "ConstantLR",

@@ -18,7 +18,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "dropout",
     "linear",
@@ -53,11 +52,6 @@ def tanh(x):
 def softmax(x, axis=-1):
     """Softmax along ``axis``."""
     return as_tensor(x).softmax(axis=axis)
-
-
-def log_softmax(x, axis=-1):
-    """Log-softmax along ``axis``."""
-    return as_tensor(x).log_softmax(axis=axis)
 
 
 def layer_norm(x, weight=None, bias=None, eps=1e-5):

@@ -10,7 +10,6 @@ import numpy as np
 
 __all__ = [
     "xavier_uniform",
-    "xavier_normal",
     "kaiming_uniform",
     "kaiming_normal",
     "normal",
@@ -36,13 +35,6 @@ def xavier_uniform(shape, rng, gain=1.0):
     fan_in, fan_out = _fan_in_out(shape)
     a = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
-
-
-def xavier_normal(shape, rng, gain=1.0):
-    """Glorot/Xavier normal initialisation ``N(0, std²)``."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape, rng, nonlinearity="relu"):

@@ -3,8 +3,8 @@
 The API intentionally mirrors a small subset of ``torch.nn`` so the Easz
 reconstruction network reads like the PyTorch model the paper describes:
 ``Module``, ``Parameter``, ``Linear``, ``LayerNorm``, ``Dropout``,
-``Embedding``, ``Sequential``, a simple ``Conv2d`` (used by the learned codec
-baselines and the LPIPS-proxy feature extractor) and activation wrappers.
+``Sequential``, ``GELU``, a simple ``Conv2d`` (used by the learned codec
+baselines and the LPIPS-proxy feature extractor) and ``AvgPool2d``.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "Dropout",
-    "Embedding",
     "Sequential",
-    "ReLU",
     "GELU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
     "Conv2d",
     "AvgPool2d",
-    "Upsample2d",
 ]
 
 
@@ -190,24 +184,6 @@ class Dropout(Module):
         return f"Dropout(p={self.p})"
 
 
-class Embedding(Module):
-    """Lookup table mapping integer ids to learned vectors."""
-
-    def __init__(self, num_embeddings, embedding_dim, rng=None):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng, std=0.02))
-
-    def forward(self, indices):
-        indices = np.asarray(indices.data if isinstance(indices, Tensor) else indices, dtype=np.int64)
-        return self.weight[indices]
-
-    def __repr__(self):
-        return f"Embedding({self.num_embeddings}, {self.embedding_dim})"
-
-
 class Sequential(Module):
     """Run child modules in order, feeding each the previous output."""
 
@@ -231,39 +207,11 @@ class Sequential(Module):
         return getattr(self, self._order[index])
 
 
-class ReLU(Module):
-    """ReLU activation module."""
-
-    def forward(self, x):
-        return F.relu(x)
-
-
 class GELU(Module):
     """GELU activation module (tanh approximation)."""
 
     def forward(self, x):
         return F.gelu(x)
-
-
-class Sigmoid(Module):
-    """Sigmoid activation module."""
-
-    def forward(self, x):
-        return F.sigmoid(x)
-
-
-class Tanh(Module):
-    """Tanh activation module."""
-
-    def forward(self, x):
-        return F.tanh(x)
-
-
-class Identity(Module):
-    """Pass-through module."""
-
-    def forward(self, x):
-        return x
 
 
 class Conv2d(Module):
@@ -341,16 +289,3 @@ class AvgPool2d(Module):
         return x.mean(axis=(3, 5))
 
 
-class Upsample2d(Module):
-    """Nearest-neighbour upsampling by an integer factor."""
-
-    def __init__(self, scale):
-        super().__init__()
-        self.scale = scale
-
-    def forward(self, x):
-        s = self.scale
-        batch, channels, height, width = x.shape
-        rows = np.repeat(np.arange(height), s)
-        cols = np.repeat(np.arange(width), s)
-        return x[:, :, rows][:, :, :, cols]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "CosineSchedule", "clip_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm):
@@ -122,28 +122,3 @@ class AdamW(Adam):
         super().step()
 
 
-class CosineSchedule:
-    """Cosine learning-rate schedule with linear warm-up.
-
-    Call :meth:`step` once per optimiser step; it mutates ``optimizer.lr``.
-    """
-
-    def __init__(self, optimizer, total_steps, warmup_steps=0, min_lr=0.0):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.total_steps = max(1, total_steps)
-        self.warmup_steps = warmup_steps
-        self.min_lr = min_lr
-        self._step = 0
-
-    def step(self):
-        """Advance the schedule and update the optimiser's learning rate."""
-        self._step += 1
-        if self.warmup_steps and self._step <= self.warmup_steps:
-            lr = self.base_lr * self._step / self.warmup_steps
-        else:
-            progress = (self._step - self.warmup_steps) / max(1, self.total_steps - self.warmup_steps)
-            progress = min(1.0, progress)
-            lr = self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + np.cos(np.pi * progress))
-        self.optimizer.lr = lr
-        return lr

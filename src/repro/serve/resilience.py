@@ -178,8 +178,9 @@ class ResilientClient:
     happen behind it, each as an independent server-side request, and only
     after the previous attempt failed.
 
-    ``close()`` cancels outstanding backoff timers; in-flight server
-    attempts still settle their futures (the server owns those).
+    ``close()`` cancels outstanding backoff timers and rejects each request
+    waiting on one with its last attempt's error; in-flight server attempts
+    still settle their futures (the server owns those).
     """
 
     def __init__(self, server, retry_policy=None, seed=0, clock=time.monotonic):
@@ -188,7 +189,8 @@ class ResilientClient:
         self._clock = clock
         self._lock = threading.Lock()
         self._rng = random.Random(seed)  # guarded-by: _lock
-        self._timers = set()  # guarded-by: _lock
+        # backoff-pending requests: timer -> (state, last attempt's error)
+        self._timers = {}  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         self._ids = itertools.count()
         self.submitted = 0  # guarded-by: _lock
@@ -220,13 +222,20 @@ class ResilientClient:
                     "deadline_rejects": self.deadline_rejects}
 
     def close(self):
-        """Cancel pending backoff timers (in-flight attempts still settle)."""
+        """Cancel pending backoff timers and reject the requests behind them.
+
+        Each backoff-pending request settles once, with its last attempt's
+        error; a timer that fires anyway finds its entry gone and does
+        nothing.  In-flight attempts still settle through the server.
+        """
         with self._lock:
             self._closed = True
-            timers = list(self._timers)
+            pending = list(self._timers.items())
             self._timers.clear()
-        for timer in timers:
+            self.failures += len(pending)
+        for timer, (state, error) in pending:
             timer.cancel()
+            state.outer._reject(error)
 
     # ------------------------------------------------------------------ #
     def _launch(self, state):
@@ -268,7 +277,7 @@ class ResilientClient:
                                                         self._clock))
                 timer = threading.Timer(delay, self._retry_fire, args=(state,))
                 timer.daemon = True
-                self._timers.add(timer)
+                self._timers[timer] = (state, error)
             else:
                 self.failures += 1
                 if isinstance(error, DeadlineExceededError):
@@ -280,9 +289,8 @@ class ResilientClient:
 
     def _retry_fire(self, state):
         with self._lock:
-            self._timers.discard(threading.current_thread())
-            if self._closed:
-                return
+            if self._timers.pop(threading.current_thread(), None) is None:
+                return  # close() already rejected this request
         self._launch(state)
 
 

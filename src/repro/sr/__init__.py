@@ -5,7 +5,6 @@ from .models import (
     BicubicUpscaler,
     BsrganProxy,
     RealEsrganProxy,
-    ResidualRefinementNetwork,
     SR_BASELINES,
     SwinIRProxy,
 )
@@ -16,6 +15,5 @@ __all__ = [
     "SwinIRProxy",
     "RealEsrganProxy",
     "BsrganProxy",
-    "ResidualRefinementNetwork",
     "SR_BASELINES",
 ]

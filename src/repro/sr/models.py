@@ -7,9 +7,7 @@ Easz's direct sub-patch prediction (the paper reports ≈24.9–25.4 dB PSNR vs
 Easz's 28.96 dB).  Each proxy therefore combines bicubic interpolation with a
 method-specific detail-enhancement step (unsharp masking of different radii /
 strengths — GAN-style SR tends to hallucinate sharper but less faithful
-texture), plus an optional learnable residual CNN
-(:class:`ResidualRefinementNetwork`) for users who want to fine-tune the
-proxies on their own data.  The published model sizes are kept as metadata.
+texture).  The published model sizes are kept as metadata.
 """
 
 from __future__ import annotations
@@ -17,13 +15,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .. import nn
-from ..image import ensure_gray, is_color, resize_bicubic, to_float
+from ..image import is_color, resize_bicubic, to_float
 from .base import SuperResolver
 
 __all__ = [
     "BicubicUpscaler",
-    "ResidualRefinementNetwork",
     "SwinIRProxy",
     "RealEsrganProxy",
     "BsrganProxy",
@@ -41,28 +37,6 @@ class BicubicUpscaler(SuperResolver):
         return resize_bicubic(to_float(image), output_shape[0], output_shape[1])
 
 
-class ResidualRefinementNetwork(nn.Module):
-    """Small residual CNN used by the learned-SR proxies.
-
-    Three 3×3 conv layers on the luma channel predicting a residual on top of
-    the bicubic upscale; the final layer is zero-initialised so an untrained
-    network is exactly bicubic.
-    """
-
-    def __init__(self, hidden_channels=8, rng=None):
-        super().__init__()
-        rng = rng or np.random.default_rng(11)
-        self.conv_in = nn.Conv2d(1, hidden_channels, 3, padding=1, rng=rng)
-        self.conv_mid = nn.Conv2d(hidden_channels, hidden_channels, 3, padding=1, rng=rng)
-        self.conv_out = nn.Conv2d(hidden_channels, 1, 3, padding=1, rng=rng)
-        self.conv_out.weight.data = np.zeros_like(self.conv_out.weight.data)
-
-    def forward(self, x):
-        hidden = self.conv_in(x).relu()
-        hidden = self.conv_mid(hidden).relu()
-        return x + self.conv_out(hidden)
-
-
 class _LearnedSrProxy(SuperResolver):
     """Shared implementation of the learned-SR proxies.
 
@@ -75,10 +49,9 @@ class _LearnedSrProxy(SuperResolver):
     sharpen_strength = 0.5
     texture_noise = 0.0
 
-    def __init__(self, factor=2, refine=False, rng=None):
+    def __init__(self, factor=2, rng=None):
         super().__init__(factor)
         self._rng = rng or np.random.default_rng(13)
-        self.refiner = ResidualRefinementNetwork(rng=self._rng) if refine else None
 
     def _enhance(self, channel):
         blurred = gaussian_filter(channel, self.sharpen_sigma, mode="nearest")
@@ -88,40 +61,13 @@ class _LearnedSrProxy(SuperResolver):
             enhanced = enhanced + self.texture_noise * gaussian_filter(noise, 0.7, mode="nearest")
         return np.clip(enhanced, 0.0, 1.0)
 
-    def _refine(self, channel):
-        if self.refiner is None:
-            return channel
-        with nn.no_grad():
-            refined = self.refiner(nn.Tensor(channel[None, None, :, :])).data[0, 0]
-        return np.clip(refined, 0.0, 1.0)
-
     def upscale(self, image, output_shape):
         image = to_float(image)
         upscaled = resize_bicubic(image, output_shape[0], output_shape[1])
         if is_color(upscaled):
-            channels = [self._refine(self._enhance(upscaled[..., c])) for c in range(3)]
+            channels = [self._enhance(upscaled[..., c]) for c in range(3)]
             return np.stack(channels, axis=-1)
-        return self._refine(self._enhance(upscaled))
-
-    def train_refiner(self, images, steps=30, lr=1e-3):
-        """Fine-tune the residual refiner on full-resolution reference images."""
-        if self.refiner is None:
-            self.refiner = ResidualRefinementNetwork(rng=self._rng)
-        optimizer = nn.Adam(self.refiner.parameters(), lr=lr)
-        losses = []
-        for step in range(steps):
-            image = to_float(images[step % len(images)])
-            gray = ensure_gray(image)
-            low = self.downsample(gray)
-            upscaled = resize_bicubic(low, gray.shape[0], gray.shape[1])
-            optimizer.zero_grad()
-            prediction = self.refiner(nn.Tensor(upscaled[None, None, :, :]))
-            loss = nn.functional.mse_loss(prediction, nn.Tensor(gray[None, None, :, :]))
-            loss.backward()
-            optimizer.step()
-            losses.append(float(loss.data))
-        return losses
-
+        return self._enhance(upscaled)
 
 class SwinIRProxy(_LearnedSrProxy):
     """SwinIR stand-in: moderate, faithful sharpening (no hallucinated texture)."""

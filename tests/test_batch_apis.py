@@ -29,13 +29,9 @@ from repro.core import (
     reconstruct_batch,
     reconstruct_image,
 )
-from repro.core.patchify import (
-    image_to_patches,
-    patches_to_image,
-    patches_to_tokens,
-    tokens_to_patches,
-)
+from repro.core.patchify import image_to_patches, patches_to_image
 from repro.image import is_color, to_float
+from token_reference import patches_to_tokens, tokens_to_patches
 
 #: Engine-vs-float64-reference agreement bound: the engine computes in
 #: float32, so predictions differ from the autograd forward by float32
@@ -46,7 +42,8 @@ _TOL = 1e-5
 def reference_reconstruct(model, image, mask, keep_original=True):
     """Float64 autograd reconstruction, independent of the inference engine.
 
-    Patchifies with :mod:`repro.core.patchify`, runs ``model.forward`` under
+    Patchifies with :mod:`repro.core.patchify` and the batched tokenizer of
+    ``token_reference``, runs ``model.forward`` under
     ``no_grad`` and reassembles; RGB images on a ``channels=1`` model are
     reconstructed one channel at a time.
     """

@@ -11,7 +11,6 @@ from repro.codecs.jpeg_tables import (
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_LUMINANCE,
     ZIGZAG_ORDER,
-    build_huffman_lengths,
     quality_scaled_table,
 )
 from repro.metrics import psnr
@@ -60,9 +59,9 @@ class TestDctAndTables:
         for spec in (STANDARD_DC_LUMINANCE, STANDARD_AC_LUMINANCE):
             bits, values = spec
             assert sum(bits) == len(values)
-            lengths = build_huffman_lengths(spec)
-            assert len(lengths) == len(values)
-            kraft = sum(2.0 ** -length for length in lengths.values())
+            assert len(set(values)) == len(values)
+            # BITS[i] codes of length i + 1: the Kraft sum of a prefix code
+            kraft = sum(count * 2.0 ** -(i + 1) for i, count in enumerate(bits))
             assert kraft <= 1.0 + 1e-12
 
 
@@ -143,9 +142,3 @@ class TestJpegComplexity:
         profile = JpegCodec().encode_complexity((64, 64, 3))
         assert profile.model_bytes == 0
         assert not profile.uses_gpu
-
-    def test_rate_distortion_helper(self, gray_image):
-        point = JpegCodec(quality=70).rate_distortion(gray_image, psnr, "psnr")
-        assert point.bpp > 0
-        assert point.quality > 20
-        assert point.metric == "psnr"

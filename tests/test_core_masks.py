@@ -10,7 +10,6 @@ from repro.core import (
     deserialize_mask,
     diagonal_mask,
     mask_erase_ratio,
-    mask_summary,
     proposed_mask,
     random_mask,
     serialize_mask,
@@ -129,13 +128,6 @@ class TestMaskStrategies:
     def test_mask_erase_ratio_values(self):
         assert mask_erase_ratio(np.ones((4, 4))) == 0.0
         assert mask_erase_ratio(np.zeros((4, 4))) == 1.0
-
-    def test_mask_summary_fields(self):
-        summary = mask_summary(proposed_mask(8, 2, seed=0))
-        assert summary["grid_size"] == 8
-        assert summary["erase_ratio"] == pytest.approx(0.25)
-        assert summary["erased_per_row_min"] == summary["erased_per_row_max"] == 2
-        assert summary["serialized_bytes"] > 0
 
 
 class TestMaskSerialization:

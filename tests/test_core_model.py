@@ -230,4 +230,3 @@ class TestTraining:
         from repro.core.training import TrainingResult
         result = TrainingResult()
         assert np.isnan(result.final_loss)
-        assert np.isnan(result.initial_loss)

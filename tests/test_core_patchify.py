@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from repro.core import (
     attention_complexity,
     erase_and_squeeze_image,
-    erase_patch,
+    get_squeeze_plan,
     image_to_patches,
     patch_to_subpatches,
     patches_to_image,
     proposed_mask,
-    squeeze_patch,
     squeezed_shape,
     subpatches_to_patch,
     subpatches_to_tokens,
     tokens_to_subpatches,
-    two_stage_patchify,
     unsqueeze_image,
-    unsqueeze_patch,
     validate_balanced_mask,
 )
 
@@ -79,7 +76,8 @@ class TestPatchify:
         assert np.allclose(subpatches_to_patch(recovered), patch)
 
     def test_two_stage_patchify_shapes(self, gray_image):
-        tokens, grid, original = two_stage_patchify(gray_image, 16, 4)
+        patches, _, _ = image_to_patches(gray_image, 16)
+        tokens = np.stack([subpatches_to_tokens(patch_to_subpatches(p, 4)) for p in patches])
         assert tokens.shape == (20, 16, 16)
 
     def test_subpatch_spatial_content_preserved(self):
@@ -133,39 +131,37 @@ class TestEraseSqueeze:
 
     def test_erase_patch_zeroes_erased_blocks(self):
         patch = np.ones((8, 8))
-        mask = proposed_mask(4, 1, seed=0)
-        erased = erase_patch(patch, mask, 2)
+        plan = get_squeeze_plan(proposed_mask(4, 1, seed=0), 2)
+        erased = plan.unsqueeze_patches(plan.squeeze_patches(patch[None]), fill="zero")[0]
         assert erased.shape == (8, 8)
         assert erased.sum() == pytest.approx(4 * 3 * 4)  # 12 kept 2x2 blocks
 
     def test_squeeze_patch_shape_horizontal(self):
         patch = np.random.default_rng(0).random((8, 8))
-        mask = proposed_mask(4, 1, seed=1)
-        squeezed = squeeze_patch(patch, mask, 2)
-        assert squeezed.shape == (8, 6)
+        plan = get_squeeze_plan(proposed_mask(4, 1, seed=1), 2)
+        assert plan.squeeze_patches(patch[None]).shape == (1, 8, 6)
 
     def test_squeeze_patch_shape_vertical(self):
         patch = np.random.default_rng(0).random((8, 8))
-        mask = proposed_mask(4, 1, seed=1)
-        squeezed = squeeze_patch(patch, mask.T, 2, direction="vertical")
-        assert squeezed.shape == (6, 8)
+        plan = get_squeeze_plan(proposed_mask(4, 1, seed=1).T, 2, direction="vertical")
+        assert plan.squeeze_patches(patch[None]).shape == (1, 6, 8)
 
     def test_squeeze_preserves_kept_content(self):
         patch = np.arange(64, dtype=float).reshape(8, 8)
         mask = np.ones((4, 4), dtype=np.uint8)
         mask[:, 3] = 0  # drop last sub-patch column
-        squeezed = squeeze_patch(patch, mask, 2)
+        squeezed = get_squeeze_plan(mask, 2).squeeze_patches(patch[None])[0]
         assert np.allclose(squeezed, patch[:, :6])
 
     def test_squeeze_invalid_direction(self):
         with pytest.raises(ValueError):
-            squeeze_patch(np.zeros((8, 8)), proposed_mask(4, 1, seed=0), 2, direction="diag")
+            get_squeeze_plan(proposed_mask(4, 1, seed=0), 2, direction="diag")
 
     def test_unsqueeze_restores_kept_positions(self):
         patch = np.random.default_rng(3).random((8, 8))
         mask = proposed_mask(4, 1, seed=2)
-        squeezed = squeeze_patch(patch, mask, 2)
-        restored = unsqueeze_patch(squeezed, mask, 2, fill="zero")
+        plan = get_squeeze_plan(mask, 2)
+        restored = plan.unsqueeze_patches(plan.squeeze_patches(patch[None]), fill="zero")[0]
         sub_original = patch_to_subpatches(patch, 2)
         sub_restored = patch_to_subpatches(restored, 2)
         kept = np.asarray(mask, dtype=bool)
@@ -176,14 +172,15 @@ class TestEraseSqueeze:
     def test_unsqueeze_fill_strategies_are_nonzero(self, fill):
         patch = np.random.default_rng(3).random((8, 8)) + 0.1
         mask = proposed_mask(4, 1, seed=2)
-        squeezed = squeeze_patch(patch, mask, 2)
-        restored = unsqueeze_patch(squeezed, mask, 2, fill=fill)
+        plan = get_squeeze_plan(mask, 2)
+        restored = plan.unsqueeze_patches(plan.squeeze_patches(patch[None]), fill=fill)[0]
         sub = patch_to_subpatches(restored, 2)
         assert np.all(sub[~np.asarray(mask, dtype=bool)] > 0.0)
 
     def test_unsqueeze_invalid_fill(self):
+        plan = get_squeeze_plan(proposed_mask(4, 1, seed=0), 2)
         with pytest.raises(ValueError):
-            unsqueeze_patch(np.zeros((8, 6)), proposed_mask(4, 1, seed=0), 2, fill="magic")
+            plan.unsqueeze_patches(np.zeros((1, 8, 6)), fill="magic")
 
     def test_erase_and_squeeze_image_shape(self, gray_image):
         mask = proposed_mask(4, 1, seed=0)

@@ -59,8 +59,6 @@ class TestFaultPrimitives:
         payload = bytes(range(200))
         damaged = injector.apply(payload)
         assert len(damaged) == 100
-        assert not injector.is_clean
-        assert FaultInjector().is_clean
 
     def test_injector_varies_damage_between_calls(self):
         injector = FaultInjector(bit_flips=8, seed=5)
@@ -88,7 +86,6 @@ class TestFaultEdgeCases:
         assert truncate_payload(bytes(range(50)), 0.0) == b""
         injector = FaultInjector(truncate_to=0.0)
         assert injector.apply(bytes(range(50))) == b""
-        assert not injector.is_clean
 
 
 class TestInjectorValidation:

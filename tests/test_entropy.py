@@ -1,4 +1,4 @@
-"""Tests for the entropy-coding substrate (bit I/O, Huffman, RLE, arithmetic)."""
+"""Tests for the entropy-coding substrate (bit I/O, RLE, range coding)."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,19 @@ from repro.entropy import (
     AdaptiveModel,
     BitReader,
     BitWriter,
-    HuffmanCode,
     RangeDecoder,
     RangeEncoder,
     decode_binary_mask,
     decode_symbols,
     encode_binary_mask,
     encode_symbols,
-    huffman_decode,
-    huffman_encode,
-    run_length_decode,
     run_length_encode,
 )
+
+
+def run_length_decode(runs):
+    """Expand ``[(value, count), ...]`` back into the value sequence."""
+    return [value for value, count in runs for _ in range(count)]
 
 
 class TestBitIO:
@@ -83,77 +84,6 @@ class TestBitIO:
         reader = BitReader(writer.getvalue())
         for value, width in fields:
             assert reader.read_bits(width) == value & ((1 << width) - 1)
-
-
-class TestHuffman:
-    def test_roundtrip_skewed_distribution(self):
-        rng = np.random.default_rng(0)
-        symbols = rng.choice([0, 1, 2, 3], size=2000, p=[0.7, 0.2, 0.07, 0.03]).tolist()
-        payload, code, count = huffman_encode(symbols)
-        assert huffman_decode(payload, code, count) == symbols
-
-    def test_skewed_distribution_compresses_below_fixed_length(self):
-        rng = np.random.default_rng(0)
-        symbols = rng.choice([0, 1, 2, 3], size=4000, p=[0.85, 0.1, 0.03, 0.02]).tolist()
-        payload, _, _ = huffman_encode(symbols)
-        # 4 symbols need 2 bits each with a fixed code -> 1000 bytes
-        assert len(payload) < 1000
-
-    def test_empty_sequence(self):
-        payload, code, count = huffman_encode([])
-        assert payload == b"" and code is None and count == 0
-        assert huffman_decode(payload, code, count) == []
-
-    def test_single_symbol_alphabet(self):
-        payload, code, count = huffman_encode(["a"] * 17)
-        assert huffman_decode(payload, code, count) == ["a"] * 17
-
-    def test_empty_frequencies_rejected(self):
-        with pytest.raises(ValueError):
-            HuffmanCode({})
-
-    def test_prefix_free_property(self):
-        code = HuffmanCode({"a": 10, "b": 5, "c": 2, "d": 1, "e": 1})
-        codes = {s: f"{c:0{length}b}" for s, (c, length) in code.encode_table.items()}
-        values = list(codes.values())
-        for i, a in enumerate(values):
-            for j, b in enumerate(values):
-                if i != j:
-                    assert not b.startswith(a)
-
-    def test_more_frequent_symbols_get_shorter_codes(self):
-        code = HuffmanCode({"frequent": 1000, "rare": 1})
-        assert code.lengths["frequent"] <= code.lengths["rare"]
-
-    def test_kraft_inequality_holds(self):
-        rng = np.random.default_rng(1)
-        freqs = {i: int(rng.integers(1, 100)) for i in range(30)}
-        code = HuffmanCode(freqs)
-        kraft = sum(2.0 ** -length for length in code.lengths.values())
-        assert kraft <= 1.0 + 1e-12
-
-    def test_max_code_length_respected(self):
-        freqs = {i: 2 ** i for i in range(20)}
-        code = HuffmanCode(freqs, max_code_length=12)
-        assert max(code.lengths.values()) <= 12
-        kraft = sum(2.0 ** -length for length in code.lengths.values())
-        assert kraft <= 1.0 + 1e-12
-
-    def test_expected_length_bounded_by_entropy_plus_one(self):
-        rng = np.random.default_rng(2)
-        symbols = rng.choice(8, size=5000, p=[0.4, 0.2, 0.15, 0.1, 0.06, 0.05, 0.03, 0.01])
-        freqs = {i: int((symbols == i).sum()) for i in range(8)}
-        code = HuffmanCode(freqs)
-        probs = np.array([freqs[i] for i in range(8)], dtype=float)
-        probs /= probs.sum()
-        entropy = -(probs * np.log2(probs)).sum()
-        assert entropy <= code.expected_length(freqs) <= entropy + 1.0
-
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=300))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_arbitrary_sequences(self, symbols):
-        payload, code, count = huffman_encode(symbols)
-        assert huffman_decode(payload, code, count) == symbols
 
 
 class TestRunLength:

@@ -48,8 +48,9 @@ class TestEndToEndPipeline:
         offers adjustable reduction ratios (SR is locked to 1/factor²).
 
         The paper's absolute PSNR win (28.96 dB vs ≈25 dB) needs the
-        full-scale model and real Kodak content; the benchmark records the
-        measured values and EXPERIMENTS.md discusses the gap.
+        full-scale model and real Kodak content;
+        ``benchmarks/bench_table1_super_resolution.py`` prints the measured
+        values and its docstring discusses the gap.
         """
         image = kodak_small[0]
         mask = proposed_mask(tiny_config.grid_size, tiny_config.erase_per_row, seed=0)
@@ -87,8 +88,8 @@ class TestEndToEndPipeline:
             savings[name] = float(np.mean(ratios))
         # both strategies must actually save bits; at this miniature scale the
         # proposed mask must stay within noise of the random mask (the paper's
-        # consistent advantage emerges at full patch-grid sizes — see the
-        # Fig. 3 benchmark and EXPERIMENTS.md)
+        # consistent advantage emerges at full patch-grid sizes — see
+        # benchmarks/bench_fig3_mask_strategy.py)
         assert savings["proposed"] > 0.05
         assert savings["random"] > 0.05
         assert savings["proposed"] >= savings["random"] - 0.05

@@ -126,12 +126,6 @@ class TestLinearAndNorm:
         assert out.shape == (3, 8)
         assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
 
-    def test_embedding_lookup(self):
-        emb = nn.Embedding(10, 6)
-        out = emb(np.array([1, 3, 1]))
-        assert out.shape == (3, 6)
-        assert np.allclose(out.data[0], out.data[2])
-
 
 class TestModulePlumbing:
     def test_parameters_discovered_recursively(self):
@@ -179,16 +173,9 @@ class TestModulePlumbing:
         assert model.weight.grad is None
 
     def test_sequential_indexing(self):
-        model = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
-        assert isinstance(model[1], nn.ReLU)
+        model = nn.Sequential(nn.Linear(2, 2), nn.GELU())
+        assert isinstance(model[1], nn.GELU)
         assert len(model) == 2
-
-    def test_identity_and_activation_modules(self):
-        x = nn.Tensor(np.array([-1.0, 2.0]))
-        assert np.allclose(nn.Identity()(x).data, x.data)
-        assert np.allclose(nn.ReLU()(x).data, [0.0, 2.0])
-        assert np.allclose(nn.Sigmoid()(x).data, 1 / (1 + np.exp(-x.data)))
-        assert np.allclose(nn.Tanh()(x).data, np.tanh(x.data))
 
 
 class TestConvolutionAndPooling:
@@ -227,11 +214,3 @@ class TestConvolutionAndPooling:
         out = pool(x)
         assert out.shape == (1, 1, 2, 2)
         assert out.data[0, 0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
-
-    def test_upsample_nearest(self):
-        up = nn.Upsample2d(2)
-        x = nn.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        out = up(x)
-        assert out.shape == (1, 1, 4, 4)
-        assert out.data[0, 0, 0, 1] == 1.0
-        assert out.data[0, 0, 3, 3] == 4.0

@@ -154,16 +154,6 @@ class TestOptimizers:
         assert returned == pytest.approx(5.0)
         assert np.linalg.norm(param.grad) == pytest.approx(1.0)
 
-    def test_cosine_schedule_warmup_then_decay(self):
-        param = nn.Parameter(np.zeros(1))
-        optimizer = nn.Adam([param], lr=1.0)
-        schedule = nn.CosineSchedule(optimizer, total_steps=10, warmup_steps=2, min_lr=0.1)
-        lrs = [schedule.step() for _ in range(10)]
-        assert lrs[0] == pytest.approx(0.5)
-        assert lrs[1] == pytest.approx(1.0)
-        assert lrs[-1] == pytest.approx(0.1, abs=1e-6)
-        assert all(a >= b for a, b in zip(lrs[1:], lrs[2:]))
-
 
 class TestSerialization:
     def test_save_and_load_checkpoint(self, tmp_path):

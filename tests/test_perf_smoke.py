@@ -15,7 +15,8 @@ counted; 0.45–0.5 before the engine's strided attention and last-block
 pruning); a 1.2 CPU-second budget fails loudly if a batched stage regresses
 to Python loops.  Single-image reconstruction runs through
 the same engine (``reconstruct_image`` is a batch of one), so the roundtrip
-guard above covers it too; batching itself has no speedup floor any more.
+guard above covers it too.  The bench records no batch-size sweep: its
+``serving`` section only asserts batched-vs-sequential equivalence.
 
 The sharded guard checks the *recorded* ``serving.sharded`` bar in
 ``BENCH_throughput.json`` (≥1.3x images/sec over the threaded server at 2

@@ -241,6 +241,38 @@ class TestResilientClient:
         time.sleep(0.05)
         assert server.calls == calls_at_close == 1
 
+    def test_close_rejects_backoff_pending_requests(self):
+        server = FlakyServer(fail_first=10)
+        client = ResilientClient(
+            server, retry_policy=self._policy(base_backoff_s=5.0,
+                                              max_backoff_s=5.0))
+        pending = client.submit("pkg")
+        time.sleep(0.05)  # the first failure schedules a far-future retry
+        started = time.monotonic()
+        client.close()
+        with pytest.raises(ShardFailedError):
+            pending.result(timeout=1.0)
+        assert time.monotonic() - started < 0.5
+        assert client.stats()["failures"] == 1
+
+    def test_timer_firing_after_close_settles_nothing(self, monkeypatch):
+        # a timer whose cancel() lost the race still runs its callback
+        monkeypatch.setattr(threading.Timer, "cancel", lambda timer: None)
+        server = FlakyServer(fail_first=10)
+        client = ResilientClient(
+            server, retry_policy=self._policy(base_backoff_s=0.2,
+                                              max_backoff_s=0.2))
+        pending = client.submit("pkg")
+        client.close()
+        with pytest.raises(ShardFailedError) as first:
+            pending.result(timeout=1.0)
+        time.sleep(0.4)  # past the backoff: the timer has fired
+        with pytest.raises(ShardFailedError) as again:
+            pending.result(timeout=0)
+        assert again.value is first.value
+        assert server.calls == 1
+        assert client.stats()["failures"] == 1
+
 
 class TestClosedLoopClient:
     def test_think_loop_counts_and_stops(self):

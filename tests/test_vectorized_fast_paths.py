@@ -28,14 +28,9 @@ from repro.core import (
     EaszReconstructor,
     erase_and_squeeze_image,
     get_squeeze_plan,
-    patches_to_tokens,
     proposed_mask,
     reconstruct_image,
-    squeeze_patch,
-    tokens_to_patches,
-    two_stage_patchify,
     unsqueeze_image,
-    unsqueeze_patch,
 )
 from repro.core.patchify import (
     image_to_patches,
@@ -44,6 +39,7 @@ from repro.core.patchify import (
     subpatches_to_tokens,
 )
 from repro.entropy.bitio import BitReader, BitWriter
+from token_reference import patches_to_tokens, tokens_to_patches
 
 
 # --------------------------------------------------------------------- #
@@ -154,13 +150,14 @@ class TestSqueezePlanEquivalence:
         squeezed, grid_shape, original_shape = erase_and_squeeze_image(
             image, use_mask, patch_size, b, direction=direction)
         patches, gshape, _ = image_to_patches(image, patch_size)
+        plan = get_squeeze_plan(use_mask, b, direction)
         for patch in patches:
             if direction == "vertical":
                 flipped = patch.swapaxes(0, 1)
                 expected = ref_squeeze_patch(flipped, use_mask.T, b).swapaxes(0, 1)
             else:
                 expected = ref_squeeze_patch(patch, use_mask, b)
-            got = squeeze_patch(patch, use_mask, b, direction=direction)
+            got = plan.squeeze_patches(patch[None])[0]
             assert np.array_equal(got, expected)
         assert grid_shape == gshape
 
@@ -170,8 +167,9 @@ class TestSqueezePlanEquivalence:
         image, mask, patch_size, b = data
         patches, _, _ = image_to_patches(image, patch_size)
         patch = patches[0]
-        squeezed = squeeze_patch(patch, mask, b)
-        got = unsqueeze_patch(squeezed, mask, b, fill=fill)
+        plan = get_squeeze_plan(mask, b)
+        squeezed = plan.squeeze_patches(patch[None])[0]
+        got = plan.unsqueeze_patches(squeezed[None], fill=fill)[0]
         expected = ref_unsqueeze_patch(squeezed, mask, b, fill)
         assert np.array_equal(got, expected)
 
@@ -299,13 +297,12 @@ class TestPatchifyAndReconstructEquivalence:
         rng = np.random.default_rng(seed)
         shape = (37, 53, 3) if color else (37, 53)
         image = rng.random(shape)
-        tokens, grid_shape, original_shape = two_stage_patchify(image, 16, 4)
-        patches, gshape, oshape = image_to_patches(image, 16)
+        patches, _, _ = image_to_patches(image, 16)
+        tokens = patches_to_tokens(patches, 4)
         expected = np.stack([
             subpatches_to_tokens(patch_to_subpatches(patch, 4)) for patch in patches
         ])
         assert np.array_equal(tokens, expected)
-        assert grid_shape == gshape and original_shape == oshape
 
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 3]))
     @settings(max_examples=20, deadline=None)
