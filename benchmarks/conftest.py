@@ -27,12 +27,6 @@ from repro.edge import EdgeServerTestbed
 from repro.experiments import default_benchmark_config, pretrained_model
 
 
-def pytest_configure(config):
-    # benchmarks live outside the default testpaths; make sure pytest-benchmark
-    # grouping is stable across files
-    config.option.benchmark_group_by = getattr(config.option, "benchmark_group_by", "group")
-
-
 @pytest.fixture(scope="session")
 def bench_config():
     """CPU-scale Easz configuration shared by all benchmarks."""

@@ -51,21 +51,25 @@ _F32 = np.float32
 
 #: Token rows per engine chunk (64 patches of 16 tokens, 16 of 64).  Chunks
 #: are sized in rows because the best patch count falls as patches grow.
-#: Medians of interleaved sweeps (four runs for the first row, five for the
-#: others), in ms per 256² RGB frame on a 2-vCPU Xeon (OpenBLAS 0.3.31):
+#: Medians of interleaved sweeps, in ms per 256² RGB frame on a 2-vCPU Xeon
+#: (OpenBLAS 0.3.31).  The 16-token row ran at one BLAS thread, the thread
+#: count of a serving process (six runs); the 64-token rows ran at
+#: OpenBLAS's default of two (five runs):
 #:
 #: ========================  ===  ===  ===  ===  ===  ===
 #: patches per chunk           8   16   32   64  128  256
 #: ========================  ===  ===  ===  ===  ===  ===
-#: 16 tokens, d_model 48       -   52   48   45   45   63
+#: 16 tokens, d_model 48      95   62   64   62   77   88
 #: 64 tokens, d_model 64      83   86   81  104  117    -
 #: 64 tokens, d_model 192    341  322  316  381  408    -
 #: ========================  ===  ===  ===  ===  ===  ===
 #:
-#: Smaller chunks pay per-op overhead, larger ones spill the cache; 1024 to
-#: 2048 rows is the flat optimum for both patch sizes.  The 16-token row is
-#: the benchmark geometry; the 64-token rows are ``EaszConfig()`` and
-#: ``EaszConfig.paper()``, where 1024 rows ran 0.74–0.94x the time of
+#: Smaller chunks pay per-op overhead, larger ones spill the cache; 1024
+#: rows lies in the flat optimum of both patch sizes (256–1024 rows at 16
+#: tokens, 512–2048 at 64).  The 16-token row is the benchmark geometry,
+#: where 16 to 64 patches lie within the host's run-to-run spread (64 was
+#: fastest in four of the six runs); the 64-token rows are ``EaszConfig()``
+#: and ``EaszConfig.paper()``, where 1024 rows ran 0.74–0.94x the time of
 #: 64-patch chunks in each of the five runs.
 CHUNK_ROWS = 1024
 

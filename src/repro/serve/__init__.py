@@ -148,7 +148,8 @@ from .scenarios import (ChaosDriver, ChaosSpec, ResilienceSpec, ScenarioReport,
                         build_workload, builtin_scenarios, run_scenario)
 from .server import (CompressionServer, FrontDoor, PendingResult, ServeRequest,
                      ServeResponse)
-from .sharding import ShardBackend, ShardedCompressionServer, available_cpus
+from ..cpu import available_cpus
+from .sharding import ShardBackend, ShardedCompressionServer
 from .telemetry import (LatencyWindow, ServerStats, aggregate_snapshots,
                         summarise_latency_ms)
 from .worker import ServeWorker, ThreadPoolBackend

@@ -158,7 +158,8 @@ class FrontDoor:
     """The one ``submit()``/``stop()`` in front of a list of backends.
 
     A backend is any object with ``accepts_work()``, ``send(request)``,
-    ``counters()`` and a ``label``; it reports each request's outcome
+    ``counters()``, a ``label`` and the ``blas_threads`` its process reads
+    back once started; it reports each request's outcome
     through :meth:`_settle`, exactly once.  Subclasses build the backends;
     :meth:`_start_backends` / :meth:`_stop_backends` call each backend's
     ``start()`` / ``stop(deadline)`` unless overridden, and
@@ -456,6 +457,7 @@ class FrontDoor:
             "backends": [(backend.label, dict(backend.counters(), submitted=sent[index]))
                          for index, backend in enumerate(self._backends)],
             "inflight": inflight,
+            "blas_threads": [backend.blas_threads for backend in self._backends],
         }
 
 

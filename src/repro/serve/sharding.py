@@ -48,7 +48,6 @@ from __future__ import annotations
 import builtins
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
 import queue as queue_module
 import socket
@@ -67,8 +66,7 @@ from .queueing import (DeadlineExceededError, QueueClosedError,
 from .server import FrontDoor, ServeRequest
 from .worker import ThreadPoolBackend
 
-__all__ = ["ShardedCompressionServer", "ShardBackend", "ShardFailedError",
-           "available_cpus"]
+__all__ = ["ShardedCompressionServer", "ShardBackend", "ShardFailedError"]
 
 # Default hang timeout when the watchdog runs (``watchdog_hang_timeout_s=
 # "auto"``): shards stamp their heartbeat every loop iteration (<= 50 ms
@@ -98,18 +96,6 @@ _ROW_CELLS = _CACHE_CELLS + 3 * len(_CACHES)
 # every reacquisition can cost the 5 ms switch interval.
 _HEADER_SIZE = struct.Struct("!I")
 _BLOCK_BYTES = 256
-
-
-def available_cpus():
-    """CPUs this process may run on (affinity-aware; sharding helps only >=2).
-
-    The throughput benchmark and its perf-smoke guard both use this to decide
-    whether a sharded measurement is meaningful on the host.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------- #
@@ -211,7 +197,8 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     ``None``, checked *before* the container is unpacked); finished pixels
     leave as ``("ok", ...)`` responses followed by their raw bytes on
     ``responses``, this shard's own socket, and errors as ``("err", ...)``.  The
-    control pipe carries the ready and drain handshakes.  The shard stamps
+    control pipe carries the ready handshake, with the BLAS thread count
+    the shard read back from itself, and the drain handshake.  The shard stamps
     its heartbeat cell every loop iteration so the parent's watchdog can
     tell a busy shard from a hung one.
     """
@@ -238,7 +225,7 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     backend = ThreadPoolBackend(model, config, reply, **options)
     backend.start()
     row[_HEARTBEAT] = time.time()
-    control_conn.send(("ready", index))
+    control_conn.send(("ready", index, backend.blas_threads))
     try:
         while True:
             row[_HEARTBEAT] = time.time()
@@ -281,17 +268,18 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
 # parent side
 # --------------------------------------------------------------------------- #
 def _await_message(conn, process, tag, deadline):
-    """Wait for a ``tag`` message on a control pipe while ``process`` lives."""
+    """The next ``tag`` message on a control pipe, or ``None`` if ``process``
+    dies or ``deadline`` passes first."""
     while time.perf_counter() < deadline:
         try:
             message = conn.recv() if conn.poll(0.05) else None
         except (EOFError, OSError):
-            return False
+            return None
         if message is not None and message[0] == tag:
-            return True
+            return message
         if message is None and not process.is_alive():
-            return False
-    return False
+            return None
+    return None
 
 
 class ShardBackend:
@@ -312,6 +300,7 @@ class ShardBackend:
         self.request_queue = None
         self.control_conn = None
         self.responses = None  # parent end of this process's response socket
+        self.blas_threads = None  # as the process reported it when ready
         self.draining = False
         self.stopped = False
         self.row = None
@@ -361,8 +350,9 @@ class ShardBackend:
         """Wait for the spawned process's ready message, then route to it."""
         process, request_queue, conn, responses = self._spawned
         self._spawned = None
-        if not _await_message(conn, process, "ready",
-                              time.perf_counter() + _STARTUP_TIMEOUT_S):
+        ready = _await_message(conn, process, "ready",
+                               time.perf_counter() + _STARTUP_TIMEOUT_S)
+        if ready is None:
             if process.is_alive():
                 process.terminate()
             process.join(timeout=5.0)
@@ -372,6 +362,7 @@ class ShardBackend:
         # the collector closes the previous process's pipe once it reads EOF
         self.process, self.request_queue, self.control_conn = process, request_queue, conn
         self.responses = responses
+        self.blas_threads = ready[2]
         self.stopped = False
 
     def drain(self):
@@ -381,7 +372,7 @@ class ShardBackend:
     def await_stopped(self, deadline):
         with self._conn_lock:
             self.stopped = self.stopped or _await_message(
-                self.control_conn, self.process, "stopped", deadline)
+                self.control_conn, self.process, "stopped", deadline) is not None
 
     def kill(self, timeout=5.0):
         """Terminate the process (if still alive) and reap it."""

@@ -17,6 +17,13 @@ touches immutable weights plus per-call buffers).
 Every request leaves through the backend's ``settle`` callable, exactly
 once: ``settle(request_id, image=..., worker=...)`` with the pixels, or
 ``settle(request_id, error=...)``.
+
+Thread policy: parallelism comes from worker threads and shard processes,
+never from BLAS.  :meth:`ThreadPoolBackend.start` puts its process's
+OpenBLAS on one thread (:func:`repro.cpu.limit_blas_threads`; a user's
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins) and keeps the count
+it reads back as ``blas_threads``.  One call covers the threaded server and
+every shard, each of which runs a backend of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from ..core.erase_squeeze import get_squeeze_plan
 from ..core.masks import deserialize_mask
 from ..core.pipeline import EaszDecoder
 from ..core.reconstruction import reconstruct_image
+from ..cpu import limit_blas_threads
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        deadline_expired)
 from .telemetry import ServerStats
@@ -105,6 +113,7 @@ class ThreadPoolBackend:
         self.queue = AdmissionQueue(max_depth=queue_depth)
         self.workers = [ServeWorker(self, index) for index in range(max(1, num_workers))]
         self.stopping = False
+        self.blas_threads = None  # read back from this process at start()
         self._started = False
         self._codec_lock = threading.Lock()
         self._codec_prototypes = OrderedDict()  # guarded-by: _codec_lock
@@ -115,9 +124,10 @@ class ThreadPoolBackend:
     # the backend surface the front door uses
     # ------------------------------------------------------------------ #
     def start(self):
-        """Start the worker threads (idempotent)."""
+        """Limit BLAS to one thread, start the worker threads (idempotent)."""
         if not self._started:
             self._started = True
+            self.blas_threads = limit_blas_threads()
             for worker in self.workers:
                 worker.start()
 

@@ -1,22 +1,30 @@
 """Wall-clock budget guards for the vectorized codec and serving fast paths.
 
 The 512×512 RGB JPEG+easz encode→decode→reconstruct roundtrip runs in
-roughly half a CPU-second with the plan-cached squeeze, the table-driven
-entropy coder and the fused float32 reconstruction (see
+roughly half a second of wall time with the plan-cached squeeze, the
+table-driven entropy coder and the fused float32 reconstruction (see
 ``BENCH_throughput.json``).  The seed implementation's symbol-at-a-time /
 per-patch Python loops took ~3 CPU-seconds on the same machine, so a budget
 of 2.5 CPU-seconds leaves ~5x headroom for slower hardware while still
 failing loudly if a hot path regresses to O(n) Python loops.
 
+Library calls run OpenBLAS at its default thread count (only serving
+processes drop to one thread), and the process time counts every BLAS
+thread.  On a 2-vCPU Xeon (OpenBLAS 0.3.31, five runs per count) the
+roundtrip took 0.86–1.01 CPU-seconds (0.48–0.57 s wall) at the default 2
+threads and 0.44–0.59 CPU-seconds, the same wall time, at one.  One thread
+is not applied to library calls: it made the 1024² RGB reconstruction
+1.01–1.18x slower in wall time (six alternating pairs).
+
 The serving guard plays the same role for the batched path: reconstructing
-four 256² RGB images through ``reconstruct_batch`` takes ~0.35 CPU-seconds
-with the fused engine (2-vCPU Xeon, OpenBLAS 0.3.31, both BLAS threads
-counted; 0.45–0.5 before the engine's strided attention and last-block
-pruning); a 1.2 CPU-second budget fails loudly if a batched stage regresses
-to Python loops.  Single-image reconstruction runs through
-the same engine (``reconstruct_image`` is a batch of one), so the roundtrip
-guard above covers it too.  The bench records no batch-size sweep: its
-``serving`` section only asserts batched-vs-sequential equivalence.
+four 256² RGB images through ``reconstruct_batch`` took 0.43–0.55
+CPU-seconds (0.21–0.28 s wall) with the fused engine at 2 BLAS threads and
+0.24–0.29 at one, on the same host and runs; a 1.2 CPU-second budget fails
+loudly if a batched stage regresses to Python loops.  Single-image
+reconstruction runs through the same engine (``reconstruct_image`` is a
+batch of one), so the roundtrip guard above covers it too.  The bench
+records no batch-size sweep: its ``serving`` section only asserts
+batched-vs-sequential equivalence.
 
 The sharded guard checks the *recorded* ``serving.sharded`` bar in
 ``BENCH_throughput.json`` (≥1.3x images/sec over the threaded server at 2
