@@ -138,6 +138,7 @@ Scaling out is the same API::
         response = server.submit_bytes(container).result(timeout=10.0)
 """
 
+from ..cpu import available_cpus
 from .cache import ResultCache
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        ServerOverloadedError, ShardFailedError, deadline_after_ms)
@@ -148,7 +149,6 @@ from .scenarios import (ChaosDriver, ChaosSpec, ResilienceSpec, ScenarioReport,
                         build_workload, builtin_scenarios, run_scenario)
 from .server import (CompressionServer, FrontDoor, PendingResult, ServeRequest,
                      ServeResponse)
-from ..cpu import available_cpus
 from .sharding import ShardBackend, ShardedCompressionServer
 from .telemetry import (LatencyWindow, ServerStats, aggregate_snapshots,
                         summarise_latency_ms)
