@@ -5,8 +5,8 @@ the same story out to a *pool* — the deployment shape the ROADMAP's
 "production-scale traffic" north star asks for:
 
 1. **shard pool** — a :class:`repro.serve.ShardedCompressionServer` spawns
-   worker processes (each with its own model weights, codec tables and plan
-   caches) behind the exact ``submit_bytes``/``PendingResult`` API the
+   one-worker processes (each with its own model weights, codec tables and
+   plan caches) behind the exact ``submit_bytes``/``PendingResult`` API the
    threaded server exposes;
 2. **sticky routing** — requests that share a mask, geometry and codec go
    to the same shard, whose worker serves them one frame per call from
@@ -24,8 +24,9 @@ the same story out to a *pool* — the deployment shape the ROADMAP's
    mid-write breaks only its own channel; the transport split (shard
    responses vs result-cache hits) is printed from telemetry;
 6. **shard health watchdog + restart** — one shard is restarted in place
-   mid-traffic, then another is killed outright and the watchdog replaces
-   it automatically (restart counts come from the same telemetry snapshot).
+   mid-traffic, then another is killed outright and the watchdog every
+   pool runs replaces it automatically (restart counts come from the same
+   telemetry snapshot).
 """
 
 from __future__ import annotations
@@ -128,10 +129,7 @@ def main():
     model = pretrained_model(config, steps=600, batch_size=32)
     frames, packages, containers = fleet_containers(config)
     print("Sharded-gateway example\n")
-    server = ShardedCompressionServer(
-        model=model, config=config, num_shards=2,
-        watchdog_interval_s=0.25,
-    )
+    server = ShardedCompressionServer(model=model, config=config, num_shards=2)
     with server:
         pool_roundtrip(server, frames, containers)
         congestion_replay(server, packages)

@@ -121,14 +121,18 @@ def build_parser():
                                   "lasts requests / rate seconds)")
     serve_bench.add_argument("--rate", type=float, default=60.0,
                              help="Poisson arrival rate (requests/s)")
-    serve_bench.add_argument("--workers", type=int, default=2, help="worker threads")
+    serve_bench.add_argument("--workers", type=int, default=2,
+                             help="worker threads of the threaded server (each "
+                                  "shard of --shards runs one worker)")
     serve_bench.add_argument("--shards", type=int, default=0,
                              help="serve from N worker processes instead of threads "
                                   "(0 = threaded server)")
     serve_bench.add_argument("--result-cache", type=int, default=0,
                              help="cross-request result cache capacity (0 = off)")
     serve_bench.add_argument("--queue-depth", type=int, default=64,
-                             help="admission queue bound")
+                             help="in-flight window of each backend (the "
+                                  "threaded pool or one shard); a full window "
+                                  "rejects")
     serve_bench.add_argument("--images", type=int, default=4,
                              help="distinct frames cycled through the replay")
     serve_bench.add_argument("--train-steps", type=int, default=300,
@@ -476,33 +480,18 @@ def _run_scenario_bench(args, scenario, config, model):
     from ..serve import CompressionServer, ShardedCompressionServer
     from ..serve.scenarios import run_scenario
 
+    kwargs = {"queue_depth": args.queue_depth, "result_cache_size": args.result_cache}
+    # a scenario's hints (only ever queue_depth) override the CLI defaults
+    kwargs.update(dict(scenario.server_hints))
     if args.shards > 0:
-        # the watchdog always runs, probing every 0.25 s; scenario hints
-        # (watchdog cadence, queue depth) override the generic CLI defaults —
-        # each scenario is tuned to exercise one failure mode
-        kwargs = {
-            "num_shards": args.shards,
-            "workers_per_shard": max(1, args.workers // args.shards),
-            "queue_depth": args.queue_depth,
-            "result_cache_size": args.result_cache,
-            "watchdog_interval_s": 0.25,
-        }
-        kwargs.update(dict(scenario.server_hints))
-        server = ShardedCompressionServer(model=model, config=config, **kwargs)
+        server = ShardedCompressionServer(model=model, config=config,
+                                          num_shards=args.shards, **kwargs)
     else:
         if scenario.chaos.kill_shard_at_s or scenario.chaos.freeze_shard_at_s:
             print("warning: scenario has process chaos but --shards is 0; "
                   "those events will be skipped (threaded server)", file=sys.stderr)
-        kwargs = {
-            "num_workers": args.workers,
-            "queue_depth": args.queue_depth,
-            "result_cache_size": args.result_cache,
-        }
-        # scenario hints still override here, minus the process knobs a
-        # threaded server has no equivalent for (watchdog cadence)
-        kwargs.update({key: value for key, value in dict(scenario.server_hints).items()
-                       if key in kwargs})
-        server = CompressionServer(model=model, config=config, **kwargs)
+        server = CompressionServer(model=model, config=config,
+                                   num_workers=args.workers, **kwargs)
     with server:
         report = run_scenario(scenario, server, config=config, model=model)
         snapshot = server.stats.snapshot()

@@ -16,8 +16,9 @@ control and failure isolation around it:
   popping one request at a time and serving it exactly as
   :meth:`~repro.core.EaszDecoder.decode` would, over the process-wide
   squeeze-plan cache and the backend's codec cache;
-* :class:`ShardBackend` — one shard process running a thread-pool backend,
-  reached over a pickle-light wire format, answering over its own socket;
+* :class:`ShardBackend` — one shard process running a one-worker
+  thread-pool backend, reached over a pickle-light wire format, answering
+  over its own socket;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching a backend;
@@ -108,17 +109,15 @@ work from consuming live capacity.  Underneath all three, the router only
 sends work to shards that are alive and not draining, so a retry never
 lands on a corpse.
 
-With ``watchdog_interval_s`` set, a parent-side watchdog additionally
-auto-restarts crashed shards (exponential backoff, restart counts in
-``stats.snapshot()["watchdog"]``); in-flight requests of the dead shard are
-re-routed to live shards by the collector's reaper, so callers see neither
-lost nor duplicated responses.  Hang detection is on by default whenever
-the watchdog runs: a shard that is alive but has not stamped its heartbeat
-for ``watchdog_hang_timeout_s`` (``"auto"`` → 30 s; healthy shards stamp
-every ≤ 50 ms, so this is conservative) is killed and restarted like a
-crashed one.  Opt out with ``watchdog_hang_timeout_s=None`` if shard
-processes may legitimately freeze (e.g. under SIGSTOP-based debuggers or
-cgroup freezers) and you would rather wait them out.
+A started :class:`ShardedCompressionServer` always supervises its shards:
+every 0.25 s a parent-side watchdog re-routes (once) the in-flight requests
+of a dead shard to live ones, so callers see neither lost nor duplicated
+responses, then restarts the dead shard with exponential backoff (restart
+counts in ``stats.snapshot()["watchdog"]``).  A shard that is alive but has
+not stamped its heartbeat for 1 s is killed and restarted like a crashed
+one.  Healthy shards stamp every loop iteration; on a saturated 2-vCPU pool
+the largest healthy age measured stayed under 0.25 s.  A debugger or cgroup
+freezer that stops a shard for longer than 1 s therefore gets it replaced.
 
 Quick start::
 

@@ -5,7 +5,7 @@ Admission itself happens at the servers' front door
 turns overload into an immediate :class:`ServerOverloadedError`, never a
 wait — unbounded queues only convert overload into unbounded latency, which
 the M/D/1 model in :mod:`repro.edge.fleet` makes precise.
-:class:`AdmissionQueue` is the bounded FIFO the in-process backend's
+:class:`AdmissionQueue` is the closable FIFO the in-process backend's
 workers pop one request at a time.
 """
 
@@ -21,7 +21,7 @@ __all__ = ["ServerOverloadedError", "QueueClosedError", "DeadlineExceededError",
 
 
 class ServerOverloadedError(RuntimeError):
-    """Raised when a request is denied admission (window or queue at capacity)."""
+    """Raised when a request is denied admission (its backend's window is full)."""
 
 
 class QueueClosedError(RuntimeError):
@@ -73,16 +73,14 @@ def deadline_remaining_s(deadline_s, clock=time.monotonic):
 
 
 class AdmissionQueue:
-    """A thread-safe bounded FIFO.
+    """A thread-safe closable FIFO.
 
-    ``put`` beyond ``max_depth`` raises :class:`ServerOverloadedError`
-    immediately; it never blocks the submitter.
+    It never bounds anything itself: the front door's per-backend in-flight
+    window admits a request before it is queued here, and a queued request
+    counts in that window until it settles.
     """
 
-    def __init__(self, max_depth=64):
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        self.max_depth = int(max_depth)
+    def __init__(self):
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._items = deque()  # guarded-by: _lock
@@ -103,16 +101,13 @@ class AdmissionQueue:
 
     # ------------------------------------------------------------------ #
     def put(self, item):
-        """Admit one request or raise (:class:`ServerOverloadedError` / closed).
+        """Queue one request (:class:`QueueClosedError` once closed).
 
-        Returns the queue depth *after* admission so callers can surface it.
+        Returns the queue depth *after* the put so callers can surface it.
         """
         with self._lock:
             if self._closed:
                 raise QueueClosedError("server is shut down")
-            if len(self._items) >= self.max_depth:
-                raise ServerOverloadedError(
-                    f"queue at capacity ({self.max_depth}); request rejected")
             self._items.append(item)
             self._not_empty.notify()
             return len(self._items)

@@ -259,11 +259,10 @@ class ResilienceSpec:
 class ScenarioSpec:
     """A named multi-tenant trace plus the chaos applied while it replays.
 
-    ``server_hints`` are ``(key, value)`` pairs the CLI applies when building
-    the :class:`~repro.serve.sharding.ShardedCompressionServer` for this
-    scenario (e.g. a short watchdog interval for freeze chaos); the harness
-    itself never
-    reads them, so a caller with its own server can ignore them.
+    ``server_hints`` are ``(key, value)`` server keyword arguments the CLI
+    applies when building the server for this scenario (e.g. a shallow
+    ``queue_depth`` for the retry storm); the harness itself never reads
+    them, so a caller with its own server can ignore them.
     """
 
     name: str
@@ -288,6 +287,9 @@ class ScenarioSpec:
         if self.resilience is not None and not isinstance(self.resilience,
                                                           ResilienceSpec):
             raise ValueError("resilience must be a ResilienceSpec or None")
+        unknown = sorted({key for key, _ in self.server_hints} - {"queue_depth"})
+        if unknown:
+            raise ValueError(f"server_hints take only queue_depth, got {unknown}")
 
     # ------------------------------------------------------------------ #
     # JSON round-trip (``serve-bench --scenario-file``)
@@ -768,8 +770,8 @@ class ScenarioRunner:
             # order is acyclic
             shard_index, depth = predictor(package, kind)
             if shard_index is not None:
-                # the routed shard drains its window one service time per
-                # request (workers_per_shard defaults to 1)
+                # the routed shard's one worker drains its window one
+                # service time per request
                 return (depth + 1) * service_ms
         cutoff = now - self.RATE_WINDOW_S
         while self._recent_arrivals and self._recent_arrivals[0] < cutoff:
@@ -1157,9 +1159,9 @@ def builtin_scenarios():
 
     Durations are single-digit seconds: long enough for the arrival shapes
     and the watchdog recovery loop to matter, short enough that the whole
-    matrix stays inside a CI job.  ``server_hints`` tune the pool per
-    scenario (short watchdog ticks for process chaos, a shallow admission
-    window for the retry storm).
+    matrix stays inside a CI job.  ``server_hints`` set each scenario's
+    admission window (a deep one under process chaos, a shallow one for the
+    retry storm).
     """
     premium = TenantSpec(name="premium-cam", rate_rps=12.0, qos="premium",
                          deadline_ms=150.0, on_breach="degrade", quality=75,
@@ -1170,10 +1172,7 @@ def builtin_scenarios():
     batch = TenantSpec(name="batch-archive", rate_rps=8.0, qos="batch",
                        deadline_ms=1500.0, on_breach="shed", quality=85,
                        degraded_quality=50, image_size=128, kind="decode", seed=3)
-    chaos_watchdog_hints = (("watchdog_interval_s", 0.2),
-                            ("watchdog_backoff_s", 0.2),
-                            ("watchdog_hang_timeout_s", 1.0),
-                            ("queue_depth", 128))
+    chaos_hints = (("queue_depth", 128),)
     scenarios = [
         ScenarioSpec(
             name="steady-mix",
@@ -1209,12 +1208,12 @@ def builtin_scenarios():
         ScenarioSpec(
             name="kill-shards",
             description="SIGKILL a live shard twice mid-trace; the watchdog "
-                        "restarts it and the reaper re-routes in-flight work — "
+                        "re-routes its in-flight work and restarts it — "
                         "no future may be lost or doubled.",
             tenants=(premium, standard),
             duration_s=8.0,
             chaos=ChaosSpec(kill_shard_at_s=(2.0, 5.0), seed=31),
-            server_hints=chaos_watchdog_hints,
+            server_hints=chaos_hints,
         ),
         ScenarioSpec(
             name="freeze-shard",
@@ -1225,7 +1224,7 @@ def builtin_scenarios():
             duration_s=8.0,
             chaos=ChaosSpec(freeze_shard_at_s=(2.5,), freeze_duration_s=1.5,
                             seed=41),
-            server_hints=chaos_watchdog_hints,
+            server_hints=chaos_hints,
         ),
         ScenarioSpec(
             name="corrupt-payloads",
@@ -1252,7 +1251,7 @@ def builtin_scenarios():
             chaos=ChaosSpec(kill_shard_at_s=(3.0,), freeze_shard_at_s=(6.0,),
                             freeze_duration_s=1.5, corrupt_fraction=0.1,
                             corrupt_bit_flips=64, seed=73),
-            server_hints=chaos_watchdog_hints,
+            server_hints=chaos_hints,
         ),
         ScenarioSpec(
             name="retry-storm",
@@ -1298,7 +1297,7 @@ def builtin_scenarios():
             resilience=ResilienceSpec(max_attempts=4, base_backoff_ms=20.0,
                                       max_backoff_ms=250.0, budget_ratio=0.2,
                                       budget_burst=10.0),
-            server_hints=chaos_watchdog_hints,
+            server_hints=chaos_hints,
         ),
     ]
     return {scenario.name: scenario for scenario in scenarios}

@@ -490,7 +490,6 @@ class CompressionServer(FrontDoor):
                  result_cache_size=0):
         config = config or (model.config if model is not None else EaszConfig())
         model = model or EaszReconstructor(config)
-        self.pool = ThreadPoolBackend(model, config, self._settle,
-                                      num_workers=num_workers, queue_depth=queue_depth)
+        self.pool = ThreadPoolBackend(model, config, self._settle, num_workers=num_workers)
         super().__init__(model, config, [self.pool], queue_depth=queue_depth,
                          result_cache_size=result_cache_size)

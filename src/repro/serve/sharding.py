@@ -7,8 +7,8 @@ overlaps waiting, not compute.  :class:`ShardedCompressionServer` scales past
 that with the same :class:`~repro.serve.server.FrontDoor` — one ``submit()``,
 admission window, result cache, router and settlement path — over
 :class:`ShardBackend` slots.  Each slot is one process that runs a
-:class:`~repro.serve.worker.ThreadPoolBackend` directly, with its own model
-weights, codec tables and plan caches.
+one-worker :class:`~repro.serve.worker.ThreadPoolBackend` directly, with its
+own model weights, codec tables and plan caches.
 
 Design points:
 
@@ -36,11 +36,11 @@ Design points:
   work, ``stop()`` drains every in-flight request before shutting shards
   down, and :meth:`~ShardedCompressionServer.restart_shard` replaces a shard
   (gracefully or by force) while the rest of the pool keeps serving.
-* **collector, reaper and watchdog** — one parent thread settles responses
-  and, every 0.25 s, fails or re-routes (once) the in-flight requests of a
-  shard process that died.  ``watchdog_interval_s`` starts a second thread
-  that restarts dead or hung (silent heartbeat) shards with exponential
-  backoff.
+* **collector and supervisor** — one parent thread only reads responses.
+  A second one, the watchdog, ticks every 0.25 s: it fails or re-routes
+  (once) the in-flight requests of a shard process that died, then restarts
+  dead shards and hung ones (alive, but no heartbeat stamp for 1 s), with
+  exponential backoff for a shard that keeps dying.
 """
 
 from __future__ import annotations
@@ -61,22 +61,24 @@ import numpy as np
 from ..core.config import EaszConfig
 from ..core.reconstruction import EaszReconstructor
 from ..core.transport import pack_package, unpack_package
-from .queueing import (DeadlineExceededError, QueueClosedError,
-                       ServerOverloadedError, ShardFailedError, deadline_expired)
+from .queueing import (DeadlineExceededError, QueueClosedError, ShardFailedError,
+                       deadline_expired)
 from .server import FrontDoor, ServeRequest
 from .worker import ThreadPoolBackend
 
 __all__ = ["ShardedCompressionServer", "ShardBackend", "ShardFailedError"]
 
-# Default hang timeout when the watchdog runs (``watchdog_hang_timeout_s=
-# "auto"``): shards stamp their heartbeat every loop iteration (<= 50 ms
-# idle; serving never blocks the loop), so 30 s of silence from a live
-# process means wedged, not busy — conservative by ~3 orders of magnitude.
-_DEFAULT_HANG_TIMEOUT_S = 30.0
-
 _STARTUP_TIMEOUT_S = 120.0
+# The watchdog's tick, and the first restart backoff of a dying shard.
+_WATCHDOG_INTERVAL_S = 0.25
 _WATCHDOG_BACKOFF_CAP_S = 30.0
-_REAP_INTERVAL_S = 0.25
+# A shard that lived this long since its last restart gets its backoff back.
+_WATCHDOG_RESET_S = 5.0
+# Shards stamp their heartbeat every loop iteration (<= 50 ms idle; serving
+# never blocks the loop).  The largest age a healthy shard showed on a
+# saturated 2-vCPU pool, beside two busy loops too, was under 0.25 s, so 1 s
+# of silence from a live process means wedged, not busy.
+_HANG_TIMEOUT_S = 1.0
 
 # One row of float64 cells per shard slot: the heartbeat stamp, the service
 # counters, then (hits, misses, size) of the plan and codec caches.
@@ -175,8 +177,7 @@ def _recv_response(sock):
 # --------------------------------------------------------------------------- #
 def _rebuild_error(type_name, message):
     """Best-effort reconstruction of a shard-side exception in the parent."""
-    known = {error.__name__: error for error in (
-        ServerOverloadedError, QueueClosedError, DeadlineExceededError)}
+    known = {error.__name__: error for error in (QueueClosedError, DeadlineExceededError)}
     candidate = known.get(type_name, getattr(builtins, type_name, None))
     if isinstance(candidate, type) and issubclass(candidate, Exception):
         try:
@@ -187,10 +188,10 @@ def _rebuild_error(type_name, message):
 
 
 def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
-                model_state, options, cells):
+                model_state, cells):
     """Entry point of one shard process.
 
-    Rebuilds the model from the shipped ``state_dict`` and runs a
+    Rebuilds the model from the shipped ``state_dict`` and runs a one-worker
     :class:`ThreadPoolBackend` whose settle hook marshals each outcome to
     the parent: requests arrive as ``("req", id, kind, container_bytes,
     deadline_s)`` tuples (``deadline_s`` an absolute CLOCK_MONOTONIC stamp or
@@ -199,8 +200,9 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     ``responses``, this shard's own socket, and errors as ``("err", ...)``.  The
     control pipe carries the ready handshake, with the BLAS thread count
     the shard read back from itself, and the drain handshake.  The shard stamps
-    its heartbeat cell every loop iteration so the parent's watchdog can
-    tell a busy shard from a hung one.
+    its heartbeat cell (CLOCK_MONOTONIC, which every process on the host
+    shares) every loop iteration so the parent's watchdog can tell a busy
+    shard from a hung one.
     """
     config = EaszConfig(**config_kwargs)
     model = EaszReconstructor(config)
@@ -222,13 +224,13 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
         with send_lock:
             _send_response(responses, header, image)
 
-    backend = ThreadPoolBackend(model, config, reply, **options)
+    backend = ThreadPoolBackend(model, config, reply, num_workers=1)
     backend.start()
-    row[_HEARTBEAT] = time.time()
+    row[_HEARTBEAT] = time.monotonic()
     control_conn.send(("ready", index, backend.blas_threads))
     try:
         while True:
-            row[_HEARTBEAT] = time.time()
+            row[_HEARTBEAT] = time.monotonic()
             try:
                 message = request_queue.get(timeout=0.05)
             except queue_module.Empty:
@@ -308,7 +310,7 @@ class ShardBackend:
         self._spawned = None  # (process, request queue, pipe, responses) until ready
         self._conn_lock = threading.Lock()  # Connections are not thread-safe
         self.restarts = 0
-        self.backoff_s = 0.0
+        self.backoff_s = _WATCHDOG_INTERVAL_S
         self.next_restart_at = 0.0
         self.last_restart = None
 
@@ -383,7 +385,7 @@ class ShardBackend:
     def heartbeat_age_s(self):
         """Seconds since the shard last stamped its heartbeat (None unknown)."""
         stamp = self.row[_HEARTBEAT] if self.row is not None else 0.0
-        return max(time.time() - stamp, 0.0) if stamp else None
+        return max(time.monotonic() - stamp, 0.0) if stamp else None
 
 
 class ShardedCompressionServer(FrontDoor):
@@ -392,54 +394,26 @@ class ShardedCompressionServer(FrontDoor):
     The same surface as :class:`~repro.serve.server.CompressionServer` —
     ``submit`` / ``submit_bytes`` returning futures, ``stats.snapshot()``,
     ``start``/``stop``/context-manager lifecycle — executed on ``num_shards``
-    shard processes of ``workers_per_shard`` worker threads each.
-    ``queue_depth`` is the in-flight window of each shard; the front door
-    rejects before a request ever crosses the process boundary.
+    shard processes of one worker thread each.  ``queue_depth`` is the
+    in-flight window of each shard; the front door rejects before a request
+    ever crosses the process boundary.
 
-    ``watchdog_interval_s``
-        When set (must be ``> 0``), a parent-side watchdog thread probes
-        shard liveness (and heartbeat staleness, see
-        ``watchdog_hang_timeout_s``) every interval and restarts dead shards
-        in place, with exponential backoff from ``watchdog_backoff_s`` up to
-        30 s for a shard that keeps dying.  ``None`` (default) disables
-        auto-restart; crashes still fail fast through the collector's reaper.
-    ``watchdog_hang_timeout_s``
-        Hang detection for the watchdog: a shard that is *alive but silent*
-        (no heartbeat stamp) for longer than this is killed and restarted
-        exactly like a crashed one.  The default ``"auto"`` resolves to
-        ``30.0`` seconds — a healthy shard stamps its heartbeat every loop
-        iteration (≤ 50 ms idle, and long model calls never block the
-        loop), so 30 s of silence means the process is wedged, not busy.
-        Pass ``None`` to opt out (liveness-only watchdog) or an explicit
-        number of seconds to tune it.
+    A started server always supervises its shards.  Every 0.25 s its
+    watchdog thread fails or re-routes (once) the in-flight requests of a
+    shard that died, then restarts in place every shard that is dead or
+    *alive but silent* (no heartbeat stamp for 1 s), with exponential
+    backoff from one tick up to 30 s for a shard that keeps dying.
+    Restart counts and heartbeat ages are in ``stats.snapshot()["watchdog"]``.
     """
 
-    def __init__(self, model=None, config=None, num_shards=2, workers_per_shard=1,
-                 queue_depth=64, result_cache_size=0, watchdog_interval_s=None,
-                 watchdog_backoff_s=0.5, watchdog_hang_timeout_s="auto"):
+    def __init__(self, model=None, config=None, num_shards=2, queue_depth=64,
+                 result_cache_size=0):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if watchdog_interval_s is not None and not watchdog_interval_s > 0:
-            raise ValueError("watchdog_interval_s must be positive")
-        if watchdog_hang_timeout_s == "auto":
-            watchdog_hang_timeout_s = _DEFAULT_HANG_TIMEOUT_S
-        if watchdog_hang_timeout_s is not None and not watchdog_hang_timeout_s > 0:
-            raise ValueError("watchdog_hang_timeout_s must be positive")
-        if not watchdog_backoff_s > 0:
-            raise ValueError("watchdog_backoff_s must be positive")
         self.num_shards = int(num_shards)
         super().__init__(model, config, [ShardBackend(index) for index in range(self.num_shards)],
                          queue_depth=queue_depth, result_cache_size=result_cache_size)
-        self._options = {
-            "num_workers": max(1, int(workers_per_shard)),
-            "queue_depth": self.queue_depth,
-        }
         self._context = multiprocessing.get_context()
-        self.watchdog_interval_s = (float(watchdog_interval_s)
-                                    if watchdog_interval_s is not None else None)
-        self.watchdog_backoff_s = float(watchdog_backoff_s)
-        self.watchdog_hang_timeout_s = (float(watchdog_hang_timeout_s)
-                                        if watchdog_hang_timeout_s is not None else None)
         self._restart_lock = threading.Lock()  # one restart at a time
         self._collector = None
         self._collector_stop = threading.Event()
@@ -459,12 +433,11 @@ class ShardedCompressionServer(FrontDoor):
             self._watchdog = None
         self._cells = self._context.RawArray("d", self.num_shards * _ROW_CELLS)
         rows = np.frombuffer(self._cells, dtype=np.float64).reshape(self.num_shards, _ROW_CELLS)
-        shared = (asdict(self.config), dict(self.model.state_dict()), self._options,
-                  self._cells)
+        shared = (asdict(self.config), dict(self.model.state_dict()), self._cells)
         try:
             for shard, row in zip(self._backends, rows):
                 shard.row, shard.shared = row, shared
-                shard.restarts, shard.backoff_s = 0, self.watchdog_backoff_s
+                shard.restarts, shard.backoff_s = 0, _WATCHDOG_INTERVAL_S
                 shard.next_restart_at, shard.last_restart = 0.0, None
                 shard.spawn(self._context)
             for shard in self._backends:
@@ -484,11 +457,10 @@ class ShardedCompressionServer(FrontDoor):
         self._collector = threading.Thread(target=self._collect_loop,
                                            name="shard-collector", daemon=True)
         self._collector.start()
-        if self.watchdog_interval_s is not None:
-            self._watchdog_stop.clear()
-            self._watchdog = threading.Thread(target=self._watchdog_loop,
-                                              name="shard-watchdog", daemon=True)
-            self._watchdog.start()
+        self._watchdog_stop.clear()
+        self._watchdog = threading.Thread(target=self._watchdog_loop,
+                                          name="shard-watchdog", daemon=True)
+        self._watchdog.start()
 
     def _stop_backends(self, deadline):
         """Drain every shard; fail the requests of shards that died instead."""
@@ -507,8 +479,9 @@ class ShardedCompressionServer(FrontDoor):
             shard.await_stopped(deadline)
         # drained shards flushed their responses before acknowledging: give
         # the collector until the deadline to settle them.  A shard that died
-        # without the handshake never will; each reaper pass fails its
-        # requests (re-checked every tick: is_alive() may lag a kill)
+        # without the handshake never will; with the watchdog quiesced, each
+        # reaper pass here fails its requests (re-checked every pass:
+        # is_alive() may lag a kill)
         while time.perf_counter() < deadline:
             self._reap()
             with self._lock:
@@ -571,7 +544,6 @@ class ShardedCompressionServer(FrontDoor):
     def _collect_loop(self):
         """Read every shard's response socket; one at EOF is closed and dropped."""
         readers = set()
-        last_reap = time.perf_counter()
         try:
             while True:
                 readers.update(shard.responses for shard in self._backends
@@ -592,9 +564,6 @@ class ShardedCompressionServer(FrontDoor):
                     except Exception as error:  # noqa: BLE001 - one bad message must not kill the collector
                         self._settle(message[2], error=ShardFailedError(
                             f"unreadable response from shard {message[1]}: {error!r}"))
-                if time.perf_counter() - last_reap >= _REAP_INTERVAL_S:
-                    last_reap = time.perf_counter()
-                    self._reap()
         finally:
             for conn in readers:
                 conn.close()
@@ -604,7 +573,8 @@ class ShardedCompressionServer(FrontDoor):
 
         Without this, a shard that segfaults or is OOM-killed outside
         :meth:`restart_shard` would strand its callers until their own
-        ``result()`` timeouts.
+        ``result()`` timeouts.  The watchdog runs it every tick, and
+        :meth:`_stop_backends` once the watchdog is quiesced.
         """
         for shard in self._backends:
             if not shard.crashed():
@@ -683,18 +653,15 @@ class ShardedCompressionServer(FrontDoor):
     # ------------------------------------------------------------------ #
     # health watchdog
     # ------------------------------------------------------------------ #
-    def _watchdog_reset_s(self):
-        """Stable uptime after which a shard's restart backoff resets."""
-        return max(10.0 * self.watchdog_interval_s, 5.0)
-
     def _watchdog_tick(self):
-        """One health pass: restart dead (or hung) shards with backoff.
+        """One health pass: reap, then restart dead (or hung) shards with backoff.
 
         A shard that keeps dying gets exponentially spaced restart attempts
-        (``watchdog_backoff_s`` doubling up to 30 s) so a crash loop cannot
-        turn the watchdog into a fork bomb; surviving long enough
-        (:meth:`_watchdog_reset_s`) earns the backoff back.
+        (one tick, doubling up to 30 s) so a crash loop cannot turn the
+        watchdog into a fork bomb; surviving ``_WATCHDOG_RESET_S`` earns the
+        backoff back.
         """
+        self._reap()
         for index, shard in enumerate(self._backends):
             if self._closed or self._watchdog_stop.is_set():
                 return
@@ -703,15 +670,17 @@ class ShardedCompressionServer(FrontDoor):
             now = time.monotonic()
             if shard.is_alive():
                 age = shard.heartbeat_age_s()
-                if (self.watchdog_hang_timeout_s is None or age is None
-                        or age <= self.watchdog_hang_timeout_s):
+                if age is None or age <= _HANG_TIMEOUT_S:
                     if (shard.last_restart is not None
-                            and now - shard.last_restart > self._watchdog_reset_s()):
-                        shard.backoff_s = self.watchdog_backoff_s
+                            and now - shard.last_restart > _WATCHDOG_RESET_S):
+                        shard.backoff_s = _WATCHDOG_INTERVAL_S
                     continue
-                # alive but silent past the hang timeout: treat as wedged
+                # alive but silent past the hang timeout: treat as wedged,
+                # and re-route its requests now even if backoff delays the
+                # restart
                 shard.process.kill()
                 shard.process.join(timeout=5.0)
+                self._reap()
             if now < shard.next_restart_at:
                 continue
             backoff = shard.backoff_s
@@ -732,7 +701,7 @@ class ShardedCompressionServer(FrontDoor):
             shard.backoff_s = min(backoff * 2.0, _WATCHDOG_BACKOFF_CAP_S)
 
     def _watchdog_loop(self):
-        while not self._watchdog_stop.wait(self.watchdog_interval_s):
+        while not self._watchdog_stop.wait(_WATCHDOG_INTERVAL_S):
             if self._closed:
                 return
             try:
@@ -744,8 +713,6 @@ class ShardedCompressionServer(FrontDoor):
         """Plain-dict watchdog state (part of ``stats.snapshot()``)."""
         restarts = [shard.restarts for shard in self._backends]
         return {
-            "enabled": self.watchdog_interval_s is not None,
-            "interval_s": self.watchdog_interval_s,
             "restarts_total": sum(restarts),
             "restarts_by_shard": {index: count for index, count
                                   in enumerate(restarts) if count},

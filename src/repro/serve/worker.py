@@ -104,13 +104,13 @@ class ThreadPoolBackend:
 
     label = "server"
 
-    def __init__(self, model, config, settle, num_workers=2, queue_depth=64):
+    def __init__(self, model, config, settle, num_workers=2):
         self.model = model
         self.config = config
         self.settle = settle
         self.decoder = EaszDecoder(model=model, config=config)
         self.stats = ServerStats()
-        self.queue = AdmissionQueue(max_depth=queue_depth)
+        self.queue = AdmissionQueue()
         self.workers = [ServeWorker(self, index) for index in range(max(1, num_workers))]
         self.stopping = False
         self.blas_threads = None  # read back from this process at start()

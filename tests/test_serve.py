@@ -49,16 +49,8 @@ def packages(serve_config):
 # admission queue
 # --------------------------------------------------------------------------- #
 class TestAdmissionQueue:
-    def test_reject_policy_raises_when_full(self):
-        queue = AdmissionQueue(max_depth=2)
-        queue.put("a")
-        queue.put("b")
-        with pytest.raises(ServerOverloadedError):
-            queue.put("c")
-        assert queue.depth == 2
-
     def test_closed_queue_rejects_and_wakes(self):
-        queue = AdmissionQueue(max_depth=4)
+        queue = AdmissionQueue()
         queue.close()
         with pytest.raises(QueueClosedError):
             queue.put("a")

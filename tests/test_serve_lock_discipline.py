@@ -60,7 +60,6 @@ class TestShardedRoutingState:
             assert merged["inflight"] == [0] * server.num_shards
 
             watchdog = server.watchdog_snapshot()
-            assert watchdog["enabled"] is False
             assert watchdog["restarts_total"] == 0
             assert len(watchdog["backoff_s"]) == server.num_shards
             assert len(watchdog["heartbeat_age_s"]) == server.num_shards

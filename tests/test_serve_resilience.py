@@ -420,7 +420,7 @@ class TestDeadlineShedding:
         # wire; after thaw the shard must shed it pre-unpack and report the
         # shed through the merged telemetry
         with ShardedCompressionServer(model=serve_model, config=serve_config,
-                                      num_shards=1, workers_per_shard=1) as server:
+                                      num_shards=1) as server:
             warm = server.submit(package)
             warm.result(timeout=60.0)  # shard is up and serving
             pid = server._backends[0].process.pid

@@ -285,6 +285,10 @@ class TestScenarioSpecJson:
         with pytest.raises(ValueError, match="rate_rps"):
             ScenarioSpec.from_dict({
                 "name": "s", "tenants": [{"name": "t", "rate_rps": 0.0}]})
+        with pytest.raises(ValueError, match="server_hints.*watchdog_interval_s"):
+            ScenarioSpec.from_dict({
+                "name": "s", "tenants": [{"name": "t"}],
+                "server_hints": [["watchdog_interval_s", 0.2]]})
 
     def test_malformed_json_is_a_value_error(self):
         with pytest.raises(ValueError, match="JSON"):
@@ -320,9 +324,7 @@ class TestResilienceAcceptance:
                                   model=scenario_model)
         with ShardedCompressionServer(
                 model=scenario_model, config=scenario_config, num_shards=2,
-                workers_per_shard=1, queue_depth=128,
-                watchdog_interval_s=0.2, watchdog_backoff_s=0.2,
-                watchdog_hang_timeout_s=1.0) as server:
+                queue_depth=128) as server:
             report = run_scenario(spec, server, workload=workload,
                                   warmup=False)
         assert report.futures_lost == 0

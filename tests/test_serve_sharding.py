@@ -360,8 +360,7 @@ class TestShardedCompressionServer:
         # completions are counted where they settle, so neither a forced
         # restart nor a SIGKILL the watchdog repairs can drop them
         served = 0
-        with _sharded(serve_model, serve_config, watchdog_interval_s=0.1,
-                      watchdog_backoff_s=0.05, queue_depth=128) as server:
+        with _sharded(serve_model, serve_config, queue_depth=128) as server:
             def burst():
                 nonlocal served
                 pendings = [server.submit(package) for package in packages * 2]
@@ -451,7 +450,7 @@ class TestShardedCompressionServer:
     def test_crashed_shard_fails_or_reroutes_in_flight_futures(self, serve_config,
                                                                serve_model, packages):
         # a shard killed outside restart_shard() must not strand its callers
-        # until their own result() timeout: the collector's reaper either
+        # until their own result() timeout: the watchdog's reaper either
         # re-routes the request to a live shard or fails it promptly
         with _sharded(serve_model, serve_config) as server:
             server.submit(packages[0]).result(timeout=300.0)  # warm both paths
@@ -609,7 +608,7 @@ class TestShardedCompressionServer:
 # --------------------------------------------------------------------------- #
 class TestAdmissionQueueCloseRaces:
     def test_close_wakes_blocked_popper(self):
-        queue = AdmissionQueue(max_depth=4)
+        queue = AdmissionQueue()
         results = []
         thread = threading.Thread(target=lambda: results.append(queue.pop(timeout=30.0)))
         thread.start()
@@ -620,14 +619,14 @@ class TestAdmissionQueueCloseRaces:
         assert results == [None]
 
     def test_concurrent_close_and_put_storm_strands_nothing(self):
-        queue = AdmissionQueue(max_depth=4)
+        queue = AdmissionQueue()
         admitted, refused = [], []
 
         def submitter(tag):
             try:
                 queue.put(tag)
                 admitted.append(tag)
-            except (QueueClosedError, ServerOverloadedError):
+            except QueueClosedError:
                 refused.append(tag)
 
         threads = [threading.Thread(target=submitter, args=(index,))

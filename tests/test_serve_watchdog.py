@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 
 from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
-from repro.serve import ShardedCompressionServer
+from repro.serve import PendingResult, ShardedCompressionServer, ShardFailedError
+from repro.serve.sharding import (_HANG_TIMEOUT_S, _HEARTBEAT, _WATCHDOG_BACKOFF_CAP_S,
+                                  _WATCHDOG_INTERVAL_S)
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +55,38 @@ def _sharded(serve_model, serve_config, **kwargs):
 # shard health watchdog
 # --------------------------------------------------------------------------- #
 class TestShardWatchdog:
-    def test_interval_must_be_positive(self, serve_model, serve_config):
-        with pytest.raises(ValueError, match="watchdog_interval_s"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     watchdog_interval_s=0.0)
-        with pytest.raises(ValueError, match="watchdog_interval_s"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     watchdog_interval_s=-1.0)
-        with pytest.raises(ValueError, match="watchdog_hang_timeout_s"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     watchdog_hang_timeout_s=0.0)
-        with pytest.raises(ValueError, match="watchdog_backoff_s"):
-            ShardedCompressionServer(model=serve_model, config=serve_config,
-                                     watchdog_backoff_s=0.0)
+    def test_default_pool_restarts_a_killed_shard_and_settles_each_future_once(
+            self, serve_config, serve_model, packages, monkeypatch):
+        """Supervision needs no keyword: a pool built with none replaces a
+        SIGKILLed shard, and every future in flight on it settles once."""
+        settled, lock = {}, threading.Lock()
+        for hook in ("_resolve", "_reject"):
+            def counted(pending, outcome, settle=getattr(PendingResult, hook)):
+                with lock:
+                    settled[pending.request_id] = settled.get(pending.request_id, 0) + 1
+                settle(pending, outcome)
+            monkeypatch.setattr(PendingResult, hook, counted)
+        with ShardedCompressionServer(model=serve_model, config=serve_config) as server:
+            server.submit(packages[0]).result(timeout=300.0)  # warm both shards
+            victim = server._backends[0]
+            old_pid = victim.process.pid
+            pendings = [server.submit(package) for package in packages * 3]
+            victim.process.kill()
+            outcomes = []
+            for pending in pendings:
+                try:
+                    outcomes.append(pending.result(timeout=120.0))
+                except ShardFailedError as error:
+                    outcomes.append(error)
+            deadline = time.perf_counter() + 60.0
+            while not (victim.is_alive() and victim.process.pid != old_pid):
+                assert time.perf_counter() < deadline, "no restart without keywords"
+                time.sleep(0.05)
+            time.sleep(0.3)  # a late second settlement would land here
+            restarts = server.watchdog_snapshot()["restarts_by_shard"]
+        assert len(outcomes) == len(pendings)
+        assert all(settled[pending.request_id] == 1 for pending in pendings)
+        assert restarts.get(0, 0) >= 1
 
     def test_kill_a_shard_mid_load_no_lost_or_duplicated_responses(
             self, serve_config, serve_model, packages, decoder):
@@ -72,8 +94,7 @@ class TestShardWatchdog:
         watchdog restarts it, and every submitted request resolves exactly
         once with correct pixels (re-routed, not lost; never duplicated)."""
         references = [decoder.decode(package) for package in packages]
-        with _sharded(serve_model, serve_config, watchdog_interval_s=0.1,
-                      watchdog_backoff_s=0.05, queue_depth=128) as server:
+        with _sharded(serve_model, serve_config, queue_depth=128) as server:
             server.submit(packages[0]).result(timeout=300.0)  # warm both shards
             victim = server._backends[0]
             old_pid = victim.process.pid
@@ -104,21 +125,8 @@ class TestShardWatchdog:
         request_ids = [response.request_id for response in responses]
         assert len(set(request_ids)) == len(request_ids)
         assert revived.image.shape == packages[0].original_shape
-        assert snapshot["watchdog"]["enabled"]
         assert snapshot["watchdog"]["restarts_total"] >= 1
         assert snapshot["watchdog"]["restarts_by_shard"].get(0, 0) >= 1
-
-    def test_hang_timeout_defaults_on_with_opt_out(self, serve_model, serve_config):
-        """``"auto"`` resolves to the conservative 30 s default; ``None``
-        opts out; explicit values pass through."""
-        server = ShardedCompressionServer(model=serve_model, config=serve_config)
-        assert server.watchdog_hang_timeout_s == 30.0
-        server = ShardedCompressionServer(model=serve_model, config=serve_config,
-                                          watchdog_hang_timeout_s=None)
-        assert server.watchdog_hang_timeout_s is None
-        server = ShardedCompressionServer(model=serve_model, config=serve_config,
-                                          watchdog_hang_timeout_s=5.0)
-        assert server.watchdog_hang_timeout_s == 5.0
 
     @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
                         reason="needs SIGSTOP to freeze a shard")
@@ -127,9 +135,7 @@ class TestShardWatchdog:
         """A shard frozen with SIGSTOP stays alive but stops stamping its
         heartbeat; the hang timeout must get it killed and replaced, and the
         pool must serve again afterwards."""
-        with _sharded(serve_model, serve_config, watchdog_interval_s=0.1,
-                      watchdog_backoff_s=0.05, watchdog_hang_timeout_s=0.75,
-                      queue_depth=128) as server:
+        with _sharded(serve_model, serve_config, queue_depth=128) as server:
             server.submit(packages[0]).result(timeout=300.0)
             victim = server._backends[0]
             old_pid = victim.process.pid
@@ -150,35 +156,48 @@ class TestShardWatchdog:
 
     def test_watchdog_reports_heartbeats_and_stays_quiet_on_a_healthy_pool(
             self, serve_config, serve_model, packages):
-        with _sharded(serve_model, serve_config,
-                      watchdog_interval_s=0.1) as server:
+        with _sharded(serve_model, serve_config) as server:
             server.submit(packages[0]).result(timeout=300.0)
-            time.sleep(0.3)  # a few watchdog ticks over a healthy pool
+            time.sleep(0.6)  # a few watchdog ticks over a healthy pool
             snapshot = server.stats.snapshot()
             pids = [shard.process.pid for shard in server._backends]
             response = server.submit(packages[0]).result(timeout=300.0)
             assert [shard.process.pid for shard in server._backends] == pids
+            # stamps are on the host-wide monotonic clock, which a wall-clock
+            # step cannot move: a step would make every shard look hung
+            stamps = [shard.row[_HEARTBEAT] for shard in server._backends]
+            assert all(abs(stamp - time.monotonic()) < 5.0 for stamp in stamps)
         assert snapshot["watchdog"]["restarts_total"] == 0
         ages = snapshot["watchdog"]["heartbeat_age_s"]
         assert len(ages) == 2
-        assert all(age is not None and age < 30.0 for age in ages)
+        assert all(age is not None and age < _HANG_TIMEOUT_S for age in ages)
         assert response.image.shape == packages[0].original_shape
 
-    def test_backoff_spaces_restart_attempts(self, serve_model, serve_config):
-        from repro.serve.sharding import _WATCHDOG_BACKOFF_CAP_S
+    def test_backoff_spaces_restart_attempts(self, serve_model, serve_config,
+                                             monkeypatch):
+        # a shard whose restarts keep failing: each tick's attempt doubles
+        # the wait before the next one, from one tick up to the cap
         server = ShardedCompressionServer(model=serve_model, config=serve_config,
-                                          watchdog_interval_s=0.5,
-                                          watchdog_backoff_s=8.0)
-        # pure bookkeeping check: the backoff doubles up to its 30 s cap
-        backoff = server.watchdog_backoff_s
+                                          num_shards=1)
+        shard = server._backends[0]
+        monkeypatch.setattr(shard, "is_alive", lambda: False)
+        monkeypatch.setattr(shard, "crashed", lambda: False)
+
+        def failing_restart(index, graceful, timeout):
+            raise ShardFailedError("spawn failed")
+
+        monkeypatch.setattr(server, "_restart_locked", failing_restart)
         seen = []
-        for _ in range(5):
-            seen.append(backoff)
-            backoff = min(backoff * 2.0, _WATCHDOG_BACKOFF_CAP_S)
-        assert seen == [8.0, 16.0, 30.0, 30.0, 30.0]
-        snapshot_keys = server.watchdog_snapshot()
-        assert snapshot_keys["enabled"]
-        assert snapshot_keys["restarts_total"] == 0
+        for _ in range(10):
+            seen.append(shard.backoff_s)
+            server._watchdog_tick()
+            assert shard.restarts == len(seen)
+            shard.next_restart_at = 0.0  # skip the wait itself
+        assert seen == [_WATCHDOG_INTERVAL_S * 2 ** step for step in range(7)] \
+            + [_WATCHDOG_BACKOFF_CAP_S] * 3
+        snapshot = server.watchdog_snapshot()
+        assert snapshot["restarts_total"] == 10
+        assert snapshot["backoff_s"] == [_WATCHDOG_BACKOFF_CAP_S]
 
 
 # --------------------------------------------------------------------------- #
