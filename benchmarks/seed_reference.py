@@ -152,9 +152,9 @@ def _read_code(reader, decode_table):
 class SeedJpegCodec(JpegCodec):
     """Seed JPEG codec: identical DCT/quantisation, seed entropy loops.
 
-    Overrides only the writer construction and the two channel coders, so
-    the produced bitstream and the decoded image are bit-identical to the
-    fast implementation — the difference is purely wall-clock.
+    Overrides only the channel encoder and the entropy decoder, so the
+    produced bitstream and the decoded image are bit-identical to the fast
+    implementation — the difference is purely wall-clock.
     """
 
     def _encode_channel(self, writer, quantised, dc_encode, ac_encode):
@@ -193,41 +193,39 @@ class SeedJpegCodec(JpegCodec):
             if last_index < 63:
                 _write_code(writer, ac_codes, _EOB)
 
-    def _decode_channel(self, reader, num_blocks, dc_decode, ac_decode):
-        from repro.codecs import jpeg as _fast
-
-        is_luma = dc_decode is _fast._DC_LUMA_DECODE
-        dc_table = _DC_LUMA_DECODE if is_luma else _DC_CHROMA_DECODE
-        ac_table = _AC_LUMA_DECODE if is_luma else _AC_CHROMA_DECODE
-        seed_reader = SeedBitReader(reader._data)
-        seed_reader._pos = reader.position
-        blocks = np.zeros((num_blocks, 64), dtype=np.int32)
-        previous_dc = 0
-        for block_index in range(num_blocks):
-            size = _read_code(seed_reader, dc_table)
-            diff = _magnitude_from_bits(seed_reader.read_bits(size), size) if size else 0
-            previous_dc += diff
-            blocks[block_index, 0] = previous_dc
-            index = 1
-            while index < 64:
-                symbol = _read_code(seed_reader, ac_table)
-                if symbol == _EOB:
-                    break
-                if symbol == _ZRL:
-                    index += 16
-                    continue
-                run = symbol >> 4
-                size = symbol & 0x0F
-                index += run
-                if index >= 64:
-                    raise ValueError("corrupt JPEG stream: AC index out of range")
-                blocks[block_index, index] = _magnitude_from_bits(
-                    seed_reader.read_bits(size), size)
-                index += 1
-        reader.skip_bits(seed_reader._pos - reader.position)
-        out = np.zeros((num_blocks, 64), dtype=np.int32)
-        out[:, ZIGZAG_ORDER] = blocks
-        return out.reshape(num_blocks, 8, 8)
+    def _decode_channels(self, data, channels):
+        seed_reader = SeedBitReader(data)
+        decoded = []
+        for num_blocks, is_luma in channels:
+            dc_table = _DC_LUMA_DECODE if is_luma else _DC_CHROMA_DECODE
+            ac_table = _AC_LUMA_DECODE if is_luma else _AC_CHROMA_DECODE
+            blocks = np.zeros((num_blocks, 64), dtype=np.int32)
+            previous_dc = 0
+            for block_index in range(num_blocks):
+                size = _read_code(seed_reader, dc_table)
+                diff = _magnitude_from_bits(seed_reader.read_bits(size), size) if size else 0
+                previous_dc += diff
+                blocks[block_index, 0] = previous_dc
+                index = 1
+                while index < 64:
+                    symbol = _read_code(seed_reader, ac_table)
+                    if symbol == _EOB:
+                        break
+                    if symbol == _ZRL:
+                        index += 16
+                        continue
+                    run = symbol >> 4
+                    size = symbol & 0x0F
+                    index += run
+                    if index >= 64:
+                        raise ValueError("corrupt JPEG stream: AC index out of range")
+                    blocks[block_index, index] = _magnitude_from_bits(
+                        seed_reader.read_bits(size), size)
+                    index += 1
+            out = np.zeros((num_blocks, 64), dtype=np.int32)
+            out[:, ZIGZAG_ORDER] = blocks
+            decoded.append(out.reshape(num_blocks, 8, 8))
+        return decoded
 
 
 # --------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..entropy.bitio import BitReader, BitWriter
+from ..entropy.bitio import BitWriter
 from ..image import (
     image_num_pixels,
     is_color,
@@ -131,41 +131,22 @@ def _code_arrays(codes):
     return code_arr, len_arr
 
 
-def _decode_lut(codes):
-    """LUT-based decoder view: 16-bit window -> (symbol, code length).
+def _window_tables(codes):
+    """Per-window decoder view of one Huffman table: ``(symbols, lengths)``.
 
     Every Huffman code is at most 16 bits, so the next 16 bits of the stream
     identify the symbol outright: code ``c`` of length ``l`` owns the window
     range ``[c << (16-l), (c+1) << (16-l))``.  Windows outside every range
-    have length 0, which the decoder reports as stream corruption.  Plain
-    Python lists index ~3x faster than numpy scalars in the decode loop.
+    have length 0, which the decoder reports as stream corruption.
     """
-    symbols = np.zeros(1 << 16, dtype=np.int64)
-    lengths = np.zeros(1 << 16, dtype=np.int64)
+    symbols = np.zeros(1 << 16, dtype=np.uint8)
+    lengths = np.zeros(1 << 16, dtype=np.uint8)
     for symbol, (code, length) in codes.items():
         lo = code << (16 - length)
         hi = (code + 1) << (16 - length)
         symbols[lo:hi] = symbol
         lengths[lo:hi] = length
-    return symbols.tolist(), lengths.tolist()  # lint: allow RP004 - one-time LUT build; scan loop consumes python lists
-
-
-def _ac_decode_lut(codes):
-    """Fused AC decoder view: per 16-bit window, everything pass 1 needs.
-
-    On top of the ``(symbol, code length)`` LUT the scan loop wants the
-    decomposed ``(run, size)`` fields and the fused ``step`` (code length +
-    amplitude size) so one window fetch advances the bit cursor past the whole
-    token.  ``step`` is 0 for invalid windows, which doubles as the
-    corruption check.
-    """
-    symbols, lengths = _decode_lut(codes)
-    sym = np.asarray(symbols, dtype=np.int64)
-    length = np.asarray(lengths, dtype=np.int64)
-    size = sym & 15
-    run = sym >> 4
-    step = np.where(length > 0, length + size, 0)
-    return (symbols, lengths, size.tolist(), run.tolist(), step.tolist())  # lint: allow RP004 - one-time LUT build
+    return symbols, lengths
 
 
 _DC_LUMA_CODES = _build_code_table(STANDARD_DC_LUMINANCE)
@@ -176,10 +157,66 @@ _DC_LUMA_ENCODE = _code_arrays(_DC_LUMA_CODES)
 _DC_CHROMA_ENCODE = _code_arrays(_DC_CHROMA_CODES)
 _AC_LUMA_ENCODE = _code_arrays(_AC_LUMA_CODES)
 _AC_CHROMA_ENCODE = _code_arrays(_AC_CHROMA_CODES)
-_DC_LUMA_DECODE = _decode_lut(_DC_LUMA_CODES)
-_DC_CHROMA_DECODE = _decode_lut(_DC_CHROMA_CODES)
-_AC_LUMA_DECODE = _ac_decode_lut(_AC_LUMA_CODES)
-_AC_CHROMA_DECODE = _ac_decode_lut(_AC_CHROMA_CODES)
+
+# Decoder tables indexed ``[table set, 16-bit window]``; set 0 is luma, 1 chroma.
+_DC_SYMBOLS, _DC_LENGTHS = np.stack(
+    [_window_tables(_DC_LUMA_CODES), _window_tables(_DC_CHROMA_CODES)], axis=1)
+_AC_SYMBOLS, _AC_LENGTHS = np.stack(
+    [_window_tables(_AC_LUMA_CODES), _window_tables(_AC_CHROMA_CODES)], axis=1)
+_AC_SIZES = _AC_SYMBOLS & 15
+# What the scan reads per token.  A step is code length + amplitude size, 0
+# for an invalid code.  An AC advance is the zig-zag slots the token moves
+# on: run + 1 for a coefficient, 16 for ZRL; EOB and invalid codes advance
+# ``_BLOCK_END``, which ends the block.
+_BLOCK_END = 64
+_DC_STEPS = np.where(_DC_LENGTHS > 0, _DC_LENGTHS + _DC_SYMBOLS, 0).astype(np.uint8)
+_AC_STEPS = np.where(_AC_LENGTHS > 0, _AC_LENGTHS + _AC_SIZES, 0).astype(np.uint8)
+_AC_ADVANCES = np.where((_AC_LENGTHS == 0) | (_AC_SYMBOLS == _EOB), _BLOCK_END,
+                        np.where(_AC_SIZES > 0, (_AC_SYMBOLS >> 4) + 1, 16)).astype(np.uint8)
+# Pass 2's view of a token, indexed ``kind | window`` (kind adds ``_AC_KEY``
+# for AC and ``_CHROMA_KEY`` for chroma): code length | amplitude size << 5
+# | advance << 9, where a DC token advances one slot (onto the first AC).
+_AC_KEY = 1 << 16
+_CHROMA_KEY = 2 << 16
+_TOKEN_FIELDS = np.stack([
+    _DC_LENGTHS | (_DC_SYMBOLS.astype(np.uint16) << 5) | (1 << 9),
+    _AC_LENGTHS | (_AC_SIZES.astype(np.uint16) << 5) | (_AC_ADVANCES.astype(np.uint16) << 9),
+], axis=1).reshape(-1)
+_WINDOW_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
+# Zero bytes of windows past the data: the scan reads at most 26 bits past
+# the last one (after a token that starts there), an amplitude field 16.
+_WINDOW_SLACK_BYTES = 4
+
+
+def _bit_windows(data):
+    """The 16-bit window at every bit position of ``data`` (uint16).
+
+    Entry ``p`` holds stream bits ``p .. p+15`` MSB-first, reading zeros past
+    the end; the array runs ``8 * _WINDOW_SLACK_BYTES`` positions past the
+    last bit.  Built from 24-bit words at every byte, shifted once per bit
+    offset.
+    """
+    padded = np.frombuffer(bytes(data) + bytes(_WINDOW_SLACK_BYTES + 2),
+                           dtype=np.uint8).astype(np.uint32)
+    words = (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
+    return ((words[:, None] >> _WINDOW_SHIFTS) & 0xFFFF).astype(np.uint16).ravel()
+
+
+def _scan_tables(windows, table_set, first, total_bits):
+    """Per-bit-position scan tables of one table set, filled from bit ``first``.
+
+    Returns ``(dc_steps, ac_steps, ac_advances)`` as ``bytes`` (the fastest
+    Python-level index).  Outside ``first .. total_bits`` every step is 0 and
+    every advance ends the block, so a scan that runs off the data stays
+    inside the tables and still ends.
+    """
+    tables = []
+    for table, outside in ((_DC_STEPS, 0), (_AC_STEPS, 0), (_AC_ADVANCES, _BLOCK_END)):
+        entries = np.full(windows.size, outside, dtype=np.uint8)
+        np.take(table[table_set], windows[first:total_bits + 1],
+                out=entries[first:total_bits + 1], mode="clip")
+        tables.append(entries.tobytes())
+    return tables
 
 
 def _magnitude_category(value):
@@ -393,90 +430,106 @@ class JpegCodec(Codec):
         order = np.argsort(keys, kind="stable")
         writer.write_tokens(token_values[order], token_lengths[order])
 
-    def _decode_channel(self, reader, num_blocks, dc_decode, ac_decode):
-        """Two-pass vectorized entropy decode.
+    def _decode_channels(self, data, channels):
+        """Two-pass entropy decode of every channel in one payload.
 
-        Pass 1 is a minimal sequential scan (the bit position of symbol
-        ``k+1`` depends on symbol ``k``, so this part cannot be parallelised):
-        each 16-bit window fetch resolves a whole Huffman token via the fused
-        LUTs — code length, (run, size) and the combined bit step — and the
-        loop only records *where* each amplitude field lives and *which*
-        zig-zag slot it fills.  No numeric decoding happens per symbol.
+        ``data`` is the entropy-coded stream and ``channels`` lists each
+        channel's ``(num_blocks, is_luma)`` in stream order; returns one
+        ``(num_blocks, 8, 8)`` int32 array of quantised coefficients per
+        channel.  A corrupt stream raises ``ValueError``.
 
-        Pass 2 recovers all coefficient values with bulk numpy: one gather
-        from the reader's 32-bit word array extracts every amplitude field,
-        one ``where`` applies the sign convention, one ``cumsum`` undoes the
-        differential DC coding, and one fancy-index scatter (plus the inverse
-        zig-zag) builds the coefficient blocks.
+        Pass 1 is the only sequential part (token ``k+1`` starts where token
+        ``k`` ends).  numpy first builds the 16-bit window at every bit
+        position (:func:`_bit_windows`) and, per table set in use, the DC
+        step, AC step and AC advance at every bit position
+        (:func:`_scan_tables`).  The loop then reads a DC step, or an AC
+        advance and step, per token and records only where each token
+        starts (a DC token as ``~pos``, which also marks the start of a
+        block).  It never raises:
+        an invalid code, or a token past the end of the data, steps 0 bits
+        and ends its block, so the scan stays bounded and pass 2 finds it.
+
+        Pass 2 is bulk numpy over all channels at once
+        (:meth:`_place_coefficients`).
         """
-        dc_symbols, dc_lengths = dc_decode
-        ac_symbols, ac_lengths, ac_sizes, ac_runs, ac_steps = ac_decode
-        words, total_bits = reader.as_words32()
-        pos = reader.position
-        dc_positions = []
-        dc_size_list = []
-        ac_positions = []
-        ac_size_list = []
-        ac_slots = []
-        dc_pos_append = dc_positions.append
-        dc_size_append = dc_size_list.append
-        ac_pos_append = ac_positions.append
-        ac_size_append = ac_size_list.append
-        ac_slot_append = ac_slots.append
-        for block_index in range(num_blocks):
-            if pos > total_bits:
-                raise ValueError("corrupt JPEG stream: out of data")
-            window = (words[pos >> 3] >> (16 - (pos & 7))) & 0xFFFF
-            length = dc_lengths[window]
-            if length == 0:
-                raise ValueError("corrupt JPEG stream: invalid Huffman code")
-            dc_pos_append(pos + length)
-            dc_size_append(dc_symbols[window])
-            pos += length + dc_symbols[window]
-            index = 1
-            base = block_index << 6
-            while index < 64:
-                if pos > total_bits:
-                    raise ValueError("corrupt JPEG stream: out of data")
-                window = (words[pos >> 3] >> (16 - (pos & 7))) & 0xFFFF
-                step = ac_steps[window]
-                if step == 0:
-                    raise ValueError("corrupt JPEG stream: invalid Huffman code")
-                size = ac_sizes[window]
-                if size:
-                    index += ac_runs[window]
-                    if index >= 64:
-                        raise ValueError("corrupt JPEG stream: AC index out of range")
-                    ac_pos_append(pos + ac_lengths[window])
-                    ac_size_append(size)
-                    ac_slot_append(base + index)
-                    index += 1
-                    pos += step
-                else:
-                    pos += step
-                    if ac_symbols[window] == _EOB:
-                        break
-                    index += 16  # ZRL
-        reader.skip_bits(pos - reader.position)
+        windows = _bit_windows(data)
+        total_bits = len(data) * 8
+        scan_tables = {}
+        tokens = []
+        append = tokens.append
+        channel_ends = []
+        pos = 0
+        for num_blocks, is_luma in channels:
+            table_set = 0 if is_luma else 1
+            if table_set not in scan_tables:
+                scan_tables[table_set] = _scan_tables(windows, table_set, pos, total_bits)
+            dc_steps, ac_steps, ac_advances = scan_tables[table_set]
+            for _ in range(num_blocks):
+                append(~pos)
+                pos += dc_steps[pos]
+                index = 1
+                while index < 64:
+                    append(pos)
+                    index += ac_advances[pos]
+                    pos += ac_steps[pos]
+            channel_ends.append(len(tokens))
+        return self._place_coefficients(windows, total_bits, channels, tokens,
+                                         channel_ends)
 
-        word_array = reader.as_word_array()
-        one = np.int64(1)
-        flat = np.zeros(num_blocks * 64, dtype=np.int64)
-        dc_pos = np.asarray(dc_positions, dtype=np.int64)
-        dc_size = np.asarray(dc_size_list, dtype=np.int64)
-        amp = (word_array[dc_pos >> 3] >> (32 - dc_size - (dc_pos & 7))) & ((one << dc_size) - 1)
-        negative = (amp >> np.maximum(dc_size - 1, 0)) == 0
-        diffs = np.where(negative, amp - (one << dc_size) + 1, amp)
-        flat[0::64] = np.cumsum(diffs)
-        if ac_positions:
-            ac_pos = np.asarray(ac_positions, dtype=np.int64)
-            ac_size = np.asarray(ac_size_list, dtype=np.int64)
-            amp = (word_array[ac_pos >> 3] >> (32 - ac_size - (ac_pos & 7))) & ((one << ac_size) - 1)
-            values = np.where((amp >> (ac_size - 1)) > 0, amp, amp - (one << ac_size) + 1)
-            flat[np.asarray(ac_slots, dtype=np.int64)] = values
+    @staticmethod
+    def _place_coefficients(windows, total_bits, channels, tokens, channel_ends):
+        """Pass 2 of :meth:`_decode_channels`: token starts → coefficients.
+
+        The window at each token start gives its code length, amplitude size
+        and zig-zag advance (one gather from ``_TOKEN_FIELDS``).  A zero code
+        length or a start past the end raises, as the scan would have.  The
+        advances summed since each block's DC token give every coefficient's
+        slot (a slot past 63 raises), the window after the code gives its
+        amplitude bits, one scatter writes every value to its natural-order
+        position, and a cumulative sum per channel undoes the differential
+        DC coding.
+        """
+        starts = np.asarray(tokens, dtype=np.int64)
+        is_dc = starts < 0
+        starts = np.maximum(starts, ~starts)
+        key = np.where(is_dc, 0, _AC_KEY)
+        key |= windows[starts]
+        first = 0
+        for (_, is_luma), end in zip(channels, channel_ends):
+            if not is_luma:
+                key[first:end] |= _CHROMA_KEY
+            first = end
+        fields = _TOKEN_FIELDS[key]
+        length = fields & 31
+        if starts.size and starts.max() > total_bits:
+            raise ValueError("corrupt JPEG stream: out of data")
+        if not length.all():
+            raise ValueError("corrupt JPEG stream: invalid Huffman code")
+        # a token's zig-zag slot is the advances since its block's DC token
+        advanced = np.cumsum(fields >> 9, dtype=np.int64)
+        block = np.cumsum(is_dc) - 1
+        slot = advanced - advanced[is_dc][block]
+        # tokens with amplitude bits: coefficients and non-zero DC differences
+        coded = np.flatnonzero(fields & (15 << 5))
+        slot = slot[coded]
+        if slot.size and slot.max() >= 64:
+            raise ValueError("corrupt JPEG stream: AC index out of range")
+        size = (fields[coded] >> 5) & 15
+        amplitude = windows[starts[coded] + length[coded]].astype(np.int32)
+        values = amplitude >> (16 - size)
+        # an amplitude field whose top bit is 0 codes a negative value
+        values -= (amplitude < 0x8000) * ((1 << size) - 1)
+        num_blocks = sum(count for count, _ in channels)
         out = np.zeros((num_blocks, 64), dtype=np.int32)
-        out[:, ZIGZAG_ORDER] = flat.reshape(num_blocks, 64)
-        return out.reshape(num_blocks, 8, 8)
+        out.reshape(-1)[block[coded] * 64 + ZIGZAG_ORDER[slot]] = values
+        decoded = []
+        first = 0
+        for count, _ in channels:
+            dc = out[first:first + count, 0]
+            np.cumsum(dc, out=dc)
+            decoded.append(out[first:first + count].reshape(count, 8, 8))
+            first += count
+        return decoded
 
     # ------------------------------------------------------------------ #
     # public API
@@ -518,17 +571,11 @@ class JpegCodec(Codec):
         payload = compressed.payload
         if payload[:4] != _MAGIC:
             raise ValueError("not a repro-JPEG payload")
-        reader = BitReader(payload[11:])
-        channels = []
-        for meta in compressed.metadata["channels"]:
-            is_luma = meta["is_luma"]
-            dc_decode = _DC_LUMA_DECODE if is_luma else _DC_CHROMA_DECODE
-            ac_decode = _AC_LUMA_DECODE if is_luma else _AC_CHROMA_DECODE
-            quantised = self._decode_channel(reader, meta["num_blocks"],
-                                             dc_decode, ac_decode)
-            channels.append((quantised, meta))
+        metas = compressed.metadata["channels"]
+        quantised = self._decode_channels(
+            payload[11:], [(meta["num_blocks"], meta["is_luma"]) for meta in metas])
         return {
-            "channels": channels,
+            "channels": list(zip(quantised, metas)),
             "height": int.from_bytes(payload[4:6], "big"),
             "width": int.from_bytes(payload[6:8], "big"),
             "num_channels": payload[8],

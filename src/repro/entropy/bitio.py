@@ -1,8 +1,10 @@
 """Bit-level I/O used by the JPEG entropy coder.
 
-The JPEG codec serialises its Huffman symbol streams through
-:class:`BitWriter` / :class:`BitReader`, which pack bits MSB-first into a
-``bytes`` object.
+The JPEG encoder serialises its Huffman symbol streams through
+:class:`BitWriter`, which packs bits MSB-first into a ``bytes`` object;
+:class:`BitReader` reads such a stream back field by field.  The JPEG
+decoder does not read through it: it looks up the 16-bit window at every bit
+position at once (``repro.codecs.jpeg._bit_windows``).
 
 Both classes operate on masked integer accumulators rather than per-bit
 loops: :meth:`BitWriter.write_bits` shifts whole fields into a pending
@@ -58,10 +60,6 @@ class BitWriter:
         self._nbits += num_bits
         if self._nbits >= _FLUSH_BITS:
             self._flush()
-
-    def write_unary(self, value):
-        """Append ``value`` in unary coding (``value`` ones then a zero)."""
-        self.write_bits(((1 << value) - 1) << 1, value + 1)
 
     def write_tokens(self, values, lengths):
         """Append a whole stream of MSB-first bit-fields in one vectorized op.
@@ -123,8 +121,6 @@ class BitReader:
         self._data = bytes(data)
         self._total = len(self._data) * 8
         self._pos = 0  # bit position
-        self._words = None  # lazy 32-bit window view (see as_words32)
-        self._word_array = None  # lazy numpy view of the same words
 
     def read_bit(self):
         """Read one bit; returns 0 past the end of the buffer."""
@@ -166,60 +162,6 @@ class BitReader:
     def skip_bits(self, num_bits):
         """Advance the read position by ``num_bits`` (clamped to the end)."""
         self._pos = min(self._pos + num_bits, self._total)
-
-    def as_words32(self):
-        """Random-access word view for LUT decoders: ``(words, total_bits)``.
-
-        ``words[i]`` holds bits ``8i .. 8i+32`` of the stream as one integer
-        (zero-padded past the end, with slack for a decoder to overrun by a
-        few symbols before noticing exhaustion), so the 16-bit window at bit
-        ``p`` is ``(words[p >> 3] >> (16 - (p & 7))) & 0xFFFF`` — no slicing
-        or ``int.from_bytes`` in the per-symbol loop.  Built lazily once and
-        cached.  Consumers track their own bit position and re-synchronise
-        via :meth:`skip_bits`.
-
-        Payloads up to a few megabytes are returned as a plain Python list
-        (fastest scalar indexing); beyond that a signed numpy ``int64``
-        array is returned directly — indexing is slightly slower but memory
-        stays at 8 bytes per payload byte instead of ~40 for boxed Python
-        ints (signed so that consumer arithmetic like ``amp - (1 << size)``
-        cannot wrap).
-        """
-        if self._words is None:
-            words = self.as_word_array()
-            self._words = words.tolist() if len(self._data) <= (2 << 20) else words  # lint: allow RP004 - python ints beat numpy scalars in the bit loop
-        return self._words, self._total
-
-    def as_word_array(self):
-        """The :meth:`as_words32` word view as a signed numpy ``int64`` array.
-
-        Vectorized decoders (the two-pass JPEG entropy decoder) gather many
-        amplitude fields from arbitrary bit positions at once; numpy fancy
-        indexing needs the array form regardless of the payload size.  Built
-        lazily once and shared with :meth:`as_words32`.
-        """
-        if self._word_array is None:
-            if isinstance(self._words, np.ndarray):
-                self._word_array = self._words
-            else:
-                padded = np.frombuffer(self._data + b"\x00" * 8, dtype=np.uint8)
-                as32 = padded.astype(np.int64)
-                self._word_array = (
-                    (as32[:-3] << 24) | (as32[1:-2] << 16) | (as32[2:-1] << 8) | as32[3:]
-                )
-        return self._word_array
-
-    def read_unary(self):
-        """Read a unary-coded non-negative integer."""
-        count = 0
-        while self.read_bit():
-            count += 1
-        return count
-
-    @property
-    def bits_remaining(self):
-        """Number of unread bits left in the buffer."""
-        return max(0, self._total - self._pos)
 
     @property
     def position(self):

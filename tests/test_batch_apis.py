@@ -370,9 +370,23 @@ class TestSingleInferencePath:
 class TestVectorizedJpegDecode:
     """The two-pass entropy decode must be exact against a reference loop."""
 
+    @staticmethod
+    def _window_luts(spec):
+        """16-bit window -> (symbol, code length), built from the code table."""
+        from repro.codecs.jpeg import _build_code_table
+
+        symbols = [0] * (1 << 16)
+        lengths = [0] * (1 << 16)
+        for symbol, (code, length) in _build_code_table(spec).items():
+            lo = code << (16 - length)
+            hi = (code + 1) << (16 - length)
+            symbols[lo:hi] = [symbol] * (hi - lo)
+            lengths[lo:hi] = [length] * (hi - lo)
+        return symbols, lengths
+
     def _reference_decode(self, codec, compressed):
-        """Symbol-at-a-time reference using the public LUT tables."""
-        from repro.codecs import jpeg as jpeg_module
+        """Symbol-at-a-time reference over its own LUTs and a BitReader."""
+        from repro.codecs import jpeg_tables
         from repro.entropy.bitio import BitReader
 
         payload = compressed.payload
@@ -380,11 +394,12 @@ class TestVectorizedJpegDecode:
         channels = []
         for meta in compressed.metadata["channels"]:
             is_luma = meta["is_luma"]
-            dc_symbols, dc_lengths = (jpeg_module._DC_LUMA_DECODE if is_luma
-                                      else jpeg_module._DC_CHROMA_DECODE)
-            ac = (jpeg_module._AC_LUMA_DECODE if is_luma
-                  else jpeg_module._AC_CHROMA_DECODE)
-            ac_symbols, ac_lengths = ac[0], ac[1]
+            dc_symbols, dc_lengths = self._window_luts(
+                jpeg_tables.STANDARD_DC_LUMINANCE if is_luma
+                else jpeg_tables.STANDARD_DC_CHROMINANCE)
+            ac_symbols, ac_lengths = self._window_luts(
+                jpeg_tables.STANDARD_AC_LUMINANCE if is_luma
+                else jpeg_tables.STANDARD_AC_CHROMINANCE)
             num_blocks = meta["num_blocks"]
             blocks = np.zeros((num_blocks, 64), dtype=np.int32)
             previous_dc = 0
@@ -414,17 +429,13 @@ class TestVectorizedJpegDecode:
                         amp if amp >> (size - 1) else amp - (1 << size) + 1)
                     index += 1
             out = np.zeros((num_blocks, 64), dtype=np.int32)
-            out[:, jpeg_module.ZIGZAG_ORDER] = blocks
+            out[:, jpeg_tables.ZIGZAG_ORDER] = blocks
             channels.append(out.reshape(num_blocks, 8, 8))
         return channels
 
     @pytest.mark.parametrize("shape,quality", [((48, 64, 3), 75), ((40, 56), 30),
                                                ((33, 41, 3), 92)])
     def test_decode_channel_matches_reference(self, shape, quality):
-        from repro.codecs.jpeg import (_AC_CHROMA_DECODE, _AC_LUMA_DECODE,
-                                       _DC_CHROMA_DECODE, _DC_LUMA_DECODE)
-        from repro.entropy.bitio import BitReader
-
         rng = np.random.default_rng(hash(shape) % (2 ** 31))
         image = rng.random(shape)
         for axis in (0, 1):
@@ -435,13 +446,11 @@ class TestVectorizedJpegDecode:
         compressed = codec.compress(image)
         reference = self._reference_decode(codec, compressed)
 
-        reader = BitReader(compressed.payload[11:])
-        for meta, want in zip(compressed.metadata["channels"], reference):
-            is_luma = meta["is_luma"]
-            got = codec._decode_channel(
-                reader, meta["num_blocks"],
-                _DC_LUMA_DECODE if is_luma else _DC_CHROMA_DECODE,
-                _AC_LUMA_DECODE if is_luma else _AC_CHROMA_DECODE)
+        decoded = codec._decode_channels(
+            compressed.payload[11:],
+            [(meta["num_blocks"], meta["is_luma"]) for meta in compressed.metadata["channels"]])
+        assert len(decoded) == len(reference)
+        for got, want in zip(decoded, reference):
             assert np.array_equal(got, want)
 
     def test_corrupt_stream_detected(self):

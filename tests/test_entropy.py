@@ -43,13 +43,6 @@ class TestBitIO:
         writer.write_bits(0, 13)
         assert writer.bit_length == 13
 
-    def test_unary_roundtrip(self):
-        writer = BitWriter()
-        for value in (0, 3, 7, 1):
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_unary() for _ in range(4)] == [0, 3, 7, 1]
-
     def test_read_past_end_returns_zero(self):
         reader = BitReader(b"\x80")
         assert reader.read_bits(8) == 0x80
@@ -59,11 +52,10 @@ class TestBitIO:
         with pytest.raises(ValueError):
             BitWriter().write_bits(1, -1)
 
-    def test_bits_remaining_and_position(self):
+    def test_position_tracks_reads(self):
         reader = BitReader(b"\xff\x00")
         reader.read_bits(3)
         assert reader.position == 3
-        assert reader.bits_remaining == 13
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)

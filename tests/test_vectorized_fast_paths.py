@@ -19,6 +19,7 @@ from repro.codecs.jpeg import (
     JpegCodec,
     _AC_LUMA_ENCODE,
     _DC_LUMA_ENCODE,
+    _bit_windows,
     _magnitude_bits,
     _magnitude_category,
 )
@@ -239,16 +240,17 @@ class TestBitioEquivalence:
             assert fast.read_bits(width) == expected
             assert fast.position == slow.position
 
-    def test_words32_window_matches_peek(self):
+    def test_bit_windows_match_peek(self):
         rng = np.random.default_rng(0)
         payload = bytes(rng.integers(0, 256, size=50, dtype=np.uint8))
-        reader = BitReader(payload)
-        words, total = reader.as_words32()
-        for pos in range(0, total - 16, 7):
-            window = (words[pos >> 3] >> (16 - (pos & 7))) & 0xFFFF
+        windows = _bit_windows(payload)
+        total = len(payload) * 8
+        # every position, including the zero-padded ones past the end
+        assert windows.size > total + 26
+        for pos in range(windows.size):
             probe = BitReader(payload)
             probe.skip_bits(pos)
-            assert window == probe.peek_bits(16)
+            assert windows[pos] == probe.peek_bits(16)
 
 
 class TestJpegEntropyEquivalence:
@@ -273,9 +275,7 @@ class TestJpegEntropyEquivalence:
         codec = JpegCodec(quality=75)
         writer = BitWriter()
         codec._encode_channel(writer, quantised, _DC_LUMA_ENCODE, _AC_LUMA_ENCODE)
-        from repro.codecs.jpeg import _DC_LUMA_DECODE, _AC_LUMA_DECODE
-        reader = BitReader(writer.getvalue())
-        decoded = codec._decode_channel(reader, 6, _DC_LUMA_DECODE, _AC_LUMA_DECODE)
+        [decoded] = codec._decode_channels(writer.getvalue(), [(6, True)])
         assert np.array_equal(decoded, quantised)
 
     @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.sampled_from([35, 75, 95]))
