@@ -445,9 +445,11 @@ class JpegCodec(Codec):
         (:func:`_scan_tables`).  The loop then reads a DC step, or an AC
         advance and step, per token and records only where each token
         starts (a DC token as ``~pos``, which also marks the start of a
-        block).  It never raises:
-        an invalid code, or a token past the end of the data, steps 0 bits
-        and ends its block, so the scan stays bounded and pass 2 finds it.
+        block).  A block whose DC code is invalid or starts past the end of
+        the data raises at once, so every block the scan goes on with takes
+        at least 2 bits and the scan is bounded by the data, whatever block
+        count the header claims.  Inside a block, an invalid AC code or a
+        token past the end steps 0 bits and ends the block; pass 2 finds it.
 
         Pass 2 is bulk numpy over all channels at once
         (:meth:`_place_coefficients`).
@@ -465,8 +467,12 @@ class JpegCodec(Codec):
                 scan_tables[table_set] = _scan_tables(windows, table_set, pos, total_bits)
             dc_steps, ac_steps, ac_advances = scan_tables[table_set]
             for _ in range(num_blocks):
+                step = dc_steps[pos]
+                if not step:
+                    raise ValueError("corrupt JPEG stream: out of data" if pos > total_bits
+                                     else "corrupt JPEG stream: invalid Huffman code")
                 append(~pos)
-                pos += dc_steps[pos]
+                pos += step
                 index = 1
                 while index < 64:
                     append(pos)

@@ -158,12 +158,3 @@ class BitReader:
         if num_bits <= 0:
             return 0
         return self._extract(self._pos, num_bits)
-
-    def skip_bits(self, num_bits):
-        """Advance the read position by ``num_bits`` (clamped to the end)."""
-        self._pos = min(self._pos + num_bits, self._total)
-
-    @property
-    def position(self):
-        """Current bit position from the start of the buffer."""
-        return self._pos

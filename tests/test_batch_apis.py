@@ -370,22 +370,13 @@ class TestSingleInferencePath:
 class TestVectorizedJpegDecode:
     """The two-pass entropy decode must be exact against a reference loop."""
 
-    @staticmethod
-    def _window_luts(spec):
-        """16-bit window -> (symbol, code length), built from the code table."""
-        from repro.codecs.jpeg import _build_code_table
-
-        symbols = [0] * (1 << 16)
-        lengths = [0] * (1 << 16)
-        for symbol, (code, length) in _build_code_table(spec).items():
-            lo = code << (16 - length)
-            hi = (code + 1) << (16 - length)
-            symbols[lo:hi] = [symbol] * (hi - lo)
-            lengths[lo:hi] = [length] * (hi - lo)
-        return symbols, lengths
-
     def _reference_decode(self, codec, compressed):
-        """Symbol-at-a-time reference over its own LUTs and a BitReader."""
+        """Symbol-at-a-time reference over a BitReader.
+
+        Its LUTs are the frozen reference's, built from ``_build_code_table``,
+        so it shares no decoder table with the code under test.
+        """
+        from jpeg_decode_reference import _AC_LUTS, _DC_LUTS
         from repro.codecs import jpeg_tables
         from repro.entropy.bitio import BitReader
 
@@ -394,12 +385,8 @@ class TestVectorizedJpegDecode:
         channels = []
         for meta in compressed.metadata["channels"]:
             is_luma = meta["is_luma"]
-            dc_symbols, dc_lengths = self._window_luts(
-                jpeg_tables.STANDARD_DC_LUMINANCE if is_luma
-                else jpeg_tables.STANDARD_DC_CHROMINANCE)
-            ac_symbols, ac_lengths = self._window_luts(
-                jpeg_tables.STANDARD_AC_LUMINANCE if is_luma
-                else jpeg_tables.STANDARD_AC_CHROMINANCE)
+            dc_symbols, dc_lengths = _DC_LUTS[is_luma]
+            ac_symbols, ac_lengths = _AC_LUTS[is_luma][:2]
             num_blocks = meta["num_blocks"]
             blocks = np.zeros((num_blocks, 64), dtype=np.int32)
             previous_dc = 0
@@ -407,7 +394,7 @@ class TestVectorizedJpegDecode:
                 window = reader.peek_bits(16)
                 length = dc_lengths[window]
                 size = dc_symbols[window]
-                reader.skip_bits(length)
+                reader.read_bits(length)
                 if size:
                     amp = reader.read_bits(size)
                     previous_dc += amp if amp >> (size - 1) else amp - (1 << size) + 1
@@ -416,7 +403,7 @@ class TestVectorizedJpegDecode:
                 while index < 64:
                     window = reader.peek_bits(16)
                     symbol = ac_symbols[window]
-                    reader.skip_bits(ac_lengths[window])
+                    reader.read_bits(ac_lengths[window])
                     if symbol == 0x00:
                         break
                     if symbol == 0xF0:

@@ -52,11 +52,6 @@ class TestBitIO:
         with pytest.raises(ValueError):
             BitWriter().write_bits(1, -1)
 
-    def test_position_tracks_reads(self):
-        reader = BitReader(b"\xff\x00")
-        reader.read_bits(3)
-        assert reader.position == 3
-
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_arbitrary_bit_sequence_roundtrip(self, bits):

@@ -8,7 +8,11 @@ exactly when the reference does, and no other exception type.
 
 from __future__ import annotations
 
+import dataclasses
+import time
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,3 +171,31 @@ class TestCorruptStreamParity:
     def test_all_ones_raise(self):
         data, channels = _stream(JpegCodec().compress(np.full((16, 16, 3), 0.5)))
         assert _assert_matches_reference(b"\xff" * len(data), channels) is ValueError
+
+
+class TestClaimedBlockCount:
+    """The block count comes from the container header, so it may lie.
+
+    The scan's work must stay bounded by the data: a stream of a few bytes
+    that claims a billion blocks raises at once instead of scanning on.
+    """
+
+    @pytest.mark.parametrize("data", [b"", b"\x00", b"\x00\x00", b"\xff", b"\xff\xff",
+                                      b"\x3c\xa5"])
+    @pytest.mark.parametrize("channels", [[(10 ** 9, True)], [(10 ** 9, False)],
+                                          [(0, True), (10 ** 9, False)]])
+    def test_short_stream_raises_quickly(self, data, channels):
+        started = time.perf_counter()
+        assert _assert_matches_reference(data, channels) is ValueError
+        assert time.perf_counter() - started < 2.0
+
+    def test_decompress_rejects_inflated_header(self):
+        codec = JpegCodec(quality=75)
+        compressed = codec.compress(_frame(np.random.default_rng(3), (24, 24, 3)))
+        metadata = dict(compressed.metadata)
+        metadata["channels"] = [dict(meta, num_blocks=10 ** 9)
+                                for meta in metadata["channels"]]
+        started = time.perf_counter()
+        with pytest.raises(ValueError):
+            codec.decompress(dataclasses.replace(compressed, metadata=metadata))
+        assert time.perf_counter() - started < 2.0
