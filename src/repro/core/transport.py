@@ -68,6 +68,45 @@ def _decode_container(data, magic):
     return header, data[header_end:]
 
 
+def _is_count(value):
+    return type(value) is int and value >= 0
+
+
+def _is_shape(value):
+    return isinstance(value, list) and all(_is_count(item) for item in value)
+
+
+#: What each header field must hold: a check and its description.
+_STRING = (lambda value: isinstance(value, str), "a string")
+_OBJECT = (lambda value: isinstance(value, dict), "a JSON object")
+_COUNT = (_is_count, "a non-negative integer")
+_SHAPE = (_is_shape, "a list of non-negative integers")
+
+_CIMG_FIELDS = {"codec_name": _STRING, "original_shape": _SHAPE, "extra_bytes": _COUNT,
+                "metadata": _OBJECT, "payload_length": _COUNT}
+_EASZ_FIELDS = {"codec_name": _STRING, "codec_metadata": _OBJECT,
+                "codec_extra_bytes": _COUNT, "codec_original_shape": _SHAPE,
+                "grid_shape": _SHAPE, "original_shape": _SHAPE, "squeezed_shape": _SHAPE,
+                "config_summary": _OBJECT, "mask_length": _COUNT, "payload_length": _COUNT}
+
+
+def _check_header(header, fields, optional=()):
+    """Raise ``ValueError`` unless ``header`` holds each field with its type.
+
+    Containers arrive from edge devices, so a malformed header must fail as
+    a bad container, never as a ``KeyError`` or a negative slice.
+    """
+    if not isinstance(header, dict):
+        raise ValueError("container header is not a JSON object")
+    for name, (check, description) in fields.items():
+        if name not in header:
+            if name in optional:
+                continue
+            raise ValueError(f"container header lacks {name!r}")
+        if not check(header[name]):
+            raise ValueError(f"container header field {name!r} is not {description}")
+
+
 def _tuplify(value):
     """Recursively convert JSON lists back to tuples (shape-like metadata)."""
     if isinstance(value, list):
@@ -102,6 +141,7 @@ def pack_compressed(compressed):
 def unpack_compressed(data):
     """Inverse of :func:`pack_compressed`."""
     header, binary = _decode_container(data, _CIMG_MAGIC)
+    _check_header(header, _CIMG_FIELDS)
     payload_length = header["payload_length"]
     if len(binary) < payload_length:
         raise ValueError("truncated CompressedImage payload")
@@ -153,6 +193,7 @@ def pack_package(package):
 def unpack_package(data):
     """Inverse of :func:`pack_package`."""
     header, binary = _decode_container(data, _EASZ_MAGIC)
+    _check_header(header, _EASZ_FIELDS, optional=("config_summary",))
     mask_length = header["mask_length"]
     payload_length = header["payload_length"]
     if len(binary) < mask_length + payload_length:

@@ -19,7 +19,6 @@ Every image is fully determined by a seed, so experiments are reproducible.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 __all__ = ["SyntheticImageGenerator"]
 
@@ -50,6 +49,8 @@ class SyntheticImageGenerator:
     # ------------------------------------------------------------------ #
     def _octave_noise(self, rng):
         """Multi-octave smoothed noise with an approximately 1/f spectrum."""
+        from scipy.ndimage import gaussian_filter
+
         field = np.zeros((self.height, self.width))
         amplitude = 1.0
         sigma = max(self.height, self.width) / 8.0
@@ -127,6 +128,8 @@ class SyntheticImageGenerator:
 
     def generate(self, seed):
         """Generate one image (RGB when ``color=True``) for ``seed``."""
+        from scipy.ndimage import gaussian_filter
+
         luma = self.generate_luma(seed)
         if not self.color:
             return luma

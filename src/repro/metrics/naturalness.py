@@ -20,7 +20,6 @@ comparisons use — is preserved.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .nss import multiscale_nss_features
 
@@ -37,6 +36,8 @@ def generate_pristine_image(rng, size=160):
     edges, which together produce MSCN statistics close to photographic
     content.
     """
+    from scipy.ndimage import gaussian_filter
+
     image = np.zeros((size, size))
     amplitude = 1.0
     for octave_sigma in (32, 16, 8, 4, 2, 1):

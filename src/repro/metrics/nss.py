@@ -13,9 +13,9 @@ ringing, noise) perturb them in measurable ways.  This module implements:
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
-from scipy.ndimage import gaussian_filter
-from scipy.special import gamma as gamma_fn
 
 from ..image import ensure_gray, to_float
 
@@ -28,7 +28,15 @@ __all__ = [
 ]
 
 _GAMMA_GRID = np.arange(0.2, 10.001, 0.001)
-_GGD_RHO = (gamma_fn(1.0 / _GAMMA_GRID) * gamma_fn(3.0 / _GAMMA_GRID)) / (gamma_fn(2.0 / _GAMMA_GRID) ** 2)
+
+
+@cache
+def _ggd_rho():
+    """GGD moment ratio Γ(1/α)Γ(3/α)/Γ(2/α)² over ``_GAMMA_GRID``, built on first use."""
+    from scipy.special import gamma as gamma_fn
+
+    return ((gamma_fn(1.0 / _GAMMA_GRID) * gamma_fn(3.0 / _GAMMA_GRID))
+            / (gamma_fn(2.0 / _GAMMA_GRID) ** 2))
 
 
 def mscn_coefficients(image, sigma=7.0 / 6.0, c=1.0 / 255.0):
@@ -44,6 +52,8 @@ def mscn_coefficients(image, sigma=7.0 / 6.0, c=1.0 / 255.0):
     c:
         Saturation constant preventing division by zero in flat regions.
     """
+    from scipy.ndimage import gaussian_filter
+
     gray = ensure_gray(to_float(image))
     mu = gaussian_filter(gray, sigma, mode="nearest")
     sigma_map = np.sqrt(np.abs(gaussian_filter(gray * gray, sigma, mode="nearest") - mu * mu))
@@ -61,7 +71,7 @@ def fit_ggd(values):
     if mean_abs < 1e-12 or sigma_sq < 1e-12:
         return 10.0, float(np.sqrt(max(sigma_sq, 1e-12)))
     rho = sigma_sq / (mean_abs ** 2)
-    alpha = float(_GAMMA_GRID[np.argmin(np.abs(_GGD_RHO - rho))])
+    alpha = float(_GAMMA_GRID[np.argmin(np.abs(_ggd_rho() - rho))])
     return alpha, float(np.sqrt(sigma_sq))
 
 
@@ -71,6 +81,8 @@ def fit_aggd(values):
     Returns ``(alpha, mean, left_std, right_std)`` following the BRISQUE
     feature convention.
     """
+    from scipy.special import gamma as gamma_fn
+
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     left = values[values < 0]
     right = values[values >= 0]
@@ -83,7 +95,7 @@ def fit_aggd(values):
         return 10.0, 0.0, float(left_std), float(right_std)
     r_hat = (mean_abs ** 2) / sigma_sq
     r_hat_norm = r_hat * (gamma_hat ** 3 + 1) * (gamma_hat + 1) / ((gamma_hat ** 2 + 1) ** 2)
-    alpha = float(_GAMMA_GRID[np.argmin(np.abs(1.0 / _GGD_RHO - r_hat_norm))])
+    alpha = float(_GAMMA_GRID[np.argmin(np.abs(1.0 / _ggd_rho() - r_hat_norm))])
     constant = np.sqrt(gamma_fn(1.0 / alpha) / gamma_fn(3.0 / alpha))
     mean = (right_std - left_std) * (gamma_fn(2.0 / alpha) / gamma_fn(1.0 / alpha)) * constant
     return alpha, float(mean), float(left_std), float(right_std)

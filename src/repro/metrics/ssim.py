@@ -8,7 +8,6 @@ five-scale weighting from Wang, Simoncelli & Bovik (2003).
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from ..image import ensure_gray, to_float
 
@@ -27,6 +26,8 @@ def _gaussian_window(size=11, sigma=1.5):
 
 
 def _ssim_components(reference, test, data_range, window):
+    from scipy.ndimage import convolve
+
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     mu_x = convolve(reference, window, mode="reflect")

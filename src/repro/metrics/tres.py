@@ -16,7 +16,6 @@ comparisons rely on:
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import laplace
 
 from ..image import ensure_gray, to_float
 from .naturalness import default_model
@@ -29,6 +28,8 @@ _SHARPNESS_WEIGHT = 0.4
 
 def _sharpness_index(image):
     """Laplacian-energy sharpness on a 0–1 scale (saturating)."""
+    from scipy.ndimage import laplace
+
     gray = ensure_gray(to_float(image))
     energy = float(np.mean(np.abs(laplace(gray))))
     # Natural sharp photographs land around 0.02–0.08; heavy blur below 0.01.

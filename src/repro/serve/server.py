@@ -304,6 +304,10 @@ class FrontDoor:
                 "request rejected")
         try:
             self._backends[index].send(request)
+        except ShardFailedError as error:
+            # the backend was retired between routing and this send: the
+            # request is lost, not refused, so it gets its one re-route
+            self._settle(request.request_id, error=error, lost=True)
         except Exception:
             with self._lock:
                 tracked = (not request.redispatched

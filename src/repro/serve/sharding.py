@@ -319,8 +319,13 @@ class ShardBackend:
         return self.is_alive() and not self.draining
 
     def send(self, request):
-        self.request_queue.put(("req", request.request_id, request.kind,
-                                pack_package(request.package), request.deadline_s))
+        message = ("req", request.request_id, request.kind,
+                   pack_package(request.package), request.deadline_s)
+        try:
+            self.request_queue.put(message)
+        except ValueError:  # the queue is closed: kill() retired it after routing
+            raise ShardFailedError(
+                f"shard {self.index} retired before the request was sent") from None
 
     def counters(self):
         return _cells_counters(self.row if self.row is not None else np.zeros(_ROW_CELLS))
@@ -377,10 +382,24 @@ class ShardBackend:
                 self.control_conn, self.process, "stopped", deadline) is not None
 
     def kill(self, timeout=5.0):
-        """Terminate the process (if still alive) and reap it."""
+        """Terminate the process (if still alive), reap it, retire its queue.
+
+        A frozen (SIGSTOPped) process never acts on SIGTERM, and
+        multiprocessing's exit handler would join it forever: SIGKILL it.
+        A feeder thread blocked writing to a dead process's request pipe
+        never fails either (this process holds the read end too), and the
+        queue's exit-time join would wait on it forever: cancel that join,
+        then close the queue so a racing :meth:`send` fails instead of
+        feeding it.
+        """
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=timeout)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        self.request_queue.cancel_join_thread()
+        self.request_queue.close()
 
     def heartbeat_age_s(self):
         """Seconds since the shard last stamped its heartbeat (None unknown)."""

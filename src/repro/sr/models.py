@@ -13,7 +13,6 @@ texture).  The published model sizes are kept as metadata.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from ..image import is_color, resize_bicubic, to_float
 from .base import SuperResolver
@@ -54,6 +53,8 @@ class _LearnedSrProxy(SuperResolver):
         self._rng = rng or np.random.default_rng(13)
 
     def _enhance(self, channel):
+        from scipy.ndimage import gaussian_filter
+
         blurred = gaussian_filter(channel, self.sharpen_sigma, mode="nearest")
         enhanced = channel + self.sharpen_strength * (channel - blurred)
         if self.texture_noise > 0:

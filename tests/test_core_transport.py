@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codecs import JpegCodec, PngCodec
 from repro.core import (
@@ -16,7 +20,7 @@ from repro.core import (
     unpack_compressed,
     unpack_package,
 )
-from repro.core.transport import _CIMG_MAGIC, _EASZ_MAGIC  # noqa: F401  (format constants)
+from repro.core.transport import _CIMG_MAGIC, _EASZ_MAGIC, _decode_container
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +137,76 @@ class TestEaszPackageContainer:
         compressed = JpegCodec(quality=70).compress(kodak_small[0])
         with pytest.raises(ValueError):
             unpack_package(pack_compressed(compressed))
+
+
+def _with_header(container, magic, header):
+    """``container`` with its JSON header replaced by ``header``."""
+    _, binary = _decode_container(container, magic)
+    header_bytes = json.dumps(header).encode("utf-8")
+    return (container[:5] + len(header_bytes).to_bytes(4, "big") + header_bytes
+            + bytes(binary))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 40), 2 ** 40) | st.floats()
+    | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6)
+_DELETE = object()
+
+
+class TestMalformedHeaders:
+    """Containers come from edge devices: a bad header is a ``ValueError``."""
+
+    @pytest.mark.parametrize("field", ["mask_length", "payload_length"])
+    def test_negative_lengths_rejected(self, easz_package, field):
+        container = pack_package(easz_package[0])
+        header, _ = _decode_container(container, _EASZ_MAGIC)
+        with pytest.raises(ValueError, match=field):
+            unpack_package(_with_header(container, _EASZ_MAGIC, dict(header, **{field: -3})))
+
+    def test_missing_field_and_non_object_header_rejected(self, easz_package):
+        container = pack_package(easz_package[0])
+        header, _ = _decode_container(container, _EASZ_MAGIC)
+        del header["grid_shape"]
+        with pytest.raises(ValueError, match="grid_shape"):
+            unpack_package(_with_header(container, _EASZ_MAGIC, header))
+        with pytest.raises(ValueError, match="JSON object"):
+            unpack_package(_with_header(container, _EASZ_MAGIC, list(header)))
+
+    def test_boolean_length_rejected(self, easz_package):
+        container = pack_compressed(easz_package[0].codec_payload)
+        header, _ = _decode_container(container, _CIMG_MAGIC)
+        with pytest.raises(ValueError, match="payload_length"):
+            unpack_compressed(_with_header(container, _CIMG_MAGIC,
+                                           dict(header, payload_length=True)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), easz=st.booleans(), whole=st.booleans())
+    def test_mutated_headers_raise_only_value_error(self, easz_package, data, easz, whole):
+        package = easz_package[0]
+        if easz:
+            magic, container, unpack = _EASZ_MAGIC, pack_package(package), unpack_package
+        else:
+            magic, unpack = _CIMG_MAGIC, unpack_compressed
+            container = pack_compressed(package.codec_payload)
+        header, _ = _decode_container(container, magic)
+        if whole:  # a list, a scalar, null: not an object at all
+            header = data.draw(_JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+        else:
+            mutations = data.draw(st.dictionaries(
+                st.sampled_from(sorted(header)), st.just(_DELETE) | _JSON_VALUES,
+                min_size=1))
+            for field, value in mutations.items():
+                if value is _DELETE:
+                    del header[field]
+                else:
+                    header[field] = value
+        try:
+            unpack(_with_header(container, magic, header))
+        except ValueError:
+            pass
 
 
 class TestBinaryPartEdgeCases:

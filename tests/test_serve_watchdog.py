@@ -1,15 +1,23 @@
-"""Tests for the shard health watchdog and spill-aware mask affinity."""
+"""Tests for the shard health watchdog, retired request queues and spill-aware
+mask affinity."""
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.serve
 from repro.codecs import JpegCodec
 from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor
 from repro.serve import PendingResult, ShardedCompressionServer, ShardFailedError
@@ -198,6 +206,112 @@ class TestShardWatchdog:
         snapshot = server.watchdog_snapshot()
         assert snapshot["restarts_total"] == 10
         assert snapshot["backoff_s"] == [_WATCHDOG_BACKOFF_CAP_S]
+
+
+# --------------------------------------------------------------------------- #
+# retired request queues
+# --------------------------------------------------------------------------- #
+_HUNG_SHARD_SCRIPT = textwrap.dedent("""
+    import faulthandler, os, signal
+    import numpy as np
+    from repro.codecs import JpegCodec
+    from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
+    from repro.serve import ShardedCompressionServer
+
+    config = EaszConfig(patch_size=16, subpatch_size=4, erase_per_row=1, d_model=32,
+                        num_heads=4, encoder_blocks=2, decoder_blocks=2, ffn_mult=2,
+                        loss_lambda=0.0)
+    model = EaszReconstructor(config)
+    model.eval()
+    # noise at q95 packs to ~230 KB, far past the request pipe's buffer
+    encoder = EaszEncoder(config, base_codec=JpegCodec(quality=95), seed=0)
+    package = encoder.encode(np.random.default_rng(0).random((512, 512, 3)))
+    server = ShardedCompressionServer(model=model, config=config, num_shards=2).start()
+    index, _ = server.predicted_shard_depth(package)
+    os.kill(server.shard_process(index).pid, signal.SIGSTOP)
+    pendings = [server.submit(package) for _ in range(8)]
+    served = [pending.result(timeout=120.0).image.shape for pending in pendings]
+    restarts = server.stats.snapshot()["watchdog"]["restarts_total"]
+    server.stop()
+    print("stopped", len(served), restarts, flush=True)
+    # a wedged exit dumps every thread's stack and exits 1 instead of hanging
+    faulthandler.dump_traceback_later(30.0, exit=True)
+""")
+
+_FROZEN_AT_STOP_SCRIPT = textwrap.dedent("""
+    import faulthandler, os, signal
+    from repro.core import EaszConfig, EaszReconstructor
+    from repro.serve import ShardedCompressionServer
+
+    config = EaszConfig(patch_size=16, subpatch_size=4, d_model=16, num_heads=2,
+                        encoder_blocks=1, decoder_blocks=1)
+    server = ShardedCompressionServer(model=EaszReconstructor(config), config=config,
+                                      num_shards=2).start()
+    frozen = server.shard_process(0)
+    os.kill(frozen.pid, signal.SIGSTOP)  # alive, and deaf to SIGTERM
+    server.stop(timeout=2.0)
+    print("stopped", frozen.is_alive(), flush=True)
+    faulthandler.dump_traceback_later(30.0, exit=True)
+""")
+
+
+def _run_to_exit(script):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``.
+
+    The script gets its own session, so a timeout kills its shards too: a
+    frozen one would otherwise keep the output pipes open.
+    """
+    source = str(Path(repro.serve.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    process = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               start_new_session=True)
+    try:
+        stdout, stderr = process.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        stdout, stderr = process.communicate()
+        pytest.fail(f"the interpreter never exited:\n{stderr[-3000:]}")
+    assert process.returncode == 0, stderr[-3000:]
+    return stdout.split()
+
+
+class TestRetiredRequestQueue:
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_interpreter_exits_after_a_hung_shard_is_replaced(self):
+        """The frozen shard's queue feeder blocks mid-write on its pipe; once
+        the watchdog replaces the shard, the interpreter must still exit."""
+        stopped, served, restarts = _run_to_exit(_HUNG_SHARD_SCRIPT)
+        assert stopped == "stopped" and served == "8" and int(restarts) >= 1
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_stop_ends_a_frozen_shard_and_the_interpreter_exits(self):
+        """stop() over a shard frozen before the watchdog saw it: the drain
+        times out, SIGTERM stays pending, so kill() must escalate."""
+        assert _run_to_exit(_FROZEN_AT_STOP_SCRIPT) == ["stopped", "False"]
+
+    def test_send_racing_the_retirement_is_rerouted(self, serve_model, serve_config,
+                                                    packages, decoder):
+        """A request routed to a shard whose queue is retired before the send
+        is lost, not refused: submit() returns and another shard serves it."""
+        reference = decoder.decode(packages[0])
+        with _sharded(serve_model, serve_config) as server:
+            index, _ = server.predicted_shard_depth(packages[0])
+            shard = server._backends[index]
+            retired = multiprocessing.get_context().Queue()
+            retired.close()
+            live, shard.request_queue = shard.request_queue, retired
+            try:
+                pending = server.submit(packages[0])
+            finally:
+                shard.request_queue = live
+            response = pending.result(timeout=300.0)
+        assert response.worker.split("/")[0] != f"shard-{index}"
+        assert np.abs(response.image - reference).max() < 1e-5
 
 
 # --------------------------------------------------------------------------- #
