@@ -17,8 +17,8 @@ control and failure isolation around it:
   :meth:`~repro.core.EaszDecoder.decode` would, over the process-wide
   squeeze-plan cache and the backend's codec cache;
 * :class:`ShardBackend` — one shard process running a one-worker
-  thread-pool backend, reached over a pickle-light wire format, answering
-  over its own socket;
+  thread-pool backend; requests, handshakes and responses share one framed
+  socket per shard;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching a backend;
@@ -57,8 +57,8 @@ parallelism                  threads (one GIL: compute  processes (scales with
                                                         decode/reconstruct stages)
 startup / memory             instant; one model copy    per-shard model + caches,
                                                         process spawn at start()
-submit() overhead            ~µs (in-process queue)     container pack + queue hop
-                                                        (~100s of µs per request)
+submit() overhead            ~µs (in-process queue)     container pack + hand-off
+                                                        to a sender thread
 routing                      always backend 0           key hash + mask affinity,
                                                         load spill
 failure isolation            a worker exception fails   a crashed shard's requests

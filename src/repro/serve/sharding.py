@@ -12,16 +12,16 @@ own model weights, codec tables and plan caches.
 
 Design points:
 
-* **pickle-light wire format** — requests cross the process boundary as the
-  existing ``EASZ`` transport container bytes (:func:`repro.core.pack_package`)
-  plus plain ints/strings; responses come back as a small pickled header
-  (shape/dtype and the worker name) followed by the raw pixel bytes.  No
-  live objects, no class pickling, so a shard can be restarted without
-  poisoning the parent.  Each shard process answers over its own socket
-  pair: a shard killed mid-write breaks only its own channel, never a lock
-  the other shards write under.  The parent receives the pixels straight
-  into the response array in one ``MSG_WAITALL`` call, which does not need
-  the GIL while the bytes arrive.
+* **one framed channel per shard** — requests, the ready and drain
+  handshakes and responses all cross one socket pair per shard, as frames:
+  a small pickled header of plain ints/strings, then for a request its
+  ``EASZ`` transport container bytes (:func:`repro.core.pack_package`) and
+  for a response its raw pixel bytes.  No live objects, no class pickling,
+  so a shard can be restarted without poisoning the parent, and a shard
+  killed mid-write breaks only its own channel.  The parent receives the
+  pixels straight into the response array in one ``MSG_WAITALL`` call,
+  which does not need the GIL while the bytes arrive.  Frames stay in
+  order, so a shard's drain acknowledgement arrives after its last response.
 * **routing** — the front door hashes a request's routing key to a preferred
   shard (so shard-local caches stay hot), switches a mask to mask-only
   routing once it arrives with a second geometry, spills to the least-loaded
@@ -34,9 +34,10 @@ Design points:
   restart or a SIGKILL without any stats round trip.
 * **graceful lifecycle** — shards signal readiness before the server accepts
   work, ``stop()`` drains every in-flight request before shutting shards
-  down, and :meth:`~ShardedCompressionServer.restart_shard` replaces a shard
-  (gracefully or by force) while the rest of the pool keeps serving.
-* **collector and supervisor** — one parent thread only reads responses.
+  down (a shard whose heartbeat shows it frozen is killed instead of waited
+  for), and :meth:`~ShardedCompressionServer.restart_shard` replaces a
+  shard (gracefully or by force) while the rest of the pool keeps serving.
+* **collector and supervisor** — one parent thread only reads the channels.
   A second one, the watchdog, ticks every 0.25 s: it fails or re-routes
   (once) the in-flight requests of a shard process that died, then restarts
   dead shards and hung ones (alive, but no heartbeat stamp for 1 s), with
@@ -46,14 +47,15 @@ Design points:
 from __future__ import annotations
 
 import builtins
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import pickle
-import queue as queue_module
 import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import asdict
 
 import numpy as np
@@ -75,7 +77,7 @@ _WATCHDOG_BACKOFF_CAP_S = 30.0
 # A shard that lived this long since its last restart gets its backoff back.
 _WATCHDOG_RESET_S = 5.0
 # Shards stamp their heartbeat every loop iteration (<= 50 ms idle; serving
-# never blocks the loop).  The largest age a healthy shard showed on a
+# and draining never block the loop).  The largest age a healthy shard showed on a
 # saturated 2-vCPU pool, beside two busy loops too, was under 0.25 s, so 1 s
 # of silence from a live process means wedged, not busy.
 _HANG_TIMEOUT_S = 1.0
@@ -90,12 +92,12 @@ _CACHE_CELLS = 1 + len(_COUNTERS)
 _SIZE_CELLS = [_CACHE_CELLS + 3 * position + 2 for position in range(len(_CACHES))]
 _ROW_CELLS = _CACHE_CELLS + 3 * len(_CACHES)
 
-# Each response on a shard's channel starts with one fixed-size block: the
+# Each frame on a shard's channel starts with one fixed-size block: the
 # pickled header's byte length, then the header (padded; a longer one, such
-# as a long error message, runs on past the block).  An "ok" header is
-# followed by the pixels' raw bytes.  The fixed block lets the parent read a
-# response in two receive calls; each call drops the GIL, and under load
-# every reacquisition can cost the 5 ms switch interval.
+# as a long error message, runs on past the block), then an "ok"'s pixels or
+# a "req"'s container bytes.  The fixed block lets the parent read a response
+# in two receive calls; each call drops the GIL, and under load every
+# reacquisition can cost the 5 ms switch interval.
 _HEADER_SIZE = struct.Struct("!I")
 _BLOCK_BYTES = 256
 
@@ -126,50 +128,46 @@ def _cells_counters(cells):
 
 
 # --------------------------------------------------------------------------- #
-# response framing
+# channel framing
 # --------------------------------------------------------------------------- #
-def _pixel_bytes(image):
-    """``image``'s memory as a flat ``uint8`` array (writable when ``image`` is)."""
-    return image.reshape(-1).view(np.uint8)
-
-
-def _send_response(sock, header, image=None):
-    """Write one response: its header block, then ``image``'s bytes."""
+def _send_frame(sock, header, payload=None):
+    """Write one frame: its header block, then ``payload``'s bytes, if any."""
     data = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
     sock.sendall(_HEADER_SIZE.pack(len(data))
                  + data.ljust(_BLOCK_BYTES - _HEADER_SIZE.size, b"\0"))
-    if image is not None:
-        sock.sendall(_pixel_bytes(np.ascontiguousarray(image)))
+    if payload is not None:
+        sock.sendall(payload)
 
 
 def _recv_exact(sock, buffer):
-    """Fill ``buffer`` from ``sock``; ``EOFError`` when the writer went away first."""
+    """Fill and return ``buffer`` from ``sock``; ``EOFError`` when the writer
+    went away first."""
     view = memoryview(buffer)
     while len(view):
         received = sock.recv_into(view, len(view), socket.MSG_WAITALL)
         if not received:
-            raise EOFError("shard channel closed mid-response")
+            raise EOFError("shard channel closed mid-frame")
         view = view[received:]
+    return buffer
 
 
-def _recv_response(sock):
-    """Read one response: the header tuple, with an ``"ok"``'s pixels in
-    place of its shape and dtype."""
-    block = bytearray(_BLOCK_BYTES)
-    _recv_exact(sock, block)
+def _recv_frame(sock):
+    """Read one frame: the header tuple, with an ``"ok"``'s pixels in place
+    of its shape and dtype, and a ``"req"``'s container bytes for its size."""
+    block = _recv_exact(sock, bytearray(_BLOCK_BYTES))
     size = _HEADER_SIZE.unpack_from(block)[0]
     data = block[_HEADER_SIZE.size:_HEADER_SIZE.size + size]
     if len(data) < size:  # the header ran on past the block
-        rest = bytearray(size - len(data))
-        _recv_exact(sock, rest)
-        data += rest
+        data += _recv_exact(sock, bytearray(size - len(data)))
     header = pickle.loads(data)
-    if header[0] != "ok":
-        return header
-    tag, index, request_id, shape, dtype_name, worker = header
-    image = np.empty(shape, dtype=dtype_name)
-    _recv_exact(sock, _pixel_bytes(image))
-    return tag, index, request_id, image, worker
+    if header[0] == "ok":
+        tag, index, request_id, shape, dtype_name, worker = header
+        image = np.empty(shape, dtype=dtype_name)
+        _recv_exact(sock, image.reshape(-1).view(np.uint8))
+        return tag, index, request_id, image, worker
+    if header[0] == "req":
+        return (*header[:-1], _recv_exact(sock, bytearray(header[-1])))
+    return header
 
 
 # --------------------------------------------------------------------------- #
@@ -187,22 +185,17 @@ def _rebuild_error(type_name, message):
     return ShardFailedError(f"{type_name}: {message}")
 
 
-def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
-                model_state, cells):
+def _shard_main(index, channel, config_kwargs, model_state, cells):
     """Entry point of one shard process.
 
-    Rebuilds the model from the shipped ``state_dict`` and runs a one-worker
-    :class:`ThreadPoolBackend` whose settle hook marshals each outcome to
-    the parent: requests arrive as ``("req", id, kind, container_bytes,
-    deadline_s)`` tuples (``deadline_s`` an absolute CLOCK_MONOTONIC stamp or
-    ``None``, checked *before* the container is unpacked); finished pixels
-    leave as ``("ok", ...)`` responses followed by their raw bytes on
-    ``responses``, this shard's own socket, and errors as ``("err", ...)``.  The
-    control pipe carries the ready handshake, with the BLAS thread count
-    the shard read back from itself, and the drain handshake.  The shard stamps
-    its heartbeat cell (CLOCK_MONOTONIC, which every process on the host
-    shares) every loop iteration so the parent's watchdog can tell a busy
-    shard from a hung one.
+    Rebuilds the model from the shipped ``state_dict``, sends the ready
+    frame on ``channel`` and runs a one-worker :class:`ThreadPoolBackend`
+    whose settle hook answers each ``("req", id, kind, deadline_s, size)``
+    frame (``deadline_s`` a CLOCK_MONOTONIC stamp or ``None``, checked
+    *before* the container is unpacked) with an ``"ok"`` or ``"err"`` frame;
+    a stop frame is answered with ``"stopped"`` once the queue is served.
+    The heartbeat cell (CLOCK_MONOTONIC, shared host-wide) is stamped every
+    loop iteration so the parent's watchdog can tell busy from hung.
     """
     config = EaszConfig(**config_kwargs)
     model = EaszReconstructor(config)
@@ -211,33 +204,37 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
     row = np.frombuffer(cells, dtype=np.float64).reshape(-1, _ROW_CELLS)[index]
     base = row.copy()  # what earlier processes of this slot published
     base[_SIZE_CELLS] = 0.0  # cache sizes are this process's own
-    publish_lock = threading.Lock()
-    send_lock = threading.Lock()  # one response at a time on the socket
+    send_lock = threading.Lock()  # one reply at a time (none races ready/stopped)
 
     def reply(request_id, image=None, error=None, worker=""):
-        if error is not None:
-            header = ("err", index, request_id, type(error).__name__, str(error))
-        else:
-            with publish_lock:
-                row[1:] = base[1:] + _counter_cells(backend.counters())[1:]
-            header = ("ok", index, request_id, image.shape, str(image.dtype), worker)
         with send_lock:
-            _send_response(responses, header, image)
+            if error is not None:
+                _send_frame(channel, ("err", index, request_id, type(error).__name__, str(error)))
+                return
+            row[1:] = base[1:] + _counter_cells(backend.counters())[1:]
+            image = np.ascontiguousarray(image)
+            header = ("ok", index, request_id, image.shape, str(image.dtype), worker)
+            _send_frame(channel, header, image)
 
     backend = ThreadPoolBackend(model, config, reply, num_workers=1)
     backend.start()
     row[_HEARTBEAT] = time.monotonic()
-    control_conn.send(("ready", index, backend.blas_threads))
     try:
-        while True:
+        _send_frame(channel, ("ready", index, backend.blas_threads))
+        # after the stop frame the worker serves what is queued, then exits; a
+        # request routed here before the parent saw the drain meets the closed
+        # queue, and its QueueClosedError makes the parent re-route it
+        while not backend.stopping or backend.workers[0].is_alive():
             row[_HEARTBEAT] = time.monotonic()
-            try:
-                message = request_queue.get(timeout=0.05)
-            except queue_module.Empty:
+            if backend.stopping:  # draining: a 50 ms join sees the worker's exit at once
+                backend.workers[0].join(timeout=0.05)
+            if not multiprocessing.connection.wait([channel], 0.0 if backend.stopping else 0.05):
                 continue
+            message = _recv_frame(channel)
             if message[0] == "stop":
-                break
-            _, request_id, kind, blob, deadline_s = message
+                backend.close()
+                continue
+            _, request_id, kind, deadline_s, blob = message
             # deadlines ride the wire as absolute CLOCK_MONOTONIC stamps, so
             # this is the cheapest possible shed point on the shard: before
             # the container even gets unpacked
@@ -248,20 +245,9 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
             try:
                 backend.send(ServeRequest(request_id, unpack_package(blob), kind,
                                           time.perf_counter(), deadline_s=deadline_s))
-            except Exception as error:  # noqa: BLE001 - bad wire bytes
+            except Exception as error:  # noqa: BLE001 - bad wire bytes, or drained
                 reply(request_id, error=error)
-        backend.stop(time.perf_counter() + 30.0)  # serves everything queued
-        # a request routed here just before the parent saw the drain can land
-        # after the stop sentinel: bounce it so the parent re-routes it
-        while True:
-            try:
-                message = request_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if message[0] == "req":
-                reply(message[1], error=QueueClosedError(
-                    "shard stopped before the request ran"))
-        control_conn.send(("stopped", index))
+        _send_frame(channel, ("stopped", index))
     except (EOFError, ConnectionError, KeyboardInterrupt):  # parent went away
         backend.stop(time.perf_counter() + 1.0)
 
@@ -269,27 +255,14 @@ def _shard_main(index, request_queue, control_conn, responses, config_kwargs,
 # --------------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------------- #
-def _await_message(conn, process, tag, deadline):
-    """The next ``tag`` message on a control pipe, or ``None`` if ``process``
-    dies or ``deadline`` passes first."""
-    while time.perf_counter() < deadline:
-        try:
-            message = conn.recv() if conn.poll(0.05) else None
-        except (EOFError, OSError):
-            return None
-        if message is not None and message[0] == tag:
-            return message
-        if message is None and not process.is_alive():
-            return None
-    return None
-
-
 class ShardBackend:
-    """One shard slot, parent side: its process, queues and counter cells.
+    """One shard slot, parent side: its process, channel and counter cells.
 
     The slot outlives its processes: a restart spawns a new process into the
-    same object.  ``draining`` stops routing here while a restart is under
-    way; ``stopped`` records that the process acknowledged the drain.
+    same object.  The collector reads ``channel``; a sender thread
+    (``shard-N-sender``) writes the frames queued by :meth:`send` and
+    :meth:`drain`.  ``draining`` stops routing here while a restart is under
+    way; ``stopped`` is set once the process acknowledged the drain.
     ``restarts`` (attempts) / ``backoff_s`` / ``next_restart_at`` /
     ``last_restart`` are the watchdog's bookkeeping, written by the watchdog
     thread only.
@@ -299,16 +272,16 @@ class ShardBackend:
         self.index = index
         self.label = f"shard-{index}/server"
         self.process = None
-        self.request_queue = None
-        self.control_conn = None
-        self.responses = None  # parent end of this process's response socket
+        self.channel = None
         self.blas_threads = None  # as the process reported it when ready
         self.draining = False
-        self.stopped = False
+        self.stopped = threading.Event()
         self.row = None
         self.shared = ()
-        self._spawned = None  # (process, request queue, pipe, responses) until ready
-        self._conn_lock = threading.Lock()  # Connections are not thread-safe
+        self._spawned = None  # (process, channel) until ready
+        self._outbox_ready = threading.Condition(threading.Lock())
+        self._outbox = None  # guarded-by: _outbox_ready — the sender's frames; None: retired
+        self._sender = None
         self.restarts = 0
         self.backoff_s = _WATCHDOG_INTERVAL_S
         self.next_restart_at = 0.0
@@ -319,16 +292,36 @@ class ShardBackend:
         return self.is_alive() and not self.draining
 
     def send(self, request):
-        message = ("req", request.request_id, request.kind,
-                   pack_package(request.package), request.deadline_s)
-        try:
-            self.request_queue.put(message)
-        except ValueError:  # the queue is closed: kill() retired it after routing
-            raise ShardFailedError(
-                f"shard {self.index} retired before the request was sent") from None
+        blob = pack_package(request.package)
+        header = ("req", request.request_id, request.kind, request.deadline_s, len(blob))
+        if not self._post(header, blob):
+            raise ShardFailedError(f"shard {self.index} retired before the request was sent")
 
     def counters(self):
         return _cells_counters(self.row if self.row is not None else np.zeros(_ROW_CELLS))
+
+    def _post(self, header, payload=None):
+        """Queue one frame for the sender; False once the channel is retired."""
+        with self._outbox_ready:
+            if self._outbox is None:
+                return False
+            self._outbox.append((header, payload))
+            self._outbox_ready.notify()
+            return True
+
+    def _send_loop(self, channel, outbox):
+        """Write ``outbox``'s frames to ``channel`` until it is retired or breaks."""
+        while True:
+            with self._outbox_ready:
+                while outbox is self._outbox and not outbox:
+                    self._outbox_ready.wait()
+                if outbox is not self._outbox:
+                    return
+                header, payload = outbox.popleft()
+            try:
+                _send_frame(channel, header, payload)
+            except OSError:  # the process died, or kill() shut the channel
+                return
 
     # process lifecycle --------------------------------------------------- #
     def is_alive(self):
@@ -337,69 +330,86 @@ class ShardBackend:
     def crashed(self):
         """Dead without the drain handshake, and no restart under way."""
         return (self.process is not None and not self.process.is_alive()
-                and not self.draining and not self.stopped)
+                and not self.draining and not self.stopped.is_set())
+
+    def hung(self):
+        """Alive, but silent past the hang timeout: wedged, not busy."""
+        return self.is_alive() and (self.heartbeat_age_s() or 0.0) > _HANG_TIMEOUT_S
 
     def spawn(self, context):
         """Start a new process for this slot; :meth:`await_ready` publishes it."""
-        request_queue = context.Queue()
-        parent_conn, child_conn = context.Pipe()
-        responses, response_writer = socket.socketpair()
+        channel, child_end = socket.socketpair()
         process = context.Process(
             target=_shard_main, name=f"easz-shard-{self.index}",
-            args=(self.index, request_queue, child_conn, response_writer) + self.shared,
-            daemon=True)
+            args=(self.index, child_end) + self.shared, daemon=True)
         process.start()
-        child_conn.close()
-        response_writer.close()  # the child holds the only other end
-        self._spawned = (process, request_queue, parent_conn, responses)
+        child_end.close()  # the child holds the only other end
+        self._spawned = (process, channel)
 
     def await_ready(self):
-        """Wait for the spawned process's ready message, then route to it."""
-        process, request_queue, conn, responses = self._spawned
+        """Read the spawned process's ready frame, then route to it."""
+        process, channel = self._spawned
         self._spawned = None
-        ready = _await_message(conn, process, "ready",
-                               time.perf_counter() + _STARTUP_TIMEOUT_S)
+        # only the process holds the other end: if it dies first, this is EOF
+        channel.settimeout(_STARTUP_TIMEOUT_S)
+        try:
+            ready = _recv_frame(channel)
+        except (EOFError, OSError):  # socket.timeout is an OSError
+            ready = None
+        channel.settimeout(None)
         if ready is None:
-            if process.is_alive():
-                process.terminate()
+            process.terminate()
             process.join(timeout=5.0)
-            responses.close()
+            channel.close()
             raise ShardFailedError(f"shard {self.index} not ready "
                                    f"(exit code {process.exitcode})")
-        # the collector closes the previous process's pipe once it reads EOF
-        self.process, self.request_queue, self.control_conn = process, request_queue, conn
-        self.responses = responses
+        # set before the channel: the collector pairs each channel with the
+        # event it saw first, so a late stopped frame sets only the old event
+        self.stopped = threading.Event()
+        self.channel = channel
+        outbox = deque()
+        with self._outbox_ready:
+            self._outbox = outbox
+        self._sender = threading.Thread(target=self._send_loop, args=(channel, outbox),
+                                        name=f"shard-{self.index}-sender", daemon=True)
+        self._sender.start()
+        self.process = process
         self.blas_threads = ready[2]
-        self.stopped = False
 
     def drain(self):
-        """Send the stop sentinel: the shard serves what it has, then exits."""
-        self.request_queue.put(("stop",))
+        """Queue the stop frame: the shard serves what it has, then exits."""
+        self._post(("stop",))
 
     def await_stopped(self, deadline):
-        with self._conn_lock:
-            self.stopped = self.stopped or _await_message(
-                self.control_conn, self.process, "stopped", deadline) is not None
+        """True once the drain is acknowledged; False at ``deadline``, on a
+        hung shard, or once the collector closed the channel at EOF."""
+        while not self.stopped.wait(0.05):
+            if (time.perf_counter() >= deadline or self.hung()
+                    or self.channel.fileno() < 0):
+                return False
+        return True
 
     def kill(self, timeout=5.0):
-        """Terminate the process (if still alive), reap it, retire its queue.
+        """Retire the channel, terminate the process (if alive), reap it.
 
-        A frozen (SIGSTOPped) process never acts on SIGTERM, and
-        multiprocessing's exit handler would join it forever: SIGKILL it.
-        A feeder thread blocked writing to a dead process's request pipe
-        never fails either (this process holds the read end too), and the
-        queue's exit-time join would wait on it forever: cancel that join,
-        then close the queue so a racing :meth:`send` fails instead of
-        feeding it.
+        Retiring drops the queued frames and ends the sender: shutting the
+        write side fails a send blocked on a frozen process at once, and what
+        the process wrote stays readable.  A frozen (SIGSTOPped) process never
+        acts on SIGTERM, and multiprocessing's exit handler would join it
+        forever: SIGKILL it, at once when its heartbeat already shows it hung.
         """
-        if self.process.is_alive():
+        with self._outbox_ready:
+            self._outbox = None
+            self._outbox_ready.notify_all()
+        with contextlib.suppress(OSError):  # the collector closed it at EOF
+            self.channel.shutdown(socket.SHUT_WR)
+        self._sender.join(timeout=5.0)
+        if not self.hung():
             self.process.terminate()
-        self.process.join(timeout=timeout)
+            self.process.join(timeout=timeout)
         if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout=5.0)
-        self.request_queue.cancel_join_thread()
-        self.request_queue.close()
 
     def heartbeat_age_s(self):
         """Seconds since the shard last stamped its heartbeat (None unknown)."""
@@ -465,12 +475,11 @@ class ShardedCompressionServer(FrontDoor):
             for shard in self._backends:
                 if shard._spawned is not None:
                     shard._spawned[0].terminate()
-                    shard._spawned[3].close()
+                    shard._spawned[1].close()
                     shard._spawned = None
                 if shard.process is not None:
                     shard.kill()
-                if shard.responses is not None:
-                    shard.responses.close()
+                    shard.channel.close()
             raise
         self._collector_stop.clear()
         self._collector = threading.Thread(target=self._collect_loop,
@@ -495,27 +504,21 @@ class ShardedCompressionServer(FrontDoor):
             if shard.is_alive():
                 shard.drain()
         for shard in self._backends:
-            shard.await_stopped(deadline)
-        # drained shards flushed their responses before acknowledging: give
-        # the collector until the deadline to settle them.  A shard that died
-        # without the handshake never will; with the watchdog quiesced, each
-        # reaper pass here fails its requests (re-checked every pass:
-        # is_alive() may lag a kill)
-        while time.perf_counter() < deadline:
-            self._reap()
-            with self._lock:
-                if not self._pending:
-                    break
-            time.sleep(0.01)
+            if not shard.await_stopped(deadline) and shard.hung():
+                # frozen: it will never drain, and a SIGTERM stays pending
+                shard.process.kill()
+                shard.process.join(timeout=5.0)
+        # a shard's responses precede its acknowledgement (or its EOF) on its
+        # channel, so the collector has settled them: reap what died with
+        # requests unanswered, then end every process
+        self._reap()
         for shard in self._backends:
             shard.kill(timeout=max(deadline - time.perf_counter(), 0.1))
         self._collector_stop.set()
         if self._collector is not None:
             self._collector.join(timeout=5.0)
         for shard in self._backends:
-            if shard.responses is not None:
-                shard.responses.close()
-                shard.responses = None
+            shard.channel.close()
 
     # ------------------------------------------------------------------ #
     # admission observability + chaos-harness introspection
@@ -561,31 +564,30 @@ class ShardedCompressionServer(FrontDoor):
     # response collection
     # ------------------------------------------------------------------ #
     def _collect_loop(self):
-        """Read every shard's response socket; one at EOF is closed and dropped."""
-        readers = set()
-        try:
-            while True:
-                readers.update(shard.responses for shard in self._backends
-                               if shard.responses is not None
-                               and shard.responses.fileno() >= 0)
-                ready = multiprocessing.connection.wait(list(readers), timeout=0.05)
-                if not ready and self._collector_stop.is_set():
-                    return
-                for conn in ready:
-                    try:
-                        message = _recv_response(conn)
-                    except (EOFError, OSError):  # the writing process is gone
-                        readers.discard(conn)
-                        conn.close()
-                        continue
-                    try:
-                        self._dispatch_response(message)
-                    except Exception as error:  # noqa: BLE001 - one bad message must not kill the collector
-                        self._settle(message[2], error=ShardFailedError(
-                            f"unreadable response from shard {message[1]}: {error!r}"))
-        finally:
-            for conn in readers:
-                conn.close()
+        """Read every shard's channel; one at EOF is closed and dropped."""
+        readers = {}  # channel -> the stopped event of its process
+        while True:
+            for shard in self._backends:
+                if shard.channel is not None and shard.channel.fileno() >= 0:
+                    readers.setdefault(shard.channel, shard.stopped)
+            ready = multiprocessing.connection.wait(list(readers), timeout=0.05)
+            if not ready and self._collector_stop.is_set():
+                return
+            for conn in ready:
+                try:
+                    message = _recv_frame(conn)
+                except (EOFError, OSError):  # the writing process is gone
+                    del readers[conn]
+                    conn.close()
+                    continue
+                if message[0] == "stopped":
+                    readers[conn].set()
+                    continue
+                try:
+                    self._dispatch_response(message)
+                except Exception as error:  # noqa: BLE001 - one bad message must not kill the collector
+                    self._settle(message[2], error=ShardFailedError(
+                        f"unreadable response from shard {message[1]}: {error!r}"))
 
     def _reap(self):
         """Fail (or re-route) the in-flight requests of crashed shard processes.
@@ -638,16 +640,14 @@ class ShardedCompressionServer(FrontDoor):
     def _restart_locked(self, index, graceful, timeout):
         shard = self._backends[index]
         deadline = time.perf_counter() + timeout
-        # stop routing here *before* the drain handshake: the shard stops
-        # reading its request queue once it sees the stop sentinel
+        # stop routing here *before* the drain handshake: the shard bounces
+        # requests that arrive after the stop frame
         with self._lock:
             shard.draining = True
         try:
             if graceful and shard.is_alive():
                 shard.drain()
                 shard.await_stopped(deadline)
-                while time.perf_counter() < deadline and self._holds_requests(index):
-                    time.sleep(0.01)
             shard.kill()
             self._fail_backend(index, ShardFailedError(
                 f"shard {index} restarted before the request completed"))
@@ -664,10 +664,6 @@ class ShardedCompressionServer(FrontDoor):
             with self._lock:
                 shard.draining = False
         return shard
-
-    def _holds_requests(self, index):
-        with self._lock:
-            return any(request.backend == index for request in self._pending.values())
 
     # ------------------------------------------------------------------ #
     # health watchdog
@@ -688,8 +684,7 @@ class ShardedCompressionServer(FrontDoor):
                 continue  # restart_shard owns this slot right now
             now = time.monotonic()
             if shard.is_alive():
-                age = shard.heartbeat_age_s()
-                if age is None or age <= _HANG_TIMEOUT_S:
+                if not shard.hung():
                     if (shard.last_restart is not None
                             and now - shard.last_restart > _WATCHDOG_RESET_S):
                         shard.backoff_s = _WATCHDOG_INTERVAL_S

@@ -138,10 +138,14 @@ class ThreadPoolBackend:
         """Queue one admitted request (raises once the backend stopped)."""
         self.queue.put(request)
 
-    def stop(self, deadline):
-        """Close the queue, let the workers drain it, fail anything stranded."""
+    def close(self):
+        """Take no more work: the workers serve what is queued, then exit."""
         self.stopping = True
         self.queue.close()
+
+    def stop(self, deadline):
+        """Close the queue, let the workers drain it, fail anything stranded."""
+        self.close()
         for worker in self.workers:
             if worker.is_alive():
                 worker.join(timeout=max(deadline - time.perf_counter(), 0.1))

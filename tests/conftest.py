@@ -8,6 +8,8 @@ realistic scales live.
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,22 +20,32 @@ from repro.datasets import CifarLikeDataset, KodakDataset, SyntheticImageGenerat
 
 
 @pytest.fixture(autouse=True)
-def lock_order_guard(request):
-    """Record lock-acquisition order in every serving test.
+def serving_guard(request):
+    """Record lock-acquisition order in every serving test, and fail one
+    that leaves a sharded server's thread (``shard-*``) running.
 
     Locks created while a ``test_serve*`` test runs are instrumented; at
     teardown any ordering cycle or same-instance re-acquisition fails the
-    test.  Set ``REPRO_LOCK_ORDER=0`` to opt out (e.g. when bisecting an
-    unrelated failure).
+    test.  Set ``REPRO_LOCK_ORDER=0`` to opt out of the recording (e.g. when
+    bisecting an unrelated failure).  Server threads get a 2 s grace to end.
     """
-    if (not request.module.__name__.startswith("test_serve")
-            or os.environ.get("REPRO_LOCK_ORDER", "1") == "0"):
+    if not request.module.__name__.startswith("test_serve"):
         yield
         return
-    with lock_order_recording() as recorder:
+    if os.environ.get("REPRO_LOCK_ORDER", "1") == "0":
         yield
-    problems = recorder.report()
-    assert not problems, "lock-order violations:\n" + "\n".join(problems)
+    else:
+        with lock_order_recording() as recorder:
+            yield
+        problems = recorder.report()
+        assert not problems, "lock-order violations:\n" + "\n".join(problems)
+    deadline = time.monotonic() + 2.0
+    for thread in threading.enumerate():
+        if thread.name.startswith("shard-"):
+            thread.join(timeout=max(deadline - time.monotonic(), 0.0))
+    leaked = [thread.name for thread in threading.enumerate()
+              if thread.name.startswith("shard-")]
+    assert not leaked, f"server threads outlived the test: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.codecs import JpegCodec
-from repro.core import EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor, pack_package
+from repro.core import (EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor,
+                        pack_package, unpack_package)
 from repro.edge import erlang_c, md_c_wait_s
 from repro.serve import (
     AdmissionQueue,
@@ -27,7 +28,7 @@ from repro.serve import (
     ShardFailedError,
     aggregate_snapshots,
 )
-from repro.serve.sharding import _recv_response, _send_response
+from repro.serve.sharding import _recv_frame, _send_frame
 
 
 @pytest.fixture(scope="module")
@@ -193,30 +194,42 @@ class TestResponseFraming:
         np.random.default_rng(1).random((5, 7, 3)),
         np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2],  # not contiguous
         np.empty((0, 3)),
-    ], ids=["rgb-float64", "strided-float32", "empty"])
-    def test_pixels_arrive_bit_exact_and_writable(self, image):
+        None,  # a request frame: container bytes instead of pixels
+    ], ids=["rgb-float64", "strided-float32", "empty", "request-container"])
+    def test_pixels_arrive_bit_exact_and_writable(self, image, packages):
         reader, writer = socket.socketpair()
         with reader, writer:
-            _send_response(writer, ("ok", 1, 7, image.shape, str(image.dtype), "w"), image)
+            if image is None:
+                blob = pack_package(packages[0])
+                _send_frame(writer, ("req", 7, "decode", 12.5, len(blob)), blob)
+            else:
+                pixels = np.ascontiguousarray(image)
+                _send_frame(writer, ("ok", 1, 7, image.shape, str(image.dtype), "w"), pixels)
             long_message = "bad bytes " * 100  # runs on past the header block
-            _send_response(writer, ("err", 1, 8, "ValueError", long_message))
-            _send_response(writer, ("err", 1, 9, "ValueError", "bad bytes"))
-            tag, index, request_id, received, worker = _recv_response(reader)
-            assert (tag, index, request_id, worker) == ("ok", 1, 7, "w")
-            assert received.dtype == image.dtype
-            assert np.array_equal(received, image)
-            assert received.flags.writeable
-            assert _recv_response(reader) == ("err", 1, 8, "ValueError", long_message)
-            assert _recv_response(reader) == ("err", 1, 9, "ValueError", "bad bytes")
+            _send_frame(writer, ("err", 1, 8, "ValueError", long_message))
+            _send_frame(writer, ("err", 1, 9, "ValueError", "bad bytes"))
+            if image is None:
+                tag, request_id, kind, deadline_s, received = _recv_frame(reader)
+                assert (tag, request_id, kind, deadline_s) == ("req", 7, "decode", 12.5)
+                assert received == blob
+                assert pack_package(unpack_package(received)) == blob
+            else:
+                tag, index, request_id, received, worker = _recv_frame(reader)
+                assert (tag, index, request_id, worker) == ("ok", 1, 7, "w")
+                assert received.dtype == image.dtype
+                assert np.array_equal(received, image)
+                assert received.flags.writeable
+            assert _recv_frame(reader) == ("err", 1, 8, "ValueError", long_message)
+            assert _recv_frame(reader) == ("err", 1, 9, "ValueError", "bad bytes")
 
     def test_writer_gone_mid_response_is_eof(self):
         reader, writer = socket.socketpair()
         with reader:
-            _send_response(writer, ("ok", 0, 1, (64, 64), "float64", "w"))
+            _send_frame(writer, ("ok", 0, 1, (64, 64), "float64", "w"))
             writer.sendall(bytes(100))  # a fraction of the 32 KiB of pixels
             writer.close()
             with pytest.raises(EOFError):
-                _recv_response(reader)
+                _recv_frame(reader)
 
 
 # --------------------------------------------------------------------------- #

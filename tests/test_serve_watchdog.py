@@ -1,10 +1,9 @@
-"""Tests for the shard health watchdog, retired request queues and spill-aware
+"""Tests for the shard health watchdog, retired shard channels and spill-aware
 mask affinity."""
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -162,6 +161,21 @@ class TestShardWatchdog:
         assert snapshot["watchdog"]["restarts_total"] >= 1
         assert snapshot["watchdog"]["restarts_by_shard"].get(0, 0) >= 1
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_graceful_restart_of_a_frozen_shard_skips_the_sigterm_wait(
+            self, serve_config, serve_model, packages):
+        """A frozen shard neither drains nor acts on SIGTERM: once its
+        heartbeat is past the hang timeout, restart_shard SIGKILLs it."""
+        with _sharded(serve_model, serve_config) as server:
+            os.kill(server.shard_process(0).pid, signal.SIGSTOP)
+            started = time.perf_counter()
+            server.restart_shard(0)
+            elapsed = time.perf_counter() - started
+            response = server.submit(packages[0]).result(timeout=300.0)
+        assert elapsed < 3.0
+        assert response.image.shape == packages[0].original_shape
+
     def test_watchdog_reports_heartbeats_and_stays_quiet_on_a_healthy_pool(
             self, serve_config, serve_model, packages):
         with _sharded(serve_model, serve_config) as server:
@@ -209,10 +223,10 @@ class TestShardWatchdog:
 
 
 # --------------------------------------------------------------------------- #
-# retired request queues
+# retired shard channels
 # --------------------------------------------------------------------------- #
 _HUNG_SHARD_SCRIPT = textwrap.dedent("""
-    import faulthandler, os, signal
+    import faulthandler, os, signal, sys, threading
     import numpy as np
     from repro.codecs import JpegCodec
     from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
@@ -223,7 +237,7 @@ _HUNG_SHARD_SCRIPT = textwrap.dedent("""
                         loss_lambda=0.0)
     model = EaszReconstructor(config)
     model.eval()
-    # noise at q95 packs to ~230 KB, far past the request pipe's buffer
+    # noise at q95 packs to ~230 KB, past the shard socket's send buffer
     encoder = EaszEncoder(config, base_codec=JpegCodec(quality=95), seed=0)
     package = encoder.encode(np.random.default_rng(0).random((512, 512, 3)))
     server = ShardedCompressionServer(model=model, config=config, num_shards=2).start()
@@ -234,6 +248,8 @@ _HUNG_SHARD_SCRIPT = textwrap.dedent("""
     restarts = server.stats.snapshot()["watchdog"]["restarts_total"]
     server.stop()
     print("stopped", len(served), restarts, flush=True)
+    print("threads:", *(thread.name for thread in threading.enumerate()),
+          file=sys.stderr, flush=True)
     # a wedged exit dumps every thread's stack and exits 1 instead of hanging
     faulthandler.dump_traceback_later(30.0, exit=True)
 """)
@@ -254,9 +270,26 @@ _FROZEN_AT_STOP_SCRIPT = textwrap.dedent("""
     faulthandler.dump_traceback_later(30.0, exit=True)
 """)
 
+_FROZEN_AT_DEFAULT_STOP_SCRIPT = textwrap.dedent("""
+    import faulthandler, os, signal, time
+    from repro.core import EaszConfig, EaszReconstructor
+    from repro.serve import ShardedCompressionServer
 
-def _run_to_exit(script):
-    """Run ``script`` in a fresh interpreter on this checkout's ``src``.
+    config = EaszConfig(patch_size=16, subpatch_size=4, d_model=16, num_heads=2,
+                        encoder_blocks=1, decoder_blocks=1)
+    server = ShardedCompressionServer(model=EaszReconstructor(config), config=config,
+                                      num_shards=2).start()
+    os.kill(server.shard_process(0).pid, signal.SIGSTOP)
+    started = time.perf_counter()
+    server.stop()
+    print(time.perf_counter() - started, flush=True)
+    faulthandler.dump_traceback_later(30.0, exit=True)
+""")
+
+
+def _run(script):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``;
+    its ``(stdout, stderr)``.
 
     The script gets its own session, so a timeout kills its shards too: a
     frozen one would otherwise keep the output pipes open.
@@ -275,14 +308,18 @@ def _run_to_exit(script):
         stdout, stderr = process.communicate()
         pytest.fail(f"the interpreter never exited:\n{stderr[-3000:]}")
     assert process.returncode == 0, stderr[-3000:]
-    return stdout.split()
+    return stdout, stderr
+
+
+def _run_to_exit(script):
+    return _run(script)[0].split()
 
 
 class TestRetiredRequestQueue:
     @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
                         reason="needs SIGSTOP to freeze a shard")
     def test_interpreter_exits_after_a_hung_shard_is_replaced(self):
-        """The frozen shard's queue feeder blocks mid-write on its pipe; once
+        """The frozen shard's sender blocks mid-write on its channel; once
         the watchdog replaces the shard, the interpreter must still exit."""
         stopped, served, restarts = _run_to_exit(_HUNG_SHARD_SCRIPT)
         assert stopped == "stopped" and served == "8" and int(restarts) >= 1
@@ -294,21 +331,38 @@ class TestRetiredRequestQueue:
         times out, SIGTERM stays pending, so kill() must escalate."""
         assert _run_to_exit(_FROZEN_AT_STOP_SCRIPT) == ["stopped", "False"]
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_no_thread_outlives_stop_after_a_hung_shard(self):
+        """The frozen shard's sender blocks mid-write until the watchdog
+        replaces the shard; after stop() only the main thread is left."""
+        stderr = _run(_HUNG_SHARD_SCRIPT)[1]
+        threads = stderr.split("threads:")[-1].split()
+        assert threads == ["MainThread"], stderr[-3000:]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_default_stop_does_not_wait_out_a_frozen_shard(self):
+        """stop() at its 30 s default gives up on a shard silent past the
+        hang timeout and kills it, instead of waiting for its drain."""
+        [elapsed] = _run_to_exit(_FROZEN_AT_DEFAULT_STOP_SCRIPT)
+        assert float(elapsed) < 2.5
+
     def test_send_racing_the_retirement_is_rerouted(self, serve_model, serve_config,
                                                     packages, decoder):
-        """A request routed to a shard whose queue is retired before the send
+        """A request routed to a shard whose channel is retired before the send
         is lost, not refused: submit() returns and another shard serves it."""
         reference = decoder.decode(packages[0])
         with _sharded(serve_model, serve_config) as server:
             index, _ = server.predicted_shard_depth(packages[0])
             shard = server._backends[index]
-            retired = multiprocessing.get_context().Queue()
-            retired.close()
-            live, shard.request_queue = shard.request_queue, retired
+            with shard._outbox_ready:  # retired as kill() leaves it, process alive
+                live, shard._outbox = shard._outbox, None
             try:
                 pending = server.submit(packages[0])
             finally:
-                shard.request_queue = live
+                with shard._outbox_ready:
+                    shard._outbox = live
             response = pending.result(timeout=300.0)
         assert response.worker.split("/")[0] != f"shard-{index}"
         assert np.abs(response.image - reference).max() < 1e-5
