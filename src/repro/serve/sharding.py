@@ -135,8 +135,9 @@ def _send_frame(sock, header, payload=None):
     data = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
     sock.sendall(_HEADER_SIZE.pack(len(data))
                  + data.ljust(_BLOCK_BYTES - _HEADER_SIZE.size, b"\0"))
-    if payload is not None:
-        sock.sendall(payload)
+    if payload is not None:  # an array's bytes go in C order, whatever its strides
+        sock.sendall(np.ascontiguousarray(payload) if isinstance(payload, np.ndarray)
+                     else payload)
 
 
 def _recv_exact(sock, buffer):
@@ -212,7 +213,6 @@ def _shard_main(index, channel, config_kwargs, model_state, cells):
                 _send_frame(channel, ("err", index, request_id, type(error).__name__, str(error)))
                 return
             row[1:] = base[1:] + _counter_cells(backend.counters())[1:]
-            image = np.ascontiguousarray(image)
             header = ("ok", index, request_id, image.shape, str(image.dtype), worker)
             _send_frame(channel, header, image)
 
@@ -380,15 +380,6 @@ class ShardBackend:
         """Queue the stop frame: the shard serves what it has, then exits."""
         self._post(("stop",))
 
-    def await_stopped(self, deadline):
-        """True once the drain is acknowledged; False at ``deadline``, on a
-        hung shard, or once the collector closed the channel at EOF."""
-        while not self.stopped.wait(0.05):
-            if (time.perf_counter() >= deadline or self.hung()
-                    or self.channel.fileno() < 0):
-                return False
-        return True
-
     def kill(self, timeout=5.0):
         """Retire the channel, terminate the process (if alive), reap it.
 
@@ -415,6 +406,20 @@ class ShardBackend:
         """Seconds since the shard last stamped its heartbeat (None unknown)."""
         stamp = self.row[_HEARTBEAT] if self.row is not None else 0.0
         return max(time.monotonic() - stamp, 0.0) if stamp else None
+
+
+def _await_stopped(shards, deadline):
+    """Wait until each shard acknowledged its drain or its channel met EOF,
+    or until ``deadline``.  A hung shard is killed on the way: it never
+    drains, and one frozen mid-response blocks the collector's reads of the
+    other channels until its EOF."""
+    while shards and time.perf_counter() < deadline:
+        for shard in shards:
+            if shard.hung():
+                shard.kill()
+        shards[0].stopped.wait(0.05)
+        shards = [shard for shard in shards
+                  if not shard.stopped.is_set() and shard.channel.fileno() >= 0]
 
 
 class ShardedCompressionServer(FrontDoor):
@@ -503,11 +508,7 @@ class ShardedCompressionServer(FrontDoor):
         for shard in self._backends:
             if shard.is_alive():
                 shard.drain()
-        for shard in self._backends:
-            if not shard.await_stopped(deadline) and shard.hung():
-                # frozen: it will never drain, and a SIGTERM stays pending
-                shard.process.kill()
-                shard.process.join(timeout=5.0)
+        _await_stopped(self._backends, deadline)
         # a shard's responses precede its acknowledgement (or its EOF) on its
         # channel, so the collector has settled them: reap what died with
         # requests unanswered, then end every process
@@ -647,7 +648,7 @@ class ShardedCompressionServer(FrontDoor):
         try:
             if graceful and shard.is_alive():
                 shard.drain()
-                shard.await_stopped(deadline)
+                _await_stopped([shard], deadline)
             shard.kill()
             self._fail_backend(index, ShardFailedError(
                 f"shard {index} restarted before the request completed"))
@@ -692,8 +693,7 @@ class ShardedCompressionServer(FrontDoor):
                 # alive but silent past the hang timeout: treat as wedged,
                 # and re-route its requests now even if backoff delays the
                 # restart
-                shard.process.kill()
-                shard.process.join(timeout=5.0)
+                shard.kill()
                 self._reap()
             if now < shard.next_restart_at:
                 continue

@@ -203,8 +203,7 @@ class TestResponseFraming:
                 blob = pack_package(packages[0])
                 _send_frame(writer, ("req", 7, "decode", 12.5, len(blob)), blob)
             else:
-                pixels = np.ascontiguousarray(image)
-                _send_frame(writer, ("ok", 1, 7, image.shape, str(image.dtype), "w"), pixels)
+                _send_frame(writer, ("ok", 1, 7, image.shape, str(image.dtype), "w"), image)
             long_message = "bad bytes " * 100  # runs on past the header block
             _send_frame(writer, ("err", 1, 8, "ValueError", long_message))
             _send_frame(writer, ("err", 1, 9, "ValueError", "bad bytes"))

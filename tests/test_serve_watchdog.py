@@ -164,16 +164,20 @@ class TestShardWatchdog:
     @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
                         reason="needs SIGSTOP to freeze a shard")
     def test_graceful_restart_of_a_frozen_shard_skips_the_sigterm_wait(
-            self, serve_config, serve_model, packages):
+            self, serve_config, serve_model, packages, monkeypatch):
         """A frozen shard neither drains nor acts on SIGTERM: once its
-        heartbeat is past the hang timeout, restart_shard SIGKILLs it."""
+        heartbeat is past the hang timeout, restart_shard SIGKILLs it.  Timed
+        up to the replacement's spawn, which the SIGTERM wait would delay."""
         with _sharded(serve_model, serve_config) as server:
+            shard, spawned = server._backends[0], []
+            spawn = shard.spawn
+            monkeypatch.setattr(shard, "spawn", lambda context: (
+                spawned.append(time.perf_counter()), spawn(context)))
             os.kill(server.shard_process(0).pid, signal.SIGSTOP)
             started = time.perf_counter()
             server.restart_shard(0)
-            elapsed = time.perf_counter() - started
             response = server.submit(packages[0]).result(timeout=300.0)
-        assert elapsed < 3.0
+        assert spawned[0] - started < 3.0
         assert response.image.shape == packages[0].original_shape
 
     def test_watchdog_reports_heartbeats_and_stays_quiet_on_a_healthy_pool(
@@ -286,6 +290,46 @@ _FROZEN_AT_DEFAULT_STOP_SCRIPT = textwrap.dedent("""
     faulthandler.dump_traceback_later(30.0, exit=True)
 """)
 
+_FROZEN_MID_RESPONSE_AT_STOP_SCRIPT = textwrap.dedent("""
+    import faulthandler, os, signal, time
+    import numpy as np
+    from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
+    from repro.serve import ShardedCompressionServer, sharding
+
+    send_frame = sharding._send_frame
+
+    def send_half_then_freeze(sock, header, payload=None):
+        if header[:2] != ("ok", 1):
+            return send_frame(sock, header, payload)
+        send_frame(sock, header)
+        sock.sendall(payload.tobytes()[:payload.nbytes // 2])
+        os.kill(os.getpid(), signal.SIGSTOP)
+
+    # the forked shards inherit the patch: shard 1 freezes halfway through
+    # the pixels of its first response, with the parent's collector reading
+    sharding._send_frame = send_half_then_freeze
+    config = EaszConfig(patch_size=16, subpatch_size=4, d_model=16, num_heads=2,
+                        encoder_blocks=1, decoder_blocks=1)
+    server = ShardedCompressionServer(model=EaszReconstructor(config), config=config,
+                                      num_shards=2).start()
+    image = np.random.default_rng(0).random((48, 64, 3))
+    for seed in range(100):
+        package = EaszEncoder(config, seed=seed).encode(image)
+        if server.predicted_shard_depth(package)[0] == 1:
+            break
+    pending = server.submit(package)
+    os.waitpid(server.shard_process(1).pid, os.WUNTRACED)  # returns once it froze
+    started = time.perf_counter()
+    server.stop()
+    elapsed = time.perf_counter() - started
+    try:
+        outcome = type(pending.result(timeout=5.0)).__name__
+    except Exception as error:
+        outcome = type(error).__name__
+    print(elapsed, outcome, flush=True)
+    faulthandler.dump_traceback_later(30.0, exit=True)
+""")
+
 
 def _run(script):
     """Run ``script`` in a fresh interpreter on this checkout's ``src``;
@@ -347,6 +391,16 @@ class TestRetiredRequestQueue:
         hang timeout and kills it, instead of waiting for its drain."""
         [elapsed] = _run_to_exit(_FROZEN_AT_DEFAULT_STOP_SCRIPT)
         assert float(elapsed) < 2.5
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_default_stop_does_not_wait_on_a_shard_frozen_mid_response(self):
+        """A shard frozen halfway through a response stalls the collector on
+        its channel, so the healthy shard's drain acknowledgement goes unread
+        until stop() kills the frozen one."""
+        elapsed, outcome = _run_to_exit(_FROZEN_MID_RESPONSE_AT_STOP_SCRIPT)
+        assert float(elapsed) < 2.5
+        assert outcome == "ShardFailedError"
 
     def test_send_racing_the_retirement_is_rerouted(self, serve_model, serve_config,
                                                     packages, decoder):
