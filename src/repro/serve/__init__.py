@@ -18,7 +18,7 @@ control and failure isolation around it:
   squeeze-plan cache and the backend's codec cache;
 * :class:`ShardBackend` — one shard process running a one-worker
   thread-pool backend; requests, handshakes and responses share one framed
-  socket per shard;
+  socket per shard, which a reader thread of its own reads;
 * :class:`ResultCache` — optional cross-request cache keyed on payload
   digest, so the byte-identical frames of a static scene resolve without
   touching a backend;

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ from .worker import ThreadPoolBackend
 
 __all__ = ["ServeRequest", "ServeResponse", "PendingResult", "FrontDoor",
            "CompressionServer"]
+
+_LOG = logging.getLogger(__name__)
 
 #: Erase masks whose observed geometries the router remembers (mask affinity).
 _MASK_GEOMETRIES_MAX = 1024
@@ -96,12 +99,18 @@ class PendingResult:
         return self._response
 
     def add_done_callback(self, fn):
-        """Call ``fn(self)`` once resolved/rejected (immediately if already done)."""
+        """Call ``fn(self)`` once settled (now if already done); what it raises is logged."""
         with self._cb_lock:
             if not self._event.is_set():
                 self._callbacks.append(fn)
                 return
-        fn(self)
+        self._run_callback(fn)
+
+    def _run_callback(self, fn):
+        try:
+            fn(self)
+        except Exception:  # noqa: BLE001 - a caller's callback must not break settlement
+            _LOG.exception("done-callback of request %s raised", self.request_id)
 
     # front-door hooks -------------------------------------------------- #
     def _finish(self):
@@ -109,7 +118,7 @@ class PendingResult:
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
-            fn(self)
+            self._run_callback(fn)
 
     def _resolve(self, response):
         self._response = response
@@ -159,8 +168,9 @@ class FrontDoor:
 
     A backend is any object with ``accepts_work()``, ``send(request)``,
     ``counters()``, a ``label`` and the ``blas_threads`` its process reads
-    back once started; it reports each request's outcome
-    through :meth:`_settle`, exactly once.  Subclasses build the backends;
+    back once started.  Both backends take :meth:`_settle` as their
+    ``settle`` hook and report each request's outcome through it, exactly
+    once.  Subclasses build the backends;
     :meth:`_start_backends` / :meth:`_stop_backends` call each backend's
     ``start()`` / ``stop(deadline)`` unless overridden, and
     :meth:`_telemetry` may add snapshot entries.

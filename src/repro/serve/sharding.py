@@ -37,11 +37,13 @@ Design points:
   down (a shard whose heartbeat shows it frozen is killed instead of waited
   for), and :meth:`~ShardedCompressionServer.restart_shard` replaces a
   shard (gracefully or by force) while the rest of the pool keeps serving.
-* **collector and supervisor** — one parent thread only reads the channels.
-  A second one, the watchdog, ticks every 0.25 s: it fails or re-routes
-  (once) the in-flight requests of a shard process that died, then restarts
-  dead shards and hung ones (alive, but no heartbeat stamp for 1 s), with
-  exponential backoff for a shard that keeps dying.
+* **readers and supervisor** — each shard's channel has its own parent
+  reader thread, which settles that shard's responses, so a shard frozen
+  mid-response holds up no other shard's.  One watchdog thread ticks every
+  0.25 s: it fails or re-routes (once) the in-flight requests of a shard
+  process that died, then restarts dead shards and hung ones (alive, but no
+  heartbeat stamp for 1 s), with exponential backoff for a shard that keeps
+  dying.
 """
 
 from __future__ import annotations
@@ -259,17 +261,20 @@ class ShardBackend:
     """One shard slot, parent side: its process, channel and counter cells.
 
     The slot outlives its processes: a restart spawns a new process into the
-    same object.  The collector reads ``channel``; a sender thread
+    same object.  Each process's channel gets two threads: a sender
     (``shard-N-sender``) writes the frames queued by :meth:`send` and
-    :meth:`drain`.  ``draining`` stops routing here while a restart is under
-    way; ``stopped`` is set once the process acknowledged the drain.
+    :meth:`drain`, and a reader (``shard-N-reader``) hands each response to
+    ``settle`` — the front door's settlement hook — until the channel's EOF.
+    ``draining`` stops routing here while a restart is under way; ``stopped``
+    is set once the process acknowledged the drain.
     ``restarts`` (attempts) / ``backoff_s`` / ``next_restart_at`` /
     ``last_restart`` are the watchdog's bookkeeping, written by the watchdog
     thread only.
     """
 
-    def __init__(self, index):
+    def __init__(self, index, settle):
         self.index = index
+        self.settle = settle
         self.label = f"shard-{index}/server"
         self.process = None
         self.channel = None
@@ -282,6 +287,7 @@ class ShardBackend:
         self._outbox_ready = threading.Condition(threading.Lock())
         self._outbox = None  # guarded-by: _outbox_ready — the sender's frames; None: retired
         self._sender = None
+        self._reader = None
         self.restarts = 0
         self.backoff_s = _WATCHDOG_INTERVAL_S
         self.next_restart_at = 0.0
@@ -323,6 +329,32 @@ class ShardBackend:
             except OSError:  # the process died, or kill() shut the channel
                 return
 
+    def _read_loop(self, channel, stopped):
+        """Settle ``channel``'s responses until its EOF; the drain
+        acknowledgement sets ``stopped``, the event of this process only."""
+        while True:
+            try:
+                message = _recv_frame(channel)
+            except (EOFError, OSError):  # the writing process is gone
+                return
+            if message[0] == "stopped":
+                stopped.set()
+                continue
+            tag, index, request_id = message[:3]
+            try:
+                if tag == "err":
+                    # a shard mid-drain bounces late requests: the pool itself
+                    # is healthy, so they are re-routed rather than failed
+                    self.settle(request_id, error=_rebuild_error(*message[3:]),
+                                lost=message[3] == "QueueClosedError")
+                else:
+                    image, worker = message[3:]
+                    self.settle(request_id, image=image, worker=f"shard-{index}/{worker}",
+                                transport="queue")
+            except Exception as error:  # noqa: BLE001 - one bad frame must not end the reader
+                self.settle(request_id, error=ShardFailedError(
+                    f"unreadable response from shard {index}: {error!r}"))
+
     # process lifecycle --------------------------------------------------- #
     def is_alive(self):
         return self.process is not None and self.process.is_alive()
@@ -363,8 +395,6 @@ class ShardBackend:
             channel.close()
             raise ShardFailedError(f"shard {self.index} not ready "
                                    f"(exit code {process.exitcode})")
-        # set before the channel: the collector pairs each channel with the
-        # event it saw first, so a late stopped frame sets only the old event
         self.stopped = threading.Event()
         self.channel = channel
         outbox = deque()
@@ -373,6 +403,9 @@ class ShardBackend:
         self._sender = threading.Thread(target=self._send_loop, args=(channel, outbox),
                                         name=f"shard-{self.index}-sender", daemon=True)
         self._sender.start()
+        self._reader = threading.Thread(target=self._read_loop, args=(channel, self.stopped),
+                                        name=f"shard-{self.index}-reader", daemon=True)
+        self._reader.start()
         self.process = process
         self.blas_threads = ready[2]
 
@@ -380,19 +413,30 @@ class ShardBackend:
         """Queue the stop frame: the shard serves what it has, then exits."""
         self._post(("stop",))
 
+    def await_stopped(self, deadline):
+        """Wait for the drain acknowledgement, the reader's EOF or
+        ``deadline``; kill a hung process, which never drains."""
+        while (self._reader.is_alive() and time.perf_counter() < deadline
+               and not self.stopped.wait(0.05)):
+            if self.hung():
+                self.kill()
+
     def kill(self, timeout=5.0):
-        """Retire the channel, terminate the process (if alive), reap it.
+        """Retire the channel, end the process (if alive) and its reader, and
+        close the channel: the one place a ready channel ends.
 
         Retiring drops the queued frames and ends the sender: shutting the
         write side fails a send blocked on a frozen process at once, and what
         the process wrote stays readable.  A frozen (SIGSTOPped) process never
         acts on SIGTERM, and multiprocessing's exit handler would join it
         forever: SIGKILL it, at once when its heartbeat already shows it hung.
+        The reaped process held the channel's only other end: the reader
+        settles what it wrote, then meets EOF.
         """
         with self._outbox_ready:
             self._outbox = None
             self._outbox_ready.notify_all()
-        with contextlib.suppress(OSError):  # the collector closed it at EOF
+        with contextlib.suppress(OSError):  # an earlier kill() closed it
             self.channel.shutdown(socket.SHUT_WR)
         self._sender.join(timeout=5.0)
         if not self.hung():
@@ -401,25 +445,13 @@ class ShardBackend:
         if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout=5.0)
+        self._reader.join(timeout=5.0)
+        self.channel.close()
 
     def heartbeat_age_s(self):
         """Seconds since the shard last stamped its heartbeat (None unknown)."""
         stamp = self.row[_HEARTBEAT] if self.row is not None else 0.0
         return max(time.monotonic() - stamp, 0.0) if stamp else None
-
-
-def _await_stopped(shards, deadline):
-    """Wait until each shard acknowledged its drain or its channel met EOF,
-    or until ``deadline``.  A hung shard is killed on the way: it never
-    drains, and one frozen mid-response blocks the collector's reads of the
-    other channels until its EOF."""
-    while shards and time.perf_counter() < deadline:
-        for shard in shards:
-            if shard.hung():
-                shard.kill()
-        shards[0].stopped.wait(0.05)
-        shards = [shard for shard in shards
-                  if not shard.stopped.is_set() and shard.channel.fileno() >= 0]
 
 
 class ShardedCompressionServer(FrontDoor):
@@ -445,12 +477,11 @@ class ShardedCompressionServer(FrontDoor):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.num_shards = int(num_shards)
-        super().__init__(model, config, [ShardBackend(index) for index in range(self.num_shards)],
+        super().__init__(model, config,
+                         [ShardBackend(index, self._settle) for index in range(self.num_shards)],
                          queue_depth=queue_depth, result_cache_size=result_cache_size)
         self._context = multiprocessing.get_context()
         self._restart_lock = threading.Lock()  # one restart at a time
-        self._collector = None
-        self._collector_stop = threading.Event()
         self._cells = None
         self._watchdog = None
         self._watchdog_stop = threading.Event()
@@ -459,7 +490,7 @@ class ShardedCompressionServer(FrontDoor):
     # lifecycle
     # ------------------------------------------------------------------ #
     def _start_backends(self):
-        """Spawn the shard pool, wait for readiness, start the collector."""
+        """Spawn the shard pool, wait for readiness, start the watchdog."""
         if self._watchdog is not None:
             # a previous stop() timed out on a watchdog stuck in a slow
             # restart; wait it out, or two watchdog loops would run
@@ -484,12 +515,7 @@ class ShardedCompressionServer(FrontDoor):
                     shard._spawned = None
                 if shard.process is not None:
                     shard.kill()
-                    shard.channel.close()
             raise
-        self._collector_stop.clear()
-        self._collector = threading.Thread(target=self._collect_loop,
-                                           name="shard-collector", daemon=True)
-        self._collector.start()
         self._watchdog_stop.clear()
         self._watchdog = threading.Thread(target=self._watchdog_loop,
                                           name="shard-watchdog", daemon=True)
@@ -508,18 +534,14 @@ class ShardedCompressionServer(FrontDoor):
         for shard in self._backends:
             if shard.is_alive():
                 shard.drain()
-        _await_stopped(self._backends, deadline)
+        for shard in self._backends:
+            shard.await_stopped(deadline)
         # a shard's responses precede its acknowledgement (or its EOF) on its
-        # channel, so the collector has settled them: reap what died with
+        # channel, so its reader has settled them: reap what died with
         # requests unanswered, then end every process
         self._reap()
         for shard in self._backends:
             shard.kill(timeout=max(deadline - time.perf_counter(), 0.1))
-        self._collector_stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
-        for shard in self._backends:
-            shard.channel.close()
 
     # ------------------------------------------------------------------ #
     # admission observability + chaos-harness introspection
@@ -562,34 +584,8 @@ class ShardedCompressionServer(FrontDoor):
         return self._backends[index].process
 
     # ------------------------------------------------------------------ #
-    # response collection
+    # crash reaping
     # ------------------------------------------------------------------ #
-    def _collect_loop(self):
-        """Read every shard's channel; one at EOF is closed and dropped."""
-        readers = {}  # channel -> the stopped event of its process
-        while True:
-            for shard in self._backends:
-                if shard.channel is not None and shard.channel.fileno() >= 0:
-                    readers.setdefault(shard.channel, shard.stopped)
-            ready = multiprocessing.connection.wait(list(readers), timeout=0.05)
-            if not ready and self._collector_stop.is_set():
-                return
-            for conn in ready:
-                try:
-                    message = _recv_frame(conn)
-                except (EOFError, OSError):  # the writing process is gone
-                    del readers[conn]
-                    conn.close()
-                    continue
-                if message[0] == "stopped":
-                    readers[conn].set()
-                    continue
-                try:
-                    self._dispatch_response(message)
-                except Exception as error:  # noqa: BLE001 - one bad message must not kill the collector
-                    self._settle(message[2], error=ShardFailedError(
-                        f"unreadable response from shard {message[1]}: {error!r}"))
-
     def _reap(self):
         """Fail (or re-route) the in-flight requests of crashed shard processes.
 
@@ -604,18 +600,6 @@ class ShardedCompressionServer(FrontDoor):
             self._fail_backend(shard.index, ShardFailedError(
                 f"shard {shard.index} died (exit code {shard.process.exitcode}) "
                 "with the request in flight"))
-
-    def _dispatch_response(self, message):
-        tag, index, request_id = message[:3]
-        if tag == "err":
-            # a shard mid-drain bounces late requests: the pool itself is
-            # healthy, so they are re-routed rather than failed
-            self._settle(request_id, error=_rebuild_error(*message[3:]),
-                         lost=message[3] == "QueueClosedError")
-            return
-        image, worker = message[3:]
-        self._settle(request_id, image=image, worker=f"shard-{index}/{worker}",
-                     transport="queue")
 
     # ------------------------------------------------------------------ #
     # shard management
@@ -648,7 +632,7 @@ class ShardedCompressionServer(FrontDoor):
         try:
             if graceful and shard.is_alive():
                 shard.drain()
-                _await_stopped([shard], deadline)
+                shard.await_stopped(deadline)
             shard.kill()
             self._fail_backend(index, ShardFailedError(
                 f"shard {index} restarted before the request completed"))

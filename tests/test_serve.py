@@ -148,6 +148,36 @@ class TestCompressionServer:
         assert caches["codecs"]["hits"] > 0
         assert caches["squeeze_plans"]["hits"] > 0
 
+    def test_a_raising_done_callback_drops_no_other_callback(
+            self, serve_config, serve_model, packages, monkeypatch, caplog):
+        """A done-callback that raises is logged; the callbacks after it still
+        run, whether attached before the future settled or after."""
+        release, calls = threading.Event(), []
+
+        def broken(pending):
+            calls.append("broken")
+            raise RuntimeError("callback bug")
+
+        with CompressionServer(model=serve_model, config=serve_config,
+                               num_workers=1) as server:
+            codec_for = server.pool.codec_for  # held until both callbacks are on
+            monkeypatch.setattr(server.pool, "codec_for",
+                                lambda name: (release.wait(60.0), codec_for(name))[1])
+            pending = server.submit(packages[0])
+            pending.add_done_callback(broken)
+            pending.add_done_callback(lambda _: calls.append("next"))
+            release.set()
+            pending.result(timeout=300.0)
+            deadline = time.perf_counter() + 5.0
+            while len(calls) < 2 and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            pending.add_done_callback(broken)
+            pending.add_done_callback(lambda _: calls.append("late"))
+            snapshot = server.stats.snapshot()
+        assert calls == ["broken", "next", "broken", "late"]
+        assert snapshot["completed"] == 1 and snapshot["failed"] == 0
+        assert [str(record.exc_info[1]) for record in caplog.records] == ["callback bug"] * 2
+
     def test_decode_kind_matches_decoder_exactly(self, serve_config, serve_model, packages):
         decoder = EaszDecoder(model=serve_model, config=serve_config,
                               base_codec=JpegCodec(quality=75))

@@ -27,6 +27,7 @@ from repro.serve import (
     ShardedCompressionServer,
     ShardFailedError,
     aggregate_snapshots,
+    sharding,
 )
 from repro.serve.sharding import _recv_frame, _send_frame
 
@@ -358,6 +359,44 @@ class TestShardedCompressionServer:
             assert server.stats.snapshot()["completed"] == completed_before
             response = server.submit(packages[0]).result(timeout=300.0)
         assert response.image.shape == packages[0].original_shape
+
+    @pytest.mark.parametrize("graceful", [True, False], ids=["graceful", "forced"])
+    def test_restart_leaves_one_new_reader(self, serve_config, serve_model, packages,
+                                           graceful):
+        with _sharded(serve_model, serve_config) as server:
+            old = server._backends[1]._reader
+            server.restart_shard(1, graceful=graceful)
+            readers = [thread for thread in threading.enumerate()
+                       if thread.name == "shard-1-reader"]
+            response = server.submit(packages[0]).result(timeout=300.0)
+        assert len(readers) == 1
+        assert readers[0] is not old and not old.is_alive()
+        assert response.image.shape == packages[0].original_shape
+
+    def test_an_unreadable_response_fails_alone(self, serve_config, serve_model, packages,
+                                                decoder, monkeypatch):
+        """A response whose settlement raises fails its own request with
+        ShardFailedError; the shard's reader goes on to serve the next one."""
+        import dataclasses
+        healthy = packages[0]
+        corrupt = dataclasses.replace(healthy, codec_payload=dataclasses.replace(
+            healthy.codec_payload, payload=healthy.codec_payload.payload[:12] + b"\xff" * 6))
+        reference = decoder.decode(healthy, reconstruct=False)
+        rebuild, calls = sharding._rebuild_error, []
+
+        def raise_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("garbled error frame")
+            return rebuild(*args)
+
+        with _sharded(serve_model, serve_config, num_shards=1) as server:
+            monkeypatch.setattr(sharding, "_rebuild_error", raise_once)
+            with pytest.raises(ShardFailedError, match="unreadable response from shard 0"):
+                server.submit(corrupt).result(timeout=300.0)
+            response = server.submit(healthy, kind="decode").result(timeout=300.0)
+        assert len(calls) == 1
+        assert np.array_equal(response.image, reference)
 
     def test_hard_restart_keeps_the_pool_serving(self, serve_config, serve_model,
                                                  packages):

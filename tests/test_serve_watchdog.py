@@ -290,7 +290,9 @@ _FROZEN_AT_DEFAULT_STOP_SCRIPT = textwrap.dedent("""
     faulthandler.dump_traceback_later(30.0, exit=True)
 """)
 
-_FROZEN_MID_RESPONSE_AT_STOP_SCRIPT = textwrap.dedent("""
+# A 2-shard pool whose shard 1 freezes halfway through its first response;
+# ``routed_to(index)`` encodes a package the router sends to shard ``index``.
+_FREEZE_MID_RESPONSE_PREFIX = textwrap.dedent("""
     import faulthandler, os, signal, time
     import numpy as np
     from repro.core import EaszConfig, EaszEncoder, EaszReconstructor
@@ -306,18 +308,23 @@ _FROZEN_MID_RESPONSE_AT_STOP_SCRIPT = textwrap.dedent("""
         os.kill(os.getpid(), signal.SIGSTOP)
 
     # the forked shards inherit the patch: shard 1 freezes halfway through
-    # the pixels of its first response, with the parent's collector reading
+    # the pixels of its first response, with the parent's reader reading
     sharding._send_frame = send_half_then_freeze
     config = EaszConfig(patch_size=16, subpatch_size=4, d_model=16, num_heads=2,
                         encoder_blocks=1, decoder_blocks=1)
     server = ShardedCompressionServer(model=EaszReconstructor(config), config=config,
                                       num_shards=2).start()
     image = np.random.default_rng(0).random((48, 64, 3))
-    for seed in range(100):
-        package = EaszEncoder(config, seed=seed).encode(image)
-        if server.predicted_shard_depth(package)[0] == 1:
-            break
-    pending = server.submit(package)
+
+    def routed_to(index):
+        for seed in range(100):
+            package = EaszEncoder(config, seed=seed).encode(image)
+            if server.predicted_shard_depth(package)[0] == index:
+                return package
+""")
+
+_FROZEN_MID_RESPONSE_AT_STOP_SCRIPT = _FREEZE_MID_RESPONSE_PREFIX + textwrap.dedent("""
+    pending = server.submit(routed_to(1))
     os.waitpid(server.shard_process(1).pid, os.WUNTRACED)  # returns once it froze
     started = time.perf_counter()
     server.stop()
@@ -326,6 +333,18 @@ _FROZEN_MID_RESPONSE_AT_STOP_SCRIPT = textwrap.dedent("""
         pending.result(timeout=5.0)
     except ShardFailedError:  # lost with the frozen shard, and the pool is closed
         print(elapsed, flush=True)
+    faulthandler.dump_traceback_later(30.0, exit=True)
+""")
+
+_HEALTHY_BESIDE_FROZEN_MID_RESPONSE_SCRIPT = _FREEZE_MID_RESPONSE_PREFIX + textwrap.dedent("""
+    healthy = routed_to(0)
+    server.submit(healthy).result(timeout=60.0)  # warms shard 0's caches
+    server.submit(routed_to(1))
+    os.waitpid(server.shard_process(1).pid, os.WUNTRACED)  # returns once it froze
+    started = time.perf_counter()
+    server.submit(healthy).result(timeout=60.0)
+    print(time.perf_counter() - started, flush=True)
+    server.stop()
     faulthandler.dump_traceback_later(30.0, exit=True)
 """)
 
@@ -390,12 +409,19 @@ class TestRetiredRequestQueue:
                              ids=["idle", "mid-response"])
     def test_default_stop_does_not_wait_out_a_frozen_shard(self, script):
         """stop() at its 30 s default gives up on a shard silent past the
-        hang timeout and kills it, instead of waiting for its drain.  One
-        frozen halfway through a response also stalls the collector on its
-        channel, so the healthy shard's acknowledgement goes unread until
-        the frozen one is killed."""
+        hang timeout and kills it, instead of waiting for its drain, whether
+        it froze idle or halfway through a response on its channel."""
         [elapsed] = _run_to_exit(script)
         assert float(elapsed) < 2.5
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="needs SIGSTOP to freeze a shard")
+    def test_a_shard_frozen_mid_response_holds_up_no_other_shard(self):
+        """Each shard's channel has its own reader: a request served by
+        shard 0 completes while shard 1 sits frozen halfway through a
+        response, well before the hang timeout would get shard 1 killed."""
+        [elapsed] = _run_to_exit(_HEALTHY_BESIDE_FROZEN_MID_RESPONSE_SCRIPT)
+        assert float(elapsed) < _HANG_TIMEOUT_S / 2
 
     def test_send_racing_the_retirement_is_rerouted(self, serve_model, serve_config,
                                                     packages, decoder):
