@@ -11,12 +11,11 @@ a busy thread stretches it whenever a blocking call has to win the GIL back.
 
 Not part of the test suite.  Run with::
 
-    PYTHONPATH=src python benchmarks/probe_response_hop.py [--requests 200]
+    PYTHONPATH=src python benchmarks/probe_response_hop.py
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import threading
 import time
@@ -30,6 +29,7 @@ from repro.core import EaszConfig, EaszEncoder, EaszReconstructor  # noqa: E402
 from repro.serve import ShardedCompressionServer  # noqa: E402
 
 WARMUP = 10
+REQUESTS = 200
 
 
 def spin(stop):
@@ -40,8 +40,8 @@ def spin(stop):
             total += value
 
 
-def run(server, packages, requests, busy):
-    """Closed-loop ``requests`` decodes; (submit->result seconds, mean service s)."""
+def run(server, packages, busy):
+    """Closed-loop ``REQUESTS`` decodes; (submit->result seconds, mean service s)."""
     for index in range(WARMUP):
         server.submit(packages[index % len(packages)], kind="decode").result(timeout=120.0)
     before = server.stats.snapshot()
@@ -51,7 +51,7 @@ def run(server, packages, requests, busy):
         spinner.start()
     latencies = []
     try:
-        for index in range(requests):
+        for index in range(REQUESTS):
             started = time.perf_counter()
             server.submit(packages[index % len(packages)], kind="decode").result(timeout=120.0)
             latencies.append(time.perf_counter() - started)
@@ -65,10 +65,7 @@ def run(server, packages, requests, busy):
     return np.array(latencies), service
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=200)
-    args = parser.parse_args(argv)
+def main():
     config = EaszConfig()
     model = EaszReconstructor(config)
     rng = np.random.default_rng(0)
@@ -77,7 +74,7 @@ def main(argv=None):
                 for seed in range(4)]
     with ShardedCompressionServer(model=model, config=config, num_shards=2) as server:
         for label, busy in (("parent idle", False), ("busy thread", True)):
-            latencies, service = run(server, packages, args.requests, busy)
+            latencies, service = run(server, packages, busy)
             p50, p90 = np.percentile(latencies, [50, 90]) * 1e3
             print(f"{label}: submit->result p50 {p50:.2f} ms  p90 {p90:.2f} ms  "
                   f"service mean {service * 1e3:.2f} ms  (n={len(latencies)})", flush=True)
