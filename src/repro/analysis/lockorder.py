@@ -54,7 +54,8 @@ class InstrumentedLock:
     """A ``threading.Lock`` stand-in that reports acquisitions to a recorder.
 
     Only the plain-lock surface is implemented (``acquire`` / ``release`` /
-    context manager / ``locked``); ``threading.Condition`` falls back to
+    context manager / ``locked``, and ``_at_fork_reinit`` for the stdlib
+    modules that register it to run in a forked child); ``threading.Condition`` falls back to
     exactly that surface when ``_release_save`` and friends are missing, so
     Conditions built on instrumented locks record their release/re-acquire
     cycle through ``wait()`` correctly.
@@ -79,6 +80,13 @@ class InstrumentedLock:
 
     def locked(self):
         return self._lock.locked()
+
+    def _at_fork_reinit(self):
+        # stdlib modules register this to run in a forked child, some after
+        # acquiring the lock before the fork (concurrent.futures.thread does):
+        # the child's lock starts unlocked, so it is not held either
+        self._recorder.on_release(self)
+        self._lock._at_fork_reinit()
 
     def __enter__(self):
         self.acquire()

@@ -36,16 +36,38 @@ more than the GEMMs themselves.
 The engine processes stacked tokens from any number of images in chunks of
 about :data:`CHUNK_ROWS` token rows, so one engine call serves a whole
 batch in chunks whose working set stays cache-sized (the sweep behind
-the row count covers 16- and 64-token patches).  Numerics differ from the
-float64 autograd forward only by float32 rounding; reconstructions agree to
-~1e-6, far below a pixel quantisation step.
+the row count covers 16- and 64-token patches).  The chunks are also the
+unit of parallelism: a call with two or more chunks runs them on the
+calling thread and on up to ``available_cpus() - 1`` helper threads
+(``engine-N``, one set per process), which claim chunks from one shared
+counter and write their rows into one preallocated output.  Each chunk
+computes exactly what it computes on one thread, so outputs are
+bit-identical to the sequential chunk loop.  The caller always works on
+its own chunks and never waits for a helper that is busy elsewhere; a
+helper that arrives after the counter ran out returns at once; and a call
+enlists helpers only for CPUs that no other call is running on, so busy
+concurrent callers each run alone.  The helpers are built on the first
+multi-chunk call, per process id (a forked child builds its own), and
+building them puts OpenBLAS on one thread
+(:func:`repro.cpu.limit_blas_threads`): at these matrix sizes the chunk
+threads use the cores, and a second BLAS thread mostly spins.  A shard
+process, one of several sharing the CPUs, runs its engine on its worker
+alone (:func:`limit_engine_threads`).
+
+Numerics differ from the float64 autograd forward only by float32
+rounding; reconstructions agree to ~1e-6, far below a pixel quantisation
+step.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+
 import numpy as np
 
-__all__ = ["FusedBatchEngine", "CHUNK_ROWS"]
+__all__ = ["FusedBatchEngine", "CHUNK_ROWS", "limit_engine_threads"]
 
 _F32 = np.float32
 
@@ -81,6 +103,104 @@ _GELU_CUBIC = _F32(np.sqrt(2.0 / np.pi) * 0.044715)
 #: softmax.  float32 ``exp`` is exact to overflow up to ~88; 60 leaves two
 #: orders of magnitude of headroom for the row sums.
 _SOFTMAX_GUARD = 60.0
+
+
+#: This process's engine threads, keyed by process id.  A forked child
+#: inherits the parent's entry but none of its threads, so it looks up its
+#: own pid and builds its own.
+_HELPERS = {}
+
+
+class _Helpers:
+    """One process's ``width - 1`` helper threads and the calls they serve.
+
+    A call enlists at most one helper per CPU that no other call is running
+    on: with as many concurrent callers as CPUs (a busy multi-worker server)
+    each call runs its own chunks alone, as a helper thread would only
+    compete with the other callers for the cores.
+    """
+
+    def __init__(self, width, tasks):
+        self.width = width
+        self.tasks = tasks
+        self._lock = threading.Lock()
+        self._callers = 0  # calls in run(), under _lock
+
+    def start(self):
+        for index in range(self.width - 1):
+            threading.Thread(target=self._serve, name=f"engine-{index}", daemon=True).start()
+
+    def _serve(self):
+        """A helper thread's loop: run each task put on ``tasks`` until a ``None``."""
+        for task in iter(self.tasks.get, None):
+            task()
+
+    def run(self, chunks):
+        """Run ``chunks`` on the caller and the helpers of the idle CPUs."""
+        with self._lock:
+            idle = self.width - 1 - self._callers
+            self._callers += 1
+        try:
+            for _ in range(min(idle, chunks.count - 1)):
+                self.tasks.put(chunks.work)
+            chunks.work()
+            chunks.wait()
+        finally:
+            with self._lock:
+                self._callers -= 1
+
+
+def _engine_helpers():
+    """This process's :class:`_Helpers`, built on the first multi-chunk call."""
+    pid = os.getpid()
+    helpers = _HELPERS.get(pid)
+    if helpers is None:
+        # imported here, like scipy, so importing the engine stays cheap
+        import queue
+
+        from ..cpu import available_cpus, limit_blas_threads
+        limit_blas_threads()
+        built = _Helpers(available_cpus(), queue.SimpleQueue())
+        helpers = _HELPERS.setdefault(pid, built)
+        if helpers is built:  # only the winner of a racing first call starts threads
+            helpers.start()
+    return helpers
+
+
+def limit_engine_threads():
+    """Run this process's engine calls on their calling threads only.
+
+    For a process that shares the host's CPUs with sibling processes doing
+    the same work (each shard of a sharded server): the processes are the
+    parallelism there, and helper threads would only compete with them.
+    """
+    _HELPERS[os.getpid()] = _Helpers(1, None)
+
+
+class _Chunks:
+    """One call's chunks, claimed from a shared counter by every thread on it."""
+
+    def __init__(self, run, count):
+        self._run, self.count = run, count
+        self._claims = itertools.count()  # next() is atomic under the GIL
+        self._finished = threading.Semaphore(0)
+        self._error = None
+
+    def work(self):
+        """Run chunks until none is left to claim; a late helper runs none."""
+        while (index := next(self._claims)) < self.count:
+            try:
+                self._run(index)
+            except Exception as error:  # noqa: BLE001 - re-raised by the caller in wait()
+                self._error = error
+            self._finished.release()
+
+    def wait(self):
+        """Block until every chunk has finished; raise a chunk's exception."""
+        for _ in range(self.count):
+            self._finished.acquire()
+        if self._error is not None:
+            raise self._error
 
 
 def _fingerprint(model):
@@ -318,7 +438,11 @@ class FusedBatchEngine:
         chunk = max(1, CHUNK_ROWS // self._config.tokens_per_patch)
         if total <= chunk:
             return self._predict_chunk(kept_tokens, kept_indices, out_indices)
-        return np.concatenate([
-            self._predict_chunk(kept_tokens[start:start + chunk], kept_indices, out_indices)
-            for start in range(0, total, chunk)
-        ])
+        out = np.empty((total, len(out_indices), self._config.token_dim), dtype=_F32)
+
+        def run(index):
+            rows = slice(index * chunk, (index + 1) * chunk)
+            out[rows] = self._predict_chunk(kept_tokens[rows], kept_indices, out_indices)
+
+        _engine_helpers().run(_Chunks(run, -(-total // chunk)))
+        return out

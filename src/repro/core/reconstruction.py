@@ -292,7 +292,9 @@ def reconstruct_batch(model, filled_images, mask, keep_original=True):
         plan = get_pixel_plan(flat_mask, padded_images[0].shape[:2], cfg.patch_size,
                               cfg.subpatch_size)
         fold = color and cfg.channels == 1
-        kept_tokens = _gather_tokens(np.stack(padded_images), plan, color, fold)
+        # a one-frame group gathers from a view: no stacked copy of the frame
+        stack = padded_images[0][None] if len(members) == 1 else np.stack(padded_images)
+        kept_tokens = _gather_tokens(stack, plan, color, fold)
         out_indices = plan.erased_indices if keep_original else plan.all_indices
         predictions = engine.predict(kept_tokens, plan.kept_indices, out_indices)
         rows_per_image = predictions.shape[0] // len(members)

@@ -1,8 +1,13 @@
-"""How a serving process shares its cores: the CPU count and BLAS threads.
+"""How a process shares its cores: the CPU count and BLAS threads.
 
-Serving parallelism comes from worker threads and shard processes, never
-from BLAS: at the engine's and the IDCT's matrix sizes a second OpenBLAS
-thread buys no wall time, and it spins on the cores the serving needs.
+Parallelism comes from worker threads, shard processes and the
+reconstruction engine's chunk threads, never from BLAS: at the engine's and
+the IDCT's matrix sizes a second OpenBLAS thread buys little wall time, and
+under contention it spins on the cores the other threads need.  So one rule
+covers library calls and servers alike: the engine's first multi-chunk
+call (:mod:`repro.core.batch_engine`) and every serving backend's start
+call :func:`limit_blas_threads`, and the engine runs one chunk thread per
+CPU of :func:`available_cpus`.
 """
 
 import ctypes
@@ -14,8 +19,9 @@ __all__ = ["available_cpus", "limit_blas_threads"]
 def available_cpus():
     """CPUs this process may run on (affinity-aware; sharding helps only >=2).
 
-    The throughput benchmark and its perf-smoke guard both use this to decide
-    whether a sharded measurement is meaningful on the host.
+    The engine runs this many chunk threads per call.  The throughput
+    benchmark and its perf-smoke guard use it to decide whether a sharded
+    measurement is meaningful on the host.
     """
     try:
         return len(os.sched_getaffinity(0))

@@ -62,6 +62,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ..core.batch_engine import limit_engine_threads
 from ..core.config import EaszConfig
 from ..core.reconstruction import EaszReconstructor
 from ..core.transport import pack_package, unpack_package
@@ -218,6 +219,9 @@ def _shard_main(index, channel, config_kwargs, model_state, cells):
             header = ("ok", index, request_id, image.shape, str(image.dtype), worker)
             _send_frame(channel, header, image)
 
+    # thread policy: the shards are this pool's parallelism, so each runs its
+    # engine on its one worker (and BLAS on one thread, in backend.start())
+    limit_engine_threads()
     backend = ThreadPoolBackend(model, config, reply, num_workers=1)
     backend.start()
     row[_HEARTBEAT] = time.monotonic()

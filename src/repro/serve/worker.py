@@ -18,12 +18,18 @@ Every request leaves through the backend's ``settle`` callable, exactly
 once: ``settle(request_id, image=..., worker=...)`` with the pixels, or
 ``settle(request_id, error=...)``.
 
-Thread policy: parallelism comes from worker threads and shard processes,
-never from BLAS.  :meth:`ThreadPoolBackend.start` puts its process's
-OpenBLAS on one thread (:func:`repro.cpu.limit_blas_threads`; a user's
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins) and keeps the count
-it reads back as ``blas_threads``.  One call covers the threaded server and
-every shard, each of which runs a backend of its own.
+Thread policy: parallelism comes from worker threads, shard processes and
+the reconstruction engine's chunk threads, never from BLAS.
+:meth:`ThreadPoolBackend.start` puts its process's OpenBLAS on one thread
+(:func:`repro.cpu.limit_blas_threads`; a user's ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` wins) and keeps the count it reads back as
+``blas_threads``.  One call covers the threaded server and every shard,
+each of which runs a backend of its own.  In the threaded server a
+worker's reconstruction runs its frame's engine chunks on the worker and
+on the process's engine helper threads (:mod:`repro.core.batch_engine`),
+so one busy worker still uses every core; a call enlists helpers only for
+CPUs that no other worker is reconstructing on.  Each shard runs its
+engine on its one worker alone: there the shards are the parallelism.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ batch of one through the same engine, bit for bit.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -29,6 +34,7 @@ from repro.core import (
     reconstruct_batch,
     reconstruct_image,
 )
+from repro.core import batch_engine
 from repro.core.patchify import image_to_patches, patches_to_image
 from repro.image import is_color, to_float
 from token_reference import patches_to_tokens, tokens_to_patches
@@ -330,6 +336,179 @@ class TestEnginePaths:
         full = engine.predict(tokens, kept, np.arange(cfg.tokens_per_patch))
         assert subset.shape == (150, erased.size, cfg.token_dim)
         assert np.abs(subset - full[:, erased]).max() < 1e-6
+
+
+@pytest.fixture
+def engine_width(monkeypatch):
+    """``engine_width(n)`` runs this process's engine at ``n`` threads.
+
+    Builds the engine's helpers as the first multi-chunk call would, on a
+    host of ``n`` CPUs, so the fan-out runs even on a one-CPU host and the
+    sequential chunk loop (width 1) needs no knob; the helpers are stopped
+    and the process's own restored afterwards.
+    """
+    import repro.cpu
+
+    built = []
+
+    def install(width):
+        monkeypatch.setattr(repro.cpu, "available_cpus", lambda: width)
+        monkeypatch.delitem(batch_engine._HELPERS, os.getpid(), raising=False)
+        built.append(batch_engine._engine_helpers())
+
+    yield install
+    for helpers in built:
+        for _ in range(helpers.width - 1):
+            helpers.tasks.put(None)
+
+
+class TestChunkFanOut:
+    """The chunks of one call run on several threads with unchanged output.
+
+    Every chunk computes exactly what the one-thread chunk loop computes, so
+    the fanned-out output is compared bit for bit, not to a tolerance.
+    """
+
+    SHAPES = {**TestEnginePaths.FRAMES, "64-token-grid": (96, 90, 3)}
+
+    @staticmethod
+    def model_for(frame):
+        return engine_model(2, patch_size=32 if frame == "64-token-grid" else 16)
+
+    @pytest.mark.parametrize("keep_original", [True, False], ids=["keep", "full"])
+    @pytest.mark.parametrize("frame", list(SHAPES))
+    def test_fanned_out_is_the_one_thread_loop(self, engine_width, frame, keep_original):
+        model = self.model_for(frame)
+        mask = proposed_mask(model.config.grid_size, 1, 1, seed=3)
+        image = np.random.default_rng(len(frame)).random(self.SHAPES[frame])
+        engine_width(1)
+        want = reconstruct_batch(model, [image], mask, keep_original)[0]
+        engine_width(3)
+        got = reconstruct_batch(model, [image], mask, keep_original)[0]
+        assert np.array_equal(got, want)
+
+    def test_predict_fans_out_bit_identically(self, engine_width):
+        # 150 patches on a 16-token grid: 64-patch chunks, so 3 of them
+        model = engine_model(2)
+        flat_mask = proposed_mask(model.config.grid_size, 1, 1, seed=3).reshape(-1).astype(bool)
+        kept, erased = np.flatnonzero(flat_mask), np.flatnonzero(~flat_mask)
+        tokens = np.random.default_rng(7).random((150, kept.size, model.config.token_dim))
+        engine = model.batch_engine()
+        engine_width(1)
+        want = engine.predict(tokens, kept, erased)
+        engine_width(2)
+        got = engine.predict(tokens, kept, erased)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    def test_concurrent_callers_get_their_sequential_outputs(self, engine_width):
+        # more callers than engine threads, switching threads every 10 us: a
+        # chunk lost, run twice or written into another call's rows changes
+        # some caller's pixels
+        model = engine_model(2)
+        grid = model.config.grid_size
+        rng = np.random.default_rng(11)
+        jobs = [(rng.random((48, 368, 3)), proposed_mask(grid, 1, 1, seed=3)),
+                (rng.random((160, 144)), proposed_mask(grid, 2, 1, seed=5)),
+                (rng.random((96, 200, 3)), proposed_mask(grid, 1, 1, seed=8)),
+                (rng.random((112, 176)), proposed_mask(grid, 2, 1, seed=9))]
+        engine_width(1)
+        wants = [reconstruct_image(model, image, mask) for image, mask in jobs]
+        engine_width(3)
+        start = threading.Barrier(len(jobs))
+        gots = [[] for _ in jobs]
+
+        def call(slot):
+            image, mask = jobs[slot]
+            start.wait()
+            for _ in range(3):
+                gots[slot].append(reconstruct_image(model, image, mask))
+
+        threads = [threading.Thread(target=call, args=(slot,)) for slot in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(wants, gots):
+            assert len(got) == 3
+            assert all(np.array_equal(each, want) for each in got)
+
+    def test_a_call_enlists_no_helper_while_other_calls_hold_the_cpus(self, engine_width,
+                                                                       monkeypatch):
+        # width 2: call A's caller sits in one of A's chunks (the helper ran
+        # the other three), so call B finds no idle CPU and runs every one of
+        # its chunks on its own thread
+        model = engine_model(2)
+        mask = proposed_mask(model.config.grid_size, 1, 1, seed=3)
+        frame_a = np.full((48, 368, 3), 0.25)  # 4 chunks, every token 0.25
+        frame_b = np.random.default_rng(4).random((48, 368, 3))
+        engine_width(1)
+        wants = [reconstruct_image(model, frame, mask) for frame in (frame_a, frame_b)]
+        engine_width(2)
+        real_chunk = batch_engine.FusedBatchEngine._predict_chunk
+        a_blocked, release_a = threading.Event(), threading.Event()
+        a_on_helper, b_threads = [], []
+
+        def tracing_chunk(self, kept_tokens, *args):
+            thread = threading.current_thread().name
+            if not np.all(kept_tokens == 0.25):
+                b_threads.append(thread)
+            elif thread == "call-a":
+                a_blocked.set()
+                release_a.wait(timeout=60.0)
+            out = real_chunk(self, kept_tokens, *args)
+            if np.all(kept_tokens == 0.25) and thread != "call-a":
+                a_on_helper.append(thread)
+            return out
+
+        monkeypatch.setattr(batch_engine.FusedBatchEngine, "_predict_chunk", tracing_chunk)
+        got_a = []
+        call_a = threading.Thread(target=lambda: got_a.append(
+            reconstruct_image(model, frame_a, mask)), name="call-a")
+        call_a.start()
+        try:
+            assert a_blocked.wait(timeout=60.0)
+            deadline = time.monotonic() + 60.0
+            while len(a_on_helper) < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert a_on_helper == ["engine-0"] * 3
+            got_b = reconstruct_image(model, frame_b, mask)
+        finally:
+            release_a.set()
+            call_a.join(timeout=60.0)
+        assert not call_a.is_alive()
+        assert b_threads == ["MainThread"] * 4
+        assert np.array_equal(got_a[0], wants[0]) and np.array_equal(got_b, wants[1])
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_a_raising_chunk_reaches_the_caller(self, engine_width, monkeypatch, raiser):
+        model = engine_model(2)
+        mask = proposed_mask(model.config.grid_size, 1, 1, seed=3)
+        image = np.random.default_rng(2).random((48, 368, 3))  # 4 chunks
+        engine_width(1)
+        want = reconstruct_image(model, image, mask)
+        engine_width(2)
+        real_chunk = batch_engine.FusedBatchEngine._predict_chunk
+
+        def failing_chunk(self, *args):
+            on_helper = threading.current_thread().name.startswith("engine")
+            if not on_helper:
+                time.sleep(0.05)  # lets the helper claim a chunk too
+            if on_helper == (raiser == "helper"):
+                raise RuntimeError(f"chunk failed on the {raiser}")
+            return real_chunk(self, *args)
+
+        monkeypatch.setattr(batch_engine.FusedBatchEngine, "_predict_chunk", failing_chunk)
+        with pytest.raises(RuntimeError, match=f"on the {raiser}"):
+            reconstruct_image(model, image, mask)
+        monkeypatch.setattr(batch_engine.FusedBatchEngine, "_predict_chunk", real_chunk)
+        assert np.array_equal(reconstruct_image(model, image, mask), want)
 
 
 class TestSingleInferencePath:

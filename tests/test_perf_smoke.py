@@ -1,26 +1,29 @@
 """Wall-clock budget guards for the vectorized codec and serving fast paths.
 
 The 512×512 RGB JPEG+easz encode→decode→reconstruct roundtrip runs in
-roughly half a second of wall time with the plan-cached squeeze, the
+about 0.3 s of wall time with the plan-cached squeeze, the
 table-driven entropy coder and the fused float32 reconstruction (see
 ``BENCH_throughput.json``).  The seed implementation's symbol-at-a-time /
 per-patch Python loops took ~3 CPU-seconds on the same machine, so a budget
-of 2.5 CPU-seconds leaves ~5x headroom for slower hardware while still
+of 2.5 CPU-seconds leaves ~6x headroom for slower hardware while still
 failing loudly if a hot path regresses to O(n) Python loops.
 
-Library calls run OpenBLAS at its default thread count (only serving
-processes drop to one thread), and the process time counts every BLAS
-thread.  On a 2-vCPU Xeon (OpenBLAS 0.3.31, five runs per count) the
-roundtrip took 0.86–1.01 CPU-seconds (0.48–0.57 s wall) at the default 2
-threads and 0.44–0.59 CPU-seconds, the same wall time, at one.  One thread
-is not applied to library calls: it made the 1024² RGB reconstruction
-1.01–1.18x slower in wall time (six alternating pairs).
+Library calls run OpenBLAS on one thread, as serving processes do: the
+engine's first multi-chunk call sets it, and spreads each frame's
+token-row chunks over the calling thread and one helper thread per further
+CPU instead.  The process time counts every thread.  On a 2-vCPU Xeon
+(OpenBLAS 0.3.31, four runs) the roundtrip took 0.32–0.45 CPU-seconds
+(0.23–0.34 s wall), and 0.30–0.44 CPU-seconds in six runs beside two
+busy-loop processes.  With one engine thread and OpenBLAS's default of two
+threads it had taken 0.58–0.83 CPU-seconds idle, and up to 6.2 beside the
+busy loops, where the second BLAS thread spun.
 
 The serving guard plays the same role for the batched path: reconstructing
-four 256² RGB images through ``reconstruct_batch`` took 0.43–0.55
-CPU-seconds (0.21–0.28 s wall) with the fused engine at 2 BLAS threads and
-0.24–0.29 at one, on the same host and runs; a 1.2 CPU-second budget fails
-loudly if a batched stage regresses to Python loops.  Single-image
+four 256² RGB images through ``reconstruct_batch`` took 0.18–0.19
+CPU-seconds (0.10–0.11 s wall) on the same host and runs (0.34–0.48
+CPU-seconds, 0.17–0.24 s wall, with one engine thread and two BLAS
+threads); a 1.2 CPU-second budget fails loudly if a batched stage regresses
+to Python loops.  Single-image
 reconstruction runs through the same engine (``reconstruct_image`` is a
 batch of one), so the roundtrip guard above covers it too.  The bench
 records no batch-size sweep: its ``serving`` section only asserts

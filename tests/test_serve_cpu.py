@@ -1,4 +1,5 @@
-"""Tests for the serving thread policy: one BLAS thread per serving process."""
+"""Tests for the thread policy: one BLAS thread in every serving process and
+in every process whose reconstruction engine has built its chunk helpers."""
 
 from __future__ import annotations
 
@@ -94,3 +95,48 @@ def test_no_openblas_mapped_is_a_no_op(monkeypatch, unpinned_blas):
     assert limit_blas_threads() is None
     monkeypatch.undo()
     assert _blas_threads() == before
+
+
+@needs_openblas
+@pytest.mark.skipif(available_cpus() < 2, reason="one CPU runs no engine helper")
+@pytest.mark.parametrize("user_count", [None, "2"], ids=["default", "user-set"])
+def test_the_engines_first_multi_chunk_call_sets_the_thread_policy(user_count):
+    # a fresh process: nothing at import or on a one-chunk call, then helper
+    # threads and one BLAS thread (unless the user set a count) on the first
+    # multi-chunk call, as in a library call that starts no server
+    script = textwrap.dedent("""
+        import json
+        import threading
+        import numpy as np
+        import repro.cpu
+        from repro.core import EaszConfig, EaszReconstructor, proposed_mask, reconstruct_image
+        def state():
+            return [repro.cpu._openblas().scipy_openblas_get_num_threads64_(),
+                    sorted(t.name for t in threading.enumerate() if t.name.startswith("engine"))]
+        config = EaszConfig(patch_size=16, subpatch_size=4, d_model=16, num_heads=2,
+                            encoder_blocks=1, decoder_blocks=1)
+        model = EaszReconstructor(config)
+        model.eval()
+        mask = proposed_mask(config.grid_size, 1, 1, seed=0)
+        states = [state()]
+        reconstruct_image(model, np.zeros((64, 64, 3)), mask)  # one chunk
+        states.append(state())
+        reconstruct_image(model, np.zeros((256, 256, 3)), mask)  # twelve chunks
+        states.append(state())
+        print(json.dumps(states))
+    """)
+    source = str(Path(repro.cpu.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    if user_count is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_count
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    at_import, after_one_chunk, after_twelve = json.loads(
+        result.stdout.strip().splitlines()[-1])
+    assert at_import[1] == [] and after_one_chunk == at_import
+    helpers = [f"engine-{index}" for index in range(available_cpus() - 1)]
+    assert after_twelve == [1 if user_count is None else int(user_count), helpers]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.codecs import JpegCodec
+from repro.core import batch_engine
 from repro.core import (EaszConfig, EaszDecoder, EaszEncoder, EaszReconstructor,
                         pack_package, unpack_package)
 from repro.edge import erlang_c, md_c_wait_s
@@ -622,6 +623,10 @@ class TestShardedCompressionServer:
         server = _sharded(serve_model, serve_config)
         server.start()
         server.submit(packages[0]).result(timeout=300.0)
+        # frozen before the submits, so no warm shard serves a request before
+        # the kill, however long the submitting thread waits for the GIL
+        for shard in server._backends:
+            os.kill(shard.process.pid, signal.SIGSTOP)
         pendings = [server.submit(package) for package in packages]
         for shard in server._backends:
             shard.process.kill()
@@ -652,6 +657,53 @@ class TestShardedCompressionServer:
         assert outcomes["ok"] + outcomes["closed"] == len(pendings)
         with pytest.raises(QueueClosedError):
             server.submit(packages[0])
+
+
+# --------------------------------------------------------------------------- #
+# the engine's helper threads across fork
+# --------------------------------------------------------------------------- #
+class TestEngineHelpersAcrossFork:
+    """A forked process inherits the parent's engine helpers but none of their
+    threads: shards and plain forks must build their own, not wait on those."""
+
+    @pytest.fixture(scope="class")
+    def large_packages(self, serve_config):
+        # 144x160 RGB on 16-pixel patches: 270 folded patches, 5 engine chunks
+        rng = np.random.default_rng(5)
+        encoder = EaszEncoder(serve_config, seed=1)
+        images = [rng.random((144, 160, 3)) for _ in range(2)]
+        return encoder.encode_batch(images, mask=encoder.generate_mask())
+
+    def test_plain_fork_reconstructs_like_the_parent(self, decoder, large_packages, tmp_path):
+        want = decoder.decode(large_packages[0])  # builds the parent's helpers
+        assert os.getpid() in batch_engine._HELPERS
+        out = tmp_path / "child.npy"
+        pid = os.fork()
+        if pid == 0:  # the child: reconstruct, save, exit without pytest's teardown
+            status = 1
+            try:
+                np.save(out, decoder.decode(large_packages[0]))
+                status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60.0
+        while not os.waitpid(pid, os.WNOHANG)[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("a forked child's reconstruct did not finish in 60 s")
+            time.sleep(0.01)
+        assert np.array_equal(np.load(out), want)
+
+    def test_shards_reconstruct_like_the_parent(self, serve_config, serve_model, decoder,
+                                                large_packages):
+        wants = [decoder.decode(package) for package in large_packages]
+        assert os.getpid() in batch_engine._HELPERS
+        with _sharded(serve_model, serve_config) as server:
+            pendings = [server.submit(package, kind="reconstruct") for package in large_packages]
+            responses = [pending.result(timeout=60.0) for pending in pendings]
+        for response, want in zip(responses, wants):
+            assert np.array_equal(response.image, want)
 
 
 # --------------------------------------------------------------------------- #
