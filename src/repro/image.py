@@ -135,8 +135,18 @@ def resize_bilinear(image, new_height, new_width):
     if image.ndim == 3:
         wy = wy[..., None]
         wx = wx[..., None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    # the same products and sums in the same order either way; only the
+    # gather order follows the shapes.  Upsampling interpolates each source
+    # row across the columns once, then picks rows; downsampling picks rows
+    # first, so it never interpolates a row it drops
+    if new_height > height:
+        across = image[:, x0] * (1 - wx) + image[:, x1] * wx
+        top, bottom = across[y0], across[y1]
+    else:
+        rows = image[y0]
+        top = rows[:, x0] * (1 - wx) + rows[:, x1] * wx
+        rows = image[y1]
+        bottom = rows[:, x0] * (1 - wx) + rows[:, x1] * wx
     return top * (1 - wy) + bottom * wy
 
 

@@ -18,13 +18,17 @@ Every request leaves through the backend's ``settle`` callable, exactly
 once: ``settle(request_id, image=..., worker=...)`` with the pixels, or
 ``settle(request_id, error=...)``.
 
-Thread policy: parallelism comes from worker threads, shard processes and
-the reconstruction engine's chunk threads, never from BLAS.
+Thread and memory policy: parallelism comes from worker threads, shard
+processes and the reconstruction engine's chunk threads, never from BLAS.
 :meth:`ThreadPoolBackend.start` puts its process's OpenBLAS on one thread
 (:func:`repro.cpu.limit_blas_threads`; a user's ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` wins) and keeps the count it reads back as
-``blas_threads``.  One call covers the threaded server and every shard,
-each of which runs a backend of its own.  In the threaded server a
+``blas_threads``.  It also makes glibc keep freed frame buffers in the heap
+(:func:`repro.cpu.keep_freed_memory`; a user's ``MALLOC_MMAP_THRESHOLD_``,
+``MALLOC_TRIM_THRESHOLD_`` or ``glibc.malloc`` tunable wins), so a request
+reuses the last one's pages instead of faulting them in.  One call covers
+the threaded server and every shard, each of which runs a backend of its
+own; a library call keeps its host's allocator.  In the threaded server a
 worker's reconstruction runs its frame's engine chunks on the worker and
 on the process's engine helper threads (:mod:`repro.core.batch_engine`),
 so one busy worker still uses every core; a call enlists helpers only for
@@ -44,7 +48,7 @@ from ..core.erase_squeeze import get_squeeze_plan
 from ..core.masks import deserialize_mask
 from ..core.pipeline import EaszDecoder
 from ..core.reconstruction import reconstruct_image
-from ..cpu import limit_blas_threads
+from ..cpu import keep_freed_memory, limit_blas_threads
 from .queueing import (AdmissionQueue, DeadlineExceededError, QueueClosedError,
                        deadline_expired)
 from .telemetry import ServerStats
@@ -130,10 +134,11 @@ class ThreadPoolBackend:
     # the backend surface the front door uses
     # ------------------------------------------------------------------ #
     def start(self):
-        """Limit BLAS to one thread, start the worker threads (idempotent)."""
+        """Set the process's thread and memory policy, start the workers (idempotent)."""
         if not self._started:
             self._started = True
             self.blas_threads = limit_blas_threads()
+            keep_freed_memory()
             for worker in self.workers:
                 worker.start()
 

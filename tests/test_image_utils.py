@@ -100,6 +100,29 @@ class TestResampling:
         assert out.shape == (16, 12)
         assert np.allclose(out, 0.3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(height=st.integers(1, 40), width=st.integers(1, 40),
+           new_height=st.integers(1, 80), new_width=st.integers(1, 80),
+           channels=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_bilinear_matches_the_two_row_formula_bit_for_bit(
+            self, height, width, new_height, new_width, channels, seed):
+        # the reference gathers rows, then columns, for both source rows of
+        # every output row; resize_bilinear may gather in another order but
+        # must compute the same products and sums in the same order
+        shape = (height, width) if channels is None else (height, width, channels)
+        image = np.random.default_rng(seed).random(shape)
+        ys = np.clip(im._resample_axis(height, new_height), 0, height - 1)
+        xs = np.clip(im._resample_axis(width, new_width), 0, width - 1)
+        y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+        y1, x1 = np.minimum(y0 + 1, height - 1), np.minimum(x0 + 1, width - 1)
+        wy, wx = (ys - y0).reshape(-1, 1), (xs - x0).reshape(1, -1)
+        if image.ndim == 3:
+            wy, wx = wy[..., None], wx[..., None]
+        top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
+        bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+        expected = top * (1 - wy) + bottom * wy
+        assert np.array_equal(im.resize_bilinear(image, new_height, new_width), expected)
+
     def test_bicubic_constant_image_unchanged(self):
         out = im.resize_bicubic(np.full((8, 8), 0.6), 17, 5)
         assert out.shape == (17, 5)
